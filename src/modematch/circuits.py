@@ -121,32 +121,23 @@ def orthosymplectic_to_unitary(O: np.ndarray, tol: Tolerances = DEFAULT) -> np.n
     return U
 
 
-def _rotation_unitary(el: Rotation, n: int) -> np.ndarray:
-    U = np.eye(n, dtype=complex)
-    i, j = el.modes
-    ct, st = np.cos(el.theta), np.sin(el.theta)
-    ph = np.exp(1j * el.phi)
-    U[i, i] = ct
-    U[i, j] = -ph * st
-    U[j, i] = st / ph
-    U[j, j] = ct
-    return U
-
-
-def _phase_unitary(el: PhaseShift, n: int) -> np.ndarray:
-    U = np.eye(n, dtype=complex)
-    U[el.mode, el.mode] = np.exp(1j * el.alpha)
-    return U
-
-
 def elements_to_unitary(elements, n: int) -> np.ndarray:
-    """Left-to-right product of the listed passive elements."""
+    """Left-to-right product of the listed passive elements.
+
+    Each element changes only the columns of the modes it acts on: two for
+    a rotation, one for a phase.
+    """
     U = np.eye(n, dtype=complex)
     for el in elements:
         if isinstance(el, Rotation):
-            U = U @ _rotation_unitary(el, n)
+            i, j = el.modes
+            ct, st = np.cos(el.theta), np.sin(el.theta)
+            ph = np.exp(1j * el.phi)
+            col_i, col_j = U[:, i].copy(), U[:, j]
+            U[:, i] = ct * col_i + (st / ph) * col_j
+            U[:, j] = ct * col_j - (ph * st) * col_i
         elif isinstance(el, PhaseShift):
-            U = U @ _phase_unitary(el, n)
+            U[:, el.mode] *= np.exp(1j * el.alpha)
         else:
             raise TypeError(f"unknown passive element {el!r}")
     return U

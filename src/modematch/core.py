@@ -23,14 +23,45 @@ from .errors import (
     SpectralPairingFailure,
 )
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_EPS = np.finfo(float).eps
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form in interleaved mode ordering."""
+    """Return the 2n x 2n symplectic form in interleaved mode ordering.
+
+    Each call returns a new array; library code applies the form through
+    ``_sigma_left`` and ``_sigma_right`` instead of building it.
+    """
     out = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _J
+    _add_sigma(out, 1.0)
+    return out
+
+
+def _add_sigma(M: np.ndarray, scale) -> None:
+    """M += scale * sigma in place, for a C-contiguous square M.
+
+    The entries (2k, 2k + 1) and (2k + 1, 2k) sit at flat positions
+    k (2m + 2) + 1 and k (2m + 2) + m of the m x m array.
+    """
+    m = M.shape[0]
+    flat = M.reshape(-1)
+    flat[1 :: 2 * m + 2] += scale
+    flat[m :: 2 * m + 2] -= scale
+
+
+def _sigma_left(M: np.ndarray) -> np.ndarray:
+    """sigma @ M as a row swap within each mode plus a sign flip."""
+    out = np.empty_like(M)
+    out[0::2] = M[1::2]
+    out[1::2] = -M[0::2]
+    return out
+
+
+def _sigma_right(M: np.ndarray) -> np.ndarray:
+    """M @ sigma as a column swap within each mode plus a sign flip."""
+    out = np.empty_like(M)
+    out[:, 0::2] = -M[:, 1::2]
+    out[:, 1::2] = M[:, 0::2]
     return out
 
 
@@ -62,47 +93,72 @@ def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
     return np.diag(np.repeat(values, 2))
 
 
+def _max_abs(M: np.ndarray) -> float:
+    return float(np.abs(M).max())
+
+
+def _check_finite(entries: np.ndarray, what: str):
+    if not np.isfinite(entries).all():
+        raise ValueError(f"{what} has non-finite entries")
+
+
 def symplectic_defect(entries: np.ndarray) -> float:
     """Max-norm of S sigma S^T - sigma."""
-    n = _check_even_square(entries, "transform")
-    sig = symplectic_form(n)
-    return float(np.max(np.abs(entries @ sig @ entries.T - sig)))
+    entries = np.asarray(entries, dtype=float)
+    _check_even_square(entries, "transform")
+    form = _sigma_right(entries) @ entries.T
+    _add_sigma(form, -1.0)
+    return _max_abs(form)
 
 
 def symplectic_inverse(entries: np.ndarray) -> np.ndarray:
     """Inverse of a symplectic matrix via S^-1 = -sigma S^T sigma."""
-    n = _check_even_square(entries, "transform")
-    sig = symplectic_form(n)
-    return -sig @ entries.T @ sig
+    entries = np.asarray(entries, dtype=float)
+    _check_even_square(entries, "transform")
+    return -_sigma_left(_sigma_right(entries.T))
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 class CovarianceMatrix:
     """Real symmetric strictly positive matrix of second moments.
 
-    Validation enforces symmetry (relative to the max-norm) and strict
-    positivity of the smallest eigenvalue.  Physicality, i.e. compatibility
-    with the uncertainty bound gamma + i*sigma >= 0, is a separate optional
-    check because the feasibility machinery also applies to strictly positive
-    matrices that are not covariance matrices of quantum states.
+    Validation enforces finite entries, symmetry (relative to the max-norm)
+    and strict positivity of the smallest eigenvalue.  Physicality, i.e.
+    compatibility with the uncertainty bound gamma + i*sigma >= 0, is a
+    separate optional check because the feasibility machinery also applies
+    to strictly positive matrices that are not covariance matrices of
+    quantum states.
+
+    The eigen-decomposition used by the positivity check is kept, and the
+    skew spectral data built from it is computed once on first use; both are
+    read-only, like ``entries``, so they cannot go stale.
     """
 
     def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "covariance matrix")
-        scale = max(1.0, float(np.max(np.abs(entries))))
-        sym_defect = float(np.max(np.abs(entries - entries.T)))
+        _check_finite(entries, "covariance matrix")
+        scale = max(1.0, _max_abs(entries))
+        sym_defect = _max_abs(entries - entries.T)
         if sym_defect > tol.tol_sym * scale:
             raise ValueError(
                 f"matrix is not symmetric: defect {sym_defect:.3g} exceeds "
                 f"{tol.tol_sym:.3g} relative to max-norm {scale:.3g}"
             )
-        self.entries = 0.5 * (entries + entries.T)
-        min_eig = float(np.linalg.eigvalsh(self.entries)[0])
-        if min_eig <= tol.tol_pos:
-            raise NotPositive(
-                f"matrix is not strictly positive: smallest eigenvalue {min_eig:.3g}"
-            )
-        self._min_eig = min_eig
+        sym = 0.5 * (entries + entries.T)
+        w, U = np.linalg.eigh(sym)
+        _check_positive(w, tol.tol_pos)
+        self._entries, self._eig_values, self._eig_vectors = _frozen(sym, w, U)
+        self._skew = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._entries
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
@@ -110,8 +166,8 @@ class CovarianceMatrix:
 
     def is_physical(self, tol_psd: float = DEFAULT.tol_psd) -> bool:
         """Uncertainty test: smallest eigenvalue of gamma + i*sigma >= -tol."""
-        sig = symplectic_form(self.n)
-        herm = self.entries.astype(complex) + 1j * sig
+        herm = self.entries.astype(complex)
+        _add_sigma(herm, 1j)
         return bool(np.linalg.eigvalsh(herm)[0] >= -tol_psd)
 
     def is_physical_by_spectrum(self, tol_psd: float = DEFAULT.tol_psd) -> bool:
@@ -128,7 +184,8 @@ class SymplecticTransform:
     def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "symplectic transform")
-        scale = max(1.0, float(np.max(np.abs(entries))) ** 2)
+        _check_finite(entries, "symplectic transform")
+        scale = max(1.0, _max_abs(entries) ** 2)
         defect = symplectic_defect(entries)
         if defect > tol.tol_sympl * scale:
             raise NotSymplectic(
@@ -168,15 +225,16 @@ class SpectrumVector:
     kind: str = "symplectic_spectrum"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size == 0:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
             raise ValueError("spectrum must be a non-empty 1-d vector")
         if self.kind not in SPECTRUM_KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if np.any(self.values <= 0):
+        if values.min() <= 0:
             raise NotPositive("spectrum entries must be strictly positive")
-        if np.any(np.diff(self.values) < 0):
+        if (values[1:] < values[:-1]).any():
             raise NotSorted("spectrum values must be non-decreasing")
+        self.values = values
 
     @classmethod
     def from_unsorted(cls, values, kind: str = "symplectic_spectrum"):
@@ -220,53 +278,69 @@ def _as_covariance(gamma, tol: Tolerances) -> CovarianceMatrix:
     return CovarianceMatrix(gamma, tol=tol)
 
 
-def matrix_sqrt_spd(entries: np.ndarray, tol_pos: float = DEFAULT.tol_pos):
-    """Square root and inverse square root of a symmetric positive matrix."""
-    w, U = np.linalg.eigh(entries)
-    if w[0] <= tol_pos:
-        raise NotPositive(f"matrix is not strictly positive: smallest eigenvalue {w[0]:.3g}")
-    root = np.sqrt(w)
-    return (U * root) @ U.T, (U / root) @ U.T
+def _check_positive(eigenvalues: np.ndarray, tol_pos: float):
+    if eigenvalues[0] <= tol_pos:
+        raise NotPositive(
+            f"matrix is not strictly positive: smallest eigenvalue {eigenvalues[0]:.3g}"
+        )
 
 
-def _skew_spectral_basis(gamma: np.ndarray, n: int, tol: Tolerances):
-    """Eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
+def _skew_spectral_data(cov: CovarianceMatrix):
+    """Tolerance-free eigen-data of the skew kernel, computed once per matrix.
 
-    Returns (d, W, A_inv) where d are the n symplectic eigenvalues in
-    non-decreasing order, W is orthogonal with K = W blockdiag(d_j J) W^T,
-    and A_inv is the inverse square root of gamma.
+    Returns (d, W, A_inv, mismatch, lam_max, orth_defect): the upper half
+    of the Hermitian spectrum of i K with K = sqrt(gamma) sigma sqrt(gamma),
+    the phase-fixed real canonical basis W, the inverse square root of
+    gamma, and the raw pairing and orthogonality defects that
+    ``_skew_spectral_basis`` compares against the tolerances on every call.
     """
-    sig = symplectic_form(n)
-    A, A_inv = matrix_sqrt_spd(gamma, tol.tol_pos)
-    K = A @ sig @ A
-    lam, vecs = np.linalg.eigh(1j * K)
+    if cov._skew is None:
+        n = cov.n
+        root = np.sqrt(cov._eig_values)
+        U = cov._eig_vectors
+        A = (U * root) @ U.T
+        A_inv = (U / root) @ U.T
+        lam, vecs = np.linalg.eigh(1j * (A @ _sigma_left(A)))
+        mismatch = _max_abs(lam + lam[::-1])
+        lam_max = _max_abs(lam)
+        # phase convention: rotate each vector's dominant entry onto the
+        # imaginary axis, first index winning near-ties, so diagonal inputs
+        # map to W = I
+        V = vecs[:, n:]
+        mags = np.abs(V)
+        lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-9), axis=0)
+        V = V * np.exp(1j * (np.pi / 2 - np.angle(V[lead, np.arange(n)])))
+        W = np.empty((2 * n, 2 * n))
+        W[:, 0::2] = np.sqrt(2.0) * V.imag
+        W[:, 1::2] = np.sqrt(2.0) * V.real
+        orth_defect = _max_abs(W.T @ W - np.eye(2 * n))
+        cov._skew = (*_frozen(lam[n:].copy(), W, A_inv), mismatch, lam_max, orth_defect)
+    return cov._skew
+
+
+def _skew_spectral_basis(cov: CovarianceMatrix, tol: Tolerances):
+    """Checked eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
+
+    Returns read-only (d, W, A_inv) where d are the n symplectic eigenvalues
+    in non-decreasing order, W is orthogonal with K = W blockdiag(d_j J) W^T,
+    and A_inv is the inverse square root of gamma.  The data is memoised on
+    ``cov``; the positivity, pairing and orthogonality checks run on every
+    call against ``tol``.
+    """
+    _check_positive(cov._eig_values, tol.tol_pos)
+    d, W, A_inv, mismatch, lam_max, orth_defect = _skew_spectral_data(cov)
     # the Hermitian spectrum must be symmetric about zero: +/- doublets
-    pair_tol = tol.tol_pair_rel * max(float(np.max(np.abs(lam))), 1e-300)
-    mismatch = float(np.max(np.abs(lam + lam[::-1])))
-    if mismatch > pair_tol:
+    if mismatch > tol.tol_pair_rel * max(lam_max, 1e-300):
         raise SpectralPairingFailure(
             f"skew spectrum does not pair into doublets: mismatch {mismatch:.3g}"
         )
-    d = lam[n:]
     if d[0] <= 0:
         raise NotPositive("symplectic eigenvalues must be strictly positive")
-    W = np.empty((2 * n, 2 * n))
-    sqrt2 = np.sqrt(2.0)
-    for j in range(n):
-        v = vecs[:, n + j]
-        mags = np.abs(v)
-        # phase convention: rotate the dominant entry onto the imaginary
-        # axis, first index winning near-ties, so diagonal inputs map to W = I
-        lead = int(np.nonzero(mags >= mags.max() * (1.0 - 1e-9))[0][0])
-        v = v * np.exp(1j * (np.pi / 2 - np.angle(v[lead])))
-        W[:, 2 * j] = sqrt2 * v.imag
-        W[:, 2 * j + 1] = sqrt2 * v.real
-    orth_defect = float(np.max(np.abs(W.T @ W - np.eye(2 * n))))
     if orth_defect > 1e-8:
         raise DegenerateSubspaceFailure(
             f"canonical basis of the skew kernel is not orthogonal: defect {orth_defect:.3g}"
         )
-    return d.copy(), W, A_inv
+    return d, W, A_inv
 
 
 def symplectic_eigenvalues(gamma, tol: Tolerances = DEFAULT) -> SpectrumVector:
@@ -276,8 +350,7 @@ def symplectic_eigenvalues(gamma, tol: Tolerances = DEFAULT) -> SpectrumVector:
     eigenvalues of -gamma sigma gamma sigma, computed through the Hermitian
     spectral problem for i sqrt(gamma) sigma sqrt(gamma).
     """
-    cov = _as_covariance(gamma, tol)
-    d, _, _ = _skew_spectral_basis(cov.entries, cov.n, tol)
+    d, _, _ = _skew_spectral_basis(_as_covariance(gamma, tol), tol)
     return SpectrumVector(d, kind="symplectic_spectrum")
 
 
@@ -290,8 +363,7 @@ def williamson(gamma, tol: Tolerances = DEFAULT):
     gamma^{-1/2}, which is symplectic because the same W also canonicalises
     the inverse kernel.
     """
-    cov = _as_covariance(gamma, tol)
-    d, W, A_inv = _skew_spectral_basis(cov.entries, cov.n, tol)
+    d, W, A_inv = _skew_spectral_basis(_as_covariance(gamma, tol), tol)
     d_half = np.sqrt(np.repeat(d, 2))
     S = (d_half[:, None] * W.T) @ A_inv
     return SymplecticTransform(S, tol=tol), SpectrumVector(d, kind="symplectic_spectrum")
@@ -307,25 +379,18 @@ def symplectic_trace(gamma, tol: Tolerances = DEFAULT) -> float:
     return float(np.sum(symplectic_eigenvalues(gamma, tol=tol).values))
 
 
-def _symplectic_gram_schmidt_pairs(candidates, sig_t, chosen):
-    """Pick the candidate with the largest residual after projecting out
-    ``chosen``; return the normalised vector and its symplectic partner."""
-    best = None
-    best_norm = -1.0
-    for vec in candidates:
-        resid = vec.copy()
-        for used in chosen:
-            resid -= (used @ resid) * used
-        norm = float(np.linalg.norm(resid))
-        if norm > best_norm:
-            best_norm = norm
-            best = resid
-    if best is None or best_norm < 1e-8:
+def _symplectic_gram_schmidt_pair(candidates: np.ndarray, chosen: np.ndarray):
+    """Pick the candidate column with the largest residual after projecting
+    out the columns of ``chosen``; return the normalised vector and its
+    symplectic partner."""
+    resid = candidates - chosen @ (chosen.T @ candidates)
+    norms = np.linalg.norm(resid, axis=0)
+    if norms.size == 0 or norms.max() < 1e-8:
         raise NumericalFailure("failed to extend symplectic basis of the unit subspace")
-    u = best / best_norm
-    v = sig_t @ u
-    for used in chosen:
-        v -= (used @ v) * used
+    best = int(norms.argmax())
+    u = resid[:, best] / norms[best]
+    v = -_sigma_left(u)
+    v -= chosen @ (chosen.T @ v)
     v -= (u @ v) * u
     norm = float(np.linalg.norm(v))
     if norm < 1e-8:
@@ -334,30 +399,27 @@ def _symplectic_gram_schmidt_pairs(candidates, sig_t, chosen):
 
 
 def _positive_leading_sign(u: np.ndarray) -> np.ndarray:
+    """Flip each column so its dominant entry, first index winning near-ties,
+    is non-negative."""
     mags = np.abs(u)
-    lead = int(np.nonzero(mags >= mags.max() * (1.0 - 1e-9))[0][0])
-    return -u if u[lead] < 0 else u
+    lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-9), axis=0)
+    return u * np.where(u[lead, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
 def _polish_passive(M: np.ndarray) -> np.ndarray:
     """Project onto the exact orthogonal-symplectic structure.
 
-    Averages the 2x2 blocks into the complex embedding and applies one
-    Newton unitarisation step; moves M by no more than its structural
-    defect, which is assumed small.
+    Averages M with sigma M sigma^T, which keeps the part commuting with
+    sigma (2x2 blocks [[a, b], [-b, a]], the complex embedding), then
+    applies two Newton orthogonalisation steps, which preserve that
+    structure; moves M by no more than its structural defect, which is
+    assumed small.
     """
-    re = 0.5 * (M[0::2, 0::2] + M[1::2, 1::2])
-    im = 0.5 * (M[0::2, 1::2] - M[1::2, 0::2])
-    U = re + 1j * im
-    eye = np.eye(U.shape[0])
+    A = 0.5 * (M - _sigma_left(_sigma_right(M)))
+    three = 3.0 * np.eye(M.shape[0])
     for _ in range(2):
-        U = 0.5 * U @ (3.0 * eye - U.conj().T @ U)
-    out = np.empty_like(M)
-    out[0::2, 0::2] = U.real
-    out[0::2, 1::2] = U.imag
-    out[1::2, 0::2] = -U.imag
-    out[1::2, 1::2] = U.real
-    return out
+        A = 0.5 * A @ (three - A.T @ A)
+    return A
 
 
 def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
@@ -377,49 +439,50 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
         St = S
     else:
         St = SymplecticTransform(S, tol=tol)
-    m = 2 * St.n
-    sig = symplectic_form(St.n)
-    sig_t = sig.T
+    n = St.n
     w, U = np.linalg.eigh(St.entries @ St.entries.T)
     lam = np.sqrt(np.maximum(w, 0.0))
     P = (U * lam) @ U.T
     P_inv = (U / lam) @ U.T
 
-    half_diff = sig @ (P - P_inv) / 2.0
+    half_diff = _sigma_left(P - P_inv) / 2.0
     half_diff = 0.5 * (half_diff + half_diff.T)
     mu, W = np.linalg.eigh(half_diff)
     # below the noise floor a plane is numerically unsqueezed; above it the
     # construction from eigenvectors is self-correcting, so no gap is needed
-    tau = max(1e-12, 100.0 * np.finfo(float).eps * max(1.0, float(np.abs(mu).max())))
+    tau = max(1e-12, 100.0 * _EPS * max(1.0, _max_abs(mu)))
 
-    pairs = []
-    for i in range(m):
-        if mu[i] > tau:
-            u = _positive_leading_sign((W[:, i] - sig @ W[:, i]) / np.sqrt(2.0))
-            z = float(mu[i] + np.sqrt(mu[i] * mu[i] + 1.0))
-            pairs.append((z, u, sig_t @ u))
-    if len(pairs) > St.n:
+    # mu is ascending, so the squeezed planes are the last k eigenvectors
+    k = 2 * n - int(np.searchsorted(mu, tau, side="right"))
+    if k > n:
         raise NumericalFailure(
             "squeeze planes of the polar factor do not pair into doublets: "
-            f"spectrum {np.sort(mu)}"
+            f"spectrum {mu}"
         )
-    # leftover eigenvectors over-cover the unit subspace; the max-residual
-    # selection inside the pairing discards what the planes already span
-    cluster = [W[:, i].copy() for i in range(m) if mu[i] <= tau]
-    chosen = [vec for pair in pairs for vec in pair[1:]]
-    for _ in range(St.n - len(pairs)):
-        u, v = _symplectic_gram_schmidt_pairs(cluster, sig_t, chosen)
-        z = max(1.0, float(u @ P @ u))
-        pairs.append((z, u, v))
-        chosen.extend([u, v])
-
-    pairs.sort(key=lambda item: item[0])
-    O1 = np.empty((m, m))
-    z_vec = np.empty(St.n)
-    for r, (z, u, v) in enumerate(pairs):
-        z_vec[r] = z
-        O1[:, 2 * r] = u
-        O1[:, 2 * r + 1] = v
+    Ws = W[:, 2 * n - k :]
+    u_cols = _positive_leading_sign((Ws - _sigma_left(Ws)) / np.sqrt(2.0))
+    v_cols = -_sigma_left(u_cols)
+    z_vec = mu[2 * n - k :] + np.sqrt(mu[2 * n - k :] ** 2 + 1.0)
+    if k < n:
+        # leftover eigenvectors over-cover the unit subspace; the max-residual
+        # selection inside the pairing discards what the planes already span
+        cluster = W[:, : 2 * n - k]
+        chosen = np.column_stack([u_cols, v_cols])
+        unit_u, unit_v, unit_z = [], [], []
+        for _ in range(n - k):
+            u, v = _symplectic_gram_schmidt_pair(cluster, chosen)
+            unit_u.append(u)
+            unit_v.append(v)
+            unit_z.append(max(1.0, float(u @ P @ u)))
+            chosen = np.column_stack([chosen, u, v])
+        z_vec = np.concatenate([z_vec, unit_z])
+        order = np.argsort(z_vec, kind="stable")
+        z_vec = z_vec[order]
+        u_cols = np.column_stack([u_cols, *unit_u])[:, order]
+        v_cols = np.column_stack([v_cols, *unit_v])[:, order]
+    O1 = np.empty((2 * n, 2 * n))
+    O1[:, 0::2] = u_cols
+    O1[:, 1::2] = v_cols
     O1 = _polish_passive(O1)
     V = _polish_passive(O1.T @ (P_inv @ St.entries))
     return EulerFactors(
@@ -462,22 +525,24 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None,
     return SymplecticTransform(O @ Q @ V, tol=tol)
 
 
+def _mode_rows(modes) -> np.ndarray:
+    """Interleaved row indices (2m, 2m + 1) of the listed modes."""
+    modes = np.asarray(list(modes), dtype=int)
+    return np.column_stack([2 * modes, 2 * modes + 1]).ravel()
+
+
 def mode_permutation(perm) -> np.ndarray:
     """Symplectic permutation sending mode i to mode perm[i]."""
     perm = np.asarray(perm, dtype=int)
-    n = perm.size
-    P = np.zeros((2 * n, 2 * n))
-    for i, q in enumerate(perm):
-        P[2 * q, 2 * i] = 1.0
-        P[2 * q + 1, 2 * i + 1] = 1.0
+    m = 2 * perm.size
+    P = np.zeros((m, m))
+    P[_mode_rows(perm), np.arange(m)] = 1.0
     return P
 
 
 def embed_transform(T: np.ndarray, modes, n: int) -> np.ndarray:
     """Embed a transform on the listed modes into the identity on n modes."""
-    modes = list(modes)
+    rows = _mode_rows(modes)
     E = np.eye(2 * n)
-    for a, ma in enumerate(modes):
-        for b, mb in enumerate(modes):
-            E[2 * ma : 2 * ma + 2, 2 * mb : 2 * mb + 2] = T[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+    E[np.ix_(rows, rows)] = T
     return E

@@ -1,4 +1,4 @@
-"""Thermal entropy function, entanglement sharing, and the global bound.
+"""Thermal entropy function, entanglement sharing, and the aggregate expression.
 
 The per-mode entropy of a thermal mode with local symplectic value c is
 
@@ -7,8 +7,13 @@ The per-mode entropy of a thermal mode with local symplectic value c is
 a monotone increasing concave function on [1, inf) with s(1) = 0, measured
 in bits.  For a globally pure state the entanglement of mode j with the rest
 is s(c_j), and the attainable entanglement profiles form the image of the
-cone c_j - 1 <= sum_{k != j} (c_k - 1).  For any state, Gaussian or not,
-with local values c the global von Neumann entropy is bounded by s(sum c_k).
+cone c_j - 1 <= sum_{k != j} (c_k - 1).
+
+The aggregate s(sum c_k) is the paper's expression for a global entropy
+bound from local values.  It is not a bound for mixed states: a product of
+two thermal modes with c = d = (2, 2) has entropy 2 s(2) = 2.755 bits, more
+than s(4) = 2.427 bits.  It is kept under its historical names
+(``entropy_upper_bound``, ``EntropyReport.global_upper_bound``).
 """
 
 from dataclasses import dataclass
@@ -23,7 +28,7 @@ from .marginals import _as_vector, check_pure, local_diagonal
 
 @dataclass
 class EntropyReport:
-    """Per-mode entropies and the local-measurement entropy bound."""
+    """Per-mode entropies and the paper's aggregate expression s(sum c)."""
 
     per_mode_entropies: np.ndarray
     total_local_sum: float
@@ -47,6 +52,16 @@ def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
     if down > 0.0:
         out -= down * np.log2(down)
     return float(out)
+
+
+def _entropy_bits(c: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """entropy_s over a whole vector of local values."""
+    if c.min() < 1.0 - tol.tol_psd:
+        raise BelowOne(f"entropy argument {c.min()} lies below 1")
+    c = np.maximum(c, 1.0)
+    up = 0.5 * (c + 1.0)
+    down = 0.5 * (c - 1.0)
+    return up * np.log2(up) - down * np.log2(np.where(down > 0.0, down, 1.0))
 
 
 def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
@@ -90,8 +105,7 @@ def entanglement_profile(gamma, tol: Tolerances = DEFAULT) -> np.ndarray:
     d = symplectic_eigenvalues(cov, tol).values
     if np.max(np.abs(d - 1.0)) > tol.tol_psd:
         raise NotPure(f"matrix is not pure: symplectic spectrum {d}")
-    c = local_diagonal(cov, tol).values.values
-    return np.array([entropy_s(cj, tol) for cj in c])
+    return _entropy_bits(local_diagonal(cov, tol).values.values, tol)
 
 
 def sharing_feasible(E, tol: Tolerances = DEFAULT):
@@ -108,12 +122,14 @@ def sharing_feasible(E, tol: Tolerances = DEFAULT):
 
 
 def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
-    """Bound s(sum c_k) on the global entropy from local values alone.
+    """The paper's aggregate entropy expression s(sum c_k).
 
-    Valid for any state with these local second moments, Gaussian or not:
-    the Gaussian state with the same covariance majorises the entropy, its
-    entropy is the spectrum sum, and concavity plus the trace comparison
-    finish the chain.
+    The paper presents it as a bound on the global entropy from local values
+    alone, but the chain behind it fails for mixed states: with
+    c = d = (2, 2), a product of two thermal modes, the entropy is
+    2 s(2) = 2.755 bits while s(4) = 2.427 bits.  The name is kept for
+    compatibility; treat the value as the paper's expression, not as a
+    bound.
     """
     c = _as_vector(c, "c")
     if np.any(c < 1.0 - tol.tol_psd):
@@ -129,7 +145,7 @@ def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyRepo
         c = local_diagonal(_as_covariance(gamma, tol), tol).values.values
     else:
         c = np.sort(_as_vector(c, "c"))
-    per_mode = np.array([entropy_s(v, tol) for v in c])
+    per_mode = _entropy_bits(c, tol)
     bound = entropy_upper_bound(c, tol)
     pure_ok = check_pure(np.maximum(c - 1.0, 0.0), tol).feasible
     return EntropyReport(

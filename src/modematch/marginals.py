@@ -72,13 +72,13 @@ class LocalDiagonal:
     """Per-mode local symplectic values of a matrix, sorted non-decreasing.
 
     ``order`` maps sorted positions back to original mode indices, and
-    ``transforms`` holds one determinant-one 2x2 matrix per original mode
-    mapping that mode's diagonal block to c_j * I.
+    ``transforms`` stacks one determinant-one 2x2 matrix per original mode,
+    shape (n, 2, 2), mapping that mode's diagonal block to c_j * I.
     """
 
     values: SpectrumVector
     order: np.ndarray
-    transforms: list[np.ndarray] = field(default_factory=list)
+    transforms: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
     raw: np.ndarray | None = None
 
 
@@ -108,15 +108,9 @@ def _as_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite entries")
     return arr
-
-
-def _block_transform(block: np.ndarray, c: float) -> np.ndarray:
-    # determinant-one L with L block L^T = c * I, via the Cholesky factor
-    sp = np.sqrt(block[0, 0])
-    off = 0.5 * (block[0, 1] + block[1, 0])
-    low = np.array([[sp, 0.0], [off / sp, np.sqrt(block[1, 1] - off * off / block[0, 0])]])
-    return np.sqrt(c) * np.linalg.inv(low)
 
 
 def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
@@ -126,18 +120,19 @@ def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
     recorded; the stored per-mode transforms bring each diagonal block to
     c_j * I without touching other modes.
     """
-    cov = _as_covariance(gamma, tol)
-    g = cov.entries
-    raw = np.empty(cov.n)
-    transforms = []
-    for j in range(cov.n):
-        block = g[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
-        off = 0.5 * (block[0, 1] + block[1, 0])
-        det = block[0, 0] * block[1, 1] - off * off
-        if det <= 0 or block[0, 0] <= 0:
-            raise NotPositive(f"diagonal block of mode {j} is not positive (det {det:.3g})")
-        raw[j] = np.sqrt(det)
-        transforms.append(_block_transform(block, raw[j]))
+    g = _as_covariance(gamma, tol).entries
+    xx, pp, xp = np.diag(g)[0::2], np.diag(g)[1::2], np.diag(g, 1)[0::2]
+    det = xx * pp - xp * xp
+    bad = (det <= 0) | (xx <= 0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NotPositive(f"diagonal block of mode {j} is not positive (det {det[j]:.3g})")
+    raw = np.sqrt(det)
+    # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
+    transforms = np.zeros((raw.size, 2, 2))
+    transforms[:, 0, 0] = np.sqrt(raw / xx)
+    transforms[:, 1, 0] = -xp / np.sqrt(xx * raw)
+    transforms[:, 1, 1] = np.sqrt(xx / raw)
     order = np.argsort(raw, kind="stable")
     values = SpectrumVector(raw[order], kind="local_diagonal")
     return LocalDiagonal(values=values, order=order, transforms=transforms, raw=raw)
@@ -151,9 +146,10 @@ def local_normal_form(gamma, tol: Tolerances = DEFAULT):
     """
     cov = _as_covariance(gamma, tol)
     local = local_diagonal(cov, tol)
-    L = np.zeros_like(cov.entries)
-    for j, t in enumerate(local.transforms):
-        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = t
+    modes = np.arange(cov.n)
+    L = np.zeros((cov.n, 2, cov.n, 2))
+    L[modes, :, modes, :] = local.transforms
+    L = L.reshape(2 * cov.n, 2 * cov.n)
     return CovarianceMatrix(L @ cov.entries @ L.T, tol=tol), local
 
 
@@ -161,9 +157,9 @@ def _validate_pair(c: np.ndarray, d: np.ndarray):
     if c.size != d.size:
         raise LengthMismatch(f"vectors have lengths {c.size} and {d.size}")
     for name, v in (("c", c), ("d", d)):
-        if np.any(v <= 0):
+        if v.min() <= 0:
             raise NonPositive(f"{name} must be strictly positive")
-        if np.any(np.diff(v) < 0):
+        if (v[1:] < v[:-1]).any():
             raise NotSorted(f"{name} must be non-decreasing")
 
 
@@ -177,10 +173,10 @@ def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     c = _as_vector(c, "c")
     d = _as_vector(d, "d")
     _validate_pair(c, d)
-    partial = np.cumsum(c) - np.cumsum(d)
-    last = (2.0 * d[-1] - np.sum(d)) - (2.0 * c[-1] - np.sum(c))
-    slacks = [ConstraintSlack(PARTIAL_SUM, k + 1, float(partial[k])) for k in range(c.size)]
-    slacks.append(ConstraintSlack(LAST_CONDITION, None, float(last)))
+    partial = (np.cumsum(c) - np.cumsum(d)).tolist()
+    last = float((2.0 * d[-1] - np.sum(d)) - (2.0 * c[-1] - np.sum(c)))
+    slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(partial, start=1)]
+    slacks.append(ConstraintSlack(LAST_CONDITION, None, last))
     feasible = all(s.slack >= -tol.tol_ineq for s in slacks)
     return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol.tol_ineq)
 

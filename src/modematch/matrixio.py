@@ -18,7 +18,7 @@ ORDERING = "xpxp"
 KINDS = ("covariance", "symplectic")
 
 
-class MatrixParseError(ModeMatchError):
+class MatrixParseError(ModeMatchError, ValueError):
     """Malformed matrix file; carries the offending location when known."""
 
     def __init__(self, message: str, row: int | None = None, column: int | None = None):
@@ -96,6 +96,11 @@ def parse_matrix(text: str) -> MatrixFile:
                 raise MatrixParseError(
                     f"could not parse value {token!r}", row=i, column=j
                 ) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise MatrixParseError(f"non-finite value {values[i, j]}",
+                               row=int(i) + 1, column=int(j) + 1)
     return MatrixFile(n=n, kind=header["kind"], values=values)
 
 

@@ -15,6 +15,7 @@ from modematch import (
     synthesize_pure,
 )
 from modematch.circuits import (
+    PhaseShift,
     Rotation,
     elements_to_unitary,
     orthosymplectic_to_unitary,
@@ -83,6 +84,33 @@ class TestPassiveBreakdown:
             assert len(elements) <= n * (n - 1) // 2 + n
             rebuilt = unitary_to_orthosymplectic(elements_to_unitary(elements, n))
             assert np.max(np.abs(rebuilt - O)) <= 1e-8
+
+    def test_element_product_matches_dense_reference(self):
+        # reference: one full n x n matrix per element, multiplied left to right
+        rng = np.random.default_rng(61)
+        n = 6
+        elements = []
+        for _ in range(30):
+            i = int(rng.integers(0, n))
+            if rng.random() < 0.7:
+                j = int(rng.choice([m for m in range(n) if m != i]))
+                elements.append(Rotation((i, j), rng.uniform(-3, 3), rng.uniform(-3, 3)))
+            else:
+                elements.append(PhaseShift(i, rng.uniform(-3, 3)))
+        expected = np.eye(n, dtype=complex)
+        for el in elements:
+            M = np.eye(n, dtype=complex)
+            if isinstance(el, Rotation):
+                i, j = el.modes
+                ct, st, ph = np.cos(el.theta), np.sin(el.theta), np.exp(1j * el.phi)
+                M[i, i] = M[j, j] = ct
+                M[i, j] = -ph * st
+                M[j, i] = st / ph
+            else:
+                M[el.mode, el.mode] = np.exp(1j * el.alpha)
+            expected = expected @ M
+        np.testing.assert_allclose(elements_to_unitary(elements, n), expected,
+                                   rtol=0, atol=1e-13)
 
     def test_five_mode_bound(self):
         rng = np.random.default_rng(59)

@@ -50,6 +50,27 @@ class TestCheck:
         code, _ = run_cli(capsys, "check", "--c", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_is_an_input_error(self, capsys, token):
+        # "--c=-inf,1" keeps argparse from reading the value as an option
+        code, record = run_cli(capsys, "check", f"--c={token},1", "--d", "1,1")
+        assert code == 2
+        assert "non-finite" in record["error"]
+        code, _ = run_cli(capsys, "check", "--pure", f"--b={token},1")
+        assert code == 2
+        code, _ = run_cli(capsys, "entropy", f"--c={token},2")
+        assert code == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_file_is_an_input_error(self, capsys, tmp_path, value):
+        path = tmp_path / "g.mat"
+        bad = np.eye(4)
+        bad[1, 2] = bad[2, 1] = value
+        write_matrix(path, bad, "covariance")
+        code, record = run_cli(capsys, "check", "--matrix", str(path))
+        assert code == 2
+        assert "non-finite" in record["error"]
+
 
 class TestSynth:
     def test_writes_matrix_and_trace(self, capsys, tmp_path):

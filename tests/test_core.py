@@ -13,9 +13,26 @@ from modematch import (
     symplectic_trace,
     williamson,
 )
-from modematch.core import interleaved_diagonal, symplectic_inverse
-from modematch.errors import NotPositive, NotSorted, NotSymplectic
-from modematch.marginals import local_diagonal, local_normal_form
+from modematch import DEFAULT, Tolerances, synthesize
+from modematch.core import (
+    _skew_spectral_basis,
+    embed_transform,
+    haar_orthogonal_symplectic,
+    interleaved_diagonal,
+    mode_permutation,
+    symplectic_inverse,
+)
+from modematch.entropy import entropy_report
+from modematch.errors import NotPositive, NotSorted, NotSymplectic, SpectralPairingFailure
+from modematch.marginals import check_matrix_consistency, local_diagonal, local_normal_form
+from modematch.verify import (
+    necessity_margin,
+    spread_bound_margin,
+    trace_bound_margin,
+    williamson_margin,
+)
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 R3 = np.sqrt(3.0)
 TMS = np.array([
@@ -75,6 +92,85 @@ class TestCovarianceMatrix:
 
     def test_vacuum_is_physical(self):
         assert CovarianceMatrix.identity(3).is_physical()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        bad = np.eye(4)
+        bad[1, 2] = bad[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceMatrix(bad)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceMatrix(np.full((2, 2), np.nan))
+
+
+class TestSingleSpectralPass:
+    """Each CovarianceMatrix runs one real eigh at construction and, at most
+    once, the complex eigh of its skew kernel; every later spectral caller
+    reuses that data."""
+
+    @staticmethod
+    def _count_eigen_solves(monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, _name=name, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_eigen_solver_budget(self, monkeypatch):
+        gamma = random_physical(np.random.default_rng(41), 4)[0].entries.copy()
+        calls = self._count_eigen_solves(monkeypatch)
+        cov = CovarianceMatrix(gamma)
+        local_diagonal(cov)
+        symplectic_eigenvalues(cov)
+        williamson(cov)
+        assert calls == ["eigh", "eigh"]
+        # the consistency gate, the entropy report and the verify margins
+        # read the same memoised data
+        check_matrix_consistency(cov)
+        entropy_report(gamma=cov)
+        for margin in (necessity_margin, trace_bound_margin, spread_bound_margin,
+                       williamson_margin):
+            margin(cov)
+        assert calls == ["eigh", "eigh"]
+
+    def test_checks_run_on_memoised_data(self):
+        cov = CovarianceMatrix(np.diag([0.5, 0.5, 2.0, 2.0]))
+        np.testing.assert_allclose(symplectic_eigenvalues(cov).values, [0.5, 2.0])
+        with pytest.raises(NotPositive):
+            symplectic_eigenvalues(cov, Tolerances(tol_pos=1.0))
+        with pytest.raises(SpectralPairingFailure):
+            williamson(cov, Tolerances(tol_pair_rel=-1.0))
+        np.testing.assert_allclose(williamson(cov)[1].values, [0.5, 2.0])
+
+    def test_entries_and_memoised_arrays_are_read_only(self):
+        cov, _, _ = random_physical(np.random.default_rng(43), 3)
+        with pytest.raises(ValueError):
+            cov.entries[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            cov.entries = np.eye(6)
+        for arr in _skew_spectral_basis(cov, DEFAULT):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_returned_arrays_are_independent_copies(self):
+        cov, d_in, _ = random_physical(np.random.default_rng(47), 3)
+        symplectic_eigenvalues(cov).values[0] = 99.0
+        S, d = williamson(cov)
+        d.values[0] = 99.0
+        S.entries[0, 0] = 99.0
+        S2, d2 = williamson(cov)
+        np.testing.assert_allclose(d2.values, d_in, atol=1e-9)
+        assert S2.entries[0, 0] != 99.0
+        sig = symplectic_form(2)
+        sig[0, 1] = 7.0
+        assert symplectic_form(2)[0, 1] == 1.0
 
 
 class TestSpectrumVector:
@@ -226,6 +322,36 @@ class TestEulerDecompose:
         with pytest.raises(NotSymplectic):
             euler_decompose(2.0 * np.eye(4))
 
+    @staticmethod
+    def _assert_passive_factorisation(factors, S):
+        n = S.shape[0] // 2
+        assert np.max(np.abs(factors.reconstruct() - S)) <= 1e-8
+        sig = symplectic_form(n)
+        for block in (factors.O.entries, factors.V.entries):
+            assert np.max(np.abs(block @ block.T - np.eye(2 * n))) <= 1e-9
+            assert np.max(np.abs(block @ sig @ block.T - sig)) <= 1e-9
+
+    def test_passive_input_is_all_unit_planes(self):
+        rng = np.random.default_rng(53)
+        for n in (1, 3, 6):
+            S = haar_orthogonal_symplectic(n, rng)
+            factors = euler_decompose(S)
+            np.testing.assert_allclose(factors.z, np.ones(n), atol=1e-12)
+            self._assert_passive_factorisation(factors, S)
+
+    def test_synthesized_witness_with_many_unit_planes(self):
+        # a ramp c = d + a j / n inside the cone gives a witness whose
+        # preparation transform leaves most planes unsqueezed
+        rng = np.random.default_rng(59)
+        n = 40
+        d = np.sort(rng.uniform(1.0, 3.0, n))
+        c = d + 0.5 * np.arange(1, n + 1) / n
+        S_w, _ = williamson(synthesize(c, d).final_matrix)
+        S = symplectic_inverse(S_w.entries)
+        factors = euler_decompose(S)
+        assert np.sum(factors.z - 1.0 <= 1e-9) >= n // 2
+        self._assert_passive_factorisation(factors, S)
+
 
 class TestRandomSymplectic:
     def test_symplectic_invariant(self):
@@ -248,6 +374,28 @@ class TestRandomSymplectic:
             random_symplectic(2, 0.5, seed=1)
 
 
+class TestModeEmbedding:
+    def test_embed_transform_matches_block_loop(self):
+        rng = np.random.default_rng(67)
+        n, modes = 5, [3, 0, 4]
+        T = rng.standard_normal((6, 6))
+        expected = np.eye(2 * n)
+        for a, ma in enumerate(modes):
+            for b, mb in enumerate(modes):
+                block = T[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+                expected[2 * ma : 2 * ma + 2, 2 * mb : 2 * mb + 2] = block
+        assert np.array_equal(embed_transform(T, modes, n), expected)
+
+    def test_mode_permutation_moves_modes(self):
+        perm = [2, 0, 3, 1]
+        gamma = interleaved_diagonal([1.0, 2.0, 3.0, 4.0])
+        P = mode_permutation(perm)
+        moved = np.diag(P @ gamma @ P.T)[0::2]
+        assert np.array_equal(moved[perm], [1.0, 2.0, 3.0, 4.0])
+        sig = symplectic_form(4)
+        assert np.array_equal(P @ sig @ P.T, sig)
+
+
 class TestSymplecticTransform:
     def test_inverse(self):
         S = random_symplectic(3, 4.0, seed=13)
@@ -257,3 +405,10 @@ class TestSymplecticTransform:
     def test_rejects_nonsymplectic(self):
         with pytest.raises(NotSymplectic):
             SymplecticTransform(np.diag([2.0, 2.0]))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        bad = np.eye(4)
+        bad[0, 3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            SymplecticTransform(bad)

@@ -151,6 +151,18 @@ class TestEntropyUpperBound:
 
 
 class TestEntropyReport:
+    def test_vector_entropies_match_scalar_function(self):
+        # the report evaluates s(c) on the whole vector; the scalar
+        # entropy_s is the reference, including the clamp just below one
+        c = np.concatenate([[1.0 - 1e-10, 1.0, 1.0 + 1e-12],
+                            np.geomspace(1.001, 1e3, 40)])
+        report = entropy_report(c=c)
+        expected = [entropy_s(v) for v in c]
+        np.testing.assert_allclose(report.per_mode_entropies, expected,
+                                   rtol=1e-14, atol=1e-15)
+        with pytest.raises(BelowOne):
+            entropy_report(c=[0.9, 2.0])
+
     def test_vector_report(self):
         report = entropy_report(c=[1.5, 1.5, 2.0])
         assert report.global_upper_bound == pytest.approx(S5, abs=1e-12)

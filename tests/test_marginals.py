@@ -13,16 +13,19 @@ from modematch import (
     symplectic_eigenvalues,
     temperature_to_b,
 )
+from modematch.config import Tolerances
 from modematch.core import interleaved_diagonal
 from modematch.errors import (
     LengthMismatch,
     NegativeEntry,
     NonPositive,
     NonPositiveTemperature,
+    NotPositive,
     NotSorted,
 )
 
 R3 = np.sqrt(3.0)
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def random_physical(rng, n, squeeze_bound=5.0, d_high=3.0, pure=False):
@@ -63,6 +66,33 @@ class TestLocalDiagonal:
                 block = gamma.entries[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
                 np.testing.assert_allclose(L @ block @ L.T,
                                            local.raw[j] * np.eye(2), atol=1e-10)
+
+    def test_closed_form_transforms_over_all_blocks(self):
+        # correlated x-p blocks of unequal size: each stacked transform has
+        # determinant one and maps its block to c_j I
+        rng = np.random.default_rng(61)
+        for n in (1, 3, 8):
+            gamma, _ = random_physical(rng, n, squeeze_bound=8.0)
+            local = local_diagonal(gamma)
+            L = local.transforms
+            assert L.shape == (n, 2, 2)
+            np.testing.assert_allclose(np.linalg.det(L), np.ones(n), rtol=0, atol=1e-12)
+            blocks = np.array([gamma.entries[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+                               for j in range(n)])
+            scale = max(1.0, float(np.max(np.abs(blocks))))
+            np.testing.assert_allclose(L @ blocks @ L.transpose(0, 2, 1),
+                                       local.raw[:, None, None] * np.eye(2),
+                                       rtol=0, atol=1e-12 * scale)
+            # reference: sqrt(c) times the inverse lower Cholesky factor
+            reference = np.sqrt(local.raw)[:, None, None] * np.linalg.inv(
+                np.linalg.cholesky(blocks))
+            np.testing.assert_allclose(L, reference, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_non_positive_block(self):
+        gamma = np.eye(4)
+        gamma[2:4, 2:4] = [[1.0, 0.9], [0.9, 0.81]]
+        with pytest.raises(NotPositive, match="mode 1"):
+            local_diagonal(CovarianceMatrix(gamma, tol=Tolerances(tol_pos=-1.0)))
 
     def test_sorting_permutation(self):
         gamma = np.diag([3.0, 3.0, 1.0, 1.0, 2.0, 2.0])
@@ -113,6 +143,13 @@ class TestCheckMixed:
         with pytest.raises(NonPositive):
             check_mixed([0.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_mixed([value, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            check_mixed([1.0, 2.0], [1.0, value])
+
     def test_two_mode_matches_explicit_inequalities(self):
         grid = np.linspace(0.5, 3.5, 7)
         for c1 in grid:
@@ -159,6 +196,11 @@ class TestCheckPure:
     def test_rejects_negative(self):
         with pytest.raises(NegativeEntry):
             check_pure([-0.1, 1.0])
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_pure([value, 1.0])
 
     def test_agrees_with_mixed_gate(self):
         rng = np.random.default_rng(8)

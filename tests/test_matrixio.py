@@ -59,6 +59,14 @@ class TestValidation:
         with pytest.raises(MatrixParseError):
             parse_matrix("n 1\nordering xxpp\nkind covariance\n1 0\n0 1\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value(self, token):
+        text = f"n 1\nordering xpxp\nkind covariance\n1 0\n0 {token}\n"
+        with pytest.raises(ValueError, match="non-finite") as err:
+            parse_matrix(text)
+        assert isinstance(err.value, MatrixParseError)
+        assert (err.value.row, err.value.column) == (2, 2)
+
     def test_rejects_missing_header(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("1 0\n0 1\n")
