@@ -3,9 +3,9 @@
 A pure target gamma factors as O P O^T with P = diag(z1, 1/z1, ...) the
 covariance of independently squeezed modes and O a passive (orthogonal
 symplectic) network; the circuit is therefore n squeezers followed by a
-beam-splitter network.  Mixed targets start from the thermal normal-mode
-seed diag(d1, d1, ...) and apply the Euler-factored congruence V, squeezers,
-O in that order.
+beam-splitter network.  Mixed targets start from the thermal seed
+diag(d1, d1, ...) of their synthesis trace and apply the Euler-factored gate
+product V, squeezers, O in that order.
 
 Passive networks are emitted as two-mode rotations plus single-mode phases
 through the unitary picture: an orthogonal-symplectic matrix in interleaved
@@ -25,10 +25,11 @@ from .core import (
     interleaved_diagonal,
     symplectic_defect,
     symplectic_inverse,
+    unitary_to_orthosymplectic,
     williamson,
 )
 from .errors import InvalidTrace, NotPassive, NotPhysical, NotPure
-from .synthesis import SynthesisTrace, replay_trace
+from .synthesis import SynthesisTrace, _gate_product, replay_trace
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
@@ -89,17 +90,6 @@ class PreparationCircuit:
 
     def __post_init__(self):
         self.seed = np.asarray(self.seed, dtype=float)
-
-
-def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
-    """Map an n x n unitary to its 2n x 2n passive representation."""
-    n = U.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = U.real
-    out[0::2, 1::2] = U.imag
-    out[1::2, 0::2] = -U.imag
-    out[1::2, 1::2] = U.real
-    return out
 
 
 def orthosymplectic_to_unitary(O: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -248,8 +238,8 @@ def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
 def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> PreparationCircuit:
     """Circuit preparing a synthesized mixed target from its thermal seed.
 
-    The seed is the Williamson diagonal of the trace's final matrix; the
-    congruence from seed to target is Euler-factored into a pre-stage
+    The seed is the trace's spectrum in mode order; the trace's gate product,
+    which carries the seed to the target, is Euler-factored into a pre-stage
     passive network, squeezers, and a post-stage passive network.
     """
     if trace.final_matrix is None:
@@ -259,15 +249,14 @@ def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> Prep
     scale = max(1.0, float(np.max(np.abs(cov.entries))))
     if replay_defect > tol.tol_recon * scale:
         raise InvalidTrace(f"trace does not replay to its final matrix: defect {replay_defect:.3g}")
-    S_w, d = williamson(cov, tol)
-    seed = d.values.copy()
+    seed, S = _gate_product(trace)
     if np.max(np.abs(cov.entries - interleaved_diagonal(seed))) <= tol.tol_recon * scale:
         return PreparationCircuit(
             n=cov.n, seed=seed,
             squeezers=[Squeezer(mode=k, z=1.0) for k in range(cov.n)],
             passive_ops=[], source=MIXED_SOURCE,
         )
-    factors = euler_decompose(symplectic_inverse(S_w.entries), tol)
+    factors = euler_decompose(S, tol)
     z = factors.z**2
     squeezers = [Squeezer(mode=k, z=float(z[k])) for k in range(cov.n)]
     passive = passive_to_two_mode_rotations(factors.V, STAGE_PRE, tol)

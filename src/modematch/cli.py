@@ -35,7 +35,7 @@ from .entropy import entropy_report, entropy_s
 from .errors import InfeasibleInput, ModeMatchError
 from .marginals import check_matrix_consistency, check_mixed, check_pure, local_diagonal
 from .matrixio import MatrixParseError, read_matrix, write_matrix
-from .synthesis import replay_trace, synthesize
+from .synthesis import DirectSumStep, replay_trace, synthesize
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -184,19 +184,11 @@ def cmd_synth(args, tol) -> int:
 
 
 def _step_record(step) -> dict:
-    from .synthesis import CongruenceStep, DirectSumStep, TwoModeStep
-
     if isinstance(step, DirectSumStep):
         return {"step": "direct_sum", "modes": list(step.modes),
                 "values": [f"{v:.17g}" for v in step.values]}
-    if isinstance(step, TwoModeStep):
-        return {"step": "two_mode", "modes": list(step.modes),
-                "locals": [f"{v:.17g}" for v in step.locals_],
-                "couplings": [f"{v:.17g}" for v in step.couplings]}
-    if isinstance(step, CongruenceStep):
-        return {"step": "congruence", "modes": list(step.modes),
-                "transform": [[f"{v:.17g}" for v in row] for row in step.transform]}
-    raise TypeError(f"unknown step {step!r}")
+    return {"step": "two_mode", "modes": list(step.modes),
+            "transform": [[f"{v:.17g}" for v in row] for row in step.transform]}
 
 
 def cmd_williamson(args, tol) -> int:
@@ -275,7 +267,8 @@ def cmd_entropy(args, tol) -> int:
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     table = [f"per-mode entropies (bits): {report.per_mode_entropies}",
-             f"global entropy bound (bits): {report.global_upper_bound:.12g}"]
+             f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
+             f"{report.global_upper_bound:.12g}"]
     if gaussian_entropy is not None:
         record["gaussian_global_entropy_bits"] = gaussian_entropy
         table.append(f"Gaussian global entropy (bits): {gaussian_entropy:.12g}")

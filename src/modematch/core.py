@@ -65,19 +65,6 @@ def _sigma_right(M: np.ndarray) -> np.ndarray:
     return out
 
 
-class SymplecticForm:
-    """The canonical antisymmetric form for ``n`` modes."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("mode count must be positive")
-        self.n = int(n)
-        self.matrix = symplectic_form(self.n)
-
-    def __repr__(self):
-        return f"SymplecticForm(n={self.n})"
-
-
 def _check_even_square(entries: np.ndarray, what: str) -> int:
     entries = np.asarray(entries)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -228,6 +215,7 @@ class SpectrumVector:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("spectrum must be a non-empty 1-d vector")
+        _check_finite(values, "spectrum")
         if self.kind not in SPECTRUM_KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if values.min() <= 0:
@@ -492,18 +480,23 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     )
 
 
+def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
+    """Map an n x n unitary to its 2n x 2n passive representation."""
+    n = U.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[0::2, 0::2] = U.real
+    out[0::2, 1::2] = U.imag
+    out[1::2, 0::2] = -U.imag
+    out[1::2, 1::2] = U.real
+    return out
+
+
 def haar_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random passive transform, drawn Haar-like from the unitary picture."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = q.real
-    out[0::2, 1::2] = q.imag
-    out[1::2, 0::2] = -q.imag
-    out[1::2, 1::2] = q.real
-    return out
+    return unitary_to_orthosymplectic(q * (diag / np.abs(diag)))
 
 
 def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None,
@@ -523,26 +516,3 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None,
     z = rng.uniform(1.0, squeeze_bound, n)
     Q = np.diag(np.ravel(np.column_stack([z, 1.0 / z])))
     return SymplecticTransform(O @ Q @ V, tol=tol)
-
-
-def _mode_rows(modes) -> np.ndarray:
-    """Interleaved row indices (2m, 2m + 1) of the listed modes."""
-    modes = np.asarray(list(modes), dtype=int)
-    return np.column_stack([2 * modes, 2 * modes + 1]).ravel()
-
-
-def mode_permutation(perm) -> np.ndarray:
-    """Symplectic permutation sending mode i to mode perm[i]."""
-    perm = np.asarray(perm, dtype=int)
-    m = 2 * perm.size
-    P = np.zeros((m, m))
-    P[_mode_rows(perm), np.arange(m)] = 1.0
-    return P
-
-
-def embed_transform(T: np.ndarray, modes, n: int) -> np.ndarray:
-    """Embed a transform on the listed modes into the identity on n modes."""
-    rows = _mode_rows(modes)
-    E = np.eye(2 * n)
-    E[np.ix_(rows, rows)] = T
-    return E

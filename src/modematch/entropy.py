@@ -28,7 +28,15 @@ from .marginals import _as_vector, check_pure, local_diagonal
 
 @dataclass
 class EntropyReport:
-    """Per-mode entropies and the paper's aggregate expression s(sum c)."""
+    """Per-mode entropies, their sum, and the paper's aggregate expression.
+
+    ``total_local_sum`` = sum_j s(c_j) is the quantity that bounds the global
+    entropy of any state with local values c: at fixed second moments a
+    Gaussian state has the largest entropy, so mode j alone has entropy at
+    most s(c_j), and subadditivity adds these up.  ``global_upper_bound``
+    holds the paper's aggregate s(sum c), which is not a bound for mixed
+    states despite its name.
+    """
 
     per_mode_entropies: np.ndarray
     total_local_sum: float
@@ -129,7 +137,10 @@ def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
     c = d = (2, 2), a product of two thermal modes, the entropy is
     2 s(2) = 2.755 bits while s(4) = 2.427 bits.  The name is kept for
     compatibility; treat the value as the paper's expression, not as a
-    bound.
+    bound.  The valid bound from local values is sum_j s(c_j), reported as
+    ``EntropyReport.total_local_sum``: Gaussian extremality bounds each
+    mode's entropy by s(c_j), and subadditivity bounds the global entropy
+    by their sum.
     """
     c = _as_vector(c, "c")
     if np.any(c < 1.0 - tol.tol_psd):

@@ -55,10 +55,11 @@ class InfeasibleInput(ModeMatchError):
 
 
 class ToleranceCollapse(ModeMatchError):
-    """A recursive step lost feasibility by more than the working tolerance.
+    """A synthesis step lost feasibility by more than the working tolerance.
 
-    The construction guarantees recursive feasibility, so this signals a bug
-    or severely ill-conditioned input rather than a bad request.
+    The construction keeps every reduced subproblem feasible, so this
+    signals a bug or severely ill-conditioned input rather than a bad
+    request.
     """
 
 

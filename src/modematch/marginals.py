@@ -212,7 +212,7 @@ def check_matrix_consistency(gamma, tol: Tolerances = DEFAULT) -> FeasibilityVer
     return check_mixed(c, d, tol)
 
 
-def temperature_to_b(T, tol: Tolerances = DEFAULT) -> np.ndarray:
+def temperature_to_b(T) -> np.ndarray:
     """Local excitation b = 2 / (exp(1/T) - 1) per mode.
 
     Monotone increasing in T; tiny temperatures underflow to b = 0.
@@ -224,7 +224,7 @@ def temperature_to_b(T, tol: Tolerances = DEFAULT) -> np.ndarray:
         return 2.0 / np.expm1(1.0 / values)
 
 
-def b_to_temperature(b, tol: Tolerances = DEFAULT) -> TemperatureVector:
+def b_to_temperature(b) -> TemperatureVector:
     """Invert the excitation map: T = 1 / log(1 + 2/b).
 
     b = 0 maps to an exact zero-temperature marker.

@@ -1,27 +1,25 @@
 """Constructive synthesis of matrices with prescribed (c, d) data.
 
 Given feasible local values c and spectrum d, the builder assembles an
-explicit strictly positive matrix realising both.  The construction is
-inductive: each level couples two modes through a closed-form 4x4 kernel,
-direct-sums the untouched part of the spectrum, and splices in the
-recursively built remainder through a symplectic congruence on the other
-n - 1 modes.  Every step is recorded so the result can be replayed and
-audited.
+explicit strictly positive matrix realising both.  It follows the inductive
+construction top down: each level couples two modes through a closed-form
+4x4 kernel, freezes the mode that received its fixed local value, and passes
+one auxiliary value on to the remaining modes.  Each kernel becomes a
+two-mode symplectic gate on a thermal seed, so the witness is
+
+    gamma = S diag(d) S^T,    S = g_{n-1} ... g_1,
+
+a product of at most n - 1 gates.  The gates and the seed are recorded so
+the result can be replayed and audited.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .core import (
-    CovarianceMatrix,
-    embed_transform,
-    interleaved_diagonal,
-    mode_permutation,
-    symplectic_inverse,
-    williamson,
-)
+from .core import CovarianceMatrix, symplectic_inverse, williamson
 from .errors import (
     InfeasibleInput,
     InfeasiblePair,
@@ -56,7 +54,7 @@ class TwoModeBlock:
 
 @dataclass
 class DirectSumStep:
-    """Seed the listed modes with uncoupled diagonal blocks value * I."""
+    """Seed the listed modes with uncoupled thermal blocks value * I."""
 
     modes: tuple[int, ...]
     values: tuple[float, ...]
@@ -64,32 +62,22 @@ class DirectSumStep:
 
 @dataclass
 class TwoModeStep:
-    """Install a two-mode kernel between a pair of seeded modes."""
+    """Apply a 4x4 symplectic gate to the modes (i, j), in that order."""
 
     modes: tuple[int, int]
-    locals_: tuple[float, float]
-    couplings: tuple[float, float]
-
-
-@dataclass
-class CongruenceStep:
-    """Apply a symplectic congruence on the listed modes."""
-
-    modes: tuple[int, ...]
     transform: np.ndarray
 
 
-SynthesisStep = DirectSumStep | TwoModeStep | CongruenceStep
+SynthesisStep = DirectSumStep | TwoModeStep
 
 
 @dataclass
 class SynthesisTrace:
-    """Ordered build log plus the final matrix.
+    """Thermal seed, gate list and the final matrix.
 
-    Steps are recorded innermost level first; replaying them in order on a
-    zeroed state reproduces ``final_matrix``.  Each level contributes a
-    DirectSumStep seeding all of its modes, optionally a TwoModeStep, and
-    optionally a CongruenceStep acting on all but one of its modes.
+    The first step is a DirectSumStep seeding all n modes with the spectrum
+    d; every later step is a TwoModeStep, applied in order.  With S the
+    product of the gates, ``final_matrix`` is S diag(seed) S^T.
     """
 
     n: int
@@ -104,8 +92,7 @@ def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
     return out
 
 
-def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float,
-                                     tol: Tolerances = DEFAULT):
+def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     """Symplectic eigenvalues of the assembled two-mode matrix, closed form.
 
     d_{1/2}^2 = (c1^2 + c2^2 + 2ef
@@ -184,126 +171,23 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float,
     return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=e, f=f)
 
 
-def _coupling_block(e: float, f: float) -> np.ndarray:
-    return np.diag([e, f]).astype(float)
-
-
 def _recursion_check(c: np.ndarray, d: np.ndarray, tol: Tolerances):
     verdict = check_mixed(c, d, tol)
     if not verdict.feasible:
         raise ToleranceCollapse(
-            "recursive subproblem lost feasibility "
+            "reduced subproblem lost feasibility "
             f"(min slack {verdict.min_slack:.3g}); this indicates a bug"
         )
 
 
-def _splice_transform(child_matrix: np.ndarray, remainder_values: np.ndarray,
-                      tol: Tolerances) -> np.ndarray:
-    """Symplectic T with T diag(remainder) T^T = child_matrix.
+def _gate(block: TwoModeBlock, tol: Tolerances) -> np.ndarray:
+    """Symplectic g with g diag(d1, d1, d2, d2) g^T = block.matrix().
 
-    Built from the Williamson factors of the child and the mode permutation
-    aligning the remainder's diagonal order with Williamson (sorted) order.
+    The first mode of g holds the smaller thermal value and receives the
+    local value block.c1.
     """
-    S_w, _ = williamson(child_matrix, tol)
-    perm = np.argsort(remainder_values, kind="stable")
-    Pi = mode_permutation(perm)
-    return symplectic_inverse(S_w.entries) @ Pi.T
-
-
-def _shift_steps(steps, offset: int):
-    if offset == 0:
-        return steps
-    out = []
-    for step in steps:
-        if isinstance(step, DirectSumStep):
-            out.append(DirectSumStep(tuple(m + offset for m in step.modes), step.values))
-        elif isinstance(step, TwoModeStep):
-            out.append(TwoModeStep((step.modes[0] + offset, step.modes[1] + offset),
-                                   step.locals_, step.couplings))
-        else:
-            out.append(CongruenceStep(tuple(m + offset for m in step.modes), step.transform))
-    return out
-
-
-def _synthesize(c: np.ndarray, d: np.ndarray, tol: Tolerances):
-    """Recursive builder; returns (matrix, steps) with level-local modes."""
-    n = c.size
-    if np.array_equal(c, d):
-        # all partial-sum slacks vanish, the witness is exactly diagonal
-        return interleaved_diagonal(c), [DirectSumStep(tuple(range(n)), tuple(c))]
-    if n == 1:
-        # conditions force c1 = d1; within tolerance the witness is diag(c1, c1)
-        return interleaved_diagonal(c), [DirectSumStep((0,), (float(c[0]),))]
-    if n == 2:
-        block = solve_two_mode(c[0], c[1], d[0], d[1], tol)
-        steps = [
-            DirectSumStep((0, 1), (float(c[0]), float(c[1]))),
-            TwoModeStep((0, 1), (float(c[0]), float(c[1])), (block.e, block.f)),
-        ]
-        return block.matrix(), steps
-
-    # largest k (1-based) with c1 >= d_k, equality within tolerance rounding up
-    k = int(np.searchsorted(d, c[0] + tol.tol_ineq, side="right"))
-    if 1 <= k <= n - 2:
-        # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - c1
-        x = float(d[k - 1] + d[k] - c[0])
-        lo, hi = sorted((float(c[0]), x))
-        block = solve_two_mode(lo, hi, float(d[k - 1]), float(d[k]), tol)
-        tail = np.concatenate([d[: k - 1], d[k + 1 :]])
-        d_child = np.sort(np.concatenate([tail, [x]]))
-        _recursion_check(c[1:], d_child, tol)
-        child, child_steps = _synthesize(c[1:], d_child, tol)
-        remainder = np.concatenate([[x], tail])
-        T = _splice_transform(child, remainder, tol)
-
-        seed = np.concatenate([[c[0]], remainder])
-        M = interleaved_diagonal(seed)
-        M[0:2, 2:4] = _coupling_block(block.e, block.f)
-        M[2:4, 0:2] = M[0:2, 2:4]
-        G = embed_transform(T, range(1, n), n)
-        steps = _shift_steps(child_steps, 1)
-        steps.append(DirectSumStep(tuple(range(n)), tuple(seed)))
-        steps.append(TwoModeStep((0, 1), (float(c[0]), x), (block.e, block.f)))
-        steps.append(CongruenceStep(tuple(range(1, n)), T))
-        return G @ M @ G.T, steps
-
-    # k in {n-1, n}: pair (c_n, x) with (d_{n-1}, d_n), x anywhere in the
-    # interval below; the midpoint stays clear of boundary degeneracies
-    lower = max(
-        float(d[n - 2]),
-        float(d[n - 2] + d[n - 1] - c[n - 1]),
-        float(d[n - 2] - d[n - 1] + c[n - 1]),
-        float(np.sum(d[: n - 2]) + c[n - 2] - np.sum(c[: n - 2])),
-    )
-    upper = min(
-        float(d[n - 1] - d[n - 2] + c[n - 1]),
-        float(np.sum(c[: n - 1]) - np.sum(d[: n - 2])),
-    )
-    if lower > upper + tol.tol_ineq:
-        raise ToleranceCollapse(
-            f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
-        )
-    x = 0.5 * (lower + max(lower, upper))
-    lo, hi = sorted((x, float(c[n - 1])))
-    block = solve_two_mode(lo, hi, float(d[n - 2]), float(d[n - 1]), tol)
-    tail = d[: n - 2]
-    d_child = np.sort(np.concatenate([tail, [x]]))
-    _recursion_check(c[: n - 1], d_child, tol)
-    child, child_steps = _synthesize(c[: n - 1], d_child, tol)
-    remainder = np.concatenate([tail, [x]])
-    T = _splice_transform(child, remainder, tol)
-
-    seed = np.concatenate([remainder, [c[n - 1]]])
-    M = interleaved_diagonal(seed)
-    i0 = 2 * (n - 2)
-    M[i0 : i0 + 2, i0 + 2 : i0 + 4] = _coupling_block(block.e, block.f)
-    M[i0 + 2 : i0 + 4, i0 : i0 + 2] = M[i0 : i0 + 2, i0 + 2 : i0 + 4]
-    G = embed_transform(T, range(n - 1), n)
-    steps = list(child_steps)
-    steps.append(DirectSumStep(tuple(range(n)), tuple(seed)))
-    steps.append(TwoModeStep((n - 2, n - 1), (x, float(c[n - 1])), (block.e, block.f)))
-    steps.append(CongruenceStep(tuple(range(n - 1)), T))
-    return G @ M @ G.T, steps
+    S_w, _ = williamson(block.matrix(), tol)
+    return symplectic_inverse(S_w.entries)
 
 
 def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
@@ -312,7 +196,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     Both vectors must be sorted non-decreasing, strictly positive, and pass
     the feasibility gate.  Returns the build trace; the witness matrix is
     ``trace.final_matrix``.  The realising matrix is not unique, this returns
-    the one produced by the recorded two-mode steps.
+    the one produced by the recorded two-mode gates.
     """
     c = _as_vector(c, "c").copy()
     d = _as_vector(d, "d").copy()
@@ -322,9 +206,72 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
         raise InfeasibleInput(
             f"(c, d) pair is infeasible: {worst.label()} slack {worst.slack:.3g}"
         )
-    matrix, steps = _synthesize(c, d, tol)
-    return SynthesisTrace(n=c.size, steps=steps,
-                          final_matrix=CovarianceMatrix(matrix, tol=tol))
+    n = c.size
+    # slot s of the seed holds d[s].  The open slots, sorted by the value
+    # the remaining subproblem sees there, realise c[lo:hi]; a slot whose
+    # gate gave it its final local value is frozen at that mode.
+    mode_of = np.empty(n, dtype=int)
+    values, slots = list(d), list(range(n))
+    lo, hi = 0, n
+    gates = []
+    while hi - lo > 2 and not np.array_equal(c[lo:hi], values):
+        m = hi - lo
+        cw = c[lo:hi]
+        # largest k (1-based) with c1 >= d_k, equality within tolerance rounding up
+        k = bisect.bisect_right(values, cw[0] + tol.tol_ineq)
+        if 1 <= k <= m - 2:
+            # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - c1
+            i = k - 1
+            fixed, x = float(cw[0]), float(values[i] + values[i + 1] - cw[0])
+            frozen_mode = lo
+            lo += 1
+        else:
+            # k in {m-1, m}: pair (c_m, x) with (d_{m-1}, d_m), x anywhere in
+            # the interval below; the midpoint stays clear of boundary
+            # degeneracies
+            lower = max(
+                float(values[m - 2]),
+                float(values[m - 2] + values[m - 1] - cw[m - 1]),
+                float(values[m - 2] - values[m - 1] + cw[m - 1]),
+                float(np.sum(values[: m - 2]) + cw[m - 2] - np.sum(cw[: m - 2])),
+            )
+            upper = min(
+                float(values[m - 1] - values[m - 2] + cw[m - 1]),
+                float(np.sum(cw[: m - 1]) - np.sum(values[: m - 2])),
+            )
+            if lower > upper + tol.tol_ineq:
+                raise ToleranceCollapse(
+                    f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
+                )
+            i = m - 2
+            fixed, x = float(cw[m - 1]), 0.5 * (lower + max(lower, upper))
+            hi -= 1
+            frozen_mode = hi
+        a, b = slots[i], slots[i + 1]
+        small, large = sorted((fixed, x))
+        block = solve_two_mode(small, large, float(values[i]), float(values[i + 1]), tol)
+        gates.append((a, b, _gate(block, tol)))
+        # the gate gives its first mode the smaller local value
+        frozen, carrier = (a, b) if fixed <= x else (b, a)
+        mode_of[frozen] = frozen_mode
+        del values[i : i + 2], slots[i : i + 2]
+        at = bisect.bisect_left(values, x)
+        values.insert(at, x)
+        slots.insert(at, carrier)
+        _recursion_check(c[lo:hi], np.array(values), tol)
+    if hi - lo == 2 and not np.array_equal(c[lo:hi], values):
+        block = solve_two_mode(c[lo], c[lo + 1], values[0], values[1], tol)
+        gates.append((slots[0], slots[1], _gate(block, tol)))
+    # one open mode, or c == d on the open modes: the seed is already final
+    mode_of[slots] = np.arange(lo, hi)
+
+    seed = np.empty(n)
+    seed[mode_of] = d
+    steps = [DirectSumStep(tuple(range(n)), tuple(seed.tolist()))]
+    steps += [TwoModeStep((int(mode_of[a]), int(mode_of[b])), g) for a, b, g in gates]
+    trace = SynthesisTrace(n=n, steps=steps)
+    trace.final_matrix = CovarianceMatrix(replay_trace(trace), tol=tol)
+    return trace
 
 
 def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
@@ -342,34 +289,30 @@ def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     return synthesize(b + 1.0, np.ones_like(b), tol)
 
 
-def replay_trace(trace: SynthesisTrace) -> np.ndarray:
-    """Re-run the recorded steps on a blank state.
+def _gate_product(trace: SynthesisTrace):
+    """The seed in mode order and the product S of the trace's gates.
 
-    DirectSumSteps reset their modes (clearing stale couplings), TwoModeSteps
-    install kernels, CongruenceSteps conjugate.  The result must match
-    ``trace.final_matrix`` within the reconstruction tolerance.
+    Each gate updates only the four rows of S that belong to its modes.
     """
-    m = 2 * trace.n
-    state = np.zeros((m, m))
-    for step in trace.steps:
-        if isinstance(step, DirectSumStep):
-            for mode, value in zip(step.modes, step.values):
-                state[2 * mode : 2 * mode + 2, :] = 0.0
-                state[:, 2 * mode : 2 * mode + 2] = 0.0
-                state[2 * mode, 2 * mode] = value
-                state[2 * mode + 1, 2 * mode + 1] = value
-        elif isinstance(step, TwoModeStep):
-            i, j = step.modes
-            a, b = step.locals_
-            state[2 * i, 2 * i] = state[2 * i + 1, 2 * i + 1] = a
-            state[2 * j, 2 * j] = state[2 * j + 1, 2 * j + 1] = b
-            coup = _coupling_block(*step.couplings)
-            state[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = coup
-            state[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = coup
-        else:
-            E = embed_transform(step.transform, step.modes, trace.n)
-            state = E @ state @ E.T
-    return state
+    seed_step, *gates = trace.steps
+    seed = np.empty(trace.n)
+    seed[list(seed_step.modes)] = seed_step.values
+    S = np.eye(2 * trace.n)
+    for step in gates:
+        i, j = step.modes
+        rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        S[rows] = step.transform @ S[rows]
+    return seed, S
+
+
+def replay_trace(trace: SynthesisTrace) -> np.ndarray:
+    """Re-run the recorded steps: S diag(seed) S^T.
+
+    The result must match ``trace.final_matrix`` within the reconstruction
+    tolerance.
+    """
+    seed, S = _gate_product(trace)
+    return (S * np.repeat(seed, 2)) @ S.T
 
 
 def sample_feasible_pair(rng: np.random.Generator, n: int,

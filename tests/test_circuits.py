@@ -22,7 +22,7 @@ from modematch.circuits import (
     unitary_to_orthosymplectic,
 )
 from modematch.core import interleaved_diagonal, symplectic_form, symplectic_trace
-from modematch.errors import NotPassive, NotPhysical, NotPure
+from modematch.errors import InvalidTrace, NotPassive, NotPhysical, NotPure
 
 
 def haar_unitary(n, rng):
@@ -198,6 +198,16 @@ class TestCircuitFromMixed:
             for stage in ("pre", "post"):
                 count = sum(1 for el in circuit.passive_ops if el.stage == stage)
                 assert count <= 5 * 4 // 2 + 5
+
+    def test_perturbed_gate_is_an_invalid_trace(self):
+        rng = np.random.default_rng(69)
+        c, d = sample_feasible_pair(rng, 4, physical=True)
+        trace = synthesize(c, d)
+        gate = trace.steps[1]
+        gate.transform = gate.transform.copy()
+        gate.transform[0, 0] += 1e-4
+        with pytest.raises(InvalidTrace):
+            circuit_from_mixed(trace)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from modematch import sample_feasible_pair
 from modematch.cli import main
 from modematch.matrixio import read_matrix, write_matrix
 
@@ -90,6 +91,23 @@ class TestSynth:
         steps = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert steps[0]["step"] == "direct_sum"
         assert steps[1]["step"] == "two_mode"
+
+    def test_trace_of_many_modes_stays_small(self, capsys, tmp_path):
+        # a seed record plus at most n - 1 gates of 16 numbers each
+        n = 64
+        c, d = sample_feasible_pair(np.random.default_rng(5), n)
+        trace_path = tmp_path / "big.trace"
+        code, _ = run_cli(capsys, "synth", "--c", ",".join(f"{v:.17g}" for v in c),
+                          "--d", ",".join(f"{v:.17g}" for v in d),
+                          "--out", str(tmp_path / "big.mat"), "--emit-trace", str(trace_path))
+        assert code == 0
+        assert trace_path.stat().st_size < 100_000
+        steps = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert steps[0]["step"] == "direct_sum" and len(steps[0]["values"]) == n
+        assert 1 <= len(steps) <= n
+        for step in steps[1:]:
+            assert step["step"] == "two_mode" and len(step["modes"]) == 2
+            assert np.array(step["transform"], dtype=float).shape == (4, 4)
 
     def test_identity_case(self, capsys, tmp_path):
         out = tmp_path / "id.mat"

@@ -4,7 +4,6 @@ import pytest
 from modematch import (
     CovarianceMatrix,
     SpectrumVector,
-    SymplecticForm,
     SymplecticTransform,
     euler_decompose,
     random_symplectic,
@@ -16,10 +15,8 @@ from modematch import (
 from modematch import DEFAULT, Tolerances, synthesize
 from modematch.core import (
     _skew_spectral_basis,
-    embed_transform,
     haar_orthogonal_symplectic,
     interleaved_diagonal,
-    mode_permutation,
     symplectic_inverse,
 )
 from modematch.entropy import entropy_report
@@ -60,13 +57,9 @@ def skew_eigen_oracle(gamma):
 class TestSymplecticForm:
     def test_antisymmetric_and_squares_to_minus_identity(self):
         for n in (1, 2, 5):
-            sig = SymplecticForm(n).matrix
+            sig = symplectic_form(n)
             assert np.array_equal(sig, -sig.T)
             assert np.array_equal(sig @ sig, -np.eye(2 * n))
-
-    def test_rejects_nonpositive_mode_count(self):
-        with pytest.raises(ValueError):
-            SymplecticForm(0)
 
 
 class TestCovarianceMatrix:
@@ -181,6 +174,13 @@ class TestSpectrumVector:
     def test_requires_positive(self):
         with pytest.raises(NotPositive):
             SpectrumVector(np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectrumVector(np.array([1.0, value]))
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectrumVector(np.array([value, 1.0]))
 
     def test_from_unsorted_records_permutation(self):
         vec, order = SpectrumVector.from_unsorted([3.0, 1.0, 2.0])
@@ -372,28 +372,6 @@ class TestRandomSymplectic:
     def test_rejects_bad_squeeze_bound(self):
         with pytest.raises(ValueError):
             random_symplectic(2, 0.5, seed=1)
-
-
-class TestModeEmbedding:
-    def test_embed_transform_matches_block_loop(self):
-        rng = np.random.default_rng(67)
-        n, modes = 5, [3, 0, 4]
-        T = rng.standard_normal((6, 6))
-        expected = np.eye(2 * n)
-        for a, ma in enumerate(modes):
-            for b, mb in enumerate(modes):
-                block = T[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
-                expected[2 * ma : 2 * ma + 2, 2 * mb : 2 * mb + 2] = block
-        assert np.array_equal(embed_transform(T, modes, n), expected)
-
-    def test_mode_permutation_moves_modes(self):
-        perm = [2, 0, 3, 1]
-        gamma = interleaved_diagonal([1.0, 2.0, 3.0, 4.0])
-        P = mode_permutation(perm)
-        moved = np.diag(P @ gamma @ P.T)[0::2]
-        assert np.array_equal(moved[perm], [1.0, 2.0, 3.0, 4.0])
-        sig = symplectic_form(4)
-        assert np.array_equal(P @ sig @ P.T, sig)
 
 
 class TestSymplecticTransform:

@@ -3,6 +3,7 @@ import pytest
 
 from modematch import (
     CovarianceMatrix,
+    SpectrumVector,
     b_to_temperature,
     check_matrix_consistency,
     check_mixed,
@@ -149,6 +150,8 @@ class TestCheckMixed:
             check_mixed([value, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
             check_mixed([1.0, 2.0], [1.0, value])
+        with pytest.raises(ValueError, match="non-finite"):
+            check_mixed(SpectrumVector(np.array([value, 1.0])), [1.0, 1.0])
 
     def test_two_mode_matches_explicit_inequalities(self):
         grid = np.linspace(0.5, 3.5, 7)

@@ -14,8 +14,8 @@ from modematch import (
     williamson,
 )
 from modematch.errors import InfeasibleInput, InfeasiblePair, NotPositive
+from modematch.core import symplectic_defect
 from modematch.synthesis import (
-    CongruenceStep,
     DirectSumStep,
     TwoModeStep,
     assemble_two_mode,
@@ -137,24 +137,38 @@ class TestSynthesize:
             replayed = replay_trace(trace)
             scale = max(1.0, np.max(np.abs(trace.final_matrix.entries)))
             assert np.max(np.abs(replayed - trace.final_matrix.entries)) <= 1e-8 * scale
+            # reference: embed every gate densely in the identity, then multiply
+            seed_step, *gates = trace.steps
+            S = np.eye(2 * n)
+            for step in gates:
+                i, j = step.modes
+                rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+                E = np.eye(2 * n)
+                E[np.ix_(rows, rows)] = step.transform
+                S = E @ S
+            seed = np.empty(n)
+            seed[list(seed_step.modes)] = seed_step.values
+            reference = S @ np.diag(np.repeat(seed, 2)) @ S.T
+            assert np.max(np.abs(replayed - reference)) <= 1e-12 * scale
 
-    def test_only_two_mode_couplings_and_spare_mode_congruences(self):
-        # per trace level: a seed covering all its modes, at most one
-        # two-mode kernel, and a congruence acting on all modes except
-        # the kernel's spare one
+    def test_trace_is_thermal_seed_then_two_mode_gates(self):
+        # one seed step holding d on all modes, then at most n - 1
+        # symplectic 4x4 gates, each on two distinct modes
         rng = np.random.default_rng(39)
         for _ in range(40):
             n = int(rng.integers(3, 8))
             c, d = sample_feasible_pair(rng, n)
-            trace = synthesize(c, d)
-            last_block = None
-            for step in trace.steps:
-                if isinstance(step, TwoModeStep):
-                    last_block = step
-                elif isinstance(step, CongruenceStep):
-                    assert last_block is not None
-                    outside = set(last_block.modes) - set(step.modes)
-                    assert len(outside) == 1
+            seed, *gates = synthesize(c, d).steps
+            assert isinstance(seed, DirectSumStep)
+            assert sorted(seed.modes) == list(range(n))
+            assert np.array_equal(np.sort(seed.values), d)
+            assert len(gates) <= n - 1
+            for step in gates:
+                assert isinstance(step, TwoModeStep)
+                i, j = step.modes
+                assert i != j and {i, j} <= set(range(n))
+                assert step.transform.shape == (4, 4)
+                assert symplectic_defect(step.transform) <= 1e-10
 
     def test_feasibility_of_every_recorded_seed(self):
         rng = np.random.default_rng(41)
