@@ -1,105 +1,82 @@
 """Feasibility and synthesis of Gaussian covariance matrices with prescribed
-symplectic spectra and local mode data."""
+symplectic spectra and local mode data.
 
-from .config import DEFAULT, Tolerances
-from .core import (
-    CovarianceMatrix,
-    EulerFactors,
-    SpectrumVector,
-    SymplecticTransform,
-    euler_decompose,
-    random_symplectic,
-    symplectic_eigenvalues,
-    symplectic_form,
-    symplectic_trace,
-    williamson,
-)
-from .entropy import (
-    EntropyReport,
-    entanglement_profile,
-    entropy_report,
-    entropy_s,
-    entropy_s_inverse,
-    entropy_upper_bound,
-    sharing_feasible,
-)
-from .marginals import (
-    FeasibilityVerdict,
-    LocalDiagonal,
-    TemperatureVector,
-    b_to_temperature,
-    check_matrix_consistency,
-    check_mixed,
-    check_pure,
-    local_diagonal,
-    local_normal_form,
-    temperature_to_b,
-)
-from .circuits import (
-    PreparationCircuit,
-    circuit_from_mixed,
-    circuit_from_pure,
-    parse_circuit,
-    passive_to_two_mode_rotations,
-    replay_circuit,
-    serialize_circuit,
-)
-from .synthesis import (
-    SynthesisTrace,
-    TwoModeBlock,
-    replay_trace,
-    sample_feasible_pair,
-    solve_two_mode,
-    synthesize,
-    synthesize_pure,
-    two_mode_eigenvalues_closed_form,
-)
+The public names below are loaded on first access (PEP 562): ``import
+modematch`` costs nothing beyond the package itself, and
+``modematch.check_mixed`` imports only the submodules it needs.  A resolved
+name is cached as a plain module attribute.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CovarianceMatrix",
-    "DEFAULT",
-    "EntropyReport",
-    "EulerFactors",
-    "FeasibilityVerdict",
-    "LocalDiagonal",
-    "PreparationCircuit",
-    "SpectrumVector",
-    "SymplecticTransform",
-    "SynthesisTrace",
-    "TemperatureVector",
-    "Tolerances",
-    "TwoModeBlock",
-    "b_to_temperature",
-    "check_matrix_consistency",
-    "check_mixed",
-    "check_pure",
-    "circuit_from_mixed",
-    "circuit_from_pure",
-    "entanglement_profile",
-    "entropy_report",
-    "entropy_s",
-    "entropy_s_inverse",
-    "entropy_upper_bound",
-    "euler_decompose",
-    "local_diagonal",
-    "local_normal_form",
-    "parse_circuit",
-    "passive_to_two_mode_rotations",
-    "random_symplectic",
-    "replay_circuit",
-    "replay_trace",
-    "sample_feasible_pair",
-    "serialize_circuit",
-    "sharing_feasible",
-    "solve_two_mode",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "symplectic_trace",
-    "synthesize",
-    "synthesize_pure",
-    "temperature_to_b",
-    "two_mode_eigenvalues_closed_form",
-    "williamson",
-]
+# exported name -> submodule that defines it
+_EXPORTS = {
+    "CovarianceMatrix": "core",
+    "DEFAULT": "config",
+    "EntropyReport": "entropy",
+    "EulerFactors": "core",
+    "FeasibilityVerdict": "marginals",
+    "LocalDiagonal": "marginals",
+    "PreparationCircuit": "circuits",
+    "SpectrumVector": "core",
+    "SymplecticTransform": "core",
+    "SynthesisTrace": "synthesis",
+    "TemperatureVector": "marginals",
+    "Tolerances": "config",
+    "TwoModeBlock": "synthesis",
+    "b_to_temperature": "marginals",
+    "check_matrix_consistency": "marginals",
+    "check_mixed": "marginals",
+    "check_pure": "marginals",
+    "circuit_from_mixed": "circuits",
+    "circuit_from_pure": "circuits",
+    "entanglement_profile": "entropy",
+    "entropy_report": "entropy",
+    "entropy_s": "entropy",
+    "entropy_s_inverse": "entropy",
+    "entropy_upper_bound": "entropy",
+    "euler_decompose": "core",
+    "local_diagonal": "marginals",
+    "local_normal_form": "marginals",
+    "parse_circuit": "circuits",
+    "passive_to_two_mode_rotations": "circuits",
+    "random_symplectic": "core",
+    "replay_circuit": "circuits",
+    "replay_trace": "synthesis",
+    "sample_feasible_pair": "synthesis",
+    "serialize_circuit": "circuits",
+    "sharing_feasible": "entropy",
+    "solve_two_mode": "synthesis",
+    "symplectic_eigenvalues": "core",
+    "symplectic_form": "core",
+    "symplectic_trace": "core",
+    "synthesize": "synthesis",
+    "synthesize_pure": "synthesis",
+    "temperature_to_b": "marginals",
+    "two_mode_eigenvalues_closed_form": "synthesis",
+    "williamson": "core",
+}
+
+_SUBMODULES = frozenset({
+    "circuits", "cli", "config", "core", "entropy", "errors", "marginals",
+    "matrixio", "synthesis", "verify",
+})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package as a side effect
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -3,45 +3,43 @@
 Subcommands: check, synth, williamson, euler, entropy, prepare, verify.
 Machine-readable output is one JSON object per line on stdout; a short
 human-readable table goes to stderr.  Exit codes: 0 success or feasible,
-1 infeasible or violations found, 2 input error, 3 internal verification
-failure.  MODEMATCH_TOL_INEQ overrides the inequality tolerance.
+1 infeasible or violations found, 2 input error, 3 internal failure (a
+failed self-verification, or a NumericalFailure, ToleranceCollapse,
+SpectralPairingFailure or DegenerateSubspaceFailure raised by the library).
+MODEMATCH_TOL_INEQ overrides the inequality tolerance.
+
+Each subcommand imports the library modules it calls when it runs, so a
+process loads only what its subcommand needs.  ``run`` is the console entry
+point: it exits through ``os._exit`` once the output is flushed.
 """
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 import time
 
 import numpy as np
 
 from . import config
-from .circuits import (
-    circuit_from_mixed,
-    circuit_from_pure,
-    parse_circuit,
-    replay_circuit,
-    serialize_circuit,
+from .errors import (
+    DegenerateSubspaceFailure,
+    InfeasibleInput,
+    ModeMatchError,
+    NumericalFailure,
+    SpectralPairingFailure,
+    ToleranceCollapse,
 )
-from .core import (
-    CovarianceMatrix,
-    SymplecticTransform,
-    euler_decompose,
-    interleaved_diagonal,
-    symplectic_eigenvalues,
-    williamson,
-)
-from .entropy import entropy_report, entropy_s
-from .errors import InfeasibleInput, ModeMatchError
-from .marginals import check_matrix_consistency, check_mixed, check_pure, local_diagonal
 from .matrixio import MatrixParseError, read_matrix, write_matrix
-from .synthesis import DirectSumStep, replay_trace, synthesize
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# library failures that signal a numerical breakdown, not a bad request
+INTERNAL_FAILURES = (NumericalFailure, ToleranceCollapse, SpectralPairingFailure,
+                     DegenerateSubspaceFailure)
 
 
 class _InputError(Exception):
@@ -59,6 +57,8 @@ def _parse_vector(raw: str) -> np.ndarray:
 
 
 def _digest(*parts) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
@@ -107,7 +107,9 @@ def _verdict_table(verdict) -> list[str]:
     return lines
 
 
-def _load_covariance(path, tol) -> CovarianceMatrix:
+def _load_covariance(path, tol):
+    from .core import CovarianceMatrix
+
     mf = read_matrix(path)
     if mf.kind != "covariance":
         raise _InputError(f"{path}: expected kind covariance, found {mf.kind}")
@@ -118,6 +120,8 @@ def _load_covariance(path, tol) -> CovarianceMatrix:
 
 
 def cmd_check(args, tol) -> int:
+    from .marginals import check_matrix_consistency, check_mixed, check_pure
+
     start = time.perf_counter()
     if args.matrix:
         cov = _load_covariance(args.matrix, tol)
@@ -142,6 +146,10 @@ def cmd_check(args, tol) -> int:
 
 
 def cmd_synth(args, tol) -> int:
+    from .core import williamson
+    from .marginals import local_diagonal
+    from .synthesis import replay_trace, synthesize
+
     start = time.perf_counter()
     c = np.sort(_parse_vector(args.c))
     d = np.sort(_parse_vector(args.d))
@@ -184,6 +192,8 @@ def cmd_synth(args, tol) -> int:
 
 
 def _step_record(step) -> dict:
+    from .synthesis import DirectSumStep
+
     if isinstance(step, DirectSumStep):
         return {"step": "direct_sum", "modes": list(step.modes),
                 "values": [f"{v:.17g}" for v in step.values]}
@@ -192,6 +202,8 @@ def _step_record(step) -> dict:
 
 
 def cmd_williamson(args, tol) -> int:
+    from .core import interleaved_diagonal, williamson
+
     start = time.perf_counter()
     cov = _load_covariance(args.matrix, tol)
     S, d = williamson(cov, tol)
@@ -213,6 +225,8 @@ def cmd_williamson(args, tol) -> int:
 
 
 def cmd_euler(args, tol) -> int:
+    from .core import SymplecticTransform, euler_decompose
+
     start = time.perf_counter()
     mf = read_matrix(args.matrix)
     if mf.kind != "symplectic":
@@ -240,6 +254,9 @@ def cmd_euler(args, tol) -> int:
 
 
 def cmd_entropy(args, tol) -> int:
+    from .core import symplectic_eigenvalues
+    from .entropy import entropy_report, entropy_s
+
     start = time.perf_counter()
     gaussian_entropy = None
     if args.matrix:
@@ -277,6 +294,16 @@ def cmd_entropy(args, tol) -> int:
 
 
 def cmd_prepare(args, tol) -> int:
+    from .circuits import (
+        circuit_from_mixed,
+        circuit_from_pure,
+        replay_circuit,
+        serialize_circuit,
+    )
+    from .core import symplectic_eigenvalues
+    from .marginals import local_diagonal
+    from .synthesis import synthesize
+
     start = time.perf_counter()
     if args.matrix:
         cov = _load_covariance(args.matrix, tol)
@@ -332,6 +359,8 @@ def cmd_prepare(args, tol) -> int:
 
 
 def cmd_replay(args, tol) -> int:
+    from .circuits import parse_circuit, replay_circuit
+
     start = time.perf_counter()
     with open(args.circuit) as fh:
         circuit = parse_circuit(fh.read())
@@ -360,6 +389,8 @@ def _flip_sign_corruption(matrix: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify(args, tol) -> int:
+    from .verify import run_verification
+
     corrupt = _flip_sign_corruption if args.self_check_corrupt else None
     summary = run_verification(args.trials, args.n_max, seed=args.seed,
                                squeeze_bound=args.squeeze_bound, tol=tol,
@@ -452,6 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc, code: int) -> int:
+    print(json.dumps({"error": str(exc)}))
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -462,11 +499,25 @@ def main(argv=None) -> int:
                 raise _InputError("--tol-ineq must be positive")
             tol = tol.with_tol_ineq(args.tol_ineq)
         return args.func(args, tol)
+    except INTERNAL_FAILURES as exc:
+        return _error(exc, EXIT_INTERNAL)
     except (_InputError, MatrixParseError, ModeMatchError, ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
+
+
+def run() -> None:
+    """Run ``main`` on the process arguments and exit with its code.
+
+    Every output file is closed before ``main`` returns, so once stdout and
+    stderr are flushed nothing is left to write, and ``os._exit`` skips the
+    interpreter teardown.  Exceptions, argparse's exits included, propagate
+    and end the process the ordinary way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

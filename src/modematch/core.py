@@ -428,8 +428,9 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     else:
         St = SymplecticTransform(S, tol=tol)
     n = St.n
-    w, U = np.linalg.eigh(St.entries @ St.entries.T)
-    lam = np.sqrt(np.maximum(w, 0.0))
+    # S = U diag(lam) W^T, so P = U diag(lam) U^T; taking U from S itself
+    # rather than from eigh(S S^T) keeps the conditioning at ||S||, not ||S||^2
+    U, lam, _ = np.linalg.svd(St.entries)
     P = (U * lam) @ U.T
     P_inv = (U / lam) @ U.T
 
@@ -491,7 +492,7 @@ def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_orthogonal_symplectic(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Random passive transform, drawn Haar-like from the unitary picture."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)

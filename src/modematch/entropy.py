@@ -23,7 +23,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import BelowOne, InversionFailure, NegativeEntry, NotPure
-from .marginals import _as_vector, check_pure, local_diagonal
+from .marginals import _as_vector, _pure_verdict, check_pure, local_diagonal
 
 
 @dataclass
@@ -145,11 +145,20 @@ def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
     c = _as_vector(c, "c")
     if np.any(c < 1.0 - tol.tol_psd):
         raise BelowOne("local values must be >= 1 for the entropy bound")
+    return _aggregate_bits(c, tol)
+
+
+def _aggregate_bits(c: np.ndarray, tol: Tolerances) -> float:
+    """s(sum c) for validated local values c >= 1 - tol_psd."""
     return entropy_s(float(np.sum(np.maximum(c, 1.0))), tol)
 
 
 def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyReport:
-    """Assemble the entropy summary from local values or a full matrix."""
+    """Assemble the entropy summary from local values or a full matrix.
+
+    c is validated once, here; the per-mode entropies check c >= 1, and the
+    aggregate and the purity test then run on the validated vector.
+    """
     if (c is None) == (gamma is None):
         raise ValueError("provide exactly one of c or gamma")
     if gamma is not None:
@@ -157,11 +166,9 @@ def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyRepo
     else:
         c = np.sort(_as_vector(c, "c"))
     per_mode = _entropy_bits(c, tol)
-    bound = entropy_upper_bound(c, tol)
-    pure_ok = check_pure(np.maximum(c - 1.0, 0.0), tol).feasible
     return EntropyReport(
         per_mode_entropies=per_mode,
         total_local_sum=float(np.sum(per_mode)),
-        global_upper_bound=bound,
-        purity_consistent=pure_ok,
+        global_upper_bound=_aggregate_bits(c, tol),
+        purity_consistent=_pure_verdict(np.maximum(c - 1.0, 0.0), tol).feasible,
     )

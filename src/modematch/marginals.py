@@ -190,14 +190,18 @@ def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     b = _as_vector(b, "b")
     if np.any(b < 0):
         raise NegativeEntry("b entries must be non-negative")
+    return _pure_verdict(b, tol)
+
+
+def _pure_verdict(b: np.ndarray, tol: Tolerances) -> FeasibilityVerdict:
+    """check_pure on an already validated vector b >= 0."""
     j = int(np.argmax(b))
     slack = float(np.sum(b) - 2.0 * b[j])
-    verdict = FeasibilityVerdict(
+    return FeasibilityVerdict(
         feasible=slack >= -tol.tol_ineq,
         slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],
         tol_ineq=tol.tol_ineq,
     )
-    return verdict
 
 
 def check_matrix_consistency(gamma, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:

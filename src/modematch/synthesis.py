@@ -315,7 +315,7 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     return (S * np.repeat(seed, 2)) @ S.T
 
 
-def sample_feasible_pair(rng: np.random.Generator, n: int,
+def sample_feasible_pair(rng: "np.random.Generator", n: int,
                          d_low: float = 0.5, d_high: float = 4.0,
                          physical: bool = False, tol: Tolerances = DEFAULT):
     """Random feasible (c, d) pair for property testing.

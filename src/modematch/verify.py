@@ -56,7 +56,7 @@ class VerificationSummary:
         return sum(s.violations for s in self.suites)
 
 
-def random_physical_covariance(rng: np.random.Generator, n: int,
+def random_physical_covariance(rng: "np.random.Generator", n: int,
                                squeeze_bound: float, d_high: float = 3.0):
     """Random physical covariance gamma = S D S^T with d >= 1."""
     d = np.sort(rng.uniform(1.0, d_high, n))

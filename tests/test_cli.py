@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,6 +6,12 @@ import pytest
 
 from modematch import sample_feasible_pair
 from modematch.cli import main
+from modematch.errors import (
+    DegenerateSubspaceFailure,
+    NumericalFailure,
+    SpectralPairingFailure,
+    ToleranceCollapse,
+)
 from modematch.matrixio import read_matrix, write_matrix
 
 
@@ -272,3 +279,42 @@ class TestToleranceOverride:
         monkeypatch.setenv("MODEMATCH_TOL_INEQ", "abc")
         code, _ = run_cli(capsys, "check", "--c", "1,1", "--d", "1,1")
         assert code == 2
+
+
+class TestInternalFailures:
+    """A numerical breakdown inside the library exits 3, never 2."""
+
+    CASES = [
+        (["check", "--matrix", "{cov}"], "marginals", "check_matrix_consistency",
+         SpectralPairingFailure),
+        (["synth", "--c", "2,2", "--d", "1,1", "--out", "{out}"], "synthesis", "synthesize",
+         ToleranceCollapse),
+        (["williamson", "--matrix", "{cov}", "--out-prefix", "{out}"], "core", "williamson",
+         DegenerateSubspaceFailure),
+        (["euler", "--matrix", "{sym}", "--out-prefix", "{out}"], "core", "euler_decompose",
+         NumericalFailure),
+        (["entropy", "--c", "1.5,2"], "entropy", "entropy_report", NumericalFailure),
+        (["prepare", "--c", "1.5,1.5", "--d", "1,2", "--out", "{out}"], "circuits",
+         "circuit_from_mixed", SpectralPairingFailure),
+        (["replay", "--circuit", "{circ}", "--out", "{out}"], "circuits", "parse_circuit",
+         DegenerateSubspaceFailure),
+        (["verify", "--trials", "1"], "verify", "run_verification", ToleranceCollapse),
+    ]
+
+    @pytest.mark.parametrize("argv, module, name, error", CASES,
+                             ids=[case[0][0] for case in CASES])
+    def test_exit_code_three(self, capsys, tmp_path, monkeypatch, argv, module, name, error):
+        files = {"cov": tmp_path / "g.mat", "sym": tmp_path / "s.mat",
+                 "circ": tmp_path / "c.txt", "out": tmp_path / "out"}
+        write_matrix(files["cov"], 2.0 * np.eye(4), "covariance")
+        write_matrix(files["sym"], np.eye(4), "symplectic")
+        files["circ"].write_text("n 1\n")
+
+        def broken(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(importlib.import_module(f"modematch.{module}"), name, broken)
+        code, record = run_cli(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 3
+        assert record == {"error": "injected failure"}
+        assert not files["out"].exists()

@@ -352,6 +352,16 @@ class TestEulerDecompose:
         assert np.sum(factors.z - 1.0 <= 1e-9) >= n // 2
         self._assert_passive_factorisation(factors, S)
 
+    @pytest.mark.parametrize("squeeze_bound", [1e3, 3e3])
+    def test_accuracy_relative_to_norm_at_strong_squeezing(self, squeeze_bound):
+        # a polar factor built from eigh(S S^T) squares the conditioning and
+        # fails this at both bounds
+        for seed in range(20):
+            S = random_symplectic(6, squeeze_bound, seed).entries
+            factors = euler_decompose(S)
+            defect = np.max(np.abs(factors.reconstruct() - S))
+            assert defect <= 1e-8 * np.linalg.norm(S, 2)
+
 
 class TestRandomSymplectic:
     def test_symplectic_invariant(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import modematch.entropy as entropy_module
+import modematch.marginals as marginals_module
 from modematch import (
     CovarianceMatrix,
+    check_pure,
     entanglement_profile,
     entropy_report,
     entropy_s,
@@ -178,3 +181,19 @@ class TestEntropyReport:
     def test_requires_exactly_one_input(self):
         with pytest.raises(ValueError):
             entropy_report()
+
+    def test_local_values_are_validated_once(self, monkeypatch):
+        calls = []
+        validate = marginals_module._as_vector
+
+        def counted(values, what):
+            calls.append(what)
+            return validate(values, what)
+
+        monkeypatch.setattr(entropy_module, "_as_vector", counted)
+        monkeypatch.setattr(marginals_module, "_as_vector", counted)
+        c = [1.5, 1.5, 2.0]
+        report = entropy_report(c=c)
+        assert calls == ["c"]
+        assert report.global_upper_bound == entropy_upper_bound(c)
+        assert report.purity_consistent == check_pure([0.5, 0.5, 1.0]).feasible
