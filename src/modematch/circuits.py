@@ -1,19 +1,20 @@
-"""Preparation circuits: squeezed inputs plus a passive network.
+"""Preparation circuits: a seed state and one ordered list of elements.
 
-A pure target gamma factors as O P O^T with P = diag(z1, 1/z1, ...) the
-covariance of independently squeezed modes and O a passive (orthogonal
-symplectic) network; the circuit is therefore n squeezers followed by a
-beam-splitter network.  Mixed targets start from the thermal seed
-diag(d1, d1, ...) of their synthesis trace and apply the Euler-factored gate
-product V, squeezers, O in that order.
+A circuit applies squeezers, two-mode rotations and phases to its seed, one
+covariance value per mode, in list order.  A pure target O P O^T (P the
+covariance of independently squeezed modes, O passive) is n squeezers on
+the vacuum followed by a Reck mesh of O.  A mixed target follows its
+synthesis trace from the thermal seed: each two-mode gate g = O Q V gives
+V's elements, its non-unit squeezers, then O's elements on the gate's
+modes; at most 8 elements per gate, so O(n) in all, for up to 2(n-1)
+squeezers where one Bloch-Messiah factorisation of the whole product has n.
 
-Passive networks are emitted as two-mode rotations plus single-mode phases
-through the unitary picture: an orthogonal-symplectic matrix in interleaved
-ordering corresponds to an n x n unitary U via the 2x2 blocks
+Passive elements live in the unitary picture: an orthogonal-symplectic
+matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 [[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,32 +23,27 @@ from .core import (
     SymplecticTransform,
     _as_covariance,
     euler_decompose,
-    interleaved_diagonal,
     symplectic_defect,
     symplectic_inverse,
     unitary_to_orthosymplectic,
     williamson,
 )
 from .errors import InvalidTrace, NotPassive, NotPhysical, NotPure
-from .synthesis import SynthesisTrace, _gate_product, replay_trace
+from .synthesis import SynthesisTrace, replay_trace, trace_seed
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
-STAGE_PRE = "pre"
-STAGE_POST = "post"
 
 _ELEMENT_DROP = 1e-14
 
 
 @dataclass
 class Squeezer:
-    """Single-mode squeezer; z is the covariance of the anti-squeezed
-    quadrature (x for orientation "x"), so the symplectic action is
-    diag(sqrt(z), 1/sqrt(z))."""
+    """Single-mode squeezer; z is the covariance of the anti-squeezed x
+    quadrature, so the symplectic action is diag(sqrt(z), 1/sqrt(z))."""
 
     mode: int
     z: float
-    orientation: str = "x"
 
 
 @dataclass
@@ -58,7 +54,6 @@ class Rotation:
     modes: tuple[int, int]
     theta: float
     phi: float
-    stage: str = STAGE_POST
 
 
 @dataclass
@@ -67,80 +62,77 @@ class PhaseShift:
 
     mode: int
     alpha: float
-    stage: str = STAGE_POST
 
 
 PassiveElement = Rotation | PhaseShift
+Element = Squeezer | Rotation | PhaseShift
 
 
 @dataclass
 class PreparationCircuit:
-    """Executable recipe: seed state, squeezers, passive elements.
-
-    ``seed`` holds one value per mode (all ones for a pure source).  Replay
-    order is: pre-stage passive elements, squeezers, post-stage passive
-    elements; pure circuits only carry a post stage.
-    """
+    """A seed, one covariance value per mode (all ones for a pure source),
+    and the elements that act on it in list order."""
 
     n: int
     seed: np.ndarray
-    squeezers: list[Squeezer] = field(default_factory=list)
-    passive_ops: list[PassiveElement] = field(default_factory=list)
+    elements: list[Element] = field(default_factory=list)
     source: str = PURE_SOURCE
 
     def __post_init__(self):
         self.seed = np.asarray(self.seed, dtype=float)
 
+    @property
+    def squeezers(self) -> list[Squeezer]:
+        return [el for el in self.elements if isinstance(el, Squeezer)]
+
+    @property
+    def passive_ops(self) -> list[PassiveElement]:
+        return [el for el in self.elements if not isinstance(el, Squeezer)]
+
 
 def orthosymplectic_to_unitary(O: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Inverse of the passive representation map, with validation."""
     O = np.asarray(O, dtype=float)
-    m = O.shape[0]
-    if O.ndim != 2 or O.shape[0] != O.shape[1] or m % 2:
+    if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
         raise NotPassive(f"expected an even square matrix, got shape {O.shape}")
-    orth = float(np.max(np.abs(O @ O.T - np.eye(m))))
-    sympl = symplectic_defect(O)
-    if orth > 1e-8 or sympl > 1e-8:
-        raise NotPassive(
-            f"matrix is not orthogonal-symplectic: defects {orth:.3g}, {sympl:.3g}"
-        )
     U = O[0::2, 0::2] + 1j * O[0::2, 1::2]
-    block_defect = float(np.max(np.abs(O - unitary_to_orthosymplectic(U))))
-    if block_defect > 1e-8:
-        raise NotPassive(f"2x2 block structure violated: defect {block_defect:.3g}")
+    defects = (float(np.max(np.abs(O @ O.T - np.eye(O.shape[0])))), symplectic_defect(O),
+               float(np.max(np.abs(O - unitary_to_orthosymplectic(U)))))
+    if max(defects) > 1e-8:
+        raise NotPassive("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
+                         "symplectic and block defects " + ", ".join(f"{v:.3g}" for v in defects))
     return U
+
+
+def _element_unitary(el: PassiveElement):
+    """The modes a passive element acts on and its unitary on them."""
+    if isinstance(el, Rotation):
+        ct, st = np.cos(el.theta), np.sin(el.theta)
+        ph = np.exp(1j * el.phi)
+        return list(el.modes), np.array([[ct, -ph * st], [st / ph, ct]])
+    if isinstance(el, PhaseShift):
+        return [el.mode], np.array([[np.exp(1j * el.alpha)]])
+    raise TypeError(f"unknown passive element {el!r}")
 
 
 def elements_to_unitary(elements, n: int) -> np.ndarray:
-    """Left-to-right product of the listed passive elements.
-
-    Each element changes only the columns of the modes it acts on: two for
-    a rotation, one for a phase.
-    """
+    """Left-to-right product of the listed passive elements, each changing
+    only the columns of its modes."""
     U = np.eye(n, dtype=complex)
     for el in elements:
-        if isinstance(el, Rotation):
-            i, j = el.modes
-            ct, st = np.cos(el.theta), np.sin(el.theta)
-            ph = np.exp(1j * el.phi)
-            col_i, col_j = U[:, i].copy(), U[:, j]
-            U[:, i] = ct * col_i + (st / ph) * col_j
-            U[:, j] = ct * col_j - (ph * st) * col_i
-        elif isinstance(el, PhaseShift):
-            U[:, el.mode] *= np.exp(1j * el.alpha)
-        else:
-            raise TypeError(f"unknown passive element {el!r}")
+        modes, u = _element_unitary(el)
+        U[:, modes] = U[:, modes] @ u
     return U
 
 
-def passive_to_two_mode_rotations(O, stage: str = STAGE_POST,
-                                  tol: Tolerances = DEFAULT) -> list[PassiveElement]:
+def passive_to_two_mode_rotations(O, tol: Tolerances = DEFAULT) -> list[PassiveElement]:
     """Break a passive transform into two-mode rotations plus phases.
 
     Sweeps subdiagonal entries of the unitary picture column by column,
     bottom row up, nulling each with a rotation between adjacent modes; the
     residual diagonal becomes single-mode phases.  At most n(n-1)/2 rotations
-    and n phases are emitted and their ordered product rebuilds the input.
+    and n phases are emitted and their ordered product, leftmost factor
+    first, rebuilds the input; the last element is the first to act.
     """
     if isinstance(O, SymplecticTransform):
         O = O.entries
@@ -162,58 +154,47 @@ def passive_to_two_mode_rotations(O, stage: str = STAGE_POST,
                 theta = -float(np.arctan(abs(ratio)))
             # apply M(theta, phi) on rows (row-1, row); its inverse,
             # M(-theta, phi), is what the emitted list must contain
-            ct, st = np.cos(theta), np.sin(theta)
-            ph = np.exp(1j * phi)
-            upper = ct * work[row - 1, :] - ph * st * work[row, :]
-            lower = (st / ph) * work[row - 1, :] + ct * work[row, :]
-            work[row - 1, :] = upper
-            work[row, :] = lower
-            elements.append(Rotation((row - 1, row), -theta, phi, stage))
+            rows, M = _element_unitary(Rotation((row - 1, row), theta, phi))
+            work[rows] = M @ work[rows]
+            elements.append(Rotation((row - 1, row), -theta, phi))
     for i in range(n):
         alpha = float(np.angle(work[i, i]))
         if abs(alpha) > _ELEMENT_DROP:
-            elements.append(PhaseShift(i, alpha, stage))
+            elements.append(PhaseShift(i, alpha))
     return elements
 
 
-def _squeezer_symplectic(squeezers, n: int) -> np.ndarray:
-    diag = np.ones(2 * n)
-    for sq in squeezers:
-        root = np.sqrt(sq.z)
-        if sq.orientation == "x":
-            diag[2 * sq.mode] = root
-            diag[2 * sq.mode + 1] = 1.0 / root
-        else:
-            diag[2 * sq.mode] = 1.0 / root
-            diag[2 * sq.mode + 1] = root
-    return np.diag(diag)
-
-
-def _stage_matrix(circuit: PreparationCircuit, stage: str) -> np.ndarray:
-    elements = [el for el in circuit.passive_ops if el.stage == stage]
-    return unitary_to_orthosymplectic(elements_to_unitary(elements, circuit.n))
-
-
-def circuit_total_transform(circuit: PreparationCircuit) -> np.ndarray:
-    """Total symplectic matrix applied to the seed on replay."""
-    pre = _stage_matrix(circuit, STAGE_PRE)
-    post = _stage_matrix(circuit, STAGE_POST)
-    return post @ _squeezer_symplectic(circuit.squeezers, circuit.n) @ pre
-
-
 def replay_circuit(circuit: PreparationCircuit) -> np.ndarray:
-    """Covariance matrix produced by running the circuit on its seed."""
-    S = circuit_total_transform(circuit)
-    return S @ interleaved_diagonal(circuit.seed) @ S.T
+    """Covariance matrix produced by running the circuit on its seed:
+    S diag(seed) S^T, with S built one element at a time, each changing only
+    the rows of its modes."""
+    S = np.eye(2 * circuit.n)
+    for el in circuit.elements:
+        if isinstance(el, Squeezer):
+            root = np.sqrt(el.z)
+            S[2 * el.mode] *= root
+            S[2 * el.mode + 1] /= root
+        else:
+            modes, u = _element_unitary(el)
+            rows = [r for m in modes for r in (2 * m, 2 * m + 1)]
+            S[rows] = unitary_to_orthosymplectic(u) @ S[rows]
+    return (S * np.repeat(circuit.seed, 2)) @ S.T
+
+
+def _passive_network(O, modes, tol: Tolerances) -> list[PassiveElement]:
+    """O's Reck elements in acting order, moved from modes 0, 1, ... onto
+    ``modes``."""
+    return [replace(el, modes=(modes[el.modes[0]], modes[el.modes[1]]))
+            if isinstance(el, Rotation) else replace(el, mode=modes[el.mode])
+            for el in reversed(passive_to_two_mode_rotations(O, tol))]
 
 
 def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
-    """Squeezers and one passive network preparing a pure target.
+    """n squeezers and then one passive network preparing a pure target.
 
     The target must be physical with all symplectic eigenvalues equal to one
-    within tolerance.  Squeezer magnitudes are the paired eigenvalues of the
-    target itself; the passive network is the orthogonal factor aligning the
-    squeezed quadratures.
+    within tolerance.  The squeezers hold its paired eigenvalues; the network
+    is the orthogonal factor aligning the squeezed quadratures.
     """
     cov = _as_covariance(gamma, tol)
     if not cov.is_physical(tol.tol_psd):
@@ -223,81 +204,95 @@ def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
         raise NotPure(f"target is not pure: symplectic spectrum {d.values}")
     prep = symplectic_inverse(S_w.entries)
     factors = euler_decompose(prep, tol)
-    z = factors.z**2
-    squeezers = [Squeezer(mode=k, z=float(z[k])) for k in range(cov.n)]
-    if np.max(np.abs(z - 1.0)) <= tol.tol_recon:
-        passive: list[PassiveElement] = []
-    else:
-        passive = passive_to_two_mode_rotations(factors.O, STAGE_POST, tol)
-    return PreparationCircuit(
-        n=cov.n, seed=np.ones(cov.n), squeezers=squeezers,
-        passive_ops=passive, source=PURE_SOURCE,
-    )
+    elements: list[Element] = [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
+    elements += _passive_network(factors.O, range(cov.n), tol)
+    return PreparationCircuit(n=cov.n, seed=np.ones(cov.n), elements=elements,
+                              source=PURE_SOURCE)
 
 
 def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> PreparationCircuit:
     """Circuit preparing a synthesized mixed target from its thermal seed.
 
-    The seed is the trace's spectrum in mode order; the trace's gate product,
-    which carries the seed to the target, is Euler-factored into a pre-stage
-    passive network, squeezers, and a post-stage passive network.
+    The seed is the trace's spectrum in mode order.  Each two-mode gate, in
+    trace order, is Euler-factored as O Q V and emitted on its own modes as
+    V's elements, Q's non-unit squeezers, then O's elements; a trace without
+    gates gives no elements.
     """
     if trace.final_matrix is None:
         raise InvalidTrace("trace has no final matrix")
-    cov = trace.final_matrix
-    replay_defect = float(np.max(np.abs(replay_trace(trace) - cov.entries)))
-    scale = max(1.0, float(np.max(np.abs(cov.entries))))
-    if replay_defect > tol.tol_recon * scale:
-        raise InvalidTrace(f"trace does not replay to its final matrix: defect {replay_defect:.3g}")
-    seed, S = _gate_product(trace)
-    if np.max(np.abs(cov.entries - interleaved_diagonal(seed))) <= tol.tol_recon * scale:
-        return PreparationCircuit(
-            n=cov.n, seed=seed,
-            squeezers=[Squeezer(mode=k, z=1.0) for k in range(cov.n)],
-            passive_ops=[], source=MIXED_SOURCE,
-        )
-    factors = euler_decompose(S, tol)
-    z = factors.z**2
-    squeezers = [Squeezer(mode=k, z=float(z[k])) for k in range(cov.n)]
-    passive = passive_to_two_mode_rotations(factors.V, STAGE_PRE, tol)
-    passive += passive_to_two_mode_rotations(factors.O, STAGE_POST, tol)
-    return PreparationCircuit(
-        n=cov.n, seed=seed, squeezers=squeezers,
-        passive_ops=passive, source=MIXED_SOURCE,
-    )
+    target = trace.final_matrix.entries
+    defect = float(np.max(np.abs(replay_trace(trace) - target)))
+    if defect > tol.tol_recon * max(1.0, float(np.max(np.abs(target)))):
+        raise InvalidTrace(f"trace does not replay to its final matrix: defect {defect:.3g}")
+    elements: list[Element] = []
+    for step in trace.steps[1:]:
+        factors = euler_decompose(step.transform, tol)
+        elements += _passive_network(factors.V, step.modes, tol)
+        elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
+                     if z - 1.0 > _ELEMENT_DROP]
+        elements += _passive_network(factors.O, step.modes, tol)
+    return PreparationCircuit(n=trace.n, seed=trace_seed(trace), elements=elements,
+                              source=MIXED_SOURCE)
+
+
+def _element_line(el: Element) -> str:
+    if isinstance(el, Squeezer):
+        return f"squeezer mode={el.mode} z={el.z:.17g}"
+    if isinstance(el, Rotation):
+        return (f"rotation modes={el.modes[0]},{el.modes[1]} "
+                f"theta={el.theta:.17g} phi={el.phi:.17g}")
+    return f"phase mode={el.mode} alpha={el.alpha:.17g}"
 
 
 def serialize_circuit(circuit: PreparationCircuit) -> str:
-    """Render a circuit as line-oriented key-value text, 17 significant digits."""
-    lines = [
-        f"n {circuit.n}",
-        f"source {circuit.source}",
-        "seed " + " ".join(f"{v:.17g}" for v in circuit.seed),
-    ]
-    for sq in circuit.squeezers:
-        lines.append(f"squeezer mode={sq.mode} z={sq.z:.17g} orientation={sq.orientation}")
-    for el in circuit.passive_ops:
-        if isinstance(el, Rotation):
-            lines.append(
-                f"rotation stage={el.stage} modes={el.modes[0]},{el.modes[1]} "
-                f"theta={el.theta:.17g} phi={el.phi:.17g}"
-            )
-        else:
-            lines.append(f"phase stage={el.stage} mode={el.mode} alpha={el.alpha:.17g}")
-    return "\n".join(lines) + "\n"
+    """Render a circuit as line-oriented key-value text, 17 significant digits;
+    element lines follow the seed in the order the elements act."""
+    lines = [f"n {circuit.n}", f"source {circuit.source}",
+             "seed " + " ".join(f"{v:.17g}" for v in circuit.seed)]
+    return "\n".join(lines + [_element_line(el) for el in circuit.elements]) + "\n"
 
 
-def _fields(parts) -> dict:
-    return dict(part.split("=", 1) for part in parts)
+_RECORDS = {"squeezer": (Squeezer, ("mode", "z")), "phase": (PhaseShift, ("mode", "alpha")),
+            "rotation": (Rotation, ("modes", "theta", "phi"))}
+
+
+def _value(key: str, raw: str, n: int):
+    """One validated field of a circuit record."""
+    if key == "modes":
+        modes = tuple(_value("mode", v, n) for v in raw.split(","))
+        if len(modes) != 2 or modes[0] == modes[1]:
+            raise ValueError(f"a rotation needs two distinct modes, got {raw}")
+        return modes
+    if key == "mode":
+        mode = int(raw)
+        if not 0 <= mode < n:
+            raise ValueError(f"mode {mode} is outside 0..{n - 1}")
+        return mode
+    value, positive = float(raw), key in ("z", "seed")
+    if not np.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"{key}={raw} is not finite" + (" and positive" * positive))
+    return value
+
+
+def _parse_element(head: str, parts, n: int) -> Element:
+    cls, keys = _RECORDS[head]
+    kv = dict(part.split("=", 1) for part in parts)
+    if sorted(kv) != sorted(keys):
+        raise ValueError(f"{head} takes the fields {', '.join(keys)}, got {', '.join(kv)}; "
+                         "for a file in the older three-block format, re-run prepare")
+    return cls(*(_value(key, kv[key], n) for key in keys))
 
 
 def parse_circuit(text: str) -> PreparationCircuit:
-    """Parse the output of serialize_circuit."""
-    n = None
-    source = PURE_SOURCE
-    seed = None
-    squeezers: list[Squeezer] = []
-    passive: list[PassiveElement] = []
+    """Parse the output of serialize_circuit, validating every record.
+
+    The n record comes first.  Modes lie in 0..n-1 and a rotation's two
+    differ; angles are finite; squeezer and seed values are finite and
+    positive; any other field, as in the older three-block format, is
+    rejected.  Failures raise ValueError naming the line.
+    """
+    n, source, seed = None, PURE_SOURCE, None
+    elements: list[Element] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -306,30 +301,22 @@ def parse_circuit(text: str) -> PreparationCircuit:
         try:
             if head == "n":
                 n = int(rest[0])
+                if n < 1:
+                    raise ValueError(f"mode count {n} is not positive")
             elif head == "source":
                 source = rest[0]
-            elif head == "seed":
-                seed = np.array([float(v) for v in rest])
-            elif head == "squeezer":
-                kv = _fields(rest)
-                squeezers.append(Squeezer(mode=int(kv["mode"]), z=float(kv["z"]),
-                                          orientation=kv.get("orientation", "x")))
-            elif head == "rotation":
-                kv = _fields(rest)
-                i, j = (int(v) for v in kv["modes"].split(","))
-                passive.append(Rotation((i, j), float(kv["theta"]), float(kv["phi"]),
-                                        kv.get("stage", STAGE_POST)))
-            elif head == "phase":
-                kv = _fields(rest)
-                passive.append(PhaseShift(int(kv["mode"]), float(kv["alpha"]),
-                                          kv.get("stage", STAGE_POST)))
-            else:
+            elif head != "seed" and head not in _RECORDS:
                 raise ValueError(f"unknown record {head!r}")
-        except (KeyError, IndexError, ValueError) as exc:
+            elif n is None:
+                raise ValueError(f"{head} record before the n record")
+            elif head == "seed":
+                seed = np.array([_value("seed", v, n) for v in rest])
+                if seed.size != n:
+                    raise ValueError(f"seed has {seed.size} values for {n} modes")
+            else:
+                elements.append(_parse_element(head, rest, n))
+        except (IndexError, ValueError) as exc:
             raise ValueError(f"circuit line {lineno}: {exc}") from exc
     if n is None or seed is None:
         raise ValueError("circuit file is missing the n or seed record")
-    if seed.size != n:
-        raise ValueError(f"seed has {seed.size} values for {n} modes")
-    return PreparationCircuit(n=n, seed=seed, squeezers=squeezers,
-                              passive_ops=passive, source=source)
+    return PreparationCircuit(n=n, seed=seed, elements=elements, source=source)

@@ -4,8 +4,9 @@ Subcommands: check, synth, williamson, euler, entropy, prepare, verify.
 Machine-readable output is one JSON object per line on stdout; a short
 human-readable table goes to stderr.  Exit codes: 0 success or feasible,
 1 infeasible or violations found, 2 input error, 3 internal failure (a
-failed self-verification, or a NumericalFailure, ToleranceCollapse,
-SpectralPairingFailure or DegenerateSubspaceFailure raised by the library).
+failed self-check in synth, prepare, williamson or euler, or a
+NumericalFailure, ToleranceCollapse, SpectralPairingFailure or
+DegenerateSubspaceFailure raised by the library).
 MODEMATCH_TOL_INEQ overrides the inequality tolerance.
 
 Each subcommand imports the library modules it calls when it runs, so a
@@ -67,6 +68,16 @@ def _digest(*parts) -> str:
             h.update(str(part).encode())
         h.update(b"|")
     return h.hexdigest()[:16]
+
+
+def _relative(defect: np.ndarray, reference: np.ndarray) -> float:
+    """Largest entry of a defect over max(1, largest entry of the reference)."""
+    return float(np.max(np.abs(defect))) / max(1.0, float(np.max(np.abs(reference))))
+
+
+def _failed(command: str, check: str, defect: float) -> int:
+    _emit({"command": command, "error": f"{check} failed: defect {defect:.3g}"})
+    return EXIT_INTERNAL
 
 
 def _emit(record: dict, table_lines=None):
@@ -160,17 +171,14 @@ def cmd_synth(args, tol) -> int:
                "tolerances": _tol_dict(tol)})
         return EXIT_INFEASIBLE
     final = trace.final_matrix.entries
-    scale = max(1.0, float(np.max(np.abs(final))))
 
     # self-verification before anything is written
     _, d_out = williamson(trace.final_matrix, tol)
     c_out = local_diagonal(trace.final_matrix, tol).values.values
-    replay_defect = float(np.max(np.abs(replay_trace(trace) - final)))
     defect = max(float(np.max(np.abs(d_out.values - d))),
-                 float(np.max(np.abs(c_out - c))), replay_defect / scale)
+                 float(np.max(np.abs(c_out - c))), _relative(replay_trace(trace) - final, final))
     if defect > tol.tol_recon:
-        _emit({"command": "synth", "error": f"self-verification failed: defect {defect:.3g}"})
-        return EXIT_INTERNAL
+        return _failed("synth", "self-verification", defect)
 
     write_matrix(args.out, final, "covariance")
     if args.emit_trace:
@@ -208,7 +216,9 @@ def cmd_williamson(args, tol) -> int:
     cov = _load_covariance(args.matrix, tol)
     S, d = williamson(cov, tol)
     D = interleaved_diagonal(d.values)
-    defect = float(np.max(np.abs(S.entries @ cov.entries @ S.entries.T - D)))
+    defect = _relative(S.entries @ cov.entries @ S.entries.T - D, cov.entries)
+    if defect > tol.tol_recon:
+        return _failed("williamson", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.D.mat", D, "covariance")
     record = {
@@ -236,7 +246,9 @@ def cmd_euler(args, tol) -> int:
     except ModeMatchError as exc:
         raise _InputError(f"{args.matrix}: {exc}") from None
     factors = euler_decompose(S, tol)
-    defect = float(np.max(np.abs(factors.reconstruct() - S.entries)))
+    defect = _relative(factors.reconstruct() - S.entries, S.entries)
+    if defect > tol.tol_recon:
+        return _failed("euler", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
     write_matrix(f"{args.out_prefix}.V.mat", factors.V.entries, "symplectic")
@@ -335,11 +347,9 @@ def cmd_prepare(args, tol) -> int:
             circuit = circuit_from_mixed(trace, tol)
         digest = _digest("prepare", c, d)
 
-    scale = max(1.0, float(np.max(np.abs(target))))
-    defect = float(np.max(np.abs(replay_circuit(circuit) - target))) / scale
+    defect = _relative(replay_circuit(circuit) - target, target)
     if defect > tol.tol_recon:
-        _emit({"command": "prepare", "error": f"replay verification failed: defect {defect:.3g}"})
-        return EXIT_INTERNAL
+        return _failed("prepare", "replay verification", defect)
     with open(args.out, "w") as fh:
         fh.write(serialize_circuit(circuit))
     record = {

@@ -443,6 +443,10 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
 
     # mu is ascending, so the squeezed planes are the last k eigenvectors
     k = 2 * n - int(np.searchsorted(mu, tau, side="right"))
+    if k == 0:
+        # P is the identity within the noise floor: S itself is passive
+        return EulerFactors(O=SymplecticTransform(np.eye(2 * n), tol=tol), z=np.ones(n),
+                            V=SymplecticTransform(_polish_passive(P_inv @ St.entries), tol=tol))
     if k > n:
         raise NumericalFailure(
             "squeeze planes of the polar factor do not pair into doublets: "

@@ -289,30 +289,26 @@ def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     return synthesize(b + 1.0, np.ones_like(b), tol)
 
 
-def _gate_product(trace: SynthesisTrace):
-    """The seed in mode order and the product S of the trace's gates.
-
-    Each gate updates only the four rows of S that belong to its modes.
-    """
-    seed_step, *gates = trace.steps
+def trace_seed(trace: SynthesisTrace) -> np.ndarray:
+    """The thermal seed of a trace, one value per mode in mode order."""
     seed = np.empty(trace.n)
-    seed[list(seed_step.modes)] = seed_step.values
-    S = np.eye(2 * trace.n)
-    for step in gates:
-        i, j = step.modes
-        rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        S[rows] = step.transform @ S[rows]
-    return seed, S
+    seed[list(trace.steps[0].modes)] = trace.steps[0].values
+    return seed
 
 
 def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     """Re-run the recorded steps: S diag(seed) S^T.
 
-    The result must match ``trace.final_matrix`` within the reconstruction
-    tolerance.
+    S, the product of the gates, is built by four-row updates, one per
+    gate on the rows of its modes.  The result must match
+    ``trace.final_matrix`` within the reconstruction tolerance.
     """
-    seed, S = _gate_product(trace)
-    return (S * np.repeat(seed, 2)) @ S.T
+    S = np.eye(2 * trace.n)
+    for step in trace.steps[1:]:
+        i, j = step.modes
+        rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        S[rows] = step.transform @ S[rows]
+    return (S * np.repeat(trace_seed(trace), 2)) @ S.T
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int,

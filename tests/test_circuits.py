@@ -16,7 +16,9 @@ from modematch import (
 )
 from modematch.circuits import (
     PhaseShift,
+    PreparationCircuit,
     Rotation,
+    Squeezer,
     elements_to_unitary,
     orthosymplectic_to_unitary,
     unitary_to_orthosymplectic,
@@ -172,6 +174,7 @@ class TestCircuitFromMixed:
     def test_equal_pair_gives_bare_seed(self):
         trace = synthesize([1.5, 2.5], [1.5, 2.5])
         circuit = circuit_from_mixed(trace)
+        assert circuit.elements == []
         assert circuit.passive_ops == []
         assert all(sq.z == 1.0 for sq in circuit.squeezers)
         np.testing.assert_allclose(replay_circuit(circuit),
@@ -194,10 +197,18 @@ class TestCircuitFromMixed:
             target = trace.final_matrix.entries
             scale = max(1.0, np.max(np.abs(target)))
             assert np.max(np.abs(replay_circuit(circuit) - target)) / scale <= 1e-7
-            # per-stage element count stays within the triangular bound
-            for stage in ("pre", "post"):
-                count = sum(1 for el in circuit.passive_ops if el.stage == stage)
-                assert count <= 5 * 4 // 2 + 5
+            # each of the n - 1 gates gives at most 2 squeezers, 2 rotations, 4 phases
+            assert len(circuit.elements) <= 8 * (5 - 1)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_element_count_grows_linearly(self, n):
+        d = np.linspace(1.0, 3.0, n)
+        trace = synthesize(d + 0.5 * np.arange(n) / n, d)
+        circuit = circuit_from_mixed(trace)
+        assert len(circuit.elements) <= 8 * (n - 1)
+        target = trace.final_matrix.entries
+        scale = max(1.0, np.max(np.abs(target)))
+        assert np.max(np.abs(replay_circuit(circuit) - target)) / scale <= 1e-8
 
     def test_perturbed_gate_is_an_invalid_trace(self):
         rng = np.random.default_rng(69)
@@ -208,6 +219,29 @@ class TestCircuitFromMixed:
         gate.transform[0, 0] += 1e-4
         with pytest.raises(InvalidTrace):
             circuit_from_mixed(trace)
+
+
+class TestActingOrder:
+    def test_elements_act_in_list_order(self):
+        # a squeezer listed before a rotation acts first: R Q diag(seed) Q^T R^T
+        z, theta, phi = 3.0, 0.4, 0.7
+        circuit = PreparationCircuit(n=2, seed=[1.5, 2.5], source="mixed_OQV", elements=[
+            Squeezer(0, z), Rotation((0, 1), theta, phi)])
+        ct, st, ph = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+        R = unitary_to_orthosymplectic(np.array([[ct, -ph * st], [st / ph, ct]]))
+        Q = np.diag([np.sqrt(z), 1 / np.sqrt(z), 1.0, 1.0])
+        D = interleaved_diagonal([1.5, 2.5])
+        expected = R @ Q @ D @ Q.T @ R.T
+        wrong_order = Q @ R @ D @ R.T @ Q.T
+        assert np.max(np.abs(expected - wrong_order)) > 0.1
+        np.testing.assert_allclose(replay_circuit(circuit), expected, rtol=0, atol=1e-13)
+
+    def test_views_split_the_element_list(self):
+        rng = np.random.default_rng(73)
+        c, d = sample_feasible_pair(rng, 4, physical=True)
+        circuit = circuit_from_mixed(synthesize(c, d))
+        assert circuit.squeezers == [el for el in circuit.elements if isinstance(el, Squeezer)]
+        assert len(circuit.squeezers) + len(circuit.passive_ops) == len(circuit.elements)
 
 
 class TestSerialization:
@@ -229,3 +263,52 @@ class TestSerialization:
             parse_circuit("n 2\nsource pure_OPO\n")
         with pytest.raises(ValueError):
             parse_circuit("n 2\nsource x\nseed 1 1\nsqueezer mode=0\n")
+
+    @pytest.mark.parametrize("seed, element", [
+        ("1 1", "squeezer mode=0 z=-4"),
+        ("1 1", "squeezer mode=0 z=0"),
+        ("1 1", "squeezer mode=0 z=inf"),
+        ("1 1", "squeezer mode=0 z=nan"),
+        ("1 1", "squeezer mode=2 z=2"),
+        ("1 1", "rotation modes=0,5 theta=0.1 phi=0"),
+        ("1 1", "rotation modes=1,1 theta=0.1 phi=0"),
+        ("1 1", "rotation modes=0 theta=0.1 phi=0"),
+        ("1 1", "rotation modes=0,1 theta=nan phi=0"),
+        ("1 1", "rotation modes=0,1 theta=0.1 phi=inf"),
+        ("1 1", "phase mode=-1 alpha=0.3"),
+        ("1 1", "phase mode=0 alpha=-inf"),
+        ("1 1", "phase mode=0 alpha=0.3 extra=1"),
+        ("1 nan", "squeezer mode=0 z=2"),
+        ("1 -1", "squeezer mode=0 z=2"),
+        ("1 1 1", "squeezer mode=0 z=2"),
+    ])
+    def test_parse_rejects_invalid_records_by_line(self, seed, element):
+        text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"
+        bad_line = 4 if seed == "1 1" else 3
+        with pytest.raises(ValueError, match=f"circuit line {bad_line}:"):
+            parse_circuit(text)
+
+    @pytest.mark.parametrize("element", [
+        "squeezer mode=0 z=2 orientation=x",
+        "squeezer mode=0 z=2 orientation=q",
+        "rotation stage=post modes=0,1 theta=0.1 phi=0",
+        "phase stage=pre mode=0 alpha=0.3",
+    ])
+    def test_parse_rejects_the_old_staged_format(self, element):
+        text = f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n"
+        with pytest.raises(ValueError, match="circuit line 4: .*re-run prepare"):
+            parse_circuit(text)
+
+    def test_element_before_mode_count_is_rejected(self):
+        with pytest.raises(ValueError, match="circuit line 1:"):
+            parse_circuit("squeezer mode=0 z=2\nn 1\nseed 1\n")
+
+    def test_lines_follow_the_element_order(self):
+        rng = np.random.default_rng(75)
+        c, d = sample_feasible_pair(rng, 4, physical=True)
+        circuit = circuit_from_mixed(synthesize(c, d))
+        heads = [line.split()[0] for line in serialize_circuit(circuit).splitlines()[3:]]
+        assert heads == [type(el).__name__.lower().replace("phaseshift", "phase")
+                         for el in circuit.elements]
+        assert "stage=" not in serialize_circuit(circuit)
+        assert "orientation=" not in serialize_circuit(circuit)

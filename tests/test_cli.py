@@ -159,6 +159,43 @@ class TestWilliamsonEuler:
                           "--out-prefix", str(tmp_path / "e"))
         assert code == 2
 
+    def test_williamson_defect_exits_three(self, capsys, tmp_path, monkeypatch):
+        import modematch.core as core
+
+        real = core.williamson
+
+        def perturbed(cov, tol):
+            S, d = real(cov, tol)
+            return S, core.SpectrumVector(d.values * (1.0 + 1e-4))
+
+        monkeypatch.setattr(core, "williamson", perturbed)
+        src = tmp_path / "g.mat"
+        write_matrix(src, np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
+        code, record = run_cli(capsys, "williamson", "--matrix", str(src),
+                               "--out-prefix", str(tmp_path / "w"))
+        assert code == 3
+        assert "reconstruction check failed" in record["error"]
+        assert not (tmp_path / "w.S.mat").exists()
+
+    def test_euler_defect_exits_three(self, capsys, tmp_path, monkeypatch):
+        import modematch.core as core
+
+        real = core.euler_decompose
+
+        def perturbed(S, tol):
+            factors = real(S, tol)
+            factors.z = factors.z * (1.0 + 1e-4)
+            return factors
+
+        monkeypatch.setattr(core, "euler_decompose", perturbed)
+        src = tmp_path / "s.mat"
+        write_matrix(src, np.diag([2.0, 0.5, 1.0, 1.0]), "symplectic")
+        code, record = run_cli(capsys, "euler", "--matrix", str(src),
+                               "--out-prefix", str(tmp_path / "e"))
+        assert code == 3
+        assert "reconstruction check failed" in record["error"]
+        assert not (tmp_path / "e.O.mat").exists()
+
     def test_rejects_asymmetric_matrix_file(self, capsys, tmp_path):
         bad = np.eye(4)
         bad[0, 1] = 0.5
@@ -233,6 +270,22 @@ class TestPrepare:
         assert code == 0
         np.testing.assert_allclose(read_matrix(replayed).values,
                                    read_matrix(src).values, atol=1e-7)
+
+
+    @pytest.mark.parametrize("element", [
+        "squeezer mode=0 z=-4",
+        "rotation modes=0,5 theta=0.1 phi=0",
+        "phase mode=-1 alpha=0.3",
+        "squeezer mode=0 z=2 orientation=q",
+    ])
+    def test_invalid_circuit_file_is_an_input_error(self, capsys, tmp_path, element):
+        circ = tmp_path / "c.txt"
+        circ.write_text(f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n")
+        out = tmp_path / "r.mat"
+        code, record = run_cli(capsys, "replay", "--circuit", str(circ), "--out", str(out))
+        assert code == 2
+        assert "circuit line 4" in record["error"]
+        assert not out.exists()
 
 
 class TestVerify:
