@@ -9,6 +9,7 @@ Conventions used throughout the package:
   with S symplectic and d non-decreasing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,9 @@ def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(M: np.ndarray) -> float:
-    return float(np.abs(M).max())
+    # the ufunc reduction skips ndarray.max's Python wrapper; like it, it
+    # propagates NaN
+    return float(np.maximum.reduce(np.abs(M), axis=None))
 
 
 def _check_finite(entries: np.ndarray, what: str):
@@ -89,11 +92,22 @@ def _check_finite(entries: np.ndarray, what: str):
         raise ValueError(f"{what} has non-finite entries")
 
 
+def _finite_max_abs(entries: np.ndarray, what: str) -> float:
+    """Max-norm of a matrix that must be finite: NaN and +/-inf propagate
+    through the max, so one reduction serves both the check and the scale."""
+    scale = _max_abs(entries)
+    if not math.isfinite(scale):
+        raise ValueError(f"{what} has non-finite entries")
+    return scale
+
+
 def symplectic_defect(entries: np.ndarray) -> float:
     """Max-norm of S sigma S^T - sigma."""
     entries = np.asarray(entries, dtype=float)
     _check_even_square(entries, "transform")
-    form = _sigma_right(entries) @ entries.T
+    # S sigma S^T = X - X^T with X the x-columns times the p-columns
+    cross = entries[:, 0::2] @ entries[:, 1::2].T
+    form = cross - cross.T
     _add_sigma(form, -1.0)
     return _max_abs(form)
 
@@ -129,8 +143,7 @@ class CovarianceMatrix:
     def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "covariance matrix")
-        _check_finite(entries, "covariance matrix")
-        scale = max(1.0, _max_abs(entries))
+        scale = max(1.0, _finite_max_abs(entries, "covariance matrix"))
         sym_defect = _max_abs(entries - entries.T)
         if sym_defect > tol.tol_sym * scale:
             raise ValueError(
@@ -171,8 +184,7 @@ class SymplecticTransform:
     def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "symplectic transform")
-        _check_finite(entries, "symplectic transform")
-        scale = max(1.0, _max_abs(entries) ** 2)
+        scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
         defect = symplectic_defect(entries)
         if defect > tol.tol_sympl * scale:
             raise NotSymplectic(
@@ -290,18 +302,22 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         A_inv = (U / root) @ U.T
         lam, vecs = np.linalg.eigh(1j * (A @ _sigma_left(A)))
         mismatch = _max_abs(lam + lam[::-1])
-        lam_max = _max_abs(lam)
+        # eigh sorts ascending, so the largest magnitude sits at one end
+        lam_max = max(abs(float(lam[0])), abs(float(lam[-1])))
         # phase convention: rotate each vector's dominant entry onto the
         # imaginary axis, first index winning near-ties, so diagonal inputs
-        # map to W = I
+        # map to W = I; the factor sqrt(2) of the real basis rides along
         V = vecs[:, n:]
         mags = np.abs(V)
         lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-9), axis=0)
-        V = V * np.exp(1j * (np.pi / 2 - np.angle(V[lead, np.arange(n)])))
+        p = V[lead, np.arange(n)]
+        V = V * (1j * np.sqrt(2.0) * p.conj() / np.abs(p))
         W = np.empty((2 * n, 2 * n))
-        W[:, 0::2] = np.sqrt(2.0) * V.imag
-        W[:, 1::2] = np.sqrt(2.0) * V.real
-        orth_defect = _max_abs(W.T @ W - np.eye(2 * n))
+        W[:, 0::2] = V.imag
+        W[:, 1::2] = V.real
+        gram = W.T @ W
+        gram.reshape(-1)[:: 2 * n + 1] -= 1.0
+        orth_defect = _max_abs(gram)
         cov._skew = (*_frozen(lam[n:].copy(), W, A_inv), mismatch, lam_max, orth_defect)
     return cov._skew
 
@@ -390,83 +406,92 @@ def _positive_leading_sign(u: np.ndarray) -> np.ndarray:
     """Flip each column so its dominant entry, first index winning near-ties,
     is non-negative."""
     mags = np.abs(u)
-    lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-9), axis=0)
-    return u * np.where(u[lead, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    lead = (mags >= np.maximum.reduce(mags) * (1.0 - 1e-9)).argmax(axis=0)
+    # the dominant entry of a unit column is never zero
+    return u * np.copysign(1.0, u[lead, np.arange(u.shape[1])])
 
 
-def _polish_passive(M: np.ndarray) -> np.ndarray:
+def _polish_passive(M: np.ndarray, exact_pairs: bool = False) -> np.ndarray:
     """Project onto the exact orthogonal-symplectic structure.
 
     Averages M with sigma M sigma^T, which keeps the part commuting with
-    sigma (2x2 blocks [[a, b], [-b, a]], the complex embedding), then
-    applies two Newton orthogonalisation steps, which preserve that
-    structure; moves M by no more than its structural defect, which is
-    assumed small.
+    sigma (2x2 blocks [[a, b], [-b, a]], the complex embedding), then takes
+    Newton orthogonalisation steps A (3 - A^T A) / 2, which preserve that
+    structure and square the orthogonality defect: one step when the
+    defect it measures is at most 1e-8, which is the usual case, more
+    while it is larger.  Moves M by no more than its structural defect,
+    which is assumed small.  When the columns of M are exact pairs
+    (u, sigma^T u), the average is bitwise M itself and is skipped.
     """
-    A = 0.5 * (M - _sigma_left(_sigma_right(M)))
-    three = 3.0 * np.eye(M.shape[0])
-    for _ in range(2):
-        A = 0.5 * A @ (three - A.T @ A)
+    A = M if exact_pairs else 0.5 * (M - _sigma_left(_sigma_right(M)))
+    # quadratic convergence from a defect below 1: four steps take a 1e-2
+    # defect to rounding, and the validation rejects anything worse
+    for _ in range(4):
+        defect = A.T @ A
+        defect.reshape(-1)[:: M.shape[0] + 1] -= 1.0
+        A = A - A @ (0.5 * defect)
+        # Frobenius norm at most 1e-8, which bounds the max-norm too
+        if np.vdot(defect, defect) <= 1e-16:
+            break
     return A
 
 
 def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     """Factor a symplectic matrix as S = O Q V with passive O, V.
 
-    The symmetric positive part P of the polar splitting S = P R is
-    diagonalised by an orthogonal-symplectic congruence.  Its eigenvalue
-    pairs (z, 1/z) are recovered from the symmetric matrix
-    sigma (P - P^{-1}) / 2, whose spectrum is +/- (z - 1/z) / 2 per mode:
-    an eigenvector w for a positive value there yields the anti-squeezed
-    direction u = (w - sigma w) / sqrt(2) with exact partner sigma^T u, a
-    construction whose error stays at machine scale even for close or
-    near-unit squeezing values.  Squeezing magnitudes are normalised to
-    z >= 1 by assigning the larger member of each pair to the x quadrature.
+    Everything comes from one SVD S = U diag(lam) W^T, that is from the
+    polar splitting S = P R with P = U diag(lam) U^T and R = U W^T.  The
+    singular values pair into (z, 1/z); the leading columns u of U whose
+    z lies above the noise floor are the anti-squeezed directions, and
+    their exact partners sigma^T u span the squeezed ones.  The remaining
+    unit planes are completed by a symplectic Gram-Schmidt over the other
+    columns of U.  The passive right factor is V = O^T R, read off the
+    SVD's own orthogonal polar factor: R carries the rounding of the SVD
+    alone, whereas P^{-1} S would amplify it by ||S||.  Squeezing
+    magnitudes are normalised to z >= 1 by assigning the larger member of
+    each pair to the x quadrature, and sorted non-decreasing.
     """
     if isinstance(S, SymplecticTransform):
         St = S
     else:
         St = SymplecticTransform(S, tol=tol)
     n = St.n
-    # S = U diag(lam) W^T, so P = U diag(lam) U^T; taking U from S itself
-    # rather than from eigh(S S^T) keeps the conditioning at ||S||, not ||S||^2
-    U, lam, _ = np.linalg.svd(St.entries)
-    P = (U * lam) @ U.T
-    P_inv = (U / lam) @ U.T
-
-    half_diff = _sigma_left(P - P_inv) / 2.0
-    half_diff = 0.5 * (half_diff + half_diff.T)
-    mu, W = np.linalg.eigh(half_diff)
-    # below the noise floor a plane is numerically unsqueezed; above it the
-    # construction from eigenvectors is self-correcting, so no gap is needed
-    tau = max(1e-12, 100.0 * _EPS * max(1.0, _max_abs(mu)))
-
-    # mu is ascending, so the squeezed planes are the last k eigenvectors
-    k = 2 * n - int(np.searchsorted(mu, tau, side="right"))
+    # taking U from S itself rather than from eigh(S S^T) keeps the
+    # conditioning at ||S||, not ||S||^2
+    U, lam, Wt = np.linalg.svd(St.entries)
+    R = U @ Wt
+    # a plane counts as squeezed when (z - 1/z) / 2 exceeds the noise floor
+    # tau, that is when z > tau + sqrt(tau^2 + 1); no gap is needed above it,
+    # since each pair (u, sigma^T u) is orthogonal by construction and the
+    # polish removes what near-unit planes leave between pairs
+    lam_max = float(lam[0])
+    tau = max(1e-12, 100.0 * _EPS * max(1.0, 0.5 * (lam_max - 1.0 / lam_max)))
+    k = int(np.count_nonzero(lam > tau + math.sqrt(tau * tau + 1.0)))
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
         return EulerFactors(O=SymplecticTransform(np.eye(2 * n), tol=tol), z=np.ones(n),
-                            V=SymplecticTransform(_polish_passive(P_inv @ St.entries), tol=tol))
+                            V=SymplecticTransform(_polish_passive(R), tol=tol))
     if k > n:
         raise NumericalFailure(
             "squeeze planes of the polar factor do not pair into doublets: "
-            f"spectrum {mu}"
+            f"singular values {lam}"
         )
-    Ws = W[:, 2 * n - k :]
-    u_cols = _positive_leading_sign((Ws - _sigma_left(Ws)) / np.sqrt(2.0))
+    # lam is descending; reversing the leading k columns sorts z ascending
+    u_cols = _positive_leading_sign(U[:, k - 1 :: -1])
     v_cols = -_sigma_left(u_cols)
-    z_vec = mu[2 * n - k :] + np.sqrt(mu[2 * n - k :] ** 2 + 1.0)
+    z_vec = lam[k - 1 :: -1]
     if k < n:
-        # leftover eigenvectors over-cover the unit subspace; the max-residual
+        # the other columns over-cover the unit subspace; the max-residual
         # selection inside the pairing discards what the planes already span
-        cluster = W[:, : 2 * n - k]
+        cluster = U[:, k:]
         chosen = np.column_stack([u_cols, v_cols])
         unit_u, unit_v, unit_z = [], [], []
         for _ in range(n - k):
             u, v = _symplectic_gram_schmidt_pair(cluster, chosen)
             unit_u.append(u)
             unit_v.append(v)
-            unit_z.append(max(1.0, float(u @ P @ u)))
+            # u^T P u from the SVD, without forming P
+            unit_z.append(max(1.0, float(lam @ (U.T @ u) ** 2)))
             chosen = np.column_stack([chosen, u, v])
         z_vec = np.concatenate([z_vec, unit_z])
         order = np.argsort(z_vec, kind="stable")
@@ -476,12 +501,11 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     O1 = np.empty((2 * n, 2 * n))
     O1[:, 0::2] = u_cols
     O1[:, 1::2] = v_cols
-    O1 = _polish_passive(O1)
-    V = _polish_passive(O1.T @ (P_inv @ St.entries))
+    O1 = _polish_passive(O1, exact_pairs=k == n)
     return EulerFactors(
         O=SymplecticTransform(O1, tol=tol),
         z=z_vec,
-        V=SymplecticTransform(V, tol=tol),
+        V=SymplecticTransform(_polish_passive(O1.T @ R), tol=tol),
     )
 
 

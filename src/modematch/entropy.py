@@ -16,6 +16,7 @@ than s(4) = 2.427 bits.  It is kept under its historical names
 (``entropy_upper_bound``, ``EntropyReport.global_upper_bound``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,10 @@ def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
     c = max(c, 1.0)
     up = 0.5 * (c + 1.0)
     down = 0.5 * (c - 1.0)
-    out = up * np.log2(up)
+    out = up * math.log2(up)
     if down > 0.0:
-        out -= down * np.log2(down)
-    return float(out)
+        out -= down * math.log2(down)
+    return out
 
 
 def _entropy_bits(c: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -164,7 +165,9 @@ def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyRepo
     if gamma is not None:
         c = local_diagonal(_as_covariance(gamma, tol), tol).values.values
     else:
-        c = np.sort(_as_vector(c, "c"))
+        c = _as_vector(c, "c")
+        if (c[1:] < c[:-1]).any():
+            c = np.sort(c)
     per_mode = _entropy_bits(c, tol)
     return EntropyReport(
         per_mode_entropies=per_mode,

@@ -46,6 +46,20 @@ def random_physical(rng, n, squeeze_bound=5.0, d_high=3.0):
     return CovarianceMatrix(S.entries @ interleaved_diagonal(d) @ S.entries.T), d, S
 
 
+def count_solver_calls(monkeypatch, names):
+    """Replace the named np.linalg solvers by wrappers that log each call."""
+    calls = []
+    for name in names:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def skew_eigen_oracle(gamma):
     """Independent route: square roots of the eigenvalues of -g s g s."""
     n = gamma.shape[0] // 2
@@ -103,22 +117,9 @@ class TestSingleSpectralPass:
     once, the complex eigh of its skew kernel; every later spectral caller
     reuses that data."""
 
-    @staticmethod
-    def _count_eigen_solves(monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-
-            def counted(*args, _solver=solver, _name=name, **kwargs):
-                calls.append(_name)
-                return _solver(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     def test_eigen_solver_budget(self, monkeypatch):
         gamma = random_physical(np.random.default_rng(41), 4)[0].entries.copy()
-        calls = self._count_eigen_solves(monkeypatch)
+        calls = count_solver_calls(monkeypatch, ("eigh", "eigvalsh"))
         cov = CovarianceMatrix(gamma)
         local_diagonal(cov)
         symplectic_eigenvalues(cov)
@@ -351,6 +352,28 @@ class TestEulerDecompose:
         factors = euler_decompose(S)
         assert np.sum(factors.z - 1.0 <= 1e-9) >= n // 2
         self._assert_passive_factorisation(factors, S)
+
+    def test_solver_budget(self, monkeypatch):
+        # the planes, the unit completion and the passive factor all come
+        # from one SVD of S; no eigensolver runs on any path
+        rng = np.random.default_rng(61)
+        squeezed = random_symplectic(3, 4.0, rng)
+        one_plane = (haar_orthogonal_symplectic(3, rng) * [3.0, 1.0 / 3.0, 1, 1, 1, 1]
+                     ) @ haar_orthogonal_symplectic(3, rng)
+        passive = SymplecticTransform(haar_orthogonal_symplectic(3, rng))
+        calls = count_solver_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "eig"))
+        factors = euler_decompose(squeezed)
+        assert calls == ["svd"]
+        assert np.all(factors.z > 1.0 + 1e-3)
+        calls.clear()
+        factors = euler_decompose(SymplecticTransform(one_plane))
+        assert calls == ["svd"]
+        np.testing.assert_allclose(factors.z, [1.0, 1.0, 3.0], atol=1e-12)
+        calls.clear()
+        factors = euler_decompose(passive)
+        assert calls == ["svd"]
+        np.testing.assert_array_equal(factors.O.entries, np.eye(6))
+        np.testing.assert_array_equal(factors.z, np.ones(3))
 
     @pytest.mark.parametrize("squeeze_bound", [1e3, 3e3])
     def test_accuracy_relative_to_norm_at_strong_squeezing(self, squeeze_bound):

@@ -173,6 +173,16 @@ class TestEntropyReport:
         assert report.total_local_sum == pytest.approx(
             float(np.sum(report.per_mode_entropies)))
 
+    def test_unsorted_values_report_in_sorted_order(self):
+        c = np.array([2.0, 1.5, 3.0, 1.0])
+        report = entropy_report(c=c)
+        reference = entropy_report(c=np.sort(c))
+        np.testing.assert_array_equal(report.per_mode_entropies,
+                                      reference.per_mode_entropies)
+        assert report.global_upper_bound == reference.global_upper_bound
+        assert report.purity_consistent == reference.purity_consistent
+        np.testing.assert_array_equal(c, [2.0, 1.5, 3.0, 1.0])
+
     def test_matrix_report(self):
         trace = synthesize_pure([1.0, 1.0])
         report = entropy_report(gamma=trace.final_matrix)
