@@ -16,8 +16,9 @@ class Tolerances:
     """Bundle of tolerances used across the library.
 
     Attributes:
-        tol_sym: symmetry defect, relative to the matrix max-norm.
-        tol_sympl: symplecticity defect, relative to the matrix max-norm.
+        tol_sym: symmetry defect, relative to max(1, matrix max-norm).
+        tol_sympl: max-norm of S sigma S^T - sigma, relative to
+            max(1, max|S|^2), since the form is quadratic in S.
         tol_pos: strict-positivity threshold on the smallest eigenvalue.
         tol_psd: slack allowed in the uncertainty (physicality) test.
         tol_recon: allowed reconstruction defect of decompositions.

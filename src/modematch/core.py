@@ -9,6 +9,7 @@ Conventions used throughout the package:
   with S symplectic and d non-decreasing.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     SpectralPairingFailure,
 )
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -45,29 +46,43 @@ def _add_sigma(M: np.ndarray, scale) -> None:
     k (2m + 2) + 1 and k (2m + 2) + m of the m x m array.
     """
     m = M.shape[0]
-    flat = M.reshape(-1)
+    flat = M.ravel()
     flat[1 :: 2 * m + 2] += scale
     flat[m :: 2 * m + 2] -= scale
 
 
+@functools.cache
+def _mode_swap(m: int):
+    """Read-only helpers for applying sigma at size m = 2n, built once per
+    size: the index swapping x and p within each mode, the row signs of
+    sigma M as a column, and the column signs of M sigma."""
+    swap = np.arange(m) ^ 1
+    row_sign = np.tile((1.0, -1.0), m // 2)[:, None]
+    return _frozen(swap, row_sign, -row_sign[:, 0])
+
+
 def _sigma_left(M: np.ndarray) -> np.ndarray:
-    """sigma @ M as a row swap within each mode plus a sign flip."""
-    out = np.empty_like(M)
-    out[0::2] = M[1::2]
-    out[1::2] = -M[0::2]
-    return out
+    """sigma @ M for a 2n x k matrix, as a row swap within each mode plus a
+    sign flip."""
+    swap, row_sign, _ = _mode_swap(M.shape[0])
+    return M.take(swap, axis=0) * row_sign
 
 
 def _sigma_right(M: np.ndarray) -> np.ndarray:
-    """M @ sigma as a column swap within each mode plus a sign flip."""
-    out = np.empty_like(M)
-    out[:, 0::2] = -M[:, 1::2]
-    out[:, 1::2] = M[:, 0::2]
-    return out
+    """M @ sigma as a column swap within each mode plus a sign flip; for a
+    vector u this is u^T sigma, that is sigma^T u."""
+    swap, _, col_sign = _mode_swap(M.shape[-1])
+    return M.take(swap, axis=-1) * col_sign
+
+
+def _sigma_average(M: np.ndarray) -> np.ndarray:
+    """(M + sigma M sigma^T) / 2 for a square M; sigma M sigma^T swaps rows
+    and columns within each mode and flips the sign of the mixed entries."""
+    swap, row_sign, col_sign = _mode_swap(M.shape[0])
+    return 0.5 * (M - M.take(swap, axis=0).take(swap, axis=1) * (row_sign * col_sign))
 
 
 def _check_even_square(entries: np.ndarray, what: str) -> int:
-    entries = np.asarray(entries)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {entries.shape}")
     if entries.shape[0] % 2 != 0:
@@ -87,9 +102,9 @@ def _max_abs(M: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(M), axis=None))
 
 
-def _check_finite(entries: np.ndarray, what: str):
-    if not np.isfinite(entries).all():
-        raise ValueError(f"{what} has non-finite entries")
+def _descends(values: list) -> bool:
+    """Whether a list of floats has a neighbour pair in decreasing order."""
+    return any(b < a for a, b in zip(values, values[1:]))
 
 
 def _finite_max_abs(entries: np.ndarray, what: str) -> float:
@@ -105,6 +120,11 @@ def symplectic_defect(entries: np.ndarray) -> float:
     """Max-norm of S sigma S^T - sigma."""
     entries = np.asarray(entries, dtype=float)
     _check_even_square(entries, "transform")
+    return _symplectic_defect(entries)
+
+
+def _symplectic_defect(entries: np.ndarray) -> float:
+    """symplectic_defect of a float array already known to be even square."""
     # S sigma S^T = X - X^T with X the x-columns times the p-columns
     cross = entries[:, 0::2] @ entries[:, 1::2].T
     form = cross - cross.T
@@ -185,7 +205,7 @@ class SymplecticTransform:
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "symplectic transform")
         scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
-        defect = symplectic_defect(entries)
+        defect = _symplectic_defect(entries)
         if defect > tol.tol_sympl * scale:
             raise NotSymplectic(
                 f"symplectic defect {defect:.3g} exceeds tolerance "
@@ -227,12 +247,16 @@ class SpectrumVector:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("spectrum must be a non-empty 1-d vector")
-        _check_finite(values, "spectrum")
+        # n values: the checks run on Python floats, which beats a numpy
+        # dispatch per reduction at these sizes
+        vals = values.tolist()
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("spectrum has non-finite entries")
         if self.kind not in SPECTRUM_KINDS:
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if values.min() <= 0:
+        if min(vals) <= 0:
             raise NotPositive("spectrum entries must be strictly positive")
-        if (values[1:] < values[:-1]).any():
+        if _descends(vals):
             raise NotSorted("spectrum values must be non-decreasing")
         self.values = values
 
@@ -301,22 +325,22 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         A = (U * root) @ U.T
         A_inv = (U / root) @ U.T
         lam, vecs = np.linalg.eigh(1j * (A @ _sigma_left(A)))
-        mismatch = _max_abs(lam + lam[::-1])
+        spectrum = lam.tolist()
+        mismatch = max(abs(a + b) for a, b in zip(spectrum, reversed(spectrum)))
         # eigh sorts ascending, so the largest magnitude sits at one end
-        lam_max = max(abs(float(lam[0])), abs(float(lam[-1])))
+        lam_max = max(abs(spectrum[0]), abs(spectrum[-1]))
         # phase convention: rotate each vector's dominant entry onto the
         # imaginary axis, first index winning near-ties, so diagonal inputs
         # map to W = I; the factor sqrt(2) of the real basis rides along
         V = vecs[:, n:]
         mags = np.abs(V)
-        lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - 1e-9), axis=0)
+        lead = (mags >= np.maximum.reduce(mags) * (1.0 - 1e-9)).argmax(axis=0)
         p = V[lead, np.arange(n)]
-        V = V * (1j * np.sqrt(2.0) * p.conj() / np.abs(p))
-        W = np.empty((2 * n, 2 * n))
-        W[:, 0::2] = V.imag
-        W[:, 1::2] = V.real
+        V = V * (1j * math.sqrt(2.0) * p.conj() / np.abs(p))
+        # the columns (Im v, Re v) of each vector, read off its float view
+        W = V.view(float).take(_mode_swap(2 * n)[0], axis=1)
         gram = W.T @ W
-        gram.reshape(-1)[:: 2 * n + 1] -= 1.0
+        gram.ravel()[:: 2 * n + 1] -= 1.0
         orth_defect = _max_abs(gram)
         cov._skew = (*_frozen(lam[n:].copy(), W, A_inv), mismatch, lam_max, orth_defect)
     return cov._skew
@@ -393,7 +417,7 @@ def _symplectic_gram_schmidt_pair(candidates: np.ndarray, chosen: np.ndarray):
         raise NumericalFailure("failed to extend symplectic basis of the unit subspace")
     best = int(norms.argmax())
     u = resid[:, best] / norms[best]
-    v = -_sigma_left(u)
+    v = _sigma_right(u)
     v -= chosen @ (chosen.T @ v)
     v -= (u @ v) * u
     norm = float(np.linalg.norm(v))
@@ -423,12 +447,12 @@ def _polish_passive(M: np.ndarray, exact_pairs: bool = False) -> np.ndarray:
     which is assumed small.  When the columns of M are exact pairs
     (u, sigma^T u), the average is bitwise M itself and is skipped.
     """
-    A = M if exact_pairs else 0.5 * (M - _sigma_left(_sigma_right(M)))
+    A = M if exact_pairs else _sigma_average(M)
     # quadratic convergence from a defect below 1: four steps take a 1e-2
     # defect to rounding, and the validation rejects anything worse
     for _ in range(4):
         defect = A.T @ A
-        defect.reshape(-1)[:: M.shape[0] + 1] -= 1.0
+        defect.ravel()[:: M.shape[0] + 1] -= 1.0
         A = A - A @ (0.5 * defect)
         # Frobenius norm at most 1e-8, which bounds the max-norm too
         if np.vdot(defect, defect) <= 1e-16:
@@ -464,9 +488,11 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     # tau, that is when z > tau + sqrt(tau^2 + 1); no gap is needed above it,
     # since each pair (u, sigma^T u) is orthogonal by construction and the
     # polish removes what near-unit planes leave between pairs
-    lam_max = float(lam[0])
+    singular = lam.tolist()
+    lam_max = singular[0]
     tau = max(1e-12, 100.0 * _EPS * max(1.0, 0.5 * (lam_max - 1.0 / lam_max)))
-    k = int(np.count_nonzero(lam > tau + math.sqrt(tau * tau + 1.0)))
+    floor = tau + math.sqrt(tau * tau + 1.0)
+    k = sum(v > floor for v in singular)
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
         return EulerFactors(O=SymplecticTransform(np.eye(2 * n), tol=tol), z=np.ones(n),

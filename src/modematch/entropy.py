@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import BelowOne, InversionFailure, NegativeEntry, NotPure
-from .marginals import _as_vector, _pure_verdict, check_pure, local_diagonal
+from .marginals import _as_vector, check_pure, local_diagonal
 
 
 @dataclass
@@ -61,16 +61,6 @@ def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
     if down > 0.0:
         out -= down * math.log2(down)
     return out
-
-
-def _entropy_bits(c: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """entropy_s over a whole vector of local values."""
-    if c.min() < 1.0 - tol.tol_psd:
-        raise BelowOne(f"entropy argument {c.min()} lies below 1")
-    c = np.maximum(c, 1.0)
-    up = 0.5 * (c + 1.0)
-    down = 0.5 * (c - 1.0)
-    return up * np.log2(up) - down * np.log2(np.where(down > 0.0, down, 1.0))
 
 
 def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
@@ -112,9 +102,10 @@ def entanglement_profile(gamma, tol: Tolerances = DEFAULT) -> np.ndarray:
     """
     cov = _as_covariance(gamma, tol)
     d = symplectic_eigenvalues(cov, tol).values
-    if np.max(np.abs(d - 1.0)) > tol.tol_psd:
+    if max(abs(v - 1.0) for v in d.tolist()) > tol.tol_psd:
         raise NotPure(f"matrix is not pure: symplectic spectrum {d}")
-    return _entropy_bits(local_diagonal(cov, tol).values.values, tol)
+    c = local_diagonal(cov, tol).values.values.tolist()
+    return np.array([entropy_s(v, tol) for v in c])
 
 
 def sharing_feasible(E, tol: Tolerances = DEFAULT):
@@ -124,10 +115,9 @@ def sharing_feasible(E, tol: Tolerances = DEFAULT):
     feasibility cone to the recovered local excitations.
     """
     E = _as_vector(E, "E")
-    if np.any(E < 0):
+    if min(E) < 0:
         raise NegativeEntry("entanglement entropies must be non-negative")
-    c = np.array([entropy_s_inverse(v, tol) for v in E])
-    return check_pure(np.maximum(c - 1.0, 0.0), tol)
+    return check_pure([max(entropy_s_inverse(v, tol) - 1.0, 0.0) for v in E], tol)
 
 
 def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
@@ -144,34 +134,36 @@ def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
     by their sum.
     """
     c = _as_vector(c, "c")
-    if np.any(c < 1.0 - tol.tol_psd):
+    if min(c) < 1.0 - tol.tol_psd:
         raise BelowOne("local values must be >= 1 for the entropy bound")
     return _aggregate_bits(c, tol)
 
 
-def _aggregate_bits(c: np.ndarray, tol: Tolerances) -> float:
+def _aggregate_bits(c: list, tol: Tolerances) -> float:
     """s(sum c) for validated local values c >= 1 - tol_psd."""
-    return entropy_s(float(np.sum(np.maximum(c, 1.0))), tol)
+    return entropy_s(sum(max(v, 1.0) for v in c), tol)
 
 
 def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyReport:
     """Assemble the entropy summary from local values or a full matrix.
 
     c is validated once, here; the per-mode entropies check c >= 1, and the
-    aggregate and the purity test then run on the validated vector.
+    aggregate and the purity test then run on the validated vector.  The
+    purity test is check_pure's: the excitations b = c - 1 satisfy
+    sum(b) - 2 max(b) >= -tol_ineq.
     """
     if (c is None) == (gamma is None):
         raise ValueError("provide exactly one of c or gamma")
     if gamma is not None:
-        c = local_diagonal(_as_covariance(gamma, tol), tol).values.values
+        c = local_diagonal(_as_covariance(gamma, tol), tol).values.values.tolist()
     else:
         c = _as_vector(c, "c")
-        if (c[1:] < c[:-1]).any():
-            c = np.sort(c)
-    per_mode = _entropy_bits(c, tol)
+        c.sort()
+    per_mode = [entropy_s(v, tol) for v in c]
+    b = [max(v - 1.0, 0.0) for v in c]
     return EntropyReport(
-        per_mode_entropies=per_mode,
-        total_local_sum=float(np.sum(per_mode)),
+        per_mode_entropies=np.array(per_mode),
+        total_local_sum=sum(per_mode),
         global_upper_bound=_aggregate_bits(c, tol),
-        purity_consistent=_pure_verdict(np.maximum(c - 1.0, 0.0), tol).feasible,
+        purity_consistent=sum(b) - 2.0 * max(b) >= -tol.tol_ineq,
     )

@@ -15,12 +15,20 @@ hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
 cases stay testable.
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .core import CovarianceMatrix, SpectrumVector, _as_covariance, symplectic_eigenvalues
+from .core import (
+    CovarianceMatrix,
+    SpectrumVector,
+    _as_covariance,
+    _descends,
+    symplectic_eigenvalues,
+)
 from .errors import (
     LengthMismatch,
     NegativeEntry,
@@ -102,15 +110,21 @@ class TemperatureVector:
         return self.values == 0.0
 
 
-def _as_vector(values, what: str) -> np.ndarray:
+def _as_vector(values, what: str) -> list:
+    """A non-empty 1-d vector of finite values, as a list of Python floats.
+
+    Vectors here have one entry per mode, so checks and reductions run on
+    floats: at these sizes each numpy dispatch costs more than the work.
+    """
     if isinstance(values, SpectrumVector):
-        return values.values
+        values = values.values
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-d vector")
-    if not np.isfinite(arr).all():
+    out = arr.tolist()
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{what} has non-finite entries")
-    return arr
+    return out
 
 
 def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
@@ -121,21 +135,25 @@ def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
     c_j * I without touching other modes.
     """
     g = _as_covariance(gamma, tol).entries
-    xx, pp, xp = np.diag(g)[0::2], np.diag(g)[1::2], np.diag(g, 1)[0::2]
-    det = xx * pp - xp * xp
-    bad = (det <= 0) | (xx <= 0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise NotPositive(f"diagonal block of mode {j} is not positive (det {det[j]:.3g})")
-    raw = np.sqrt(det)
-    # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
-    transforms = np.zeros((raw.size, 2, 2))
-    transforms[:, 0, 0] = np.sqrt(raw / xx)
-    transforms[:, 1, 0] = -xp / np.sqrt(xx * raw)
-    transforms[:, 1, 1] = np.sqrt(xx / raw)
-    order = np.argsort(raw, kind="stable")
-    values = SpectrumVector(raw[order], kind="local_diagonal")
-    return LocalDiagonal(values=values, order=order, transforms=transforms, raw=raw)
+    # the block diagonals (2k, 2k), (2k + 1, 2k + 1) and (2k, 2k + 1) are
+    # strided views of the flat array; per mode, the work is on floats
+    m = g.shape[0]
+    flat = g.ravel()
+    blocks = zip(flat[:: 2 * m + 2].tolist(), flat[m + 1 :: 2 * m + 2].tolist(),
+                 flat[1 :: 2 * m + 2].tolist())
+    raw, transforms = [], []
+    for j, (xx, pp, xp) in enumerate(blocks):
+        det = xx * pp - xp * xp
+        if det <= 0 or xx <= 0:
+            raise NotPositive(f"diagonal block of mode {j} is not positive (det {det:.3g})")
+        c = math.sqrt(det)
+        raw.append(c)
+        # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
+        transforms += (math.sqrt(c / xx), 0.0, -xp / math.sqrt(xx * c), math.sqrt(xx / c))
+    order = sorted(range(len(raw)), key=raw.__getitem__)
+    values = SpectrumVector([raw[j] for j in order], kind="local_diagonal")
+    return LocalDiagonal(values=values, order=np.array(order),
+                         transforms=np.array(transforms).reshape(-1, 2, 2), raw=np.array(raw))
 
 
 def local_normal_form(gamma, tol: Tolerances = DEFAULT):
@@ -153,13 +171,13 @@ def local_normal_form(gamma, tol: Tolerances = DEFAULT):
     return CovarianceMatrix(L @ cov.entries @ L.T, tol=tol), local
 
 
-def _validate_pair(c: np.ndarray, d: np.ndarray):
-    if c.size != d.size:
-        raise LengthMismatch(f"vectors have lengths {c.size} and {d.size}")
+def _validate_pair(c: list, d: list):
+    if len(c) != len(d):
+        raise LengthMismatch(f"vectors have lengths {len(c)} and {len(d)}")
     for name, v in (("c", c), ("d", d)):
-        if v.min() <= 0:
+        if min(v) <= 0:
             raise NonPositive(f"{name} must be strictly positive")
-        if (v[1:] < v[:-1]).any():
+        if _descends(v):
             raise NotSorted(f"{name} must be non-decreasing")
 
 
@@ -173,11 +191,13 @@ def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     c = _as_vector(c, "c")
     d = _as_vector(d, "d")
     _validate_pair(c, d)
-    partial = (np.cumsum(c) - np.cumsum(d)).tolist()
-    last = float((2.0 * d[-1] - np.sum(d)) - (2.0 * c[-1] - np.sum(c)))
-    slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(partial, start=1)]
-    slacks.append(ConstraintSlack(LAST_CONDITION, None, last))
-    feasible = all(s.slack >= -tol.tol_ineq for s in slacks)
+    # running sums in order, as np.cumsum forms them; the last one is the total
+    sum_c, sum_d = list(accumulate(c)), list(accumulate(d))
+    values = [a - b for a, b in zip(sum_c, sum_d)]
+    values.append((2.0 * d[-1] - sum_d[-1]) - (2.0 * c[-1] - sum_c[-1]))
+    slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(values[:-1], start=1)]
+    slacks.append(ConstraintSlack(LAST_CONDITION, None, values[-1]))
+    feasible = all(s >= -tol.tol_ineq for s in values)
     return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol.tol_ineq)
 
 
@@ -188,15 +208,11 @@ def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     constraint for the largest entry is reported, the others being implied.
     """
     b = _as_vector(b, "b")
-    if np.any(b < 0):
+    if min(b) < 0:
         raise NegativeEntry("b entries must be non-negative")
-    return _pure_verdict(b, tol)
-
-
-def _pure_verdict(b: np.ndarray, tol: Tolerances) -> FeasibilityVerdict:
-    """check_pure on an already validated vector b >= 0."""
-    j = int(np.argmax(b))
-    slack = float(np.sum(b) - 2.0 * b[j])
+    top = max(b)
+    j = b.index(top)
+    slack = sum(b) - 2.0 * top
     return FeasibilityVerdict(
         feasible=slack >= -tol.tol_ineq,
         slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],

@@ -198,8 +198,8 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     ``trace.final_matrix``.  The realising matrix is not unique, this returns
     the one produced by the recorded two-mode gates.
     """
-    c = _as_vector(c, "c").copy()
-    d = _as_vector(d, "d").copy()
+    c = np.array(_as_vector(c, "c"))
+    d = np.array(_as_vector(d, "d"))
     verdict = check_mixed(c, d, tol)
     if not verdict.feasible:
         worst = min(verdict.violated, key=lambda s: s.slack)

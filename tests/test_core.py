@@ -14,6 +14,9 @@ from modematch import (
 )
 from modematch import DEFAULT, Tolerances, synthesize
 from modematch.core import (
+    _sigma_average,
+    _sigma_left,
+    _sigma_right,
     _skew_spectral_basis,
     haar_orthogonal_symplectic,
     interleaved_diagonal,
@@ -74,6 +77,19 @@ class TestSymplecticForm:
             sig = symplectic_form(n)
             assert np.array_equal(sig, -sig.T)
             assert np.array_equal(sig @ sig, -np.eye(2 * n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sigma_helpers_match_dense_form_bitwise(self, n):
+        # each product with the dense form has one nonzero term per entry,
+        # so it is exact and the swap-and-sign helpers must match it bitwise
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((2 * n, 2 * n)) * 10.0 ** rng.uniform(-3, 3, (2 * n, 2 * n))
+        sig = symplectic_form(n)
+        assert np.array_equal(_sigma_left(M), sig @ M)
+        assert np.array_equal(_sigma_left(M[:, :n]), sig @ M[:, :n])
+        assert np.array_equal(_sigma_right(M), M @ sig)
+        assert np.array_equal(_sigma_right(M[0]), sig.T @ M[0])
+        assert np.array_equal(_sigma_average(M), 0.5 * (M + sig @ M @ sig.T))
 
 
 class TestCovarianceMatrix:
@@ -182,6 +198,12 @@ class TestSpectrumVector:
             SpectrumVector(np.array([1.0, value]))
         with pytest.raises(ValueError, match="non-finite"):
             SpectrumVector(np.array([value, 1.0]))
+
+    @pytest.mark.parametrize("values", [[], np.empty(0), [[1.0, 2.0]], np.ones((2, 2))],
+                             ids=["empty-list", "empty-array", "row", "square"])
+    def test_rejects_empty_or_not_1d(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            SpectrumVector(values)
 
     def test_from_unsorted_records_permutation(self):
         vec, order = SpectrumVector.from_unsorted([3.0, 1.0, 2.0])

@@ -23,6 +23,7 @@ from modematch.errors import BelowOne, NegativeEntry, NotPure
 S2 = 1.5 * np.log2(1.5) + 0.5  # entropy of a mode with local value 2
 S3 = 2.0                       # 2 log2(2) - 1 log2(1)
 S5 = 3.0 * np.log2(3.0) - 2.0
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 class TestEntropyFunction:
@@ -191,6 +192,13 @@ class TestEntropyReport:
     def test_requires_exactly_one_input(self):
         with pytest.raises(ValueError):
             entropy_report()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy_report(c=[1.0, value])
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy_report(c=[value, 2.0])
 
     def test_local_values_are_validated_once(self, monkeypatch):
         calls = []
