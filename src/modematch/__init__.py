@@ -23,7 +23,6 @@ _EXPORTS = {
     "SpectrumVector": "core",
     "SymplecticTransform": "core",
     "SynthesisTrace": "synthesis",
-    "TemperatureVector": "marginals",
     "Tolerances": "config",
     "TwoModeBlock": "synthesis",
     "b_to_temperature": "marginals",

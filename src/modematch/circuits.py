@@ -28,7 +28,7 @@ from .core import (
     unitary_to_orthosymplectic,
     williamson,
 )
-from .errors import InvalidTrace, NotPassive, NotPhysical, NotPure
+from .errors import InvalidInput, InvalidTrace
 from .synthesis import SynthesisTrace, replay_trace, trace_seed
 
 PURE_SOURCE = "pure_OPO"
@@ -94,13 +94,14 @@ def orthosymplectic_to_unitary(O: np.ndarray, tol: Tolerances = DEFAULT) -> np.n
     """Inverse of the passive representation map, with validation."""
     O = np.asarray(O, dtype=float)
     if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
-        raise NotPassive(f"expected an even square matrix, got shape {O.shape}")
+        raise InvalidInput(f"expected an even square matrix, got shape {O.shape}")
     U = O[0::2, 0::2] + 1j * O[0::2, 1::2]
     defects = (float(np.max(np.abs(O @ O.T - np.eye(O.shape[0])))), symplectic_defect(O),
                float(np.max(np.abs(O - unitary_to_orthosymplectic(U)))))
     if max(defects) > 1e-8:
-        raise NotPassive("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
-                         "symplectic and block defects " + ", ".join(f"{v:.3g}" for v in defects))
+        raise InvalidInput("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
+                           "symplectic and block defects "
+                           + ", ".join(f"{v:.3g}" for v in defects))
     return U
 
 
@@ -198,10 +199,10 @@ def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
     """
     cov = _as_covariance(gamma, tol)
     if not cov.is_physical(tol.tol_psd):
-        raise NotPhysical("target matrix violates the uncertainty bound")
+        raise InvalidInput("target matrix violates the uncertainty bound")
     S_w, d = williamson(cov, tol)
     if np.max(np.abs(d.values - 1.0)) > tol.tol_psd:
-        raise NotPure(f"target is not pure: symplectic spectrum {d.values}")
+        raise InvalidInput(f"target is not pure: symplectic spectrum {d.values}")
     prep = symplectic_inverse(S_w.entries)
     factors = euler_decompose(prep, tol)
     elements: list[Element] = [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]

@@ -3,10 +3,10 @@
 Subcommands: check, synth, williamson, euler, entropy, prepare, verify.
 Machine-readable output is one JSON object per line on stdout; a short
 human-readable table goes to stderr.  Exit codes: 0 success or feasible,
-1 infeasible or violations found, 2 input error, 3 internal failure (a
-failed self-check in synth, prepare, williamson or euler, or a
-NumericalFailure, ToleranceCollapse, SpectralPairingFailure or
-DegenerateSubspaceFailure raised by the library).
+1 infeasible (the gate, or ``Infeasible`` from synth or prepare) or
+violations found, 2 input error (``InvalidInput``, any other library error,
+``ValueError`` or ``OSError``), 3 internal failure (a failed self-check in
+synth, prepare, williamson or euler, or ``NumericalFailure``).
 MODEMATCH_TOL_INEQ overrides the inequality tolerance.
 
 Each subcommand imports the library modules it calls when it runs, so a
@@ -23,37 +23,22 @@ import time
 import numpy as np
 
 from . import config
-from .errors import (
-    DegenerateSubspaceFailure,
-    InfeasibleInput,
-    ModeMatchError,
-    NumericalFailure,
-    SpectralPairingFailure,
-    ToleranceCollapse,
-)
-from .matrixio import MatrixParseError, read_matrix, write_matrix
+from .errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
+from .matrixio import read_matrix, write_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# library failures that signal a numerical breakdown, not a bad request
-INTERNAL_FAILURES = (NumericalFailure, ToleranceCollapse, SpectralPairingFailure,
-                     DegenerateSubspaceFailure)
-
-
-class _InputError(Exception):
-    pass
-
 
 def _parse_vector(raw: str) -> np.ndarray:
     try:
         values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
     except ValueError as exc:
-        raise _InputError(f"could not parse vector {raw!r}: {exc}") from None
+        raise InvalidInput(f"could not parse vector {raw!r}: {exc}") from None
     if values.size == 0:
-        raise _InputError(f"empty vector {raw!r}")
+        raise InvalidInput(f"empty vector {raw!r}")
     return values
 
 
@@ -118,16 +103,18 @@ def _verdict_table(verdict) -> list[str]:
     return lines
 
 
-def _load_covariance(path, tol):
-    from .core import CovarianceMatrix
+def _load(path, kind, tol):
+    """A covariance matrix or symplectic transform read from a matrix file."""
+    from .core import CovarianceMatrix, SymplecticTransform
 
     mf = read_matrix(path)
-    if mf.kind != "covariance":
-        raise _InputError(f"{path}: expected kind covariance, found {mf.kind}")
+    if mf.kind != kind:
+        raise InvalidInput(f"{path}: expected kind {kind}, found {mf.kind}")
+    cls = CovarianceMatrix if kind == "covariance" else SymplecticTransform
     try:
-        return CovarianceMatrix(mf.values, tol=tol)
-    except (ModeMatchError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        return cls(mf.values, tol=tol)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 def cmd_check(args, tol) -> int:
@@ -135,18 +122,18 @@ def cmd_check(args, tol) -> int:
 
     start = time.perf_counter()
     if args.matrix:
-        cov = _load_covariance(args.matrix, tol)
+        cov = _load(args.matrix, "covariance", tol)
         verdict = check_matrix_consistency(cov, tol)
         digest = _digest("check", cov.entries)
     elif args.pure:
         if args.b is None:
-            raise _InputError("--pure requires --b")
+            raise InvalidInput("--pure requires --b")
         b = np.sort(_parse_vector(args.b))
         verdict = check_pure(b, tol)
         digest = _digest("check-pure", b)
     else:
         if args.c is None or args.d is None:
-            raise _InputError("provide --c and --d, or --b with --pure, or --matrix")
+            raise InvalidInput("provide --c and --d, or --b with --pure, or --matrix")
         c = np.sort(_parse_vector(args.c))
         d = np.sort(_parse_vector(args.d))
         verdict = check_mixed(c, d, tol)
@@ -166,7 +153,7 @@ def cmd_synth(args, tol) -> int:
     d = np.sort(_parse_vector(args.d))
     try:
         trace = synthesize(c, d, tol)
-    except InfeasibleInput as exc:
+    except Infeasible as exc:
         _emit({"command": "synth", "feasible": False, "error": str(exc),
                "tolerances": _tol_dict(tol)})
         return EXIT_INFEASIBLE
@@ -213,7 +200,7 @@ def cmd_williamson(args, tol) -> int:
     from .core import interleaved_diagonal, williamson
 
     start = time.perf_counter()
-    cov = _load_covariance(args.matrix, tol)
+    cov = _load(args.matrix, "covariance", tol)
     S, d = williamson(cov, tol)
     D = interleaved_diagonal(d.values)
     defect = _relative(S.entries @ cov.entries @ S.entries.T - D, cov.entries)
@@ -235,16 +222,10 @@ def cmd_williamson(args, tol) -> int:
 
 
 def cmd_euler(args, tol) -> int:
-    from .core import SymplecticTransform, euler_decompose
+    from .core import euler_decompose
 
     start = time.perf_counter()
-    mf = read_matrix(args.matrix)
-    if mf.kind != "symplectic":
-        raise _InputError(f"{args.matrix}: expected kind symplectic, found {mf.kind}")
-    try:
-        S = SymplecticTransform(mf.values, tol=tol)
-    except ModeMatchError as exc:
-        raise _InputError(f"{args.matrix}: {exc}") from None
+    S = _load(args.matrix, "symplectic", tol)
     factors = euler_decompose(S, tol)
     defect = _relative(factors.reconstruct() - S.entries, S.entries)
     if defect > tol.tol_recon:
@@ -272,17 +253,17 @@ def cmd_entropy(args, tol) -> int:
     start = time.perf_counter()
     gaussian_entropy = None
     if args.matrix:
-        cov = _load_covariance(args.matrix, tol)
+        cov = _load(args.matrix, "covariance", tol)
         report = entropy_report(gamma=cov, tol=tol)
         d = symplectic_eigenvalues(cov, tol).values
         gaussian_entropy = float(sum(entropy_s(v, tol) for v in d))
         digest = _digest("entropy", cov.entries)
     else:
         if args.c is None:
-            raise _InputError("provide --c or --matrix")
+            raise InvalidInput("provide --c or --matrix")
         c = np.sort(_parse_vector(args.c))
         if np.any(c < 1.0 - tol.tol_psd):
-            raise _InputError("entropy requires local values c >= 1")
+            raise InvalidInput("entropy requires local values c >= 1")
         report = entropy_report(c=c, tol=tol)
         digest = _digest("entropy", c)
     record = {
@@ -318,7 +299,7 @@ def cmd_prepare(args, tol) -> int:
 
     start = time.perf_counter()
     if args.matrix:
-        cov = _load_covariance(args.matrix, tol)
+        cov = _load(args.matrix, "covariance", tol)
         d = symplectic_eigenvalues(cov, tol).values
         if np.max(np.abs(d - 1.0)) <= tol.tol_psd:
             circuit = circuit_from_pure(cov, tol)
@@ -332,12 +313,12 @@ def cmd_prepare(args, tol) -> int:
         digest = _digest("prepare", target)
     else:
         if args.c is None or args.d is None:
-            raise _InputError("provide --matrix, or --c and --d")
+            raise InvalidInput("provide --matrix, or --c and --d")
         c = np.sort(_parse_vector(args.c))
         d = np.sort(_parse_vector(args.d))
         try:
             trace = synthesize(c, d, tol)
-        except InfeasibleInput as exc:
+        except Infeasible as exc:
             _emit({"command": "prepare", "feasible": False, "error": str(exc)})
             return EXIT_INFEASIBLE
         target = trace.final_matrix.entries
@@ -506,12 +487,12 @@ def main(argv=None) -> int:
         tol = config.from_environment()
         if args.tol_ineq is not None:
             if args.tol_ineq <= 0:
-                raise _InputError("--tol-ineq must be positive")
+                raise InvalidInput("--tol-ineq must be positive")
             tol = tol.with_tol_ineq(args.tol_ineq)
         return args.func(args, tol)
-    except INTERNAL_FAILURES as exc:
+    except NumericalFailure as exc:
         return _error(exc, EXIT_INTERNAL)
-    except (_InputError, MatrixParseError, ModeMatchError, ValueError, OSError) as exc:
+    except (ModeMatchError, ValueError, OSError) as exc:
         return _error(exc, EXIT_INPUT)
 
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    DegenerateSubspaceFailure,
-    NotPositive,
-    NotSorted,
-    NotSymplectic,
-    NumericalFailure,
-    SpectralPairingFailure,
-)
+from .errors import InvalidInput, NumericalFailure
 
 _EPS = float(np.finfo(float).eps)
 
@@ -84,9 +77,9 @@ def _sigma_average(M: np.ndarray) -> np.ndarray:
 
 def _check_even_square(entries: np.ndarray, what: str) -> int:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {entries.shape}")
+        raise InvalidInput(f"{what} must be a square matrix, got shape {entries.shape}")
     if entries.shape[0] % 2 != 0:
-        raise ValueError(f"{what} must have even dimension, got {entries.shape[0]}")
+        raise InvalidInput(f"{what} must have even dimension, got {entries.shape[0]}")
     return entries.shape[0] // 2
 
 
@@ -112,7 +105,7 @@ def _finite_max_abs(entries: np.ndarray, what: str) -> float:
     through the max, so one reduction serves both the check and the scale."""
     scale = _max_abs(entries)
     if not math.isfinite(scale):
-        raise ValueError(f"{what} has non-finite entries")
+        raise InvalidInput(f"{what} has non-finite entries")
     return scale
 
 
@@ -166,7 +159,7 @@ class CovarianceMatrix:
         scale = max(1.0, _finite_max_abs(entries, "covariance matrix"))
         sym_defect = _max_abs(entries - entries.T)
         if sym_defect > tol.tol_sym * scale:
-            raise ValueError(
+            raise InvalidInput(
                 f"matrix is not symmetric: defect {sym_defect:.3g} exceeds "
                 f"{tol.tol_sym:.3g} relative to max-norm {scale:.3g}"
             )
@@ -207,23 +200,11 @@ class SymplecticTransform:
         scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
         defect = _symplectic_defect(entries)
         if defect > tol.tol_sympl * scale:
-            raise NotSymplectic(
+            raise InvalidInput(
                 f"symplectic defect {defect:.3g} exceeds tolerance "
                 f"{tol.tol_sympl:.3g} at scale {scale:.3g}"
             )
         self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int) -> "SymplecticTransform":
-        return cls(np.eye(2 * n))
-
-    def inverse(self) -> "SymplecticTransform":
-        return SymplecticTransform(symplectic_inverse(self.entries))
-
-    def __matmul__(self, other):
-        if isinstance(other, SymplecticTransform):
-            return SymplecticTransform(self.entries @ other.entries)
-        return self.entries @ other
 
     def __repr__(self):
         return f"SymplecticTransform(n={self.n})"
@@ -246,26 +227,19 @@ class SpectrumVector:
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
-            raise ValueError("spectrum must be a non-empty 1-d vector")
+            raise InvalidInput("spectrum must be a non-empty 1-d vector")
         # n values: the checks run on Python floats, which beats a numpy
         # dispatch per reduction at these sizes
         vals = values.tolist()
         if not all(map(math.isfinite, vals)):
-            raise ValueError("spectrum has non-finite entries")
+            raise InvalidInput("spectrum has non-finite entries")
         if self.kind not in SPECTRUM_KINDS:
-            raise ValueError(f"unknown spectrum kind {self.kind!r}")
+            raise InvalidInput(f"unknown spectrum kind {self.kind!r}")
         if min(vals) <= 0:
-            raise NotPositive("spectrum entries must be strictly positive")
+            raise InvalidInput("spectrum entries must be strictly positive")
         if _descends(vals):
-            raise NotSorted("spectrum values must be non-decreasing")
+            raise InvalidInput("spectrum values must be non-decreasing")
         self.values = values
-
-    @classmethod
-    def from_unsorted(cls, values, kind: str = "symplectic_spectrum"):
-        """Sort then build; returns the vector and the sorting permutation."""
-        values = np.asarray(values, dtype=float)
-        order = np.argsort(values, kind="stable")
-        return cls(values[order], kind), order
 
     def __len__(self):
         return self.values.size
@@ -304,7 +278,7 @@ def _as_covariance(gamma, tol: Tolerances) -> CovarianceMatrix:
 
 def _check_positive(eigenvalues: np.ndarray, tol_pos: float):
     if eigenvalues[0] <= tol_pos:
-        raise NotPositive(
+        raise InvalidInput(
             f"matrix is not strictly positive: smallest eigenvalue {eigenvalues[0]:.3g}"
         )
 
@@ -359,13 +333,13 @@ def _skew_spectral_basis(cov: CovarianceMatrix, tol: Tolerances):
     d, W, A_inv, mismatch, lam_max, orth_defect = _skew_spectral_data(cov)
     # the Hermitian spectrum must be symmetric about zero: +/- doublets
     if mismatch > tol.tol_pair_rel * max(lam_max, 1e-300):
-        raise SpectralPairingFailure(
+        raise NumericalFailure(
             f"skew spectrum does not pair into doublets: mismatch {mismatch:.3g}"
         )
     if d[0] <= 0:
-        raise NotPositive("symplectic eigenvalues must be strictly positive")
+        raise InvalidInput("symplectic eigenvalues must be strictly positive")
     if orth_defect > 1e-8:
-        raise DegenerateSubspaceFailure(
+        raise NumericalFailure(
             f"canonical basis of the skew kernel is not orthogonal: defect {orth_defect:.3g}"
         )
     return d, W, A_inv

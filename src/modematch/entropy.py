@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .core import _as_covariance, symplectic_eigenvalues
-from .errors import BelowOne, InversionFailure, NegativeEntry, NotPure
+from .errors import InvalidInput, NumericalFailure
 from .marginals import _as_vector, check_pure, local_diagonal
 
 
@@ -53,7 +53,7 @@ def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
     """
     c = float(c)
     if c < 1.0 - tol.tol_psd:
-        raise BelowOne(f"entropy argument {c} lies below 1")
+        raise InvalidInput(f"entropy argument {c} lies below 1")
     c = max(c, 1.0)
     up = 0.5 * (c + 1.0)
     down = 0.5 * (c - 1.0)
@@ -72,9 +72,9 @@ def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
     """
     value = float(value)
     if not np.isfinite(value):
-        raise InversionFailure(f"entropy value {value} is not finite")
+        raise InvalidInput(f"entropy value {value} is not finite")
     if value < 0.0:
-        raise NegativeEntry(f"entropy value {value} is negative")
+        raise InvalidInput(f"entropy value {value} is negative")
     if value == 0.0:
         return 1.0
     hi = 2.0
@@ -83,7 +83,7 @@ def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
             break
         hi *= 2.0
     else:
-        raise InversionFailure(f"failed to bracket entropy value {value}")
+        raise NumericalFailure(f"failed to bracket entropy value {value}")
     lo = 1.0
     while hi - lo > 1e-12 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
@@ -103,7 +103,7 @@ def entanglement_profile(gamma, tol: Tolerances = DEFAULT) -> np.ndarray:
     cov = _as_covariance(gamma, tol)
     d = symplectic_eigenvalues(cov, tol).values
     if max(abs(v - 1.0) for v in d.tolist()) > tol.tol_psd:
-        raise NotPure(f"matrix is not pure: symplectic spectrum {d}")
+        raise InvalidInput(f"matrix is not pure: symplectic spectrum {d}")
     c = local_diagonal(cov, tol).values.values.tolist()
     return np.array([entropy_s(v, tol) for v in c])
 
@@ -116,7 +116,7 @@ def sharing_feasible(E, tol: Tolerances = DEFAULT):
     """
     E = _as_vector(E, "E")
     if min(E) < 0:
-        raise NegativeEntry("entanglement entropies must be non-negative")
+        raise InvalidInput("entanglement entropies must be non-negative")
     return check_pure([max(entropy_s_inverse(v, tol) - 1.0, 0.0) for v in E], tol)
 
 
@@ -135,7 +135,7 @@ def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
     """
     c = _as_vector(c, "c")
     if min(c) < 1.0 - tol.tol_psd:
-        raise BelowOne("local values must be >= 1 for the entropy bound")
+        raise InvalidInput("local values must be >= 1 for the entropy bound")
     return _aggregate_bits(c, tol)
 
 

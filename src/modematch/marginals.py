@@ -29,14 +29,7 @@ from .core import (
     _descends,
     symplectic_eigenvalues,
 )
-from .errors import (
-    LengthMismatch,
-    NegativeEntry,
-    NonPositive,
-    NonPositiveTemperature,
-    NotPositive,
-    NotSorted,
-)
+from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
 LAST_CONDITION = "last_condition"
@@ -90,26 +83,6 @@ class LocalDiagonal:
     raw: np.ndarray | None = None
 
 
-@dataclass
-class TemperatureVector:
-    """Per-mode temperatures in standard-oscillator units.
-
-    Entries are strictly positive except for exact zeros, which mark modes
-    whose local excitation b vanished (a pure local mode).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 0):
-            raise NegativeEntry("temperatures must be non-negative")
-
-    @property
-    def zero_mask(self) -> np.ndarray:
-        return self.values == 0.0
-
-
 def _as_vector(values, what: str) -> list:
     """A non-empty 1-d vector of finite values, as a list of Python floats.
 
@@ -120,10 +93,10 @@ def _as_vector(values, what: str) -> list:
         values = values.values
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-d vector")
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
     out = arr.tolist()
     if not all(map(math.isfinite, out)):
-        raise ValueError(f"{what} has non-finite entries")
+        raise InvalidInput(f"{what} has non-finite entries")
     return out
 
 
@@ -145,7 +118,7 @@ def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
     for j, (xx, pp, xp) in enumerate(blocks):
         det = xx * pp - xp * xp
         if det <= 0 or xx <= 0:
-            raise NotPositive(f"diagonal block of mode {j} is not positive (det {det:.3g})")
+            raise InvalidInput(f"diagonal block of mode {j} is not positive (det {det:.3g})")
         c = math.sqrt(det)
         raw.append(c)
         # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
@@ -173,12 +146,12 @@ def local_normal_form(gamma, tol: Tolerances = DEFAULT):
 
 def _validate_pair(c: list, d: list):
     if len(c) != len(d):
-        raise LengthMismatch(f"vectors have lengths {len(c)} and {len(d)}")
+        raise InvalidInput(f"vectors have lengths {len(c)} and {len(d)}")
     for name, v in (("c", c), ("d", d)):
         if min(v) <= 0:
-            raise NonPositive(f"{name} must be strictly positive")
+            raise InvalidInput(f"{name} must be strictly positive")
         if _descends(v):
-            raise NotSorted(f"{name} must be non-decreasing")
+            raise InvalidInput(f"{name} must be non-decreasing")
 
 
 def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
@@ -209,7 +182,7 @@ def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     """
     b = _as_vector(b, "b")
     if min(b) < 0:
-        raise NegativeEntry("b entries must be non-negative")
+        raise InvalidInput("b entries must be non-negative")
     top = max(b)
     j = b.index(top)
     slack = sum(b) - 2.0 * top
@@ -237,22 +210,22 @@ def temperature_to_b(T) -> np.ndarray:
 
     Monotone increasing in T; tiny temperatures underflow to b = 0.
     """
-    values = T.values if isinstance(T, TemperatureVector) else np.asarray(T, dtype=float)
+    values = np.asarray(T, dtype=float)
     if np.any(values <= 0):
-        raise NonPositiveTemperature("temperatures must be strictly positive")
+        raise InvalidInput("temperatures must be strictly positive")
     with np.errstate(over="ignore"):
         return 2.0 / np.expm1(1.0 / values)
 
 
-def b_to_temperature(b) -> TemperatureVector:
+def b_to_temperature(b) -> np.ndarray:
     """Invert the excitation map: T = 1 / log(1 + 2/b).
 
-    b = 0 maps to an exact zero-temperature marker.
+    b = 0 maps to T = 0 exactly, which marks a pure local mode.
     """
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
-        raise NegativeEntry("b entries must be non-negative")
+        raise InvalidInput("b entries must be non-negative")
     out = np.zeros_like(b)
     positive = b > 0
     out[positive] = 1.0 / np.log1p(2.0 / b[positive])
-    return TemperatureVector(out)
+    return out

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModeMatchError
+from .errors import InvalidInput
 
 ORDERING = "xpxp"
 KINDS = ("covariance", "symplectic")
 
 
-class MatrixParseError(ModeMatchError, ValueError):
+class MatrixParseError(InvalidInput):
     """Malformed matrix file; carries the offending location when known."""
 
     def __init__(self, message: str, row: int | None = None, column: int | None = None):

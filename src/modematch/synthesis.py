@@ -14,19 +14,14 @@ the result can be replayed and audited.
 """
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .core import CovarianceMatrix, symplectic_inverse, williamson
-from .errors import (
-    InfeasibleInput,
-    InfeasiblePair,
-    NotPositive,
-    NumericalFailure,
-    ToleranceCollapse,
-)
+from .core import _EPS, CovarianceMatrix, symplectic_inverse, williamson
+from .errors import Infeasible, InvalidInput, NumericalFailure
 from .marginals import _as_vector, check_mixed, check_pure
 
 
@@ -96,96 +91,83 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     """Symplectic eigenvalues of the assembled two-mode matrix, closed form.
 
     d_{1/2}^2 = (c1^2 + c2^2 + 2ef
-                 +/- sqrt(c1^4 + c2^4 + 4 e f c2^2 - 2 c1^2 (c2^2 - 2 e f)
-                          + 4 c1 c2 (e^2 + f^2))) / 2
+                 +/- sqrt((c1^2 - c2^2)^2 + 4 (c1 e + c2 f)(c1 f + c2 e))) / 2
 
-    Requires the assembled matrix to be strictly positive.
+    The radicand (d2^2 - d1^2)^2 is a square plus a product, so a degenerate
+    spectrum gives an exact zero rather than rounding noise whose square
+    root would split d1 from d2 by about sqrt(eps); d1 comes from
+    d1^2 d2^2 = det rather than from the cancelling difference.  Requires
+    the assembled matrix to be strictly positive.
     """
     if c1 <= 0 or c2 <= 0 or c1 * c2 - e * e <= 0 or c1 * c2 - f * f <= 0:
-        raise NotPositive("assembled two-mode matrix is not strictly positive")
-    radicand = (
-        c1**4
-        + c2**4
-        + 4.0 * e * f * c2**2
-        - 2.0 * c1**2 * (c2**2 - 2.0 * e * f)
-        + 4.0 * c1 * c2 * (e**2 + f**2)
-    )
-    root = np.sqrt(max(radicand, 0.0))
-    base = c1 * c1 + c2 * c2 + 2.0 * e * f
-    d1_sq = (base - root) / 2.0
-    d2_sq = (base + root) / 2.0
-    if d1_sq <= 0:
-        raise NotPositive("assembled two-mode matrix has non-positive symplectic eigenvalue")
-    return float(np.sqrt(d1_sq)), float(np.sqrt(d2_sq))
+        raise InvalidInput("assembled two-mode matrix is not strictly positive")
+    radicand = (c1 * c1 - c2 * c2) ** 2 + 4.0 * (c1 * e + c2 * f) * (c1 * f + c2 * e)
+    d2_sq = 0.5 * (c1 * c1 + c2 * c2 + 2.0 * e * f + math.sqrt(max(radicand, 0.0)))
+    return math.sqrt((c1 * c2 - e * e) * (c1 * c2 - f * f) / d2_sq), math.sqrt(d2_sq)
 
 
 def solve_two_mode(c1: float, c2: float, d1: float, d2: float,
                    tol: Tolerances = DEFAULT) -> TwoModeBlock:
     """Couplings (e, f) realising spectrum (d1, d2) with locals (c1, c2).
 
-    Solves the two symmetric-function equations
+    Requires c2 >= c1 > 0 and d2 >= d1 > 0 (else InvalidInput) and the pair
+    inequalities (else Infeasible), whose slacks are the sum gap G and the
+    spread gap H:
 
-        e * f       = (d1^2 + d2^2 - c1^2 - c2^2) / 2
-        e^2 + f^2   = ((c1 c2)^2 + (e f)^2 - (d1 d2)^2) / (c1 c2)
+        G = (c1 + c2) - (d1 + d2) >= 0,    H = (d2 - d1) - (c2 - c1) >= 0.
 
-    choosing e >= 0 and sign(f) = sign(e * f).  Requires c2 >= c1 > 0,
-    d2 >= d1 > 0 and the pair inequalities
+    The two symmetric-function equations e f = (d1^2 + d2^2 - c1^2 - c2^2) / 2
+    and e^2 + f^2 = ((c1 c2)^2 + (e f)^2 - (d1 d2)^2) / (c1 c2) factor into
 
-        c1 + c2 >= d1 + d2,    c2 - c1 <= d2 - d1.
+        (e + f)^2 = u (u + 2 d1 d2) / (c1 c2),   u = H (H + 2 (c2 - c1)) / 2,
+        (e - f)^2 = v (v + 2 d1 d2) / (c1 c2),   v = G (G + 2 (d1 + d2)) / 2,
+
+    with e >= 0 and sign(f) = sign(e f).  The gaps are the only differences
+    formed, and a gap within rounding of the sums counts as zero, so c = d
+    gives e = f = 0 exactly and a pair on one boundary |e| = |f| bitwise.
     """
     if not (0 < c1 <= c2) or not (0 < d1 <= d2):
-        raise InfeasiblePair(
+        raise InvalidInput(
             f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "
             f"c=({c1}, {c2}), d=({d1}, {d2})"
         )
-    if (c1 + c2) - (d1 + d2) < -tol.tol_ineq or (d2 - d1) - (c2 - c1) < -tol.tol_ineq:
-        raise InfeasiblePair(
+    sum_gap, spread_gap = (c1 + c2) - (d1 + d2), (d2 - d1) - (c2 - c1)
+    if sum_gap < -tol.tol_ineq or spread_gap < -tol.tol_ineq:
+        raise Infeasible(
             f"pair inequalities violated for c=({c1}, {c2}), d=({d1}, {d2})"
         )
-    eps = np.finfo(float).eps
-    p = 0.5 * (d1 * d1 + d2 * d2 - c1 * c1 - c2 * c2)
-    s = ((c1 * c2) ** 2 + p * p - (d1 * d2) ** 2) / (c1 * c2)
-    if s < -tol.tol_ineq:
-        raise NumericalFailure(f"coupling magnitude e^2 + f^2 = {s:.3g} is negative")
-    s = max(s, 0.0)
-    p_noise = 16.0 * eps * (d1 * d1 + d2 * d2 + c1 * c1 + c2 * c2)
-    s_noise = 16.0 * eps * ((c1 * c2) ** 2 + p * p + (d1 * d2) ** 2) / (c1 * c2)
-    if abs(p) <= p_noise and s <= s_noise:
-        # both target equations vanish to rounding noise (c = d): keep the
-        # boundary exactly uncoupled rather than sqrt(noise)-coupled
-        return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=0.0, f=0.0)
-    disc = s * s - 4.0 * p * p
-    if disc < -tol.tol_ineq:
-        raise NumericalFailure(f"discriminant for (e^2, f^2) is negative: {disc:.3g}")
-    noise = 64.0 * eps * (s * s + 4.0 * p * p + s * c1 * c2)
-    if disc <= noise:
-        # double root |e| = |f|: store the couplings with bit-exact symmetry
-        # so a degenerate target spectrum survives in the assembled matrix
-        # instead of splitting by the square root of the rounding noise
-        e = float(np.sqrt(abs(p)))
-        f = float(np.copysign(e, p)) if e > 0 else 0.0
-    else:
-        t = 0.5 * (s + np.sqrt(disc))
-        e = float(np.sqrt(t))
-        f = float(p / e) if e > 0 else 0.0
+    noise = 4.0 * _EPS * ((c1 + c2) + (d1 + d2))
+    sum_gap = sum_gap if sum_gap > noise else 0.0
+    spread_gap = spread_gap if spread_gap > noise else 0.0
+    u = 0.5 * spread_gap * (spread_gap + 2.0 * (c2 - c1))
+    v = 0.5 * sum_gap * (sum_gap + 2.0 * (d1 + d2))
+    k, cc = 2.0 * d1 * d2, c1 * c2
+    plus, minus = math.sqrt(u * (u + k) / cc), math.sqrt(v * (v + k) / cc)
+    e, f = 0.5 * (plus + minus), 0.5 * (plus - minus)
     return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=e, f=f)
 
 
 def _recursion_check(c: np.ndarray, d: np.ndarray, tol: Tolerances):
     verdict = check_mixed(c, d, tol)
     if not verdict.feasible:
-        raise ToleranceCollapse(
+        raise NumericalFailure(
             "reduced subproblem lost feasibility "
             f"(min slack {verdict.min_slack:.3g}); this indicates a bug"
         )
 
 
-def _gate(block: TwoModeBlock, tol: Tolerances) -> np.ndarray:
-    """Symplectic g with g diag(d1, d1, d2, d2) g^T = block.matrix().
+def _gate(c1: float, c2: float, d1: float, d2: float, tol: Tolerances) -> np.ndarray:
+    """Symplectic g with g diag(d1, d1, d2, d2) g^T = the block that
+    solve_two_mode(c1, c2, d1, d2) assembles.
 
     The first mode of g holds the smaller thermal value and receives the
-    local value block.c1.
+    local value c1.  The gate loop derives only feasible pairs, so an
+    Infeasible pair here is a numerical failure.
     """
+    try:
+        block = solve_two_mode(c1, c2, d1, d2, tol)
+    except Infeasible as exc:
+        raise NumericalFailure(f"reduced subproblem lost feasibility: {exc}") from None
     S_w, _ = williamson(block.matrix(), tol)
     return symplectic_inverse(S_w.entries)
 
@@ -203,7 +185,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     verdict = check_mixed(c, d, tol)
     if not verdict.feasible:
         worst = min(verdict.violated, key=lambda s: s.slack)
-        raise InfeasibleInput(
+        raise Infeasible(
             f"(c, d) pair is infeasible: {worst.label()} slack {worst.slack:.3g}"
         )
     n = c.size
@@ -240,7 +222,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
                 float(np.sum(cw[: m - 1]) - np.sum(values[: m - 2])),
             )
             if lower > upper + tol.tol_ineq:
-                raise ToleranceCollapse(
+                raise NumericalFailure(
                     f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
                 )
             i = m - 2
@@ -249,8 +231,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
             frozen_mode = hi
         a, b = slots[i], slots[i + 1]
         small, large = sorted((fixed, x))
-        block = solve_two_mode(small, large, float(values[i]), float(values[i + 1]), tol)
-        gates.append((a, b, _gate(block, tol)))
+        gates.append((a, b, _gate(small, large, float(values[i]), float(values[i + 1]), tol)))
         # the gate gives its first mode the smaller local value
         frozen, carrier = (a, b) if fixed <= x else (b, a)
         mode_of[frozen] = frozen_mode
@@ -260,8 +241,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
         slots.insert(at, carrier)
         _recursion_check(c[lo:hi], np.array(values), tol)
     if hi - lo == 2 and not np.array_equal(c[lo:hi], values):
-        block = solve_two_mode(c[lo], c[lo + 1], values[0], values[1], tol)
-        gates.append((slots[0], slots[1], _gate(block, tol)))
+        gates.append((slots[0], slots[1], _gate(c[lo], c[lo + 1], values[0], values[1], tol)))
     # one open mode, or c == d on the open modes: the seed is already final
     mode_of[slots] = np.arange(lo, hi)
 
@@ -283,7 +263,7 @@ def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     b = np.sort(_as_vector(b, "b"))
     verdict = check_pure(b, tol)
     if not verdict.feasible:
-        raise InfeasibleInput(
+        raise Infeasible(
             f"b vector is outside the pure cone: slack {verdict.min_slack:.3g}"
         )
     return synthesize(b + 1.0, np.ones_like(b), tol)

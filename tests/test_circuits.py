@@ -24,7 +24,7 @@ from modematch.circuits import (
     unitary_to_orthosymplectic,
 )
 from modematch.core import interleaved_diagonal, symplectic_form, symplectic_trace
-from modematch.errors import InvalidTrace, NotPassive, NotPhysical, NotPure
+from modematch.errors import InvalidInput, InvalidTrace
 
 
 def haar_unitary(n, rng):
@@ -59,7 +59,7 @@ class TestUnitaryCorrespondence:
         )
 
     def test_rejects_active_transform(self):
-        with pytest.raises(NotPassive):
+        with pytest.raises(InvalidInput):
             orthosymplectic_to_unitary(np.diag([2.0, 0.5]))
 
 
@@ -164,9 +164,9 @@ class TestCircuitFromPure:
         assert abs(symplectic_trace(moved) - symplectic_trace(gamma.entries)) <= 1e-8
 
     def test_rejects_mixed_and_unphysical(self):
-        with pytest.raises(NotPure):
+        with pytest.raises(InvalidInput):
             circuit_from_pure(np.diag([2.0, 2.0]))
-        with pytest.raises(NotPhysical):
+        with pytest.raises(InvalidInput):
             circuit_from_pure(0.5 * np.eye(2))
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from modematch import sample_feasible_pair
 from modematch.cli import main
-from modematch.errors import (
-    DegenerateSubspaceFailure,
-    NumericalFailure,
-    SpectralPairingFailure,
-    ToleranceCollapse,
-)
+from modematch.errors import Infeasible, NumericalFailure
 from modematch.matrixio import read_matrix, write_matrix
 
 
@@ -338,25 +333,19 @@ class TestInternalFailures:
     """A numerical breakdown inside the library exits 3, never 2."""
 
     CASES = [
-        (["check", "--matrix", "{cov}"], "marginals", "check_matrix_consistency",
-         SpectralPairingFailure),
-        (["synth", "--c", "2,2", "--d", "1,1", "--out", "{out}"], "synthesis", "synthesize",
-         ToleranceCollapse),
-        (["williamson", "--matrix", "{cov}", "--out-prefix", "{out}"], "core", "williamson",
-         DegenerateSubspaceFailure),
-        (["euler", "--matrix", "{sym}", "--out-prefix", "{out}"], "core", "euler_decompose",
-         NumericalFailure),
-        (["entropy", "--c", "1.5,2"], "entropy", "entropy_report", NumericalFailure),
+        (["check", "--matrix", "{cov}"], "marginals", "check_matrix_consistency"),
+        (["synth", "--c", "2,2", "--d", "1,1", "--out", "{out}"], "synthesis", "synthesize"),
+        (["williamson", "--matrix", "{cov}", "--out-prefix", "{out}"], "core", "williamson"),
+        (["euler", "--matrix", "{sym}", "--out-prefix", "{out}"], "core", "euler_decompose"),
+        (["entropy", "--c", "1.5,2"], "entropy", "entropy_report"),
         (["prepare", "--c", "1.5,1.5", "--d", "1,2", "--out", "{out}"], "circuits",
-         "circuit_from_mixed", SpectralPairingFailure),
-        (["replay", "--circuit", "{circ}", "--out", "{out}"], "circuits", "parse_circuit",
-         DegenerateSubspaceFailure),
-        (["verify", "--trials", "1"], "verify", "run_verification", ToleranceCollapse),
+         "circuit_from_mixed"),
+        (["replay", "--circuit", "{circ}", "--out", "{out}"], "circuits", "parse_circuit"),
+        (["verify", "--trials", "1"], "verify", "run_verification"),
     ]
 
-    @pytest.mark.parametrize("argv, module, name, error", CASES,
-                             ids=[case[0][0] for case in CASES])
-    def test_exit_code_three(self, capsys, tmp_path, monkeypatch, argv, module, name, error):
+    @pytest.mark.parametrize("argv, module, name", CASES, ids=[case[0][0] for case in CASES])
+    def test_exit_code_three(self, capsys, tmp_path, monkeypatch, argv, module, name):
         files = {"cov": tmp_path / "g.mat", "sym": tmp_path / "s.mat",
                  "circ": tmp_path / "c.txt", "out": tmp_path / "out"}
         write_matrix(files["cov"], 2.0 * np.eye(4), "covariance")
@@ -364,10 +353,26 @@ class TestInternalFailures:
         files["circ"].write_text("n 1\n")
 
         def broken(*args, **kwargs):
-            raise error("injected failure")
+            raise NumericalFailure("injected failure")
 
         monkeypatch.setattr(importlib.import_module(f"modematch.{module}"), name, broken)
         code, record = run_cli(capsys, *(arg.format(**files) for arg in argv))
         assert code == 3
         assert record == {"error": "injected failure"}
         assert not files["out"].exists()
+
+    def test_infeasible_gate_of_a_feasible_pair_exits_three(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # the pair passes the gate, so an Infeasible from a two-mode gate is a
+        # broken construction, not an infeasible request
+        def broken(*args, **kwargs):
+            raise Infeasible("injected failure")
+
+        monkeypatch.setattr(importlib.import_module("modematch.synthesis"), "solve_two_mode",
+                            broken)
+        out = tmp_path / "out"
+        code, record = run_cli(capsys, "synth", "--c", "1.2,1.7,2.4", "--d", "1,1.5,2.3",
+                               "--out", str(out))
+        assert code == 3
+        assert record == {"error": "reduced subproblem lost feasibility: injected failure"}
+        assert not out.exists()

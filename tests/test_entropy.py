@@ -18,7 +18,7 @@ from modematch import (
     synthesize_pure,
 )
 from modematch.core import interleaved_diagonal
-from modematch.errors import BelowOne, NegativeEntry, NotPure
+from modematch.errors import InvalidInput
 
 S2 = 1.5 * np.log2(1.5) + 0.5  # entropy of a mode with local value 2
 S3 = 2.0                       # 2 log2(2) - 1 log2(1)
@@ -47,7 +47,7 @@ class TestEntropyFunction:
 
     def test_clamps_within_tolerance_and_rejects_below(self):
         assert entropy_s(1.0 - 1e-10) == 0.0
-        with pytest.raises(BelowOne):
+        with pytest.raises(InvalidInput):
             entropy_s(0.9)
 
 
@@ -60,7 +60,7 @@ class TestEntropyInverse:
             assert abs(entropy_s_inverse(entropy_s(c)) - c) <= 1e-9
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(InvalidInput):
             entropy_s_inverse(-0.5)
 
 
@@ -79,7 +79,7 @@ class TestEntanglementProfile:
         np.testing.assert_allclose(profile, [S2, S2, S3], atol=1e-7)
 
     def test_rejects_mixed_state(self):
-        with pytest.raises(NotPure):
+        with pytest.raises(InvalidInput):
             entanglement_profile(np.diag([2.0, 2.0]))
 
     def test_synthesized_profiles_stay_sharable(self):
@@ -106,7 +106,7 @@ class TestSharingFeasible:
         assert not sharing_feasible([0.0, 0.0, 1.0]).feasible
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(InvalidInput):
             sharing_feasible([-0.1, 0.2])
 
 
@@ -150,7 +150,7 @@ class TestEntropyUpperBound:
             assert entropy_s(float(np.sum(d))) <= entropy_s(float(np.sum(c))) + 1e-9
 
     def test_rejects_below_one(self):
-        with pytest.raises(BelowOne):
+        with pytest.raises(InvalidInput):
             entropy_upper_bound([0.5, 2.0])
 
 
@@ -164,7 +164,7 @@ class TestEntropyReport:
         expected = [entropy_s(v) for v in c]
         np.testing.assert_allclose(report.per_mode_entropies, expected,
                                    rtol=1e-14, atol=1e-15)
-        with pytest.raises(BelowOne):
+        with pytest.raises(InvalidInput):
             entropy_report(c=[0.9, 2.0])
 
     def test_vector_report(self):

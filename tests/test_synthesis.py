@@ -13,7 +13,7 @@ from modematch import (
     two_mode_eigenvalues_closed_form,
     williamson,
 )
-from modematch.errors import InfeasibleInput, InfeasiblePair, NotPositive
+from modematch.errors import Infeasible, InvalidInput
 from modematch.core import symplectic_defect
 from modematch.synthesis import (
     DirectSumStep,
@@ -52,7 +52,7 @@ class TestClosedForm:
             np.testing.assert_allclose([d1, d2], ref, rtol=0, atol=1e-10)
 
     def test_rejects_indefinite_assembly(self):
-        with pytest.raises(NotPositive):
+        with pytest.raises(InvalidInput):
             two_mode_eigenvalues_closed_form(1.0, 1.0, 1.5, 0.0)
 
 
@@ -87,10 +87,25 @@ class TestSolveTwoMode:
             got = two_mode_eigenvalues_closed_form(c[0], c[1], block.e, block.f)
             np.testing.assert_allclose(got, d, rtol=0, atol=1e-9)
 
+    # pairs on or next to a pair-inequality boundary, where solving the
+    # squared equations directly loses the couplings in rounding noise of
+    # order eps * c^4
+    @pytest.mark.parametrize("c, d", [
+        ((33.908131325847116, 33.908131325847116), (11.13627982582376, 11.13627982582376)),
+        ((7.834379210296502, 7.834379210296502), (0.10579836337676406, 0.10580693863879609)),
+        ((10.0, 10.0), (9.999999403953552, 10.000000596046448)),
+    ], ids=["squeezed-large", "near-degenerate", "weak-beam-splitter"])
+    def test_boundary_pairs_synthesize_accurately(self, c, d):
+        block = solve_two_mode(*c, *d)
+        ref = symplectic_eigenvalues(block.matrix()).values
+        np.testing.assert_allclose(ref, d, rtol=1e-11)
+        final = synthesize(c, d).final_matrix
+        np.testing.assert_allclose(williamson(final)[1].values, d, rtol=1e-11)
+
     def test_rejects_infeasible(self):
-        with pytest.raises(InfeasiblePair):
+        with pytest.raises(Infeasible):
             solve_two_mode(1.0, 1.0, 2.0, 2.0)
-        with pytest.raises(InfeasiblePair):
+        with pytest.raises(Infeasible):
             solve_two_mode(1.0, 5.0, 1.0, 1.0)
 
 
@@ -114,7 +129,7 @@ class TestSynthesize:
         np.testing.assert_allclose(c, [1.5, 1.5, 2.0], atol=1e-7)
 
     def test_rejects_infeasible(self):
-        with pytest.raises(InfeasibleInput):
+        with pytest.raises(Infeasible):
             synthesize([1.0, 5.0], [1.0, 1.0])
 
     def test_round_trip_sampled_pairs(self):
@@ -201,7 +216,7 @@ class TestSynthesizePure:
         assert det == pytest.approx(1.0, rel=1e-6)
 
     def test_rejects_outside_cone(self):
-        with pytest.raises(InfeasibleInput):
+        with pytest.raises(Infeasible):
             synthesize_pure([0.0, 0.0, 1.0])
 
 
