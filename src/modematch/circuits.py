@@ -23,13 +23,14 @@ from .core import (
     SymplecticTransform,
     _as_covariance,
     euler_decompose,
+    relative_defect,
     symplectic_defect,
     symplectic_inverse,
     unitary_to_orthosymplectic,
     williamson,
 )
 from .errors import InvalidInput, InvalidTrace
-from .synthesis import SynthesisTrace, replay_trace, trace_seed
+from .synthesis import SynthesisTrace, replay_trace
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
@@ -182,6 +183,11 @@ def replay_circuit(circuit: PreparationCircuit) -> np.ndarray:
     return (S * np.repeat(circuit.seed, 2)) @ S.T
 
 
+def replay_defect(circuit: PreparationCircuit, target: np.ndarray) -> float:
+    """Relative defect of the circuit's replay against the matrix it prepares."""
+    return relative_defect(replay_circuit(circuit) - target, target)
+
+
 def _passive_network(O, modes, tol: Tolerances) -> list[PassiveElement]:
     """O's Reck elements in acting order, moved from modes 0, 1, ... onto
     ``modes``."""
@@ -222,17 +228,17 @@ def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> Prep
     if trace.final_matrix is None:
         raise InvalidTrace("trace has no final matrix")
     target = trace.final_matrix.entries
-    defect = float(np.max(np.abs(replay_trace(trace) - target)))
-    if defect > tol.tol_recon * max(1.0, float(np.max(np.abs(target)))):
+    defect = relative_defect(replay_trace(trace) - target, target)
+    if not defect <= tol.tol_recon:
         raise InvalidTrace(f"trace does not replay to its final matrix: defect {defect:.3g}")
     elements: list[Element] = []
-    for step in trace.steps[1:]:
+    for step in trace.steps:
         factors = euler_decompose(step.transform, tol)
         elements += _passive_network(factors.V, step.modes, tol)
         elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
                      if z - 1.0 > _ELEMENT_DROP]
         elements += _passive_network(factors.O, step.modes, tol)
-    return PreparationCircuit(n=trace.n, seed=trace_seed(trace), elements=elements,
+    return PreparationCircuit(n=trace.n, seed=trace.seed.copy(), elements=elements,
                               source=MIXED_SOURCE)
 
 

@@ -6,7 +6,9 @@ human-readable table goes to stderr.  Exit codes: 0 success or feasible,
 1 infeasible (the gate, or ``Infeasible`` from synth or prepare) or
 violations found, 2 input error (``InvalidInput``, any other library error,
 ``ValueError`` or ``OSError``), 3 internal failure (a failed self-check in
-synth, prepare, williamson or euler, or ``NumericalFailure``).
+synth, prepare, williamson or euler, or ``NumericalFailure``).  A self-check
+measures its defect with the function next to the kernel it checks and
+fails unless the defect is at most ``tol_recon``, so a NaN defect fails.
 MODEMATCH_TOL_INEQ overrides the inequality tolerance.
 
 Each subcommand imports the library modules it calls when it runs, so a
@@ -53,11 +55,6 @@ def _digest(*parts) -> str:
             h.update(str(part).encode())
         h.update(b"|")
     return h.hexdigest()[:16]
-
-
-def _relative(defect: np.ndarray, reference: np.ndarray) -> float:
-    """Largest entry of a defect over max(1, largest entry of the reference)."""
-    return float(np.max(np.abs(defect))) / max(1.0, float(np.max(np.abs(reference))))
 
 
 def _failed(command: str, check: str, defect: float) -> int:
@@ -144,9 +141,7 @@ def cmd_check(args, tol) -> int:
 
 
 def cmd_synth(args, tol) -> int:
-    from .core import williamson
-    from .marginals import local_diagonal
-    from .synthesis import replay_trace, synthesize
+    from .synthesis import synthesis_defect, synthesize
 
     start = time.perf_counter()
     c = np.sort(_parse_vector(args.c))
@@ -157,21 +152,21 @@ def cmd_synth(args, tol) -> int:
         _emit({"command": "synth", "feasible": False, "error": str(exc),
                "tolerances": _tol_dict(tol)})
         return EXIT_INFEASIBLE
-    final = trace.final_matrix.entries
 
     # self-verification before anything is written
-    _, d_out = williamson(trace.final_matrix, tol)
-    c_out = local_diagonal(trace.final_matrix, tol).values.values
-    defect = max(float(np.max(np.abs(d_out.values - d))),
-                 float(np.max(np.abs(c_out - c))), _relative(replay_trace(trace) - final, final))
-    if defect > tol.tol_recon:
+    defect = synthesis_defect(trace, c, d, tol)
+    if not defect <= tol.tol_recon:
         return _failed("synth", "self-verification", defect)
 
-    write_matrix(args.out, final, "covariance")
+    write_matrix(args.out, trace.final_matrix.entries, "covariance")
     if args.emit_trace:
         with open(args.emit_trace, "w") as fh:
+            fh.write(json.dumps({"step": "direct_sum", "modes": list(range(trace.n)),
+                                 "values": [f"{v:.17g}" for v in trace.seed]}) + "\n")
             for step in trace.steps:
-                fh.write(json.dumps(_step_record(step)) + "\n")
+                fh.write(json.dumps({"step": "two_mode", "modes": list(step.modes),
+                                     "transform": [[f"{v:.17g}" for v in row]
+                                                   for row in step.transform]}) + "\n")
     record = {
         "command": "synth",
         "digest": _digest("synth", c, d),
@@ -186,28 +181,17 @@ def cmd_synth(args, tol) -> int:
     return EXIT_OK
 
 
-def _step_record(step) -> dict:
-    from .synthesis import DirectSumStep
-
-    if isinstance(step, DirectSumStep):
-        return {"step": "direct_sum", "modes": list(step.modes),
-                "values": [f"{v:.17g}" for v in step.values]}
-    return {"step": "two_mode", "modes": list(step.modes),
-            "transform": [[f"{v:.17g}" for v in row] for row in step.transform]}
-
-
 def cmd_williamson(args, tol) -> int:
-    from .core import interleaved_diagonal, williamson
+    from .core import interleaved_diagonal, williamson, williamson_defect
 
     start = time.perf_counter()
     cov = _load(args.matrix, "covariance", tol)
     S, d = williamson(cov, tol)
-    D = interleaved_diagonal(d.values)
-    defect = _relative(S.entries @ cov.entries @ S.entries.T - D, cov.entries)
-    if defect > tol.tol_recon:
+    defect = williamson_defect(cov, S, d)
+    if not defect <= tol.tol_recon:
         return _failed("williamson", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
-    write_matrix(f"{args.out_prefix}.D.mat", D, "covariance")
+    write_matrix(f"{args.out_prefix}.D.mat", interleaved_diagonal(d.values), "covariance")
     record = {
         "command": "williamson",
         "digest": _digest("williamson", cov.entries),
@@ -222,13 +206,13 @@ def cmd_williamson(args, tol) -> int:
 
 
 def cmd_euler(args, tol) -> int:
-    from .core import euler_decompose
+    from .core import euler_decompose, euler_defect
 
     start = time.perf_counter()
     S = _load(args.matrix, "symplectic", tol)
     factors = euler_decompose(S, tol)
-    defect = _relative(factors.reconstruct() - S.entries, S.entries)
-    if defect > tol.tol_recon:
+    defect = euler_defect(S, factors)
+    if not defect <= tol.tol_recon:
         return _failed("euler", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
@@ -290,27 +274,23 @@ def cmd_prepare(args, tol) -> int:
     from .circuits import (
         circuit_from_mixed,
         circuit_from_pure,
-        replay_circuit,
+        replay_defect,
         serialize_circuit,
     )
     from .core import symplectic_eigenvalues
     from .marginals import local_diagonal
-    from .synthesis import synthesize
+    from .synthesis import synthesis_defect, synthesize
 
     start = time.perf_counter()
+    trace = None
     if args.matrix:
         cov = _load(args.matrix, "covariance", tol)
         d = symplectic_eigenvalues(cov, tol).values
-        if np.max(np.abs(d - 1.0)) <= tol.tol_psd:
-            circuit = circuit_from_pure(cov, tol)
-        else:
-            c_local = local_diagonal(cov, tol).values
-            trace = synthesize(c_local, d, tol)
-            # preparation targets the matrix's own normal form witness
-            circuit = circuit_from_mixed(trace, tol)
-            cov = trace.final_matrix
-        target = cov.entries
-        digest = _digest("prepare", target)
+        if np.max(np.abs(d - 1.0)) > tol.tol_psd:
+            # a mixed matrix is prepared through the witness synthesized
+            # from its own (c, d), not as itself
+            c = local_diagonal(cov, tol).values.values
+            trace = synthesize(c, d, tol)
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
@@ -321,15 +301,22 @@ def cmd_prepare(args, tol) -> int:
         except Infeasible as exc:
             _emit({"command": "prepare", "feasible": False, "error": str(exc)})
             return EXIT_INFEASIBLE
+
+    if trace is None:
+        circuit, target = circuit_from_pure(cov, tol), cov.entries
+    else:
+        defect = synthesis_defect(trace, c, d, tol)
+        if not defect <= tol.tol_recon:
+            return _failed("prepare", "self-verification", defect)
         target = trace.final_matrix.entries
         if np.max(np.abs(d - 1.0)) <= tol.tol_psd:
             circuit = circuit_from_pure(trace.final_matrix, tol)
         else:
             circuit = circuit_from_mixed(trace, tol)
-        digest = _digest("prepare", c, d)
+    digest = _digest("prepare", target) if args.matrix else _digest("prepare", c, d)
 
-    defect = _relative(replay_circuit(circuit) - target, target)
-    if defect > tol.tol_recon:
+    defect = replay_defect(circuit, target)
+    if not defect <= tol.tol_recon:
         return _failed("prepare", "replay verification", defect)
     with open(args.out, "w") as fh:
         fh.write(serialize_circuit(circuit))
@@ -395,16 +382,17 @@ def cmd_verify(args, tol) -> int:
         "violations": summary.total_violations,
         "suites": [
             {"suite": s.name, "trials": s.trials, "violations": s.violations,
-             "worst_margin": None if s.trials == 0 else s.worst}
+             "worst": s.worst, "bound": s.bound}
             for s in summary.suites
         ],
         "tolerances": _tol_dict(tol),
         "elapsed_s": round(summary.elapsed_s, 6),
     }
-    table = [f"{'suite':<34} {'trials':>7} {'violations':>11} {'worst margin':>14}"]
+    table = [f"{'suite':<34} {'trials':>7} {'violations':>11} {'worst':>10} {'bound':>10}"]
     for s in summary.suites:
-        worst = "-" if s.trials == 0 else f"{s.worst:.3g}"
-        table.append(f"{s.name:<34} {s.trials:>7} {s.violations:>11} {worst:>14}")
+        worst = "-" if s.worst is None else f"{s.worst:.3g}"
+        table.append(f"{s.name:<34} {s.trials:>7} {s.violations:>11} {worst:>10} "
+                     f"{s.bound:>10.3g}")
     table.append(f"total violations: {summary.total_violations}")
     _emit(record, table)
     return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE

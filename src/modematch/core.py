@@ -95,6 +95,12 @@ def _max_abs(M: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(M), axis=None))
 
 
+def relative_defect(difference: np.ndarray, reference: np.ndarray) -> float:
+    """Largest entry of a difference over max(1, largest entry of the
+    reference): the measure of every reconstruction and replay self-check."""
+    return _max_abs(difference) / max(1.0, _max_abs(reference))
+
+
 def _descends(values: list) -> bool:
     """Whether a list of floats has a neighbour pair in decreasing order."""
     return any(b < a for a, b in zip(values, values[1:]))
@@ -371,6 +377,13 @@ def williamson(gamma, tol: Tolerances = DEFAULT):
     return SymplecticTransform(S, tol=tol), SpectrumVector(d, kind="symplectic_spectrum")
 
 
+def williamson_defect(gamma: CovarianceMatrix, S: SymplecticTransform,
+                      d: SpectrumVector) -> float:
+    """Relative defect of S gamma S^T = diag(d1, d1, ..., dn, dn) against gamma."""
+    g = gamma.entries
+    return relative_defect(S.entries @ g @ S.entries.T - interleaved_diagonal(d.values), g)
+
+
 def symplectic_trace(gamma, tol: Tolerances = DEFAULT) -> float:
     """Sum of the symplectic eigenvalues.
 
@@ -507,6 +520,11 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
         z=z_vec,
         V=SymplecticTransform(_polish_passive(O1.T @ R), tol=tol),
     )
+
+
+def euler_defect(S: SymplecticTransform, factors: EulerFactors) -> float:
+    """Relative defect of S = O Q V against S."""
+    return relative_defect(factors.reconstruct() - S.entries, S.entries)
 
 
 def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:

@@ -20,9 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .core import _EPS, CovarianceMatrix, symplectic_inverse, williamson
+from .core import (
+    _EPS,
+    CovarianceMatrix,
+    _max_abs,
+    relative_defect,
+    symplectic_eigenvalues,
+    symplectic_inverse,
+    williamson,
+)
 from .errors import Infeasible, InvalidInput, NumericalFailure
-from .marginals import _as_vector, check_mixed, check_pure
+from .marginals import _as_vector, check_mixed, check_pure, local_diagonal
 
 
 @dataclass
@@ -48,14 +56,6 @@ class TwoModeBlock:
 
 
 @dataclass
-class DirectSumStep:
-    """Seed the listed modes with uncoupled thermal blocks value * I."""
-
-    modes: tuple[int, ...]
-    values: tuple[float, ...]
-
-
-@dataclass
 class TwoModeStep:
     """Apply a 4x4 symplectic gate to the modes (i, j), in that order."""
 
@@ -63,20 +63,18 @@ class TwoModeStep:
     transform: np.ndarray
 
 
-SynthesisStep = DirectSumStep | TwoModeStep
-
-
 @dataclass
 class SynthesisTrace:
     """Thermal seed, gate list and the final matrix.
 
-    The first step is a DirectSumStep seeding all n modes with the spectrum
-    d; every later step is a TwoModeStep, applied in order.  With S the
-    product of the gates, ``final_matrix`` is S diag(seed) S^T.
+    ``seed`` holds one thermal value per mode, the spectrum d in mode order;
+    ``steps`` are the two-mode gates, applied in order.  With S the product
+    of the gates, ``final_matrix`` is S diag(seed) S^T.
     """
 
     n: int
-    steps: list[SynthesisStep] = field(default_factory=list)
+    seed: np.ndarray
+    steps: list[TwoModeStep] = field(default_factory=list)
     final_matrix: CovarianceMatrix | None = None
 
 
@@ -247,9 +245,8 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
 
     seed = np.empty(n)
     seed[mode_of] = d
-    steps = [DirectSumStep(tuple(range(n)), tuple(seed.tolist()))]
-    steps += [TwoModeStep((int(mode_of[a]), int(mode_of[b])), g) for a, b, g in gates]
-    trace = SynthesisTrace(n=n, steps=steps)
+    steps = [TwoModeStep((int(mode_of[a]), int(mode_of[b])), g) for a, b, g in gates]
+    trace = SynthesisTrace(n=n, seed=seed, steps=steps)
     trace.final_matrix = CovarianceMatrix(replay_trace(trace), tol=tol)
     return trace
 
@@ -269,13 +266,6 @@ def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     return synthesize(b + 1.0, np.ones_like(b), tol)
 
 
-def trace_seed(trace: SynthesisTrace) -> np.ndarray:
-    """The thermal seed of a trace, one value per mode in mode order."""
-    seed = np.empty(trace.n)
-    seed[list(trace.steps[0].modes)] = trace.steps[0].values
-    return seed
-
-
 def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     """Re-run the recorded steps: S diag(seed) S^T.
 
@@ -284,11 +274,22 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     ``trace.final_matrix`` within the reconstruction tolerance.
     """
     S = np.eye(2 * trace.n)
-    for step in trace.steps[1:]:
+    for step in trace.steps:
         i, j = step.modes
         rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
         S[rows] = step.transform @ S[rows]
-    return (S * np.repeat(trace_seed(trace), 2)) @ S.T
+    return (S * np.repeat(trace.seed, 2)) @ S.T
+
+
+def synthesis_defect(trace: SynthesisTrace, c, d, tol: Tolerances = DEFAULT) -> float:
+    """Largest defect of a synthesized witness against its sorted targets:
+    its symplectic spectrum against d and its local values against c, both
+    absolute, and the replay of its trace relative to it."""
+    final = trace.final_matrix
+    # np.max, unlike max, keeps a NaN defect
+    return float(np.max((_max_abs(symplectic_eigenvalues(final, tol).values - d),
+                         _max_abs(local_diagonal(final, tol).values.values - c),
+                         relative_defect(replay_trace(trace) - final.entries, final.entries))))
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int,

@@ -1,48 +1,63 @@
 """Sampled end-to-end property suites.
 
-Drives random instances through the full pipeline and counts violations:
-necessity of the feasibility conditions on random states, the symplectic
-trace and spread bounds, Williamson and Euler reconstruction defects,
-synthesis round-trips, and circuit replay.  Used by the ``verify`` CLI
-subcommand; a clean build reports zero violations.
+Drives random instances through the full pipeline and holds each raw result
+to the bound the rest of the program uses: the slacks of the feasibility
+conditions, the symplectic trace bound and the spread bound on random states
+to ``-tol_ineq``, and the Williamson and Euler reconstruction, synthesis
+round-trip and circuit replay defects to ``tol_recon``, measured by the same
+defect functions the CLI's self-checks call.  Each suite reports ``worst``,
+the largest defect or smallest slack it saw, beside its ``bound``.  Used by
+the ``verify`` CLI subcommand; a clean build reports zero violations.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import circuit_from_pure, replay_circuit
+from .circuits import circuit_from_pure, replay_defect
 from .config import DEFAULT, Tolerances
 from .core import (
     CovarianceMatrix,
     euler_decompose,
+    euler_defect,
     interleaved_diagonal,
     random_symplectic,
     symplectic_eigenvalues,
     williamson,
+    williamson_defect,
 )
 from .errors import ModeMatchError
 from .marginals import check_mixed, local_diagonal
-from .synthesis import sample_feasible_pair, synthesize
-
-NECESSITY_TOL = 1e-8
-RECON_TOL = 1e-8
-ROUNDTRIP_TOL = 1e-7
+from .synthesis import sample_feasible_pair, synthesis_defect, synthesize
 
 
 @dataclass
 class SuiteResult:
+    """Raw values of one property, each held to ``bound``: from above for a
+    defect (``upper``), from below for a slack.
+
+    ``worst`` is the largest defect or the smallest slack seen.  A result
+    that failed validation, or is not finite, counts as a violation and
+    leaves ``worst`` as it was.
+    """
+
     name: str
+    bound: float
+    upper: bool = True
     trials: int = 0
     violations: int = 0
-    worst: float = np.inf  # most negative slack or largest-defect margin
+    worst: float | None = None
 
-    def record(self, margin: float):
-        """Margin convention: negative means violated."""
+    def record(self, value: float | None):
         self.trials += 1
-        self.worst = min(self.worst, margin)
-        if margin < 0:
+        if value is None or not math.isfinite(value):
+            self.violations += 1
+            return
+        if self.worst is None or (value > self.worst if self.upper else value < self.worst):
+            self.worst = value
+        if (value > self.bound) if self.upper else (value < self.bound):
             self.violations += 1
 
 
@@ -65,65 +80,6 @@ def random_physical_covariance(rng: "np.random.Generator", n: int,
     return CovarianceMatrix(gamma), d, S
 
 
-def necessity_margin(gamma, tol: Tolerances = DEFAULT) -> float:
-    """Min slack of the matrix's own (c, d) feasibility check."""
-    verdict = check_mixed(local_diagonal(gamma, tol).values,
-                          symplectic_eigenvalues(gamma, tol), tol)
-    return verdict.min_slack + NECESSITY_TOL
-
-
-def trace_bound_margin(gamma, tol: Tolerances = DEFAULT) -> float:
-    """Slack of sum(d) <= sum(c)."""
-    c = local_diagonal(gamma, tol).values.values
-    d = symplectic_eigenvalues(gamma, tol).values
-    return float(np.sum(c) - np.sum(d)) + NECESSITY_TOL
-
-
-def spread_bound_margin(gamma, tol: Tolerances = DEFAULT) -> float:
-    """Slack of c_n - sum(c_j<n) <= sum(d_j>=2) + (3 - 2n) d_1."""
-    c = local_diagonal(gamma, tol).values.values
-    d = symplectic_eigenvalues(gamma, tol).values
-    n = c.size
-    lhs = 2.0 * c[-1] - np.sum(c)
-    rhs = np.sum(d[1:]) + (3.0 - 2.0 * n) * d[0]
-    return float(rhs - lhs) + NECESSITY_TOL
-
-
-def williamson_margin(gamma, tol: Tolerances = DEFAULT) -> float:
-    S, d = williamson(gamma, tol)
-    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else gamma
-    defect = float(np.max(np.abs(S.entries @ g @ S.entries.T
-                                 - interleaved_diagonal(d.values))))
-    return RECON_TOL - defect
-
-
-def euler_margin(S, tol: Tolerances = DEFAULT) -> float:
-    factors = euler_decompose(S, tol)
-    entries = S.entries if hasattr(S, "entries") else S
-    defect = float(np.max(np.abs(factors.reconstruct() - entries)))
-    return RECON_TOL - defect
-
-
-def roundtrip_margin(c, d, final, tol: Tolerances = DEFAULT) -> float:
-    """Reconstruction margin of a synthesized matrix against its targets."""
-    _, d_out = williamson(final, tol)
-    c_out = local_diagonal(final, tol).values.values
-    defect = max(float(np.max(np.abs(d_out.values - d))),
-                 float(np.max(np.abs(c_out - np.sort(c)))))
-    return ROUNDTRIP_TOL - defect
-
-
-def circuit_margin(gamma, tol: Tolerances = DEFAULT) -> float:
-    circ = circuit_from_pure(gamma, tol)
-    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else gamma
-    scale = max(1.0, float(np.max(np.abs(g))))
-    defect = float(np.max(np.abs(replay_circuit(circ) - g))) / scale
-    n = circ.n
-    if len(circ.passive_ops) > n * (n - 1) // 2 + n:
-        return -1.0
-    return ROUNDTRIP_TOL - defect
-
-
 def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 5.0,
                      tol: Tolerances = DEFAULT, corrupt=None) -> VerificationSummary:
     """Run every suite over ``trials`` sampled instances.
@@ -136,38 +92,50 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
         raise ValueError("trials and n_max must be positive")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    necessity = SuiteResult("necessity")
-    trace_bound = SuiteResult("symplectic_trace_bound")
-    spread_bound = SuiteResult("spread_bound")
-    recon = SuiteResult("williamson_euler_reconstruction")
-    roundtrip = SuiteResult("synthesis_roundtrip")
-    circuits = SuiteResult("circuit_replay")
+    necessity = SuiteResult("necessity", -tol.tol_ineq, upper=False)
+    trace_bound = SuiteResult("symplectic_trace_bound", -tol.tol_ineq, upper=False)
+    spread_bound = SuiteResult("spread_bound", -tol.tol_ineq, upper=False)
+    recon = SuiteResult("williamson_euler_reconstruction", tol.tol_recon)
+    roundtrip = SuiteResult("synthesis_roundtrip", tol.tol_recon)
+    circuits = SuiteResult("circuit_replay", tol.tol_recon)
 
     for trial in range(trials):
         n = 2 + trial % max(1, n_max - 1) if n_max > 1 else 1
         gamma, _, _ = random_physical_covariance(rng, n, squeeze_bound)
-        necessity.record(necessity_margin(gamma, tol))
-        trace_bound.record(trace_bound_margin(gamma, tol))
-        spread_bound.record(spread_bound_margin(gamma, tol))
-        S_w, _ = williamson(gamma, tol)
-        recon.record(min(williamson_margin(gamma, tol), euler_margin(S_w, tol)))
+        # the state's own (c, d) pair
+        c = local_diagonal(gamma, tol).values.values
+        d = symplectic_eigenvalues(gamma, tol).values
+        necessity.record(check_mixed(c, d, tol).min_slack)
+        # sum(d) <= sum(c)
+        trace_bound.record(float(np.sum(c) - np.sum(d)))
+        # c_n - sum(c_j<n) <= sum(d_j>=2) + (3 - 2n) d_1
+        spread_bound.record(float(np.sum(d[1:]) + (3.0 - 2.0 * n) * d[0]
+                                  - (2.0 * c[-1] - np.sum(c))))
+        S_w, d_w = williamson(gamma, tol)
+        # np.max, unlike max, keeps a NaN defect
+        recon.record(float(np.max((williamson_defect(gamma, S_w, d_w),
+                                   euler_defect(S_w, euler_decompose(S_w, tol))))))
 
         if trial % 5 == 0:
             c, d = sample_feasible_pair(rng, int(rng.integers(1, n_max + 1)))
-            final = synthesize(c, d, tol).final_matrix.entries
-            if corrupt is not None:
-                final = corrupt(final)
+            trace = synthesize(c, d, tol)
             try:
-                roundtrip.record(roundtrip_margin(c, d, CovarianceMatrix(final), tol))
+                if corrupt is not None:
+                    trace.final_matrix = CovarianceMatrix(corrupt(trace.final_matrix.entries),
+                                                          tol)
+                roundtrip.record(synthesis_defect(trace, c, d, tol))
             except ModeMatchError:
                 # a matrix that no longer validates counts as a violation
-                roundtrip.record(-1.0)
+                roundtrip.record(None)
 
         if trial % 10 == 0:
             m = int(rng.integers(1, min(n_max, 6) + 1))
             Sp = random_symplectic(m, min(squeeze_bound, 3.0), rng)
             pure = CovarianceMatrix(Sp.entries @ Sp.entries.T)
-            circuits.record(circuit_margin(pure, tol))
+            circ = circuit_from_pure(pure, tol)
+            # a Reck mesh has at most m(m - 1)/2 rotations and m phases
+            meshed = len(circ.passive_ops) <= m * (m - 1) // 2 + m
+            circuits.record(replay_defect(circ, pure.entries) if meshed else None)
 
     summary = VerificationSummary(
         suites=[necessity, trace_bound, spread_bound, recon, roundtrip, circuits],

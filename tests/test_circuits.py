@@ -214,7 +214,7 @@ class TestCircuitFromMixed:
         rng = np.random.default_rng(69)
         c, d = sample_feasible_pair(rng, 4, physical=True)
         trace = synthesize(c, d)
-        gate = trace.steps[1]
+        gate = trace.steps[0]
         gate.transform = gate.transform.copy()
         gate.transform[0, 0] += 1e-4
         with pytest.raises(InvalidTrace):

@@ -10,10 +10,16 @@ from modematch.errors import Infeasible, NumericalFailure
 from modematch.matrixio import read_matrix, write_matrix
 
 
+def _reject_constant(constant):
+    raise ValueError(f"record is not strict JSON: {constant}")
+
+
 def run_cli(capsys, *argv):
+    """Exit code and last record of a CLI call; the record must be strict
+    JSON, with no NaN or Infinity."""
     code = main(list(argv))
     captured = capsys.readouterr()
-    record = json.loads(captured.out.strip().splitlines()[-1])
+    record = json.loads(captured.out.strip().splitlines()[-1], parse_constant=_reject_constant)
     return code, record
 
 
@@ -191,6 +197,25 @@ class TestWilliamsonEuler:
         assert "reconstruction check failed" in record["error"]
         assert not (tmp_path / "e.O.mat").exists()
 
+    def test_nan_defect_exits_three(self, capsys, tmp_path, monkeypatch):
+        import modematch.core as core
+
+        real = core.euler_decompose
+
+        def nan_factors(S, tol):
+            factors = real(S, tol)
+            factors.z = factors.z * np.nan
+            return factors
+
+        monkeypatch.setattr(core, "euler_decompose", nan_factors)
+        src = tmp_path / "s.mat"
+        write_matrix(src, np.diag([2.0, 0.5, 1.0, 1.0]), "symplectic")
+        code, record = run_cli(capsys, "euler", "--matrix", str(src),
+                               "--out-prefix", str(tmp_path / "e"))
+        assert code == 3
+        assert record["error"] == "reconstruction check failed: defect nan"
+        assert not (tmp_path / "e.O.mat").exists()
+
     def test_rejects_asymmetric_matrix_file(self, capsys, tmp_path):
         bad = np.eye(4)
         bad[0, 1] = 0.5
@@ -267,6 +292,23 @@ class TestPrepare:
                                    read_matrix(src).values, atol=1e-7)
 
 
+    def test_witness_missing_its_locals_exits_three(self, capsys, tmp_path, monkeypatch):
+        import modematch.synthesis as synthesis
+
+        real = synthesis.synthesize
+
+        def shifted(c, d, tol):
+            # a feasible witness for locals 0.1 above the requested ones
+            return real(np.asarray(c) + 0.1, d, tol)
+
+        monkeypatch.setattr(synthesis, "synthesize", shifted)
+        out = tmp_path / "circ.txt"
+        code, record = run_cli(capsys, "prepare", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", str(out))
+        assert code == 3
+        assert "self-verification failed" in record["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("element", [
         "squeezer mode=0 z=-4",
         "rotation modes=0,5 theta=0.1 phi=0",
@@ -302,6 +344,47 @@ class TestVerify:
                                "--seed", "7", "--self-check-corrupt")
         assert code == 1
         assert record["violations"] > 0
+
+    def test_nan_defect_is_a_violation(self, capsys, monkeypatch):
+        import modematch.verify as verify
+
+        real = verify.euler_decompose
+
+        def nan_factors(S, tol):
+            factors = real(S, tol)
+            factors.z = factors.z * np.nan
+            return factors
+
+        monkeypatch.setattr(verify, "euler_decompose", nan_factors)
+        code, record = run_cli(capsys, "verify", "--trials", "4", "--n-max", "3", "--seed", "7")
+        recon = next(s for s in record["suites"]
+                     if s["suite"] == "williamson_euler_reconstruction")
+        assert code == 1
+        assert recon["violations"] == 4 and recon["worst"] is None
+
+    def test_suites_report_raw_worst_beside_bound(self, capsys):
+        code, record = run_cli(capsys, "verify", "--trials", "40", "--n-max", "6",
+                               "--seed", "7")
+        assert code == 0
+        suites = {s["suite"]: s for s in record["suites"]}
+        assert len(suites) == 6
+        for suite in suites.values():
+            assert {"worst", "bound"} <= suite.keys() and "worst_margin" not in suite
+        for name in ("williamson_euler_reconstruction", "synthesis_roundtrip",
+                     "circuit_replay"):
+            assert suites[name]["bound"] == 1e-8
+            assert 0.0 <= suites[name]["worst"] <= 1e-12
+        for name in ("necessity", "symplectic_trace_bound", "spread_bound"):
+            assert suites[name]["bound"] == -1e-9
+            assert suites[name]["worst"] >= 0.0
+
+    def test_slack_bound_follows_the_tolerance_flag(self, capsys):
+        code, record = run_cli(capsys, "--tol-ineq", "1e-3", "verify", "--trials", "5",
+                               "--n-max", "3", "--seed", "7")
+        assert code == 0
+        bounds = {s["suite"]: s["bound"] for s in record["suites"]}
+        for name in ("necessity", "symplectic_trace_bound", "spread_bound"):
+            assert bounds[name] == -1e-3
 
     def test_rejects_bad_parameters(self, capsys):
         code, _ = run_cli(capsys, "verify", "--trials", "0")

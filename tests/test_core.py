@@ -21,15 +21,15 @@ from modematch.core import (
     haar_orthogonal_symplectic,
     interleaved_diagonal,
     symplectic_inverse,
+    williamson_defect,
 )
 from modematch.entropy import entropy_report
 from modematch.errors import InvalidInput, NumericalFailure
-from modematch.marginals import check_matrix_consistency, local_diagonal, local_normal_form
-from modematch.verify import (
-    necessity_margin,
-    spread_bound_margin,
-    trace_bound_margin,
-    williamson_margin,
+from modematch.marginals import (
+    check_matrix_consistency,
+    check_mixed,
+    local_diagonal,
+    local_normal_form,
 )
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -141,13 +141,12 @@ class TestSingleSpectralPass:
         symplectic_eigenvalues(cov)
         williamson(cov)
         assert calls == ["eigh", "eigh"]
-        # the consistency gate, the entropy report and the verify margins
-        # read the same memoised data
+        # the consistency gate, the entropy report and the verify suites'
+        # slacks and Williamson defect read the same memoised data
         check_matrix_consistency(cov)
         entropy_report(gamma=cov)
-        for margin in (necessity_margin, trace_bound_margin, spread_bound_margin,
-                       williamson_margin):
-            margin(cov)
+        check_mixed(local_diagonal(cov).values, symplectic_eigenvalues(cov))
+        williamson_defect(cov, *williamson(cov))
         assert calls == ["eigh", "eigh"]
 
     def test_checks_run_on_memoised_data(self):

@@ -53,7 +53,7 @@ REJECTIONS = {
                             "not strictly positive"),
     "misordered-two-mode": (lambda: solve_two_mode(2.0, 1.0, 1.0, 2.0), "0 < c1 <= c2"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
-    "trace": (lambda: circuit_from_mixed(SynthesisTrace(n=1)), "no final matrix"),
+    "trace": (lambda: circuit_from_mixed(SynthesisTrace(n=1, seed=np.ones(1))), "no final matrix"),
 }
 
 

@@ -16,7 +16,6 @@ from modematch import (
 from modematch.errors import Infeasible, InvalidInput
 from modematch.core import symplectic_defect
 from modematch.synthesis import (
-    DirectSumStep,
     TwoModeStep,
     assemble_two_mode,
 )
@@ -153,32 +152,28 @@ class TestSynthesize:
             scale = max(1.0, np.max(np.abs(trace.final_matrix.entries)))
             assert np.max(np.abs(replayed - trace.final_matrix.entries)) <= 1e-8 * scale
             # reference: embed every gate densely in the identity, then multiply
-            seed_step, *gates = trace.steps
             S = np.eye(2 * n)
-            for step in gates:
+            for step in trace.steps:
                 i, j = step.modes
                 rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
                 E = np.eye(2 * n)
                 E[np.ix_(rows, rows)] = step.transform
                 S = E @ S
-            seed = np.empty(n)
-            seed[list(seed_step.modes)] = seed_step.values
-            reference = S @ np.diag(np.repeat(seed, 2)) @ S.T
+            reference = S @ np.diag(np.repeat(trace.seed, 2)) @ S.T
             assert np.max(np.abs(replayed - reference)) <= 1e-12 * scale
 
     def test_trace_is_thermal_seed_then_two_mode_gates(self):
-        # one seed step holding d on all modes, then at most n - 1
-        # symplectic 4x4 gates, each on two distinct modes
+        # a seed holding d on all modes, then at most n - 1 symplectic 4x4
+        # gates, each on two distinct modes
         rng = np.random.default_rng(39)
         for _ in range(40):
             n = int(rng.integers(3, 8))
             c, d = sample_feasible_pair(rng, n)
-            seed, *gates = synthesize(c, d).steps
-            assert isinstance(seed, DirectSumStep)
-            assert sorted(seed.modes) == list(range(n))
-            assert np.array_equal(np.sort(seed.values), d)
-            assert len(gates) <= n - 1
-            for step in gates:
+            trace = synthesize(c, d)
+            assert trace.seed.shape == (n,)
+            assert np.array_equal(np.sort(trace.seed), d)
+            assert len(trace.steps) <= n - 1
+            for step in trace.steps:
                 assert isinstance(step, TwoModeStep)
                 i, j = step.modes
                 assert i != j and {i, j} <= set(range(n))
@@ -191,9 +186,7 @@ class TestSynthesize:
             n = int(rng.integers(2, 8))
             c, d = sample_feasible_pair(rng, n)
             trace = synthesize(c, d)
-            for step in trace.steps:
-                if isinstance(step, DirectSumStep):
-                    assert all(v > 0 for v in step.values)
+            assert all(v > 0 for v in trace.seed)
 
 
 class TestSynthesizePure:
