@@ -17,7 +17,7 @@ _EXPORTS = {
     "DEFAULT": "config",
     "EntropyReport": "entropy",
     "EulerFactors": "core",
-    "FeasibilityVerdict": "marginals",
+    "FeasibilityVerdict": "gate",
     "LocalDiagonal": "marginals",
     "PreparationCircuit": "circuits",
     "SpectrumVector": "core",
@@ -27,8 +27,8 @@ _EXPORTS = {
     "TwoModeBlock": "synthesis",
     "b_to_temperature": "marginals",
     "check_matrix_consistency": "marginals",
-    "check_mixed": "marginals",
-    "check_pure": "marginals",
+    "check_mixed": "gate",
+    "check_pure": "gate",
     "circuit_from_mixed": "circuits",
     "circuit_from_pure": "circuits",
     "entanglement_profile": "entropy",
@@ -59,8 +59,8 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset({
-    "circuits", "cli", "config", "core", "entropy", "errors", "marginals",
-    "matrixio", "synthesis", "verify",
+    "circuits", "cli", "config", "core", "entropy", "errors", "gate",
+    "marginals", "matrixio", "synthesis", "verify",
 })
 
 __all__ = sorted(_EXPORTS)

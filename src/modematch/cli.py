@@ -11,22 +11,23 @@ measures its defect with the function next to the kernel it checks and
 fails unless the defect is at most ``tol_recon``, so a NaN defect fails.
 MODEMATCH_TOL_INEQ overrides the inequality tolerance.
 
-Each subcommand imports the library modules it calls when it runs, so a
-process loads only what its subcommand needs.  ``run`` is the console entry
-point: it exits through ``os._exit`` once the output is flushed.
+Each subcommand imports the library modules it calls, numpy and the matrix
+file code included, when it runs, so a process loads only what its
+subcommand needs: ``check --c --d`` and ``check --pure --b`` load no numpy.
+``run`` is the console entry point: it exits through ``os._exit`` once the
+output is flushed.
 """
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
-
-import numpy as np
+from array import array
 
 from . import config
 from .errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
-from .matrixio import read_matrix, write_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -34,25 +35,38 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_vector(raw: str) -> np.ndarray:
+def _parse_vector(raw: str) -> list[float]:
     try:
-        values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise InvalidInput(f"could not parse vector {raw!r}: {exc}") from None
-    if values.size == 0:
+    if not values:
         raise InvalidInput(f"empty vector {raw!r}")
     return values
 
 
-def _digest(*parts) -> str:
-    import hashlib
+def _sha256():
+    """A SHA-256 hash object from the interpreter's builtin module, which
+    loads no OpenSSL; ``hashlib`` is the fallback."""
+    for name in ("_sha2", "_sha256", "hashlib"):  # 3.12+, up to 3.11
+        try:
+            return importlib.import_module(name).sha256()
+        except ImportError:
+            pass
+    raise ImportError("no SHA-256 implementation")
 
-    h = hashlib.sha256()
+
+def _digest(*parts) -> str:
+    """Hash of strings and float vectors: a list of floats and an array
+    contribute the same float64 bytes."""
+    h = _sha256()
     for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        if isinstance(part, str):
+            h.update(part.encode())
+        elif isinstance(part, list):
+            h.update(array("d", part).tobytes())
         else:
-            h.update(str(part).encode())
+            h.update(part.astype(float, copy=False).tobytes())
         h.update(b"|")
     return h.hexdigest()[:16]
 
@@ -103,6 +117,7 @@ def _verdict_table(verdict) -> list[str]:
 def _load(path, kind, tol):
     """A covariance matrix or symplectic transform read from a matrix file."""
     from .core import CovarianceMatrix, SymplecticTransform
+    from .matrixio import read_matrix
 
     mf = read_matrix(path)
     if mf.kind != kind:
@@ -115,24 +130,26 @@ def _load(path, kind, tol):
 
 
 def cmd_check(args, tol) -> int:
-    from .marginals import check_matrix_consistency, check_mixed, check_pure
+    from .gate import check_mixed, check_pure
 
     start = time.perf_counter()
     if args.matrix:
+        from .marginals import check_matrix_consistency
+
         cov = _load(args.matrix, "covariance", tol)
         verdict = check_matrix_consistency(cov, tol)
         digest = _digest("check", cov.entries)
     elif args.pure:
         if args.b is None:
             raise InvalidInput("--pure requires --b")
-        b = np.sort(_parse_vector(args.b))
+        b = sorted(_parse_vector(args.b))
         verdict = check_pure(b, tol)
         digest = _digest("check-pure", b)
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --c and --d, or --b with --pure, or --matrix")
-        c = np.sort(_parse_vector(args.c))
-        d = np.sort(_parse_vector(args.d))
+        c = sorted(_parse_vector(args.c))
+        d = sorted(_parse_vector(args.d))
         verdict = check_mixed(c, d, tol)
         digest = _digest("check-mixed", c, d)
     record = _verdict_record("check", verdict, digest, tol, time.perf_counter() - start)
@@ -141,6 +158,9 @@ def cmd_check(args, tol) -> int:
 
 
 def cmd_synth(args, tol) -> int:
+    import numpy as np
+
+    from .matrixio import write_matrix
     from .synthesis import synthesis_defect, synthesize
 
     start = time.perf_counter()
@@ -183,6 +203,7 @@ def cmd_synth(args, tol) -> int:
 
 def cmd_williamson(args, tol) -> int:
     from .core import interleaved_diagonal, williamson, williamson_defect
+    from .matrixio import write_matrix
 
     start = time.perf_counter()
     cov = _load(args.matrix, "covariance", tol)
@@ -207,6 +228,7 @@ def cmd_williamson(args, tol) -> int:
 
 def cmd_euler(args, tol) -> int:
     from .core import euler_decompose, euler_defect
+    from .matrixio import write_matrix
 
     start = time.perf_counter()
     S = _load(args.matrix, "symplectic", tol)
@@ -231,6 +253,8 @@ def cmd_euler(args, tol) -> int:
 
 
 def cmd_entropy(args, tol) -> int:
+    import numpy as np
+
     from .core import symplectic_eigenvalues
     from .entropy import entropy_report, entropy_s
 
@@ -271,6 +295,8 @@ def cmd_entropy(args, tol) -> int:
 
 
 def cmd_prepare(args, tol) -> int:
+    import numpy as np
+
     from .circuits import (
         circuit_from_mixed,
         circuit_from_pure,
@@ -338,6 +364,7 @@ def cmd_prepare(args, tol) -> int:
 
 def cmd_replay(args, tol) -> int:
     from .circuits import parse_circuit, replay_circuit
+    from .matrixio import write_matrix
 
     start = time.perf_counter()
     with open(args.circuit) as fh:
@@ -354,7 +381,9 @@ def cmd_replay(args, tol) -> int:
     return EXIT_OK
 
 
-def _flip_sign_corruption(matrix: np.ndarray) -> np.ndarray:
+def _flip_sign_corruption(matrix):
+    import numpy as np
+
     out = matrix.copy()
     off = np.abs(np.triu(out, k=1))
     i, j = np.unravel_index(np.argmax(off), off.shape)

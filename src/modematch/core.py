@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, NumericalFailure
+from .gate import _descends
 
 _EPS = float(np.finfo(float).eps)
 
@@ -99,11 +100,6 @@ def relative_defect(difference: np.ndarray, reference: np.ndarray) -> float:
     """Largest entry of a difference over max(1, largest entry of the
     reference): the measure of every reconstruction and replay self-check."""
     return _max_abs(difference) / max(1.0, _max_abs(reference))
-
-
-def _descends(values: list) -> bool:
-    """Whether a list of floats has a neighbour pair in decreasing order."""
-    return any(b < a for a, b in zip(values, values[1:]))
 
 
 def _finite_max_abs(entries: np.ndarray, what: str) -> float:

@@ -24,7 +24,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput, NumericalFailure
-from .marginals import _as_vector, check_pure, local_diagonal
+from .gate import _as_vector, check_pure
+from .marginals import local_diagonal
 
 
 @dataclass

@@ -1,0 +1,160 @@
+"""The feasibility gate.
+
+The central question: given a target symplectic spectrum d and per-mode
+local symplectic values c (both positive, non-decreasing), does a strictly
+positive matrix exist realising both?  The answer is yes exactly when the n
+partial-sum conditions
+
+    c_1 + ... + c_k >= d_1 + ... + d_k        (k = 1, ..., n)
+
+and the anti-majorization condition
+
+    c_n - (c_1 + ... + c_{n-1}) <= d_n - (d_1 + ... + d_{n-1})
+
+hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
+cases stay testable.
+
+The gate is n + 1 sums of Python floats, so this module must stay free of
+numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
+check --c --d`` load only ``config``, ``errors`` and this module.
+``tests/test_startup.py`` enforces this in fresh interpreters.
+"""
+
+import math
+import sys
+from dataclasses import dataclass
+from itertools import accumulate
+
+from .config import DEFAULT, Tolerances
+from .errors import InvalidInput
+
+PARTIAL_SUM = "partial_sum"
+LAST_CONDITION = "last_condition"
+
+# a SpectrumVector exists only once modematch.core is loaded, so its class
+# is looked up in sys.modules rather than imported
+_MODULES = sys.modules
+_CORE = f"{__package__}.core"
+
+
+@dataclass
+class ConstraintSlack:
+    """Signed distance to one feasibility inequality (negative = violated)."""
+
+    name: str
+    index: int | None
+    slack: float
+
+    def label(self) -> str:
+        if self.name == PARTIAL_SUM:
+            return f"{PARTIAL_SUM}({self.index})"
+        if self.index is None:
+            return self.name
+        return f"{self.name}(j={self.index})"
+
+
+@dataclass
+class FeasibilityVerdict:
+    """Outcome of a feasibility check with per-constraint slacks."""
+
+    feasible: bool
+    slacks: list[ConstraintSlack]
+    tol_ineq: float
+
+    @property
+    def violated(self) -> list[ConstraintSlack]:
+        return [s for s in self.slacks if s.slack < -self.tol_ineq]
+
+    @property
+    def min_slack(self) -> float:
+        return min(s.slack for s in self.slacks)
+
+
+def _descends(values: list) -> bool:
+    """Whether a list of floats has a neighbour pair in decreasing order."""
+    return any(b < a for a, b in zip(values, values[1:]))
+
+
+def _as_vector(values, what: str) -> list:
+    """A non-empty 1-d vector of finite values, as a list of Python floats.
+
+    Vectors here have one entry per mode, so checks and reductions run on
+    floats: at these sizes each numpy dispatch costs more than the work.  An
+    array or a SpectrumVector goes through ``tolist()``; any other iterable
+    of reals goes through ``float()``.
+    """
+    ndim = getattr(values, "ndim", None)
+    if ndim is None:
+        core = _MODULES.get(_CORE)
+        if core is not None and isinstance(values, core.SpectrumVector):
+            values = values.values
+            ndim = values.ndim
+    if ndim is None:
+        if isinstance(values, (str, bytes)):
+            raise InvalidInput(f"{what} must be a non-empty 1-d vector")
+        try:
+            out = [float(v) for v in values]
+        except TypeError:
+            # a scalar, None, or a nested sequence
+            raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
+    elif ndim == 1:
+        out = values.tolist()
+        # a float64 array lists Python floats already
+        if values.dtype.char != "d":
+            out = [float(v) for v in out]
+    else:
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
+    if not out:
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
+    if not all(map(math.isfinite, out)):
+        raise InvalidInput(f"{what} has non-finite entries")
+    return out
+
+
+def _validate_pair(c: list, d: list):
+    if len(c) != len(d):
+        raise InvalidInput(f"vectors have lengths {len(c)} and {len(d)}")
+    for name, v in (("c", c), ("d", d)):
+        if min(v) <= 0:
+            raise InvalidInput(f"{name} must be strictly positive")
+        if _descends(v):
+            raise InvalidInput(f"{name} must be non-decreasing")
+
+
+def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
+    """Feasibility gate for a (local values, spectrum) pair.
+
+    Both vectors must be sorted non-decreasing and strictly positive.  The
+    verdict carries one slack per partial-sum condition plus the final
+    anti-majorization condition.
+    """
+    c = _as_vector(c, "c")
+    d = _as_vector(d, "d")
+    _validate_pair(c, d)
+    # running sums in order, as np.cumsum forms them; the last one is the total
+    sum_c, sum_d = list(accumulate(c)), list(accumulate(d))
+    values = [a - b for a, b in zip(sum_c, sum_d)]
+    values.append((2.0 * d[-1] - sum_d[-1]) - (2.0 * c[-1] - sum_c[-1]))
+    slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(values[:-1], start=1)]
+    slacks.append(ConstraintSlack(LAST_CONDITION, None, values[-1]))
+    feasible = all(s >= -tol.tol_ineq for s in values)
+    return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol.tol_ineq)
+
+
+def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
+    """Feasibility of local excitations b >= 0 against a pure global state.
+
+    Equivalent to check_mixed(b + 1, (1, ..., 1)); only the binding
+    constraint for the largest entry is reported, the others being implied.
+    """
+    b = _as_vector(b, "b")
+    if min(b) < 0:
+        raise InvalidInput("b entries must be non-negative")
+    top = max(b)
+    j = b.index(top)
+    slack = sum(b) - 2.0 * top
+    return FeasibilityVerdict(
+        feasible=slack >= -tol.tol_ineq,
+        slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],
+        tol_ineq=tol.tol_ineq,
+    )

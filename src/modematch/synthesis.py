@@ -30,7 +30,8 @@ from .core import (
     williamson,
 )
 from .errors import Infeasible, InvalidInput, NumericalFailure
-from .marginals import _as_vector, check_mixed, check_pure, local_diagonal
+from .gate import _as_vector, check_mixed, check_pure
+from .marginals import local_diagonal
 
 
 @dataclass

@@ -29,7 +29,8 @@ from .core import (
     williamson_defect,
 )
 from .errors import ModeMatchError
-from .marginals import check_mixed, local_diagonal
+from .gate import check_mixed
+from .marginals import local_diagonal
 from .synthesis import sample_feasible_pair, synthesis_defect, synthesize
 
 

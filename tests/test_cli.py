@@ -50,6 +50,21 @@ class TestCheck:
         code, record = run_cli(capsys, "check", "--matrix", str(path))
         assert code == 0 and record["feasible"]
 
+    def test_digests_are_pinned(self, capsys, tmp_path):
+        # values from the hashlib/numpy digest: the builtin SHA-256 and the
+        # float64 bytes of a list must reproduce them
+        path = tmp_path / "g.mat"
+        write_matrix(path, np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 1.5]]), "covariance")
+        cases = [
+            (["check", "--matrix", str(path)], "8841df46f97cba0b"),
+            (["check", "--c", "2,1.5,1.25", "--d", "1,1.5,2"], "c24d3ed9187b7516"),
+            (["check", "--pure", "--b", "0.25,1,0.5"], "3d467ccf8b092a46"),
+            (["entropy", "--c", "1.5,2"], "118310c223de3961"),
+        ]
+        for argv, digest in cases:
+            assert run_cli(capsys, *argv)[1]["digest"] == digest
+
     def test_malformed_vector(self, capsys):
         code, record = run_cli(capsys, "check", "--c", "1,x", "--d", "1,1")
         assert code == 2

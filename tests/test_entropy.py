@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import modematch.entropy as entropy_module
-import modematch.marginals as marginals_module
+import modematch.gate as gate_module
 from modematch import (
     CovarianceMatrix,
     check_pure,
@@ -202,14 +202,14 @@ class TestEntropyReport:
 
     def test_local_values_are_validated_once(self, monkeypatch):
         calls = []
-        validate = marginals_module._as_vector
+        validate = gate_module._as_vector
 
         def counted(values, what):
             calls.append(what)
             return validate(values, what)
 
         monkeypatch.setattr(entropy_module, "_as_vector", counted)
-        monkeypatch.setattr(marginals_module, "_as_vector", counted)
+        monkeypatch.setattr(gate_module, "_as_vector", counted)
         c = [1.5, 1.5, 2.0]
         report = entropy_report(c=c)
         assert calls == ["c"]

@@ -1,0 +1,75 @@
+"""The numpy-free vector check of the gate against the numpy form it replaced."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from modematch import SpectrumVector
+from modematch.errors import InvalidInput
+from modematch.gate import _as_vector
+
+
+def reference_as_vector(values, what: str) -> list:
+    """The numpy body ``_as_vector`` had before the gate left the matrix core."""
+    if isinstance(values, SpectrumVector):
+        values = values.values
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
+    out = arr.tolist()
+    if not all(map(math.isfinite, out)):
+        raise InvalidInput(f"{what} has non-finite entries")
+    return out
+
+
+def _outcome(fn, values):
+    """The float64 bit patterns returned, or the exception class and message."""
+    try:
+        out = fn(values, "c")
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    assert type(out) is list and all(type(v) is float for v in out)
+    return [struct.pack("<d", v) for v in out]
+
+
+ACCEPTED = {
+    "list": [1.0, 2.5, 1e-300, 3],
+    "tuple": (0.1, 0.2, 0.30000000000000004),
+    "int-array": np.array([1, 2, 2**53 + 1, -7]),
+    "float-array": np.array([1.0, 1.0 + 2**-52, 5e-324, -0.0]),
+    "float32-array": np.array([0.1, 2.5], dtype=np.float32),
+    "strided-array": np.arange(12.0)[::3],
+    "range": range(1, 4),
+    "spectrum": SpectrumVector(np.array([1.0, 1.5, 1.5 + 2**-40])),
+}
+REJECTED = {
+    "0-d-array": np.array(1.5),
+    "float64-scalar": np.float64(2.0),
+    "python-float": 1.5,
+    "string": "12",
+    "bytes": b"12",
+    "2-d-array": np.ones((2, 2)),
+    "column": np.ones((3, 1)),
+    "nested-list": [[1.0, 2.0], [3.0, 4.0]],
+    "empty-list": [],
+    "empty-array": np.array([]),
+    "none": None,
+    "nan": [1.0, float("nan")],
+    "inf-array": np.array([np.inf, 1.0]),
+    "minus-inf": (1.0, -math.inf),
+}
+
+
+@pytest.mark.parametrize("name", [*ACCEPTED, *REJECTED])
+def test_matches_numpy_reference(name):
+    values = {**ACCEPTED, **REJECTED}[name]
+    ours, theirs = _outcome(_as_vector, values), _outcome(reference_as_vector, values)
+    assert ours == theirs
+    assert isinstance(ours, list) == (name in ACCEPTED)
+
+
+def test_any_iterable_of_reals():
+    # numpy cannot size an iterator, so the reference rejects this one
+    assert _as_vector(iter([1, 2.5]), "c") == [1.0, 2.5]

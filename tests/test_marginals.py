@@ -278,3 +278,12 @@ class TestTemperatureConversions:
             temperature_to_b([0.0])
         with pytest.raises(InvalidInput):
             b_to_temperature([-1.0])
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value, recwarn):
+        # NaN used to map to T = 0 (a pure mode) and inf to divide by zero
+        with pytest.raises(InvalidInput, match="non-finite"):
+            temperature_to_b([1.0, value])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            b_to_temperature([1.0, value])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -17,6 +17,9 @@ from modematch.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy.random", "modematch.synthesis", "modematch.circuits", "modematch.entropy",
          "modematch.verify")
+# the gate runs on Python floats: none of these may load for check_mixed,
+# check_pure, ``check --c --d`` or ``check --pure --b``
+MATRIX_SIDE = ("numpy", "modematch.core", "modematch.marginals", "modematch.matrixio", "_hashlib")
 
 
 def _env() -> dict:
@@ -49,22 +52,35 @@ class TestLazyImports:
     def test_check_mixed_after_bare_import(self):
         code = ("import json, sys, modematch; "
                 "v = modematch.check_mixed([1.5, 1.5], [1, 2]); "
-                "print(json.dumps([v.feasible, sorted(sys.modules)]))")
+                "w = modematch.check_pure([0.5, 0.5, 1.0]); "
+                "print(json.dumps([v.feasible, w.feasible, sorted(sys.modules)]))")
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        feasible, modules = json.loads(proc.stdout)
-        assert feasible is True
-        assert "modematch.marginals" in modules
-        assert not set(HEAVY) & set(modules)
+        mixed, pure, modules = json.loads(proc.stdout)
+        assert mixed is True and pure is True
+        assert "modematch.gate" in modules
+        assert not set(HEAVY + MATRIX_SIDE) & set(modules)
 
-    def test_cli_check_loads_only_the_gate(self):
-        proc = _python("-X", "importtime", "-m", "modematch.cli",
-                       "check", "--c", "1.5,1.5", "--d", "1,2")
+    @pytest.mark.parametrize("argv", [
+        ["check", "--c", "1.5,1.5", "--d", "1,2"],
+        ["check", "--pure", "--b", "0.5,0.5,1"],
+    ], ids=["mixed", "pure"])
+    def test_cli_check_loads_only_the_gate(self, argv):
+        proc = _python("-X", "importtime", "-m", "modematch.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        imported = _imported(proc.stderr)
+        assert "modematch.gate" in imported
+        assert not set(HEAVY + MATRIX_SIDE) & imported
+        assert _last_record(proc)["feasible"] is True
+
+    def test_check_matrix_digests_without_openssl(self, tmp_path):
+        path = tmp_path / "g.mat"
+        assert _cli("synth", "--c", "1.5,1.5", "--d", "1,2", "--out", str(path)).returncode == 0
+        proc = _python("-X", "importtime", "-m", "modematch.cli", "check", "--matrix", str(path))
         assert proc.returncode == 0, proc.stderr
         imported = _imported(proc.stderr)
         assert "modematch.marginals" in imported
-        assert not set(HEAVY) & imported
-        assert _last_record(proc)["feasible"] is True
+        assert "_hashlib" not in imported
 
     def test_every_export_resolves_and_is_listed(self):
         code = ("import json, modematch; listed = dir(modematch); "
