@@ -29,6 +29,7 @@ _EXPORTS = {
     "check_matrix_consistency": "marginals",
     "check_mixed": "gate",
     "check_pure": "gate",
+    "circuit_from_matrix": "circuits",
     "circuit_from_mixed": "circuits",
     "circuit_from_pure": "circuits",
     "entanglement_profile": "entropy",

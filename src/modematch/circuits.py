@@ -1,13 +1,13 @@
 """Preparation circuits: a seed state and one ordered list of elements.
 
 A circuit applies squeezers, two-mode rotations and phases to its seed, one
-covariance value per mode, in list order.  A pure target O P O^T (P the
-covariance of independently squeezed modes, O passive) is n squeezers on
-the vacuum followed by a Reck mesh of O.  A mixed target follows its
-synthesis trace from the thermal seed: each two-mode gate g = O Q V gives
-V's elements, its non-unit squeezers, then O's elements on the gate's
-modes; at most 8 elements per gate, so O(n) in all, for up to 2(n-1)
-squeezers where one Bloch-Messiah factorisation of the whole product has n.
+covariance value per mode, in list order.  A physical target S D S^T (D
+its Williamson spectrum d, S = O Q V by Bloch-Messiah, O and V passive) is
+V's Reck mesh, n squeezers and O's mesh on the thermal seed d; V leaves the
+vacuum seed of a pure target unchanged and is left out.  A synthesized
+target can instead follow its trace: each two-mode gate g = O Q V gives V's
+elements, its non-unit squeezers, then O's elements on the gate's modes; at
+most 8 elements per gate, so O(n) in all, where the dense form has O(n^2).
 
 Passive elements live in the unitary picture: an orthogonal-symplectic
 matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
@@ -196,25 +196,30 @@ def _passive_network(O, modes, tol: Tolerances) -> list[PassiveElement]:
             for el in reversed(passive_to_two_mode_rotations(O, tol))]
 
 
-def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
-    """n squeezers and then one passive network preparing a pure target.
-
-    The target must be physical with all symplectic eigenvalues equal to one
-    within tolerance.  The squeezers hold its paired eigenvalues; the network
-    is the orthogonal factor aligning the squeezed quadratures.
-    """
+def circuit_from_matrix(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
+    """Circuit preparing a physical matrix as itself: the Euler factors
+    O Q V of the inverse Williamson transform give V's network, n squeezers
+    and O's network on the seed d, or on the vacuum without V's network when
+    every d is within ``tol_psd`` of one."""
     cov = _as_covariance(gamma, tol)
     if not cov.is_physical(tol.tol_psd):
         raise InvalidInput("target matrix violates the uncertainty bound")
     S_w, d = williamson(cov, tol)
-    if np.max(np.abs(d.values - 1.0)) > tol.tol_psd:
-        raise InvalidInput(f"target is not pure: symplectic spectrum {d.values}")
-    prep = symplectic_inverse(S_w.entries)
-    factors = euler_decompose(prep, tol)
-    elements: list[Element] = [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
+    pure = np.max(np.abs(d.values - 1.0)) <= tol.tol_psd
+    factors = euler_decompose(symplectic_inverse(S_w.entries), tol)
+    elements: list[Element] = [] if pure else _passive_network(factors.V, range(cov.n), tol)
+    elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
     elements += _passive_network(factors.O, range(cov.n), tol)
-    return PreparationCircuit(n=cov.n, seed=np.ones(cov.n), elements=elements,
-                              source=PURE_SOURCE)
+    seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values.copy(), MIXED_SOURCE)
+    return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
+
+
+def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
+    """``circuit_from_matrix`` of a target that must be pure."""
+    circuit = circuit_from_matrix(gamma, tol)
+    if circuit.source != PURE_SOURCE:
+        raise InvalidInput(f"target is not pure: symplectic spectrum {circuit.seed}")
+    return circuit
 
 
 def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> PreparationCircuit:

@@ -298,48 +298,40 @@ def cmd_prepare(args, tol) -> int:
     import numpy as np
 
     from .circuits import (
+        circuit_from_matrix,
         circuit_from_mixed,
-        circuit_from_pure,
         replay_defect,
         serialize_circuit,
     )
-    from .core import symplectic_eigenvalues
-    from .marginals import local_diagonal
     from .synthesis import synthesis_defect, synthesize
 
     start = time.perf_counter()
-    trace = None
     if args.matrix:
         cov = _load(args.matrix, "covariance", tol)
-        d = symplectic_eigenvalues(cov, tol).values
-        if np.max(np.abs(d - 1.0)) > tol.tol_psd:
-            # a mixed matrix is prepared through the witness synthesized
-            # from its own (c, d), not as itself
-            c = local_diagonal(cov, tol).values.values
-            trace = synthesize(c, d, tol)
+        circuit, target = circuit_from_matrix(cov, tol), cov.entries
+        digest = _digest("prepare", target)
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
         c = np.sort(_parse_vector(args.c))
         d = np.sort(_parse_vector(args.d))
+        if d[0] < 1.0 - tol.tol_psd:
+            raise InvalidInput(f"target violates the uncertainty bound: smallest "
+                               f"symplectic eigenvalue {d[0]:.17g} is below 1")
         try:
             trace = synthesize(c, d, tol)
         except Infeasible as exc:
             _emit({"command": "prepare", "feasible": False, "error": str(exc)})
             return EXIT_INFEASIBLE
-
-    if trace is None:
-        circuit, target = circuit_from_pure(cov, tol), cov.entries
-    else:
         defect = synthesis_defect(trace, c, d, tol)
         if not defect <= tol.tol_recon:
             return _failed("prepare", "self-verification", defect)
         target = trace.final_matrix.entries
         if np.max(np.abs(d - 1.0)) <= tol.tol_psd:
-            circuit = circuit_from_pure(trace.final_matrix, tol)
+            circuit = circuit_from_matrix(trace.final_matrix, tol)
         else:
             circuit = circuit_from_mixed(trace, tol)
-    digest = _digest("prepare", target) if args.matrix else _digest("prepare", c, d)
+        digest = _digest("prepare", c, d)
 
     defect = replay_defect(circuit, target)
     if not defect <= tol.tol_recon:

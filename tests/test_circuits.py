@@ -3,6 +3,7 @@ import pytest
 
 from modematch import (
     CovarianceMatrix,
+    circuit_from_matrix,
     circuit_from_mixed,
     circuit_from_pure,
     parse_circuit,
@@ -23,8 +24,15 @@ from modematch.circuits import (
     orthosymplectic_to_unitary,
     unitary_to_orthosymplectic,
 )
-from modematch.core import interleaved_diagonal, symplectic_form, symplectic_trace
+from modematch.core import (
+    interleaved_diagonal,
+    relative_defect,
+    symplectic_form,
+    symplectic_trace,
+    williamson,
+)
 from modematch.errors import InvalidInput, InvalidTrace
+from modematch.verify import random_physical_covariance
 
 
 def haar_unitary(n, rng):
@@ -168,6 +176,31 @@ class TestCircuitFromPure:
             circuit_from_pure(np.diag([2.0, 2.0]))
         with pytest.raises(InvalidInput):
             circuit_from_pure(0.5 * np.eye(2))
+
+
+class TestCircuitFromMatrix:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_mixed_targets_replay_as_themselves(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            gamma, _, _ = random_physical_covariance(rng, n, 3.0)
+            circuit = circuit_from_matrix(gamma)
+            assert circuit.source == "mixed_OQV"
+            assert relative_defect(replay_circuit(circuit) - gamma.entries,
+                                   gamma.entries) <= 1e-8
+            assert len(circuit.squeezers) == n
+            np.testing.assert_array_equal(circuit.seed, williamson(gamma)[1].values)
+            # two Reck meshes, V's and O's
+            assert len(circuit.passive_ops) <= n * (n - 1) + 2 * n
+
+    def test_pure_targets_match_the_pure_builder(self):
+        rng = np.random.default_rng(20240821)
+        for trial in range(30):
+            n = 1 + trial % 6
+            S = random_symplectic(n, 3.0, rng)
+            gamma = CovarianceMatrix(S.entries @ S.entries.T)
+            assert (serialize_circuit(circuit_from_matrix(gamma))
+                    == serialize_circuit(circuit_from_pure(gamma)))
 
 
 class TestCircuitFromMixed:

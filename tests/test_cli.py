@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from modematch import sample_feasible_pair
+from modematch import random_symplectic, sample_feasible_pair
 from modematch.cli import main
+from modematch.core import interleaved_diagonal
 from modematch.errors import Infeasible, NumericalFailure
 from modematch.matrixio import read_matrix, write_matrix
 
@@ -307,6 +308,36 @@ class TestPrepare:
                                    read_matrix(src).values, atol=1e-7)
 
 
+    def test_mixed_matrix_is_prepared_as_itself(self, capsys, tmp_path):
+        # not a synthesis witness: the witness of its (c, d) is another matrix
+        S = random_symplectic(4, 2.0, np.random.default_rng(5))
+        gamma = S.entries @ interleaved_diagonal([1.2, 1.5, 2.0, 2.5]) @ S.entries.T
+        src, out, replayed = tmp_path / "g.mat", tmp_path / "circ.txt", tmp_path / "r.mat"
+        write_matrix(src, gamma, "covariance")
+        code, record = run_cli(capsys, "prepare", "--matrix", str(src), "--out", str(out))
+        assert code == 0
+        assert record["source"] == "mixed_OQV" and len(record["squeezers"]) == 4
+        code, _ = run_cli(capsys, "replay", "--circuit", str(out), "--out", str(replayed))
+        assert code == 0
+        defect = np.max(np.abs(read_matrix(replayed).values - gamma)) / np.max(np.abs(gamma))
+        assert defect <= 1e-8
+
+    def test_unphysical_matrix_is_an_input_error(self, capsys, tmp_path):
+        src, out = tmp_path / "g.mat", tmp_path / "circ.txt"
+        write_matrix(src, np.diag([0.5, 0.5, 2.0, 2.0]), "covariance")
+        code, record = run_cli(capsys, "prepare", "--matrix", str(src), "--out", str(out))
+        assert code == 2
+        assert "uncertainty bound" in record["error"]
+        assert not out.exists()
+
+    def test_spectrum_below_the_vacuum_is_an_input_error(self, capsys, tmp_path):
+        out = tmp_path / "circ.txt"
+        code, record = run_cli(capsys, "prepare", "--c", "1,1.5", "--d", "0.5,2",
+                               "--out", str(out))
+        assert code == 2
+        assert "uncertainty bound" in record["error"]
+        assert not out.exists()
+
     def test_witness_missing_its_locals_exits_three(self, capsys, tmp_path, monkeypatch):
         import modematch.synthesis as synthesis
 
@@ -382,14 +413,14 @@ class TestVerify:
                                "--seed", "7")
         assert code == 0
         suites = {s["suite"]: s for s in record["suites"]}
-        assert len(suites) == 6
+        assert len(suites) == 5
         for suite in suites.values():
             assert {"worst", "bound"} <= suite.keys() and "worst_margin" not in suite
         for name in ("williamson_euler_reconstruction", "synthesis_roundtrip",
                      "circuit_replay"):
             assert suites[name]["bound"] == 1e-8
             assert 0.0 <= suites[name]["worst"] <= 1e-12
-        for name in ("necessity", "symplectic_trace_bound", "spread_bound"):
+        for name in ("necessity", "spread_bound"):
             assert suites[name]["bound"] == -1e-9
             assert suites[name]["worst"] >= 0.0
 
@@ -398,7 +429,7 @@ class TestVerify:
                                "--n-max", "3", "--seed", "7")
         assert code == 0
         bounds = {s["suite"]: s["bound"] for s in record["suites"]}
-        for name in ("necessity", "symplectic_trace_bound", "spread_bound"):
+        for name in ("necessity", "spread_bound"):
             assert bounds[name] == -1e-3
 
     def test_rejects_bad_parameters(self, capsys):

@@ -92,7 +92,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         missing, unresolved, count, version = json.loads(proc.stdout)
         assert missing == [] and unresolved == []
-        assert count == 43 and version == "0.1.0"
+        assert count == 44 and version == "0.1.0"
 
     def test_submodules_and_unknown_names(self):
         code = ("import modematch; "
