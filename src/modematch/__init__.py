@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 # exported name -> submodule that defines it
 _EXPORTS = {
     "CovarianceMatrix": "core",
-    "DEFAULT": "config",
     "EntropyReport": "entropy",
     "EulerFactors": "core",
     "FeasibilityVerdict": "gate",
@@ -23,7 +22,6 @@ _EXPORTS = {
     "SpectrumVector": "core",
     "SymplecticTransform": "core",
     "SynthesisTrace": "synthesis",
-    "Tolerances": "config",
     "TwoModeBlock": "synthesis",
     "b_to_temperature": "marginals",
     "check_matrix_consistency": "marginals",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_PSD, TOL_RECON
 from .core import (
     SymplecticTransform,
     _as_covariance,
@@ -91,7 +91,7 @@ class PreparationCircuit:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
 
 
-def orthosymplectic_to_unitary(O: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     """Inverse of the passive representation map, with validation."""
     O = np.asarray(O, dtype=float)
     if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
@@ -127,7 +127,7 @@ def elements_to_unitary(elements, n: int) -> np.ndarray:
     return U
 
 
-def passive_to_two_mode_rotations(O, tol: Tolerances = DEFAULT) -> list[PassiveElement]:
+def passive_to_two_mode_rotations(O) -> list[PassiveElement]:
     """Break a passive transform into two-mode rotations plus phases.
 
     Sweeps subdiagonal entries of the unitary picture column by column,
@@ -138,7 +138,7 @@ def passive_to_two_mode_rotations(O, tol: Tolerances = DEFAULT) -> list[PassiveE
     """
     if isinstance(O, SymplecticTransform):
         O = O.entries
-    U = orthosymplectic_to_unitary(O, tol)
+    U = orthosymplectic_to_unitary(O)
     n = U.shape[0]
     work = U.copy()
     elements: list[PassiveElement] = []
@@ -188,41 +188,41 @@ def replay_defect(circuit: PreparationCircuit, target: np.ndarray) -> float:
     return relative_defect(replay_circuit(circuit) - target, target)
 
 
-def _passive_network(O, modes, tol: Tolerances) -> list[PassiveElement]:
+def _passive_network(O, modes) -> list[PassiveElement]:
     """O's Reck elements in acting order, moved from modes 0, 1, ... onto
     ``modes``."""
     return [replace(el, modes=(modes[el.modes[0]], modes[el.modes[1]]))
             if isinstance(el, Rotation) else replace(el, mode=modes[el.mode])
-            for el in reversed(passive_to_two_mode_rotations(O, tol))]
+            for el in reversed(passive_to_two_mode_rotations(O))]
 
 
-def circuit_from_matrix(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
+def circuit_from_matrix(gamma) -> PreparationCircuit:
     """Circuit preparing a physical matrix as itself: the Euler factors
     O Q V of the inverse Williamson transform give V's network, n squeezers
     and O's network on the seed d, or on the vacuum without V's network when
-    every d is within ``tol_psd`` of one."""
-    cov = _as_covariance(gamma, tol)
-    if not cov.is_physical(tol.tol_psd):
+    every d is within ``TOL_PSD`` of one."""
+    cov = _as_covariance(gamma)
+    if not cov.is_physical():
         raise InvalidInput("target matrix violates the uncertainty bound")
-    S_w, d = williamson(cov, tol)
-    pure = np.max(np.abs(d.values - 1.0)) <= tol.tol_psd
-    factors = euler_decompose(symplectic_inverse(S_w.entries), tol)
-    elements: list[Element] = [] if pure else _passive_network(factors.V, range(cov.n), tol)
+    S_w, d = williamson(cov)
+    pure = np.max(np.abs(d.values - 1.0)) <= TOL_PSD
+    factors = euler_decompose(symplectic_inverse(S_w.entries))
+    elements: list[Element] = [] if pure else _passive_network(factors.V, range(cov.n))
     elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
-    elements += _passive_network(factors.O, range(cov.n), tol)
+    elements += _passive_network(factors.O, range(cov.n))
     seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values.copy(), MIXED_SOURCE)
     return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
 
 
-def circuit_from_pure(gamma, tol: Tolerances = DEFAULT) -> PreparationCircuit:
+def circuit_from_pure(gamma) -> PreparationCircuit:
     """``circuit_from_matrix`` of a target that must be pure."""
-    circuit = circuit_from_matrix(gamma, tol)
+    circuit = circuit_from_matrix(gamma)
     if circuit.source != PURE_SOURCE:
         raise InvalidInput(f"target is not pure: symplectic spectrum {circuit.seed}")
     return circuit
 
 
-def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> PreparationCircuit:
+def circuit_from_mixed(trace: SynthesisTrace) -> PreparationCircuit:
     """Circuit preparing a synthesized mixed target from its thermal seed.
 
     The seed is the trace's spectrum in mode order.  Each two-mode gate, in
@@ -234,15 +234,15 @@ def circuit_from_mixed(trace: SynthesisTrace, tol: Tolerances = DEFAULT) -> Prep
         raise InvalidTrace("trace has no final matrix")
     target = trace.final_matrix.entries
     defect = relative_defect(replay_trace(trace) - target, target)
-    if not defect <= tol.tol_recon:
+    if not defect <= TOL_RECON:
         raise InvalidTrace(f"trace does not replay to its final matrix: defect {defect:.3g}")
     elements: list[Element] = []
     for step in trace.steps:
-        factors = euler_decompose(step.transform, tol)
-        elements += _passive_network(factors.V, step.modes, tol)
+        factors = euler_decompose(step.transform)
+        elements += _passive_network(factors.V, step.modes)
         elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
                      if z - 1.0 > _ELEMENT_DROP]
-        elements += _passive_network(factors.O, step.modes, tol)
+        elements += _passive_network(factors.O, step.modes)
     return PreparationCircuit(n=trace.n, seed=trace.seed.copy(), elements=elements,
                               source=MIXED_SOURCE)
 

@@ -8,8 +8,9 @@ violations found, 2 input error (``InvalidInput``, any other library error,
 ``ValueError`` or ``OSError``), 3 internal failure (a failed self-check in
 synth, prepare, williamson or euler, or ``NumericalFailure``).  A self-check
 measures its defect with the function next to the kernel it checks and
-fails unless the defect is at most ``tol_recon``, so a NaN defect fails.
-MODEMATCH_TOL_INEQ overrides the inequality tolerance.
+fails unless the defect is at most ``TOL_RECON``, so a NaN defect fails.
+``--tol-ineq``, or else MODEMATCH_TOL_INEQ, sets the inequality tolerance,
+which must be finite and positive.
 
 Each subcommand imports the library modules it calls, numpy and the matrix
 file code included, when it runs, so a process loads only what its
@@ -82,22 +83,21 @@ def _emit(record: dict, table_lines=None):
         print("\n".join(table_lines), file=sys.stderr)
 
 
-def _tol_dict(tol: config.Tolerances) -> dict:
+def _tol_dict(tol_ineq: float) -> dict:
     return {
-        "tol_ineq": tol.tol_ineq,
-        "tol_recon": tol.tol_recon,
-        "tol_psd": tol.tol_psd,
+        "tol_ineq": tol_ineq,
+        "tol_recon": config.TOL_RECON,
+        "tol_psd": config.TOL_PSD,
     }
 
 
-def _verdict_record(command: str, verdict, digest: str, tol, elapsed: float,
-                    extra=None) -> dict:
+def _verdict_record(command: str, verdict, digest: str, elapsed: float, extra=None) -> dict:
     record = {
         "command": command,
         "digest": digest,
         "feasible": verdict.feasible,
         "slacks": [{"constraint": s.label(), "slack": s.slack} for s in verdict.slacks],
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(verdict.tol_ineq),
         "elapsed_s": round(elapsed, 6),
     }
     if extra:
@@ -114,7 +114,7 @@ def _verdict_table(verdict) -> list[str]:
     return lines
 
 
-def _load(path, kind, tol):
+def _load(path, kind):
     """A covariance matrix or symplectic transform read from a matrix file."""
     from .core import CovarianceMatrix, SymplecticTransform
     from .matrixio import read_matrix
@@ -124,40 +124,40 @@ def _load(path, kind, tol):
         raise InvalidInput(f"{path}: expected kind {kind}, found {mf.kind}")
     cls = CovarianceMatrix if kind == "covariance" else SymplecticTransform
     try:
-        return cls(mf.values, tol=tol)
+        return cls(mf.values)
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from None
 
 
-def cmd_check(args, tol) -> int:
+def cmd_check(args) -> int:
     from .gate import check_mixed, check_pure
 
     start = time.perf_counter()
     if args.matrix:
         from .marginals import check_matrix_consistency
 
-        cov = _load(args.matrix, "covariance", tol)
-        verdict = check_matrix_consistency(cov, tol)
+        cov = _load(args.matrix, "covariance")
+        verdict = check_matrix_consistency(cov, tol_ineq=args.tol_ineq)
         digest = _digest("check", cov.entries)
     elif args.pure:
         if args.b is None:
             raise InvalidInput("--pure requires --b")
         b = sorted(_parse_vector(args.b))
-        verdict = check_pure(b, tol)
+        verdict = check_pure(b, tol_ineq=args.tol_ineq)
         digest = _digest("check-pure", b)
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --c and --d, or --b with --pure, or --matrix")
         c = sorted(_parse_vector(args.c))
         d = sorted(_parse_vector(args.d))
-        verdict = check_mixed(c, d, tol)
+        verdict = check_mixed(c, d, tol_ineq=args.tol_ineq)
         digest = _digest("check-mixed", c, d)
-    record = _verdict_record("check", verdict, digest, tol, time.perf_counter() - start)
+    record = _verdict_record("check", verdict, digest, time.perf_counter() - start)
     _emit(record, _verdict_table(verdict))
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
-def cmd_synth(args, tol) -> int:
+def cmd_synth(args) -> int:
     import numpy as np
 
     from .matrixio import write_matrix
@@ -167,15 +167,15 @@ def cmd_synth(args, tol) -> int:
     c = np.sort(_parse_vector(args.c))
     d = np.sort(_parse_vector(args.d))
     try:
-        trace = synthesize(c, d, tol)
+        trace = synthesize(c, d, tol_ineq=args.tol_ineq)
     except Infeasible as exc:
         _emit({"command": "synth", "feasible": False, "error": str(exc),
-               "tolerances": _tol_dict(tol)})
+               "tolerances": _tol_dict(args.tol_ineq)})
         return EXIT_INFEASIBLE
 
     # self-verification before anything is written
-    defect = synthesis_defect(trace, c, d, tol)
-    if not defect <= tol.tol_recon:
+    defect = synthesis_defect(trace, c, d)
+    if not defect <= config.TOL_RECON:
         return _failed("synth", "self-verification", defect)
 
     write_matrix(args.out, trace.final_matrix.entries, "covariance")
@@ -194,22 +194,22 @@ def cmd_synth(args, tol) -> int:
         "out": args.out,
         "n": int(c.size),
         "verification_defect": defect,
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     _emit(record, [f"wrote {args.out} (n={c.size}, defect {defect:.3g})"])
     return EXIT_OK
 
 
-def cmd_williamson(args, tol) -> int:
+def cmd_williamson(args) -> int:
     from .core import interleaved_diagonal, williamson, williamson_defect
     from .matrixio import write_matrix
 
     start = time.perf_counter()
-    cov = _load(args.matrix, "covariance", tol)
-    S, d = williamson(cov, tol)
+    cov = _load(args.matrix, "covariance")
+    S, d = williamson(cov)
     defect = williamson_defect(cov, S, d)
-    if not defect <= tol.tol_recon:
+    if not defect <= config.TOL_RECON:
         return _failed("williamson", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.D.mat", interleaved_diagonal(d.values), "covariance")
@@ -219,22 +219,22 @@ def cmd_williamson(args, tol) -> int:
         "d": list(d.values),
         "reconstruction_defect": defect,
         "files": [f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     _emit(record, [f"d = {d.values}", f"defect {defect:.3g}"])
     return EXIT_OK
 
 
-def cmd_euler(args, tol) -> int:
+def cmd_euler(args) -> int:
     from .core import euler_decompose, euler_defect
     from .matrixio import write_matrix
 
     start = time.perf_counter()
-    S = _load(args.matrix, "symplectic", tol)
-    factors = euler_decompose(S, tol)
+    S = _load(args.matrix, "symplectic")
+    factors = euler_decompose(S)
     defect = euler_defect(S, factors)
-    if not defect <= tol.tol_recon:
+    if not defect <= config.TOL_RECON:
         return _failed("euler", "reconstruction check", defect)
     write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
@@ -245,14 +245,14 @@ def cmd_euler(args, tol) -> int:
         "z": list(factors.z),
         "reconstruction_defect": defect,
         "files": [f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     _emit(record, [f"z = {factors.z}", f"defect {defect:.3g}"])
     return EXIT_OK
 
 
-def cmd_entropy(args, tol) -> int:
+def cmd_entropy(args) -> int:
     import numpy as np
 
     from .core import symplectic_eigenvalues
@@ -261,18 +261,18 @@ def cmd_entropy(args, tol) -> int:
     start = time.perf_counter()
     gaussian_entropy = None
     if args.matrix:
-        cov = _load(args.matrix, "covariance", tol)
-        report = entropy_report(gamma=cov, tol=tol)
-        d = symplectic_eigenvalues(cov, tol).values
-        gaussian_entropy = float(sum(entropy_s(v, tol) for v in d))
+        cov = _load(args.matrix, "covariance")
+        report = entropy_report(gamma=cov, tol_ineq=args.tol_ineq)
+        d = symplectic_eigenvalues(cov).values
+        gaussian_entropy = float(sum(entropy_s(v) for v in d))
         digest = _digest("entropy", cov.entries)
     else:
         if args.c is None:
             raise InvalidInput("provide --c or --matrix")
         c = np.sort(_parse_vector(args.c))
-        if np.any(c < 1.0 - tol.tol_psd):
+        if np.any(c < 1.0 - config.TOL_PSD):
             raise InvalidInput("entropy requires local values c >= 1")
-        report = entropy_report(c=c, tol=tol)
+        report = entropy_report(c=c, tol_ineq=args.tol_ineq)
         digest = _digest("entropy", c)
     record = {
         "command": "entropy",
@@ -281,7 +281,7 @@ def cmd_entropy(args, tol) -> int:
         "total_local_sum_bits": report.total_local_sum,
         "global_upper_bound_bits": report.global_upper_bound,
         "purity_consistent": report.purity_consistent,
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     table = [f"per-mode entropies (bits): {report.per_mode_entropies}",
@@ -294,7 +294,7 @@ def cmd_entropy(args, tol) -> int:
     return EXIT_OK
 
 
-def cmd_prepare(args, tol) -> int:
+def cmd_prepare(args) -> int:
     import numpy as np
 
     from .circuits import (
@@ -307,34 +307,34 @@ def cmd_prepare(args, tol) -> int:
 
     start = time.perf_counter()
     if args.matrix:
-        cov = _load(args.matrix, "covariance", tol)
-        circuit, target = circuit_from_matrix(cov, tol), cov.entries
+        cov = _load(args.matrix, "covariance")
+        circuit, target = circuit_from_matrix(cov), cov.entries
         digest = _digest("prepare", target)
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
         c = np.sort(_parse_vector(args.c))
         d = np.sort(_parse_vector(args.d))
-        if d[0] < 1.0 - tol.tol_psd:
+        if d[0] < 1.0 - config.TOL_PSD:
             raise InvalidInput(f"target violates the uncertainty bound: smallest "
                                f"symplectic eigenvalue {d[0]:.17g} is below 1")
         try:
-            trace = synthesize(c, d, tol)
+            trace = synthesize(c, d, tol_ineq=args.tol_ineq)
         except Infeasible as exc:
             _emit({"command": "prepare", "feasible": False, "error": str(exc)})
             return EXIT_INFEASIBLE
-        defect = synthesis_defect(trace, c, d, tol)
-        if not defect <= tol.tol_recon:
+        defect = synthesis_defect(trace, c, d)
+        if not defect <= config.TOL_RECON:
             return _failed("prepare", "self-verification", defect)
         target = trace.final_matrix.entries
-        if np.max(np.abs(d - 1.0)) <= tol.tol_psd:
-            circuit = circuit_from_matrix(trace.final_matrix, tol)
+        if np.max(np.abs(d - 1.0)) <= config.TOL_PSD:
+            circuit = circuit_from_matrix(trace.final_matrix)
         else:
-            circuit = circuit_from_mixed(trace, tol)
+            circuit = circuit_from_mixed(trace)
         digest = _digest("prepare", c, d)
 
     defect = replay_defect(circuit, target)
-    if not defect <= tol.tol_recon:
+    if not defect <= config.TOL_RECON:
         return _failed("prepare", "replay verification", defect)
     with open(args.out, "w") as fh:
         fh.write(serialize_circuit(circuit))
@@ -346,7 +346,7 @@ def cmd_prepare(args, tol) -> int:
         "squeezers": [sq.z for sq in circuit.squeezers],
         "passive_elements": len(circuit.passive_ops),
         "replay_defect": defect,
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
     _emit(record, [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
@@ -354,7 +354,7 @@ def cmd_prepare(args, tol) -> int:
     return EXIT_OK
 
 
-def cmd_replay(args, tol) -> int:
+def cmd_replay(args) -> int:
     from .circuits import parse_circuit, replay_circuit
     from .matrixio import write_matrix
 
@@ -387,13 +387,13 @@ def _flip_sign_corruption(matrix):
     return out
 
 
-def cmd_verify(args, tol) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_verification
 
     corrupt = _flip_sign_corruption if args.self_check_corrupt else None
     summary = run_verification(args.trials, args.n_max, seed=args.seed,
-                               squeeze_bound=args.squeeze_bound, tol=tol,
-                               corrupt=corrupt)
+                               squeeze_bound=args.squeeze_bound, corrupt=corrupt,
+                               tol_ineq=args.tol_ineq)
     record = {
         "command": "verify",
         "trials": args.trials,
@@ -406,7 +406,7 @@ def cmd_verify(args, tol) -> int:
              "worst": s.worst, "bound": s.bound}
             for s in summary.suites
         ],
-        "tolerances": _tol_dict(tol),
+        "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(summary.elapsed_s, 6),
     }
     table = [f"{'suite':<34} {'trials':>7} {'violations':>11} {'worst':>10} {'bound':>10}"]
@@ -493,12 +493,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = config.from_environment()
+        tol_ineq = config.from_environment()
         if args.tol_ineq is not None:
-            if args.tol_ineq <= 0:
-                raise InvalidInput("--tol-ineq must be positive")
-            tol = tol.with_tol_ineq(args.tol_ineq)
-        return args.func(args, tol)
+            tol_ineq = config.valid_tol_ineq(args.tol_ineq, "--tol-ineq")
+        args.tol_ineq = tol_ineq
+        return args.func(args)
     except NumericalFailure as exc:
         return _error(exc, EXIT_INTERNAL)
     except (ModeMatchError, ValueError, OSError) as exc:

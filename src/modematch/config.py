@@ -1,56 +1,53 @@
-"""Default numerical tolerances.
+"""Numerical tolerances.
 
-All tolerances can be overridden per call; the CLI additionally honours the
-``MODEMATCH_TOL_INEQ`` environment variable (a decimal value) for the
-inequality slack tolerance.
+Six are fixed constants.  One, the feasibility slack ``tol_ineq``, is
+settable: the functions that evaluate the feasibility inequalities take it
+as a keyword, defaulting to ``TOL_INEQ``, and the CLI reads it from
+``--tol-ineq`` or the ``MODEMATCH_TOL_INEQ`` environment variable (a decimal
+value).  Wherever it enters, ``valid_tol_ineq`` requires it to be finite and
+positive.
 """
 
+import math
 import os
-from dataclasses import dataclass, replace
+
+from .errors import InvalidInput
 
 ENV_TOL_INEQ = "MODEMATCH_TOL_INEQ"
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of tolerances used across the library.
-
-    Attributes:
-        tol_sym: symmetry defect, relative to max(1, matrix max-norm).
-        tol_sympl: max-norm of S sigma S^T - sigma, relative to
-            max(1, max|S|^2), since the form is quadratic in S.
-        tol_pos: strict-positivity threshold on the smallest eigenvalue.
-        tol_psd: slack allowed in the uncertainty (physicality) test.
-        tol_recon: allowed reconstruction defect of decompositions.
-        tol_ineq: slack below which a feasibility inequality counts as violated.
-        tol_pair_rel: relative tolerance for pairing the skew spectrum into
-            doublets (scaled by the largest symplectic eigenvalue).
-    """
-
-    tol_sym: float = 1e-10
-    tol_sympl: float = 1e-10
-    tol_pos: float = 1e-12
-    tol_psd: float = 1e-9
-    tol_recon: float = 1e-8
-    tol_ineq: float = 1e-9
-    tol_pair_rel: float = 1e-8
-
-    def with_tol_ineq(self, tol_ineq: float) -> "Tolerances":
-        return replace(self, tol_ineq=tol_ineq)
+# symmetry defect, relative to max(1, matrix max-norm)
+TOL_SYM = 1e-10
+# max-norm of S sigma S^T - sigma, relative to max(1, max|S|^2), since the
+# form is quadratic in S
+TOL_SYMPL = 1e-10
+# strict-positivity threshold on the smallest eigenvalue
+TOL_POS = 1e-12
+# slack allowed in the uncertainty (physicality) test
+TOL_PSD = 1e-9
+# allowed reconstruction defect of decompositions
+TOL_RECON = 1e-8
+# relative tolerance for pairing the skew spectrum into doublets, scaled by
+# the largest symplectic eigenvalue
+TOL_PAIR_REL = 1e-8
+# default slack below which a feasibility inequality counts as violated
+TOL_INEQ = 1e-9
 
 
-DEFAULT = Tolerances()
+def valid_tol_ineq(value, what: str = "tol_ineq") -> float:
+    """The feasibility slack tolerance, which must be finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise InvalidInput(f"{what} must be finite and positive, got {value}")
+    return value
 
 
-def from_environment() -> Tolerances:
-    """Default tolerances with the environment override applied, if any."""
+def from_environment() -> float:
+    """The feasibility slack tolerance, from the environment if it is set."""
     raw = os.environ.get(ENV_TOL_INEQ)
     if raw is None:
-        return DEFAULT
+        return TOL_INEQ
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_TOL_INEQ} must be a decimal value, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{ENV_TOL_INEQ} must be positive, got {value}")
-    return DEFAULT.with_tol_ineq(value)
+    except ValueError:
+        raise InvalidInput(f"{ENV_TOL_INEQ} must be a decimal value, got {raw!r}") from None
+    return valid_tol_ineq(value, ENV_TOL_INEQ)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_PAIR_REL, TOL_POS, TOL_PSD, TOL_SYM, TOL_SYMPL
 from .errors import InvalidInput, NumericalFailure
 from .gate import _descends
 
@@ -151,23 +151,23 @@ class CovarianceMatrix:
     quantum states.
 
     The eigen-decomposition used by the positivity check is kept, and the
-    skew spectral data built from it is computed once on first use; both are
-    read-only, like ``entries``, so they cannot go stale.
+    skew spectral data built from it is computed and checked once, on first
+    use; both are read-only, like ``entries``, so they cannot go stale.
     """
 
-    def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "covariance matrix")
         scale = max(1.0, _finite_max_abs(entries, "covariance matrix"))
         sym_defect = _max_abs(entries - entries.T)
-        if sym_defect > tol.tol_sym * scale:
+        if sym_defect > TOL_SYM * scale:
             raise InvalidInput(
                 f"matrix is not symmetric: defect {sym_defect:.3g} exceeds "
-                f"{tol.tol_sym:.3g} relative to max-norm {scale:.3g}"
+                f"{TOL_SYM:.3g} relative to max-norm {scale:.3g}"
             )
         sym = 0.5 * (entries + entries.T)
         w, U = np.linalg.eigh(sym)
-        _check_positive(w, tol.tol_pos)
+        _check_positive(w)
         self._entries, self._eig_values, self._eig_vectors = _frozen(sym, w, U)
         self._skew = None
 
@@ -179,15 +179,15 @@ class CovarianceMatrix:
     def identity(cls, n: int) -> "CovarianceMatrix":
         return cls(np.eye(2 * n))
 
-    def is_physical(self, tol_psd: float = DEFAULT.tol_psd) -> bool:
-        """Uncertainty test: smallest eigenvalue of gamma + i*sigma >= -tol."""
+    def is_physical(self) -> bool:
+        """Uncertainty test: smallest eigenvalue of gamma + i*sigma >= -TOL_PSD."""
         herm = self.entries.astype(complex)
         _add_sigma(herm, 1j)
-        return bool(np.linalg.eigvalsh(herm)[0] >= -tol_psd)
+        return bool(np.linalg.eigvalsh(herm)[0] >= -TOL_PSD)
 
-    def is_physical_by_spectrum(self, tol_psd: float = DEFAULT.tol_psd) -> bool:
+    def is_physical_by_spectrum(self) -> bool:
         """Independent physicality test via the symplectic spectrum."""
-        return bool(symplectic_eigenvalues(self).values[0] >= 1.0 - tol_psd)
+        return bool(symplectic_eigenvalues(self).values[0] >= 1.0 - TOL_PSD)
 
     def __repr__(self):
         return f"CovarianceMatrix(n={self.n})"
@@ -196,15 +196,15 @@ class CovarianceMatrix:
 class SymplecticTransform:
     """Real matrix S with S sigma S^T = sigma within tolerance."""
 
-    def __init__(self, entries: np.ndarray, tol: Tolerances = DEFAULT):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
         self.n = _check_even_square(entries, "symplectic transform")
         scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
         defect = _symplectic_defect(entries)
-        if defect > tol.tol_sympl * scale:
+        if defect > TOL_SYMPL * scale:
             raise InvalidInput(
                 f"symplectic defect {defect:.3g} exceeds tolerance "
-                f"{tol.tol_sympl:.3g} at scale {scale:.3g}"
+                f"{TOL_SYMPL:.3g} at scale {scale:.3g}"
             )
         self.entries = entries
 
@@ -212,19 +212,12 @@ class SymplecticTransform:
         return f"SymplecticTransform(n={self.n})"
 
 
-SPECTRUM_KINDS = ("symplectic_spectrum", "local_diagonal")
-
-
 @dataclass
 class SpectrumVector:
-    """Non-decreasing vector of positive values.
-
-    ``kind`` records whether the values are symplectic eigenvalues of the
-    full matrix or the per-mode local symplectic values.
-    """
+    """Non-decreasing vector of positive values: the symplectic eigenvalues
+    of a matrix or its sorted local symplectic values."""
 
     values: np.ndarray
-    kind: str = "symplectic_spectrum"
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -235,8 +228,6 @@ class SpectrumVector:
         vals = values.tolist()
         if not all(map(math.isfinite, vals)):
             raise InvalidInput("spectrum has non-finite entries")
-        if self.kind not in SPECTRUM_KINDS:
-            raise InvalidInput(f"unknown spectrum kind {self.kind!r}")
         if min(vals) <= 0:
             raise InvalidInput("spectrum entries must be strictly positive")
         if _descends(vals):
@@ -272,29 +263,31 @@ class EulerFactors:
         return self.O.entries @ self.q_matrix() @ self.V.entries
 
 
-def _as_covariance(gamma, tol: Tolerances) -> CovarianceMatrix:
+def _as_covariance(gamma) -> CovarianceMatrix:
     if isinstance(gamma, CovarianceMatrix):
         return gamma
-    return CovarianceMatrix(gamma, tol=tol)
+    return CovarianceMatrix(gamma)
 
 
-def _check_positive(eigenvalues: np.ndarray, tol_pos: float):
-    if eigenvalues[0] <= tol_pos:
+def _check_positive(eigenvalues: np.ndarray):
+    if eigenvalues[0] <= TOL_POS:
         raise InvalidInput(
             f"matrix is not strictly positive: smallest eigenvalue {eigenvalues[0]:.3g}"
         )
 
 
 def _skew_spectral_data(cov: CovarianceMatrix):
-    """Tolerance-free eigen-data of the skew kernel, computed once per matrix.
+    """Checked eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
 
-    Returns (d, W, A_inv, mismatch, lam_max, orth_defect): the upper half
-    of the Hermitian spectrum of i K with K = sqrt(gamma) sigma sqrt(gamma),
-    the phase-fixed real canonical basis W, the inverse square root of
-    gamma, and the raw pairing and orthogonality defects that
-    ``_skew_spectral_basis`` compares against the tolerances on every call.
+    Returns read-only (d, W, A_inv): d, the upper half of the Hermitian
+    spectrum of i K, holds the n symplectic eigenvalues in non-decreasing
+    order; W is orthogonal with K = W blockdiag(d_j J) W^T; A_inv is the
+    inverse square root of gamma.  The data is computed, and the positivity,
+    pairing and orthogonality checks run, once per matrix and memoised on
+    ``cov``.
     """
     if cov._skew is None:
+        _check_positive(cov._eig_values)
         n = cov.n
         root = np.sqrt(cov._eig_values)
         U = cov._eig_vectors
@@ -302,9 +295,16 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         A_inv = (U / root) @ U.T
         lam, vecs = np.linalg.eigh(1j * (A @ _sigma_left(A)))
         spectrum = lam.tolist()
+        # the Hermitian spectrum must be symmetric about zero: +/- doublets
         mismatch = max(abs(a + b) for a, b in zip(spectrum, reversed(spectrum)))
         # eigh sorts ascending, so the largest magnitude sits at one end
         lam_max = max(abs(spectrum[0]), abs(spectrum[-1]))
+        if mismatch > TOL_PAIR_REL * max(lam_max, 1e-300):
+            raise NumericalFailure(
+                f"skew spectrum does not pair into doublets: mismatch {mismatch:.3g}"
+            )
+        if spectrum[n] <= 0:
+            raise InvalidInput("symplectic eigenvalues must be strictly positive")
         # phase convention: rotate each vector's dominant entry onto the
         # imaginary axis, first index winning near-ties, so diagonal inputs
         # map to W = I; the factor sqrt(2) of the real basis rides along
@@ -318,47 +318,25 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         gram = W.T @ W
         gram.ravel()[:: 2 * n + 1] -= 1.0
         orth_defect = _max_abs(gram)
-        cov._skew = (*_frozen(lam[n:].copy(), W, A_inv), mismatch, lam_max, orth_defect)
+        if orth_defect > 1e-8:
+            raise NumericalFailure("canonical basis of the skew kernel is not orthogonal: "
+                                   f"defect {orth_defect:.3g}")
+        cov._skew = _frozen(lam[n:].copy(), W, A_inv)
     return cov._skew
 
 
-def _skew_spectral_basis(cov: CovarianceMatrix, tol: Tolerances):
-    """Checked eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
-
-    Returns read-only (d, W, A_inv) where d are the n symplectic eigenvalues
-    in non-decreasing order, W is orthogonal with K = W blockdiag(d_j J) W^T,
-    and A_inv is the inverse square root of gamma.  The data is memoised on
-    ``cov``; the positivity, pairing and orthogonality checks run on every
-    call against ``tol``.
-    """
-    _check_positive(cov._eig_values, tol.tol_pos)
-    d, W, A_inv, mismatch, lam_max, orth_defect = _skew_spectral_data(cov)
-    # the Hermitian spectrum must be symmetric about zero: +/- doublets
-    if mismatch > tol.tol_pair_rel * max(lam_max, 1e-300):
-        raise NumericalFailure(
-            f"skew spectrum does not pair into doublets: mismatch {mismatch:.3g}"
-        )
-    if d[0] <= 0:
-        raise InvalidInput("symplectic eigenvalues must be strictly positive")
-    if orth_defect > 1e-8:
-        raise NumericalFailure(
-            f"canonical basis of the skew kernel is not orthogonal: defect {orth_defect:.3g}"
-        )
-    return d, W, A_inv
-
-
-def symplectic_eigenvalues(gamma, tol: Tolerances = DEFAULT) -> SpectrumVector:
+def symplectic_eigenvalues(gamma) -> SpectrumVector:
     """Simply-counted symplectic eigenvalues, non-decreasing.
 
     The values are the positive square roots of the doubly-degenerate
     eigenvalues of -gamma sigma gamma sigma, computed through the Hermitian
     spectral problem for i sqrt(gamma) sigma sqrt(gamma).
     """
-    d, _, _ = _skew_spectral_basis(_as_covariance(gamma, tol), tol)
-    return SpectrumVector(d, kind="symplectic_spectrum")
+    d, _, _ = _skew_spectral_data(_as_covariance(gamma))
+    return SpectrumVector(d)
 
 
-def williamson(gamma, tol: Tolerances = DEFAULT):
+def williamson(gamma):
     """Normal-mode decomposition of a strictly positive matrix.
 
     Returns (S, D) with S symplectic and S gamma S^T = diag(d1, d1, ..., dn, dn),
@@ -367,10 +345,10 @@ def williamson(gamma, tol: Tolerances = DEFAULT):
     gamma^{-1/2}, which is symplectic because the same W also canonicalises
     the inverse kernel.
     """
-    d, W, A_inv = _skew_spectral_basis(_as_covariance(gamma, tol), tol)
+    d, W, A_inv = _skew_spectral_data(_as_covariance(gamma))
     d_half = np.sqrt(np.repeat(d, 2))
     S = (d_half[:, None] * W.T) @ A_inv
-    return SymplecticTransform(S, tol=tol), SpectrumVector(d, kind="symplectic_spectrum")
+    return SymplecticTransform(S), SpectrumVector(d)
 
 
 def williamson_defect(gamma: CovarianceMatrix, S: SymplecticTransform,
@@ -380,14 +358,14 @@ def williamson_defect(gamma: CovarianceMatrix, S: SymplecticTransform,
     return relative_defect(S.entries @ g @ S.entries.T - interleaved_diagonal(d.values), g)
 
 
-def symplectic_trace(gamma, tol: Tolerances = DEFAULT) -> float:
+def symplectic_trace(gamma) -> float:
     """Sum of the symplectic eigenvalues.
 
     Bounded above by half the ordinary trace whenever the 2x2 diagonal
     blocks are proportional to the identity; in general the bound holds
     against the sum of the local symplectic values.
     """
-    return float(np.sum(symplectic_eigenvalues(gamma, tol=tol).values))
+    return float(np.sum(symplectic_eigenvalues(gamma).values))
 
 
 def _symplectic_gram_schmidt_pair(candidates: np.ndarray, chosen: np.ndarray):
@@ -443,7 +421,7 @@ def _polish_passive(M: np.ndarray, exact_pairs: bool = False) -> np.ndarray:
     return A
 
 
-def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
+def euler_decompose(S) -> EulerFactors:
     """Factor a symplectic matrix as S = O Q V with passive O, V.
 
     Everything comes from one SVD S = U diag(lam) W^T, that is from the
@@ -461,7 +439,7 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     if isinstance(S, SymplecticTransform):
         St = S
     else:
-        St = SymplecticTransform(S, tol=tol)
+        St = SymplecticTransform(S)
     n = St.n
     # taking U from S itself rather than from eigh(S S^T) keeps the
     # conditioning at ||S||, not ||S||^2
@@ -478,8 +456,8 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     k = sum(v > floor for v in singular)
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
-        return EulerFactors(O=SymplecticTransform(np.eye(2 * n), tol=tol), z=np.ones(n),
-                            V=SymplecticTransform(_polish_passive(R), tol=tol))
+        return EulerFactors(O=SymplecticTransform(np.eye(2 * n)), z=np.ones(n),
+                            V=SymplecticTransform(_polish_passive(R)))
     if k > n:
         raise NumericalFailure(
             "squeeze planes of the polar factor do not pair into doublets: "
@@ -512,9 +490,9 @@ def euler_decompose(S, tol: Tolerances = DEFAULT) -> EulerFactors:
     O1[:, 1::2] = v_cols
     O1 = _polish_passive(O1, exact_pairs=k == n)
     return EulerFactors(
-        O=SymplecticTransform(O1, tol=tol),
+        O=SymplecticTransform(O1),
         z=z_vec,
-        V=SymplecticTransform(_polish_passive(O1.T @ R), tol=tol),
+        V=SymplecticTransform(_polish_passive(O1.T @ R)),
     )
 
 
@@ -542,8 +520,7 @@ def haar_orthogonal_symplectic(n: int, rng: "np.random.Generator") -> np.ndarray
     return unitary_to_orthosymplectic(q * (diag / np.abs(diag)))
 
 
-def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None,
-                      tol: Tolerances = DEFAULT) -> SymplecticTransform:
+def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None) -> SymplecticTransform:
     """Random symplectic matrix O diag(z, 1/z, ...) V, deterministic per seed.
 
     O and V are Haar-like random passive transforms and the squeezing
@@ -551,11 +528,11 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None,
     """
     if n < 1:
         raise ValueError("mode count must be positive")
-    if squeeze_bound < 1.0:
-        raise ValueError("squeeze_bound must be >= 1")
+    if not 1.0 <= squeeze_bound < math.inf:
+        raise ValueError(f"squeeze_bound must be finite and >= 1, got {squeeze_bound}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     O = haar_orthogonal_symplectic(n, rng)
     V = haar_orthogonal_symplectic(n, rng)
     z = rng.uniform(1.0, squeeze_bound, n)
     Q = np.diag(np.ravel(np.column_stack([z, 1.0 / z])))
-    return SymplecticTransform(O @ Q @ V, tol=tol)
+    return SymplecticTransform(O @ Q @ V)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_INEQ, TOL_PSD, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput, NumericalFailure
 from .gate import _as_vector, check_pure
@@ -46,14 +46,14 @@ class EntropyReport:
     purity_consistent: bool
 
 
-def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
+def entropy_s(c: float) -> float:
     """Thermal entropy in bits of a mode with local symplectic value c >= 1.
 
-    Values within tol_psd below one are clamped to one; s(1) = 0 by the
+    Values within TOL_PSD below one are clamped to one; s(1) = 0 by the
     0 log 0 = 0 convention.
     """
     c = float(c)
-    if c < 1.0 - tol.tol_psd:
+    if c < 1.0 - TOL_PSD:
         raise InvalidInput(f"entropy argument {c} lies below 1")
     c = max(c, 1.0)
     up = 0.5 * (c + 1.0)
@@ -64,7 +64,7 @@ def entropy_s(c: float, tol: Tolerances = DEFAULT) -> float:
     return out
 
 
-def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
+def entropy_s_inverse(value: float) -> float:
     """Monotone inverse of entropy_s by bisection.
 
     Brackets the root by geometric growth of the upper end, then bisects the
@@ -80,7 +80,7 @@ def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
         return 1.0
     hi = 2.0
     for _ in range(1100):
-        if entropy_s(hi, tol) >= value:
+        if entropy_s(hi) >= value:
             break
         hi *= 2.0
     else:
@@ -88,28 +88,28 @@ def entropy_s_inverse(value: float, tol: Tolerances = DEFAULT) -> float:
     lo = 1.0
     while hi - lo > 1e-12 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
-        if entropy_s(mid, tol) < value:
+        if entropy_s(mid) < value:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def entanglement_profile(gamma, tol: Tolerances = DEFAULT) -> np.ndarray:
+def entanglement_profile(gamma) -> np.ndarray:
     """Entropies (s(c_1), ..., s(c_n)) of the single-mode reductions.
 
     Requires a physical pure-state covariance; for such states the per-mode
     entropy equals the entanglement of that mode with the rest.
     """
-    cov = _as_covariance(gamma, tol)
-    d = symplectic_eigenvalues(cov, tol).values
-    if max(abs(v - 1.0) for v in d.tolist()) > tol.tol_psd:
+    cov = _as_covariance(gamma)
+    d = symplectic_eigenvalues(cov).values
+    if max(abs(v - 1.0) for v in d.tolist()) > TOL_PSD:
         raise InvalidInput(f"matrix is not pure: symplectic spectrum {d}")
-    c = local_diagonal(cov, tol).values.values.tolist()
-    return np.array([entropy_s(v, tol) for v in c])
+    c = local_diagonal(cov).values.values.tolist()
+    return np.array([entropy_s(v) for v in c])
 
 
-def sharing_feasible(E, tol: Tolerances = DEFAULT):
+def sharing_feasible(E, *, tol_ineq: float = TOL_INEQ):
     """Can entanglement entropies E arise from one pure global state?
 
     Inverts the entropy function mode by mode and applies the pure-state
@@ -118,10 +118,10 @@ def sharing_feasible(E, tol: Tolerances = DEFAULT):
     E = _as_vector(E, "E")
     if min(E) < 0:
         raise InvalidInput("entanglement entropies must be non-negative")
-    return check_pure([max(entropy_s_inverse(v, tol) - 1.0, 0.0) for v in E], tol)
+    return check_pure([max(entropy_s_inverse(v) - 1.0, 0.0) for v in E], tol_ineq=tol_ineq)
 
 
-def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
+def entropy_upper_bound(c) -> float:
     """The paper's aggregate entropy expression s(sum c_k).
 
     The paper presents it as a bound on the global entropy from local values
@@ -135,17 +135,17 @@ def entropy_upper_bound(c, tol: Tolerances = DEFAULT) -> float:
     by their sum.
     """
     c = _as_vector(c, "c")
-    if min(c) < 1.0 - tol.tol_psd:
+    if min(c) < 1.0 - TOL_PSD:
         raise InvalidInput("local values must be >= 1 for the entropy bound")
-    return _aggregate_bits(c, tol)
+    return _aggregate_bits(c)
 
 
-def _aggregate_bits(c: list, tol: Tolerances) -> float:
-    """s(sum c) for validated local values c >= 1 - tol_psd."""
-    return entropy_s(sum(max(v, 1.0) for v in c), tol)
+def _aggregate_bits(c: list) -> float:
+    """s(sum c) for validated local values c >= 1 - TOL_PSD."""
+    return entropy_s(sum(max(v, 1.0) for v in c))
 
 
-def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyReport:
+def entropy_report(c=None, gamma=None, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
     """Assemble the entropy summary from local values or a full matrix.
 
     c is validated once, here; the per-mode entropies check c >= 1, and the
@@ -155,16 +155,17 @@ def entropy_report(c=None, gamma=None, tol: Tolerances = DEFAULT) -> EntropyRepo
     """
     if (c is None) == (gamma is None):
         raise ValueError("provide exactly one of c or gamma")
+    tol_ineq = valid_tol_ineq(tol_ineq)
     if gamma is not None:
-        c = local_diagonal(_as_covariance(gamma, tol), tol).values.values.tolist()
+        c = local_diagonal(gamma).values.values.tolist()
     else:
         c = _as_vector(c, "c")
         c.sort()
-    per_mode = [entropy_s(v, tol) for v in c]
+    per_mode = [entropy_s(v) for v in c]
     b = [max(v - 1.0, 0.0) for v in c]
     return EntropyReport(
         per_mode_entropies=np.array(per_mode),
         total_local_sum=sum(per_mode),
-        global_upper_bound=_aggregate_bits(c, tol),
-        purity_consistent=sum(b) - 2.0 * max(b) >= -tol.tol_ineq,
+        global_upper_bound=_aggregate_bits(c),
+        purity_consistent=sum(b) - 2.0 * max(b) >= -tol_ineq,
     )

@@ -16,16 +16,16 @@ cases stay testable.
 
 The gate is n + 1 sums of Python floats, so this module must stay free of
 numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
-check --c --d`` load only ``config``, ``errors`` and this module.
-``tests/test_startup.py`` enforces this in fresh interpreters.
+check --c --d`` load only ``config``, ``errors`` and this module.  Its two
+records are plain ``__slots__`` classes, since ``dataclasses`` imports
+``inspect``.  ``tests/test_startup.py`` enforces this in fresh interpreters.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_INEQ, valid_tol_ineq
 from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
@@ -37,13 +37,33 @@ _MODULES = sys.modules
 _CORE = f"{__package__}.core"
 
 
-@dataclass
-class ConstraintSlack:
-    """Signed distance to one feasibility inequality (negative = violated)."""
+class _Record:
+    """Repr and equality over ``__slots__``, as a dataclass has them."""
 
-    name: str
-    index: int | None
-    slack: float
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ConstraintSlack(_Record):
+    """Signed distance to one feasibility inequality (negative = violated):
+    ``name``, ``index`` (None or an int) and ``slack``."""
+
+    __slots__ = ("name", "index", "slack")
+
+    def __init__(self, name: str, index: int | None, slack: float):
+        self.name, self.index, self.slack = name, index, slack
 
     def label(self) -> str:
         if self.name == PARTIAL_SUM:
@@ -53,13 +73,14 @@ class ConstraintSlack:
         return f"{self.name}(j={self.index})"
 
 
-@dataclass
-class FeasibilityVerdict:
-    """Outcome of a feasibility check with per-constraint slacks."""
+class FeasibilityVerdict(_Record):
+    """Outcome of a feasibility check: ``feasible``, the per-constraint
+    ``slacks`` and the ``tol_ineq`` they were judged against."""
 
-    feasible: bool
-    slacks: list[ConstraintSlack]
-    tol_ineq: float
+    __slots__ = ("feasible", "slacks", "tol_ineq")
+
+    def __init__(self, feasible: bool, slacks: list[ConstraintSlack], tol_ineq: float):
+        self.feasible, self.slacks, self.tol_ineq = feasible, slacks, tol_ineq
 
     @property
     def violated(self) -> list[ConstraintSlack]:
@@ -121,13 +142,14 @@ def _validate_pair(c: list, d: list):
             raise InvalidInput(f"{name} must be non-decreasing")
 
 
-def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
+def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     """Feasibility gate for a (local values, spectrum) pair.
 
     Both vectors must be sorted non-decreasing and strictly positive.  The
     verdict carries one slack per partial-sum condition plus the final
     anti-majorization condition.
     """
+    tol_ineq = valid_tol_ineq(tol_ineq)
     c = _as_vector(c, "c")
     d = _as_vector(d, "d")
     _validate_pair(c, d)
@@ -137,16 +159,17 @@ def check_mixed(c, d, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     values.append((2.0 * d[-1] - sum_d[-1]) - (2.0 * c[-1] - sum_c[-1]))
     slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(values[:-1], start=1)]
     slacks.append(ConstraintSlack(LAST_CONDITION, None, values[-1]))
-    feasible = all(s >= -tol.tol_ineq for s in values)
-    return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol.tol_ineq)
+    feasible = all(s >= -tol_ineq for s in values)
+    return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol_ineq)
 
 
-def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
+def check_pure(b, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     """Feasibility of local excitations b >= 0 against a pure global state.
 
     Equivalent to check_mixed(b + 1, (1, ..., 1)); only the binding
     constraint for the largest entry is reported, the others being implied.
     """
+    tol_ineq = valid_tol_ineq(tol_ineq)
     b = _as_vector(b, "b")
     if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
@@ -154,7 +177,7 @@ def check_pure(b, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
     j = b.index(top)
     slack = sum(b) - 2.0 * top
     return FeasibilityVerdict(
-        feasible=slack >= -tol.tol_ineq,
+        feasible=slack >= -tol_ineq,
         slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],
-        tol_ineq=tol.tol_ineq,
+        tol_ineq=tol_ineq,
     )

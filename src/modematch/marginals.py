@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_INEQ
 from .core import CovarianceMatrix, SpectrumVector, _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
 from .gate import FeasibilityVerdict, check_mixed
@@ -32,14 +32,14 @@ class LocalDiagonal:
     raw: np.ndarray | None = None
 
 
-def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
+def local_diagonal(gamma) -> LocalDiagonal:
     """Local symplectic values c_j = sqrt(det of the j-th 2x2 diagonal block).
 
     The returned values are sorted non-decreasing with the permutation
     recorded; the stored per-mode transforms bring each diagonal block to
     c_j * I without touching other modes.
     """
-    g = _as_covariance(gamma, tol).entries
+    g = _as_covariance(gamma).entries
     # the block diagonals (2k, 2k), (2k + 1, 2k + 1) and (2k, 2k + 1) are
     # strided views of the flat array; per mode, the work is on floats
     m = g.shape[0]
@@ -56,36 +56,36 @@ def local_diagonal(gamma, tol: Tolerances = DEFAULT) -> LocalDiagonal:
         # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
         transforms += (math.sqrt(c / xx), 0.0, -xp / math.sqrt(xx * c), math.sqrt(xx / c))
     order = sorted(range(len(raw)), key=raw.__getitem__)
-    values = SpectrumVector([raw[j] for j in order], kind="local_diagonal")
+    values = SpectrumVector([raw[j] for j in order])
     return LocalDiagonal(values=values, order=np.array(order),
                          transforms=np.array(transforms).reshape(-1, 2, 2), raw=np.array(raw))
 
 
-def local_normal_form(gamma, tol: Tolerances = DEFAULT):
+def local_normal_form(gamma):
     """Apply the per-mode transforms so every diagonal block becomes c_j * I.
 
     Returns the transformed covariance matrix (mode order unchanged) together
     with the LocalDiagonal record used.
     """
-    cov = _as_covariance(gamma, tol)
-    local = local_diagonal(cov, tol)
+    cov = _as_covariance(gamma)
+    local = local_diagonal(cov)
     modes = np.arange(cov.n)
     L = np.zeros((cov.n, 2, cov.n, 2))
     L[modes, :, modes, :] = local.transforms
     L = L.reshape(2 * cov.n, 2 * cov.n)
-    return CovarianceMatrix(L @ cov.entries @ L.T, tol=tol), local
+    return CovarianceMatrix(L @ cov.entries @ L.T), local
 
 
-def check_matrix_consistency(gamma, tol: Tolerances = DEFAULT) -> FeasibilityVerdict:
+def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     """Run the feasibility gate on a matrix's own (c, d) data.
 
     Every valid strictly positive matrix must pass; a failing verdict
     signals numerical corruption of the input.
     """
-    cov = _as_covariance(gamma, tol)
-    c = local_diagonal(cov, tol).values
-    d = symplectic_eigenvalues(cov, tol)
-    return check_mixed(c, d, tol)
+    cov = _as_covariance(gamma)
+    c = local_diagonal(cov).values
+    d = symplectic_eigenvalues(cov)
+    return check_mixed(c, d, tol_ineq=tol_ineq)
 
 
 def temperature_to_b(T) -> np.ndarray:

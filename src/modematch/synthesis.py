@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import TOL_INEQ, valid_tol_ineq
 from .core import (
     _EPS,
     CovarianceMatrix,
@@ -105,8 +105,8 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     return math.sqrt((c1 * c2 - e * e) * (c1 * c2 - f * f) / d2_sq), math.sqrt(d2_sq)
 
 
-def solve_two_mode(c1: float, c2: float, d1: float, d2: float,
-                   tol: Tolerances = DEFAULT) -> TwoModeBlock:
+def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
+                   tol_ineq: float = TOL_INEQ) -> TwoModeBlock:
     """Couplings (e, f) realising spectrum (d1, d2) with locals (c1, c2).
 
     Requires c2 >= c1 > 0 and d2 >= d1 > 0 (else InvalidInput) and the pair
@@ -130,8 +130,9 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float,
             f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "
             f"c=({c1}, {c2}), d=({d1}, {d2})"
         )
+    tol_ineq = valid_tol_ineq(tol_ineq)
     sum_gap, spread_gap = (c1 + c2) - (d1 + d2), (d2 - d1) - (c2 - c1)
-    if sum_gap < -tol.tol_ineq or spread_gap < -tol.tol_ineq:
+    if sum_gap < -tol_ineq or spread_gap < -tol_ineq:
         raise Infeasible(
             f"pair inequalities violated for c=({c1}, {c2}), d=({d1}, {d2})"
         )
@@ -146,8 +147,8 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float,
     return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=e, f=f)
 
 
-def _recursion_check(c: np.ndarray, d: np.ndarray, tol: Tolerances):
-    verdict = check_mixed(c, d, tol)
+def _recursion_check(c: np.ndarray, d: np.ndarray, tol_ineq: float):
+    verdict = check_mixed(c, d, tol_ineq=tol_ineq)
     if not verdict.feasible:
         raise NumericalFailure(
             "reduced subproblem lost feasibility "
@@ -155,7 +156,7 @@ def _recursion_check(c: np.ndarray, d: np.ndarray, tol: Tolerances):
         )
 
 
-def _gate(c1: float, c2: float, d1: float, d2: float, tol: Tolerances) -> np.ndarray:
+def _gate(c1: float, c2: float, d1: float, d2: float, tol_ineq: float) -> np.ndarray:
     """Symplectic g with g diag(d1, d1, d2, d2) g^T = the block that
     solve_two_mode(c1, c2, d1, d2) assembles.
 
@@ -164,14 +165,14 @@ def _gate(c1: float, c2: float, d1: float, d2: float, tol: Tolerances) -> np.nda
     Infeasible pair here is a numerical failure.
     """
     try:
-        block = solve_two_mode(c1, c2, d1, d2, tol)
+        block = solve_two_mode(c1, c2, d1, d2, tol_ineq=tol_ineq)
     except Infeasible as exc:
         raise NumericalFailure(f"reduced subproblem lost feasibility: {exc}") from None
-    S_w, _ = williamson(block.matrix(), tol)
+    S_w, _ = williamson(block.matrix())
     return symplectic_inverse(S_w.entries)
 
 
-def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
+def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     """Build a matrix with local values c and symplectic spectrum d.
 
     Both vectors must be sorted non-decreasing, strictly positive, and pass
@@ -181,7 +182,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     """
     c = np.array(_as_vector(c, "c"))
     d = np.array(_as_vector(d, "d"))
-    verdict = check_mixed(c, d, tol)
+    verdict = check_mixed(c, d, tol_ineq=tol_ineq)
     if not verdict.feasible:
         worst = min(verdict.violated, key=lambda s: s.slack)
         raise Infeasible(
@@ -199,7 +200,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
         m = hi - lo
         cw = c[lo:hi]
         # largest k (1-based) with c1 >= d_k, equality within tolerance rounding up
-        k = bisect.bisect_right(values, cw[0] + tol.tol_ineq)
+        k = bisect.bisect_right(values, cw[0] + tol_ineq)
         if 1 <= k <= m - 2:
             # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - c1
             i = k - 1
@@ -220,7 +221,7 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
                 float(values[m - 1] - values[m - 2] + cw[m - 1]),
                 float(np.sum(cw[: m - 1]) - np.sum(values[: m - 2])),
             )
-            if lower > upper + tol.tol_ineq:
+            if lower > upper + tol_ineq:
                 raise NumericalFailure(
                     f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
                 )
@@ -230,7 +231,8 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
             frozen_mode = hi
         a, b = slots[i], slots[i + 1]
         small, large = sorted((fixed, x))
-        gates.append((a, b, _gate(small, large, float(values[i]), float(values[i + 1]), tol)))
+        gates.append((a, b, _gate(small, large, float(values[i]), float(values[i + 1]),
+                                  tol_ineq)))
         # the gate gives its first mode the smaller local value
         frozen, carrier = (a, b) if fixed <= x else (b, a)
         mode_of[frozen] = frozen_mode
@@ -238,9 +240,10 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
         at = bisect.bisect_left(values, x)
         values.insert(at, x)
         slots.insert(at, carrier)
-        _recursion_check(c[lo:hi], np.array(values), tol)
+        _recursion_check(c[lo:hi], np.array(values), tol_ineq)
     if hi - lo == 2 and not np.array_equal(c[lo:hi], values):
-        gates.append((slots[0], slots[1], _gate(c[lo], c[lo + 1], values[0], values[1], tol)))
+        gates.append((slots[0], slots[1],
+                      _gate(c[lo], c[lo + 1], values[0], values[1], tol_ineq)))
     # one open mode, or c == d on the open modes: the seed is already final
     mode_of[slots] = np.arange(lo, hi)
 
@@ -248,23 +251,23 @@ def synthesize(c, d, tol: Tolerances = DEFAULT) -> SynthesisTrace:
     seed[mode_of] = d
     steps = [TwoModeStep((int(mode_of[a]), int(mode_of[b])), g) for a, b, g in gates]
     trace = SynthesisTrace(n=n, seed=seed, steps=steps)
-    trace.final_matrix = CovarianceMatrix(replay_trace(trace), tol=tol)
+    trace.final_matrix = CovarianceMatrix(replay_trace(trace))
     return trace
 
 
-def synthesize_pure(b, tol: Tolerances = DEFAULT) -> SynthesisTrace:
+def synthesize_pure(b, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     """Build a pure-state covariance with local excitations b >= 0.
 
     Delegates to synthesize(c = b + 1, d = (1, ..., 1)); the result has all
     symplectic eigenvalues equal to one within tolerance and unit determinant.
     """
     b = np.sort(_as_vector(b, "b"))
-    verdict = check_pure(b, tol)
+    verdict = check_pure(b, tol_ineq=tol_ineq)
     if not verdict.feasible:
         raise Infeasible(
             f"b vector is outside the pure cone: slack {verdict.min_slack:.3g}"
         )
-    return synthesize(b + 1.0, np.ones_like(b), tol)
+    return synthesize(b + 1.0, np.ones_like(b), tol_ineq=tol_ineq)
 
 
 def replay_trace(trace: SynthesisTrace) -> np.ndarray:
@@ -282,20 +285,20 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     return (S * np.repeat(trace.seed, 2)) @ S.T
 
 
-def synthesis_defect(trace: SynthesisTrace, c, d, tol: Tolerances = DEFAULT) -> float:
+def synthesis_defect(trace: SynthesisTrace, c, d) -> float:
     """Largest defect of a synthesized witness against its sorted targets:
     its symplectic spectrum against d and its local values against c, both
     absolute, and the replay of its trace relative to it."""
     final = trace.final_matrix
     # np.max, unlike max, keeps a NaN defect
-    return float(np.max((_max_abs(symplectic_eigenvalues(final, tol).values - d),
-                         _max_abs(local_diagonal(final, tol).values.values - c),
+    return float(np.max((_max_abs(symplectic_eigenvalues(final).values - d),
+                         _max_abs(local_diagonal(final).values.values - c),
                          relative_defect(replay_trace(trace) - final.entries, final.entries))))
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int,
                          d_low: float = 0.5, d_high: float = 4.0,
-                         physical: bool = False, tol: Tolerances = DEFAULT):
+                         physical: bool = False, *, tol_ineq: float = TOL_INEQ):
     """Random feasible (c, d) pair for property testing.
 
     Samples d, starts from the boundary point c = d, applies feasibility
@@ -317,7 +320,7 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int,
         c[j0:] += delta
     if rng.random() < 0.2:
         c = d + rng.random() * (c - d)
-    verdict = check_mixed(c, d, tol)
+    verdict = check_mixed(c, d, tol_ineq=tol_ineq)
     if not verdict.feasible:
         raise NumericalFailure("feasibility-preserving sampler produced an infeasible pair")
     return c, d

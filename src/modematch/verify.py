@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import circuit_from_matrix, replay_defect
-from .config import DEFAULT, Tolerances
+from .config import TOL_INEQ, TOL_RECON, valid_tol_ineq
 from .core import (
     CovarianceMatrix,
     euler_decompose,
@@ -82,7 +82,7 @@ def random_physical_covariance(rng: "np.random.Generator", n: int,
 
 
 def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 5.0,
-                     tol: Tolerances = DEFAULT, corrupt=None) -> VerificationSummary:
+                     corrupt=None, *, tol_ineq: float = TOL_INEQ) -> VerificationSummary:
     """Run every suite over ``trials`` sampled instances.
 
     ``corrupt``, when given, is applied to each synthesized matrix before
@@ -91,37 +91,37 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
     """
     if trials < 1 or n_max < 1:
         raise ValueError("trials and n_max must be positive")
+    tol_ineq = valid_tol_ineq(tol_ineq)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    necessity = SuiteResult("necessity", -tol.tol_ineq, upper=False)
-    spread_bound = SuiteResult("spread_bound", -tol.tol_ineq, upper=False)
-    recon = SuiteResult("williamson_euler_reconstruction", tol.tol_recon)
-    roundtrip = SuiteResult("synthesis_roundtrip", tol.tol_recon)
-    circuits = SuiteResult("circuit_replay", tol.tol_recon)
+    necessity = SuiteResult("necessity", -tol_ineq, upper=False)
+    spread_bound = SuiteResult("spread_bound", -tol_ineq, upper=False)
+    recon = SuiteResult("williamson_euler_reconstruction", TOL_RECON)
+    roundtrip = SuiteResult("synthesis_roundtrip", TOL_RECON)
+    circuits = SuiteResult("circuit_replay", TOL_RECON)
 
     for trial in range(trials):
         n = 2 + trial % max(1, n_max - 1) if n_max > 1 else 1
         gamma, _, _ = random_physical_covariance(rng, n, squeeze_bound)
         # the state's own (c, d) pair
-        c = local_diagonal(gamma, tol).values.values
-        d = symplectic_eigenvalues(gamma, tol).values
-        necessity.record(check_mixed(c, d, tol).min_slack)
+        c = local_diagonal(gamma).values.values
+        d = symplectic_eigenvalues(gamma).values
+        necessity.record(check_mixed(c, d, tol_ineq=tol_ineq).min_slack)
         # c_n - sum(c_j<n) <= sum(d_j>=2) + (3 - 2n) d_1
         spread_bound.record(float(np.sum(d[1:]) + (3.0 - 2.0 * n) * d[0]
                                   - (2.0 * c[-1] - np.sum(c))))
-        S_w, d_w = williamson(gamma, tol)
+        S_w, d_w = williamson(gamma)
         # np.max, unlike max, keeps a NaN defect
         recon.record(float(np.max((williamson_defect(gamma, S_w, d_w),
-                                   euler_defect(S_w, euler_decompose(S_w, tol))))))
+                                   euler_defect(S_w, euler_decompose(S_w))))))
 
         if trial % 5 == 0:
             c, d = sample_feasible_pair(rng, int(rng.integers(1, n_max + 1)))
-            trace = synthesize(c, d, tol)
+            trace = synthesize(c, d, tol_ineq=tol_ineq)
             try:
                 if corrupt is not None:
-                    trace.final_matrix = CovarianceMatrix(corrupt(trace.final_matrix.entries),
-                                                          tol)
-                roundtrip.record(synthesis_defect(trace, c, d, tol))
+                    trace.final_matrix = CovarianceMatrix(corrupt(trace.final_matrix.entries))
+                roundtrip.record(synthesis_defect(trace, c, d))
             except ModeMatchError:
                 # a matrix that no longer validates counts as a violation
                 roundtrip.record(None)
@@ -132,7 +132,7 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
             m, pure = int(rng.integers(1, min(n_max, 6) + 1)), trial % 20 == 0
             target, _, _ = random_physical_covariance(rng, m, min(squeeze_bound, 3.0),
                                                       d_high=1.0 if pure else 3.0)
-            circ = circuit_from_matrix(target, tol)
+            circ = circuit_from_matrix(target)
             meshed = len(circ.passive_ops) <= (1 if pure else 2) * (m * (m - 1) // 2 + m)
             circuits.record(replay_defect(circ, target.entries) if meshed else None)
 

@@ -181,8 +181,8 @@ class TestWilliamsonEuler:
 
         real = core.williamson
 
-        def perturbed(cov, tol):
-            S, d = real(cov, tol)
+        def perturbed(cov):
+            S, d = real(cov)
             return S, core.SpectrumVector(d.values * (1.0 + 1e-4))
 
         monkeypatch.setattr(core, "williamson", perturbed)
@@ -199,8 +199,8 @@ class TestWilliamsonEuler:
 
         real = core.euler_decompose
 
-        def perturbed(S, tol):
-            factors = real(S, tol)
+        def perturbed(S):
+            factors = real(S)
             factors.z = factors.z * (1.0 + 1e-4)
             return factors
 
@@ -218,8 +218,8 @@ class TestWilliamsonEuler:
 
         real = core.euler_decompose
 
-        def nan_factors(S, tol):
-            factors = real(S, tol)
+        def nan_factors(S):
+            factors = real(S)
             factors.z = factors.z * np.nan
             return factors
 
@@ -343,9 +343,9 @@ class TestPrepare:
 
         real = synthesis.synthesize
 
-        def shifted(c, d, tol):
+        def shifted(c, d, tol_ineq):
             # a feasible witness for locals 0.1 above the requested ones
-            return real(np.asarray(c) + 0.1, d, tol)
+            return real(np.asarray(c) + 0.1, d, tol_ineq=tol_ineq)
 
         monkeypatch.setattr(synthesis, "synthesize", shifted)
         out = tmp_path / "circ.txt"
@@ -396,8 +396,8 @@ class TestVerify:
 
         real = verify.euler_decompose
 
-        def nan_factors(S, tol):
-            factors = real(S, tol)
+        def nan_factors(S):
+            factors = real(S)
             factors.z = factors.z * np.nan
             return factors
 
@@ -436,6 +436,12 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_rejects_non_finite_squeeze_bound(self, capsys, bound):
+        code, record = run_cli(capsys, "verify", "--trials", "1", "--squeeze-bound", bound)
+        assert code == 2
+        assert "squeeze_bound must be finite and >= 1" in record["error"]
+
 
 class TestToleranceOverride:
     def test_env_variable_applies_to_slack_tolerance(self, capsys, monkeypatch):
@@ -456,6 +462,26 @@ class TestToleranceOverride:
         monkeypatch.setenv("MODEMATCH_TOL_INEQ", "abc")
         code, _ = run_cli(capsys, "check", "--c", "1,1", "--d", "1,1")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "--c", "1.5,1.5", "--d", "1,2"],
+        ["check", "--c", "1,1", "--d", "5,9"],
+        ["synth", "--c", "1,1", "--d", "5,9", "--out", "{out}"],
+    ], ids=["feasible", "infeasible", "synth"])
+    def test_non_finite_tolerance_is_an_input_error(self, capsys, monkeypatch, tmp_path,
+                                                    value, source, argv):
+        out = tmp_path / "g.mat"
+        argv = [arg.format(out=out) for arg in argv]
+        if source == "flag":
+            argv = ["--tol-ineq", value, *argv]
+        else:
+            monkeypatch.setenv("MODEMATCH_TOL_INEQ", value)
+        code, record = run_cli(capsys, *argv)
+        assert code == 2
+        assert "must be finite and positive" in record["error"]
+        assert not out.exists()
 
 
 class TestInternalFailures:

@@ -12,12 +12,13 @@ from modematch import (
     symplectic_trace,
     williamson,
 )
-from modematch import DEFAULT, Tolerances, synthesize
+import modematch.core as core
+from modematch import synthesize
 from modematch.core import (
     _sigma_average,
     _sigma_left,
     _sigma_right,
-    _skew_spectral_basis,
+    _skew_spectral_data,
     haar_orthogonal_symplectic,
     interleaved_diagonal,
     symplectic_inverse,
@@ -111,7 +112,7 @@ class TestCovarianceMatrix:
             scale = rng.uniform(0.4, 1.5)
             gamma, _, _ = random_physical(rng, n)
             cov = CovarianceMatrix(scale * gamma.entries)
-            assert cov.is_physical(1e-9) == cov.is_physical_by_spectrum(1e-9)
+            assert cov.is_physical() == cov.is_physical_by_spectrum()
 
     def test_vacuum_is_physical(self):
         assert CovarianceMatrix.identity(3).is_physical()
@@ -149,14 +150,29 @@ class TestSingleSpectralPass:
         williamson_defect(cov, *williamson(cov))
         assert calls == ["eigh", "eigh"]
 
-    def test_checks_run_on_memoised_data(self):
-        cov = CovarianceMatrix(np.diag([0.5, 0.5, 2.0, 2.0]))
-        np.testing.assert_allclose(symplectic_eigenvalues(cov).values, [0.5, 2.0])
-        with pytest.raises(InvalidInput):
-            symplectic_eigenvalues(cov, Tolerances(tol_pos=1.0))
-        with pytest.raises(NumericalFailure):
-            williamson(cov, Tolerances(tol_pair_rel=-1.0))
+    def test_checks_run_on_memoised_data(self, monkeypatch):
+        # the positivity and pairing checks run when the memo is built; a
+        # failed check stores nothing
+        gamma = np.diag([0.5, 0.5, 2.0, 2.0])
+        cov = CovarianceMatrix(gamma)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "TOL_POS", 1.0)
+            with pytest.raises(InvalidInput):
+                symplectic_eigenvalues(cov)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "TOL_PAIR_REL", -1.0)
+            with pytest.raises(NumericalFailure):
+                williamson(cov)
         np.testing.assert_allclose(williamson(cov)[1].values, [0.5, 2.0])
+
+    def test_checks_run_once_per_matrix(self, monkeypatch):
+        cov = CovarianceMatrix(np.diag([0.5, 0.5, 2.0, 2.0]))
+        symplectic_eigenvalues(cov)
+        monkeypatch.setattr(core, "TOL_POS", 1.0)
+        monkeypatch.setattr(core, "TOL_PAIR_REL", -1.0)
+        np.testing.assert_allclose(williamson(cov)[1].values, [0.5, 2.0])
+        with pytest.raises(NumericalFailure):
+            symplectic_eigenvalues(CovarianceMatrix(np.diag([2.0, 2.0, 3.0, 3.0])))
 
     def test_entries_and_memoised_arrays_are_read_only(self):
         cov, _, _ = random_physical(np.random.default_rng(43), 3)
@@ -164,7 +180,7 @@ class TestSingleSpectralPass:
             cov.entries[0, 0] = 1.0
         with pytest.raises(AttributeError):
             cov.entries = np.eye(6)
-        for arr in _skew_spectral_basis(cov, DEFAULT):
+        for arr in _skew_spectral_data(cov):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 

@@ -1,4 +1,5 @@
-"""The numpy-free vector check of the gate against the numpy form it replaced."""
+"""The numpy-free vector check of the gate against the numpy form it replaced,
+and the gate's plain records."""
 
 import math
 import struct
@@ -8,7 +9,13 @@ import pytest
 
 from modematch import SpectrumVector
 from modematch.errors import InvalidInput
-from modematch.gate import _as_vector
+from modematch.gate import (
+    PARTIAL_SUM,
+    ConstraintSlack,
+    FeasibilityVerdict,
+    _as_vector,
+    check_mixed,
+)
 
 
 def reference_as_vector(values, what: str) -> list:
@@ -73,3 +80,24 @@ def test_matches_numpy_reference(name):
 def test_any_iterable_of_reals():
     # numpy cannot size an iterator, so the reference rejects this one
     assert _as_vector(iter([1, 2.5]), "c") == [1.0, 2.5]
+
+
+def test_records_behave_as_their_dataclass_forms_did():
+    slack = ConstraintSlack(PARTIAL_SUM, 1, 0.5)
+    assert repr(slack) == "ConstraintSlack(name='partial_sum', index=1, slack=0.5)"
+    assert slack == ConstraintSlack(name=PARTIAL_SUM, index=1, slack=0.5)
+    assert slack != ConstraintSlack(PARTIAL_SUM, 2, 0.5)
+    assert slack.label() == "partial_sum(1)"
+    verdict = FeasibilityVerdict(False, [slack, ConstraintSlack("x", None, -1.0)], 1e-9)
+    assert repr(verdict) == (
+        "FeasibilityVerdict(feasible=False, slacks=[ConstraintSlack(name='partial_sum', "
+        "index=1, slack=0.5), ConstraintSlack(name='x', index=None, slack=-1.0)], "
+        "tol_ineq=1e-09)")
+    assert verdict.violated == [ConstraintSlack("x", None, -1.0)]
+    assert verdict.min_slack == -1.0
+    assert check_mixed([1.5, 1.5], [1.0, 2.0]) == check_mixed((1.5, 1.5), (1.0, 2.0))
+    # plain __slots__ classes: no instance dict, and unhashable like a dataclass
+    for record in (slack, verdict):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            hash(record)

@@ -14,7 +14,7 @@ from modematch import (
     symplectic_eigenvalues,
     temperature_to_b,
 )
-from modematch.config import Tolerances
+import modematch.core as core
 from modematch.core import interleaved_diagonal
 from modematch.errors import InvalidInput
 
@@ -82,11 +82,12 @@ class TestLocalDiagonal:
                 np.linalg.cholesky(blocks))
             np.testing.assert_allclose(L, reference, rtol=1e-12, atol=1e-12)
 
-    def test_rejects_non_positive_block(self):
+    def test_rejects_non_positive_block(self, monkeypatch):
         gamma = np.eye(4)
         gamma[2:4, 2:4] = [[1.0, 0.9], [0.9, 0.81]]
+        monkeypatch.setattr(core, "TOL_POS", -1.0)
         with pytest.raises(InvalidInput, match="mode 1"):
-            local_diagonal(CovarianceMatrix(gamma, tol=Tolerances(tol_pos=-1.0)))
+            local_diagonal(CovarianceMatrix(gamma))
 
     def test_sorting_permutation(self):
         gamma = np.diag([3.0, 3.0, 1.0, 1.0, 2.0, 2.0])

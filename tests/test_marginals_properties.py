@@ -13,9 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modematch import DEFAULT, SpectrumVector, check_mixed, check_pure
+from modematch import SpectrumVector, check_mixed, check_pure
+from modematch.config import TOL_INEQ as TOL
 
-TOL = DEFAULT.tol_ineq
 OFFSETS = (0.0, TOL, -TOL, 3.0 * TOL, -3.0 * TOL)
 EPS = np.finfo(float).eps
 
@@ -60,7 +60,7 @@ def reference_slacks(c, d):
 @given(pair=boundary_pairs(), wrapped=st.booleans())
 def test_slacks_and_verdict_match_numpy_reference(pair, wrapped):
     c, d = pair
-    args = (SpectrumVector(c, "local_diagonal"), SpectrumVector(d)) if wrapped else (c, d)
+    args = (SpectrumVector(c), SpectrumVector(d)) if wrapped else (c, d)
     verdict = check_mixed(*args)
     partial, last = reference_slacks(c, d)
     band = 4.0 * EPS * float(np.sum(c + d))

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modematch import DEFAULT, solve_two_mode, two_mode_eigenvalues_closed_form
+from modematch import solve_two_mode, two_mode_eigenvalues_closed_form
+from modematch.config import TOL_INEQ
 from modematch.errors import Infeasible, InvalidInput
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -70,7 +71,7 @@ def test_violated_pair_inequality_is_infeasible(a, c, t, spread):
     else:
         # d is c scaled up: the spread condition holds, the sum one fails
         d = (c[0] * (1.0 + t), c[1] * (1.0 + t))
-    assert min(sum(c) - sum(d), (d[1] - d[0]) - (c[1] - c[0])) < -DEFAULT.tol_ineq
+    assert min(sum(c) - sum(d), (d[1] - d[0]) - (c[1] - c[0])) < -TOL_INEQ
     with pytest.raises(Infeasible, match="pair inequalities violated"):
         solve_two_mode(*c, *d)
 
