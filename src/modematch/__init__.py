@@ -37,7 +37,6 @@ _EXPORTS = {
     "entropy_upper_bound": "entropy",
     "euler_decompose": "core",
     "local_diagonal": "marginals",
-    "local_normal_form": "marginals",
     "parse_circuit": "circuits",
     "passive_to_two_mode_rotations": "circuits",
     "random_symplectic": "core",
@@ -49,7 +48,6 @@ _EXPORTS = {
     "solve_two_mode": "synthesis",
     "symplectic_eigenvalues": "core",
     "symplectic_form": "core",
-    "symplectic_trace": "core",
     "synthesize": "synthesis",
     "synthesize_pure": "synthesis",
     "temperature_to_b": "marginals",

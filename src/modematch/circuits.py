@@ -11,10 +11,14 @@ most 8 elements per gate, so O(n) in all, where the dense form has O(n^2).
 
 Passive elements live in the unitary picture: an orthogonal-symplectic
 matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
-[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].
+[[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].  On the complex rows x - i p of
+a matrix it acts as U itself, so the Reck sweep and the replay apply every
+passive element as one update of the rows of its modes.
 """
 
-from dataclasses import dataclass, field, replace
+import cmath
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from .config import TOL_PSD, TOL_RECON
 from .core import (
     SymplecticTransform,
     _as_covariance,
+    _complex_rows,
+    _real_rows,
     euler_decompose,
     relative_defect,
     symplectic_defect,
@@ -30,7 +36,6 @@ from .core import (
     williamson,
 )
 from .errors import InvalidInput, InvalidTrace
-from .synthesis import SynthesisTrace, replay_trace
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
@@ -106,25 +111,66 @@ def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     return U
 
 
-def _element_unitary(el: PassiveElement):
-    """The modes a passive element acts on and its unitary on them."""
-    if isinstance(el, Rotation):
-        ct, st = np.cos(el.theta), np.sin(el.theta)
-        ph = np.exp(1j * el.phi)
-        return list(el.modes), np.array([[ct, -ph * st], [st / ph, ct]])
-    if isinstance(el, PhaseShift):
-        return [el.mode], np.array([[np.exp(1j * el.alpha)]])
-    raise TypeError(f"unknown passive element {el!r}")
-
-
 def elements_to_unitary(elements, n: int) -> np.ndarray:
     """Left-to-right product of the listed passive elements, each changing
-    only the columns of its modes."""
+    only the columns of its modes: the dense reference for the row updates
+    of the mesh and the replay."""
     U = np.eye(n, dtype=complex)
     for el in elements:
-        modes, u = _element_unitary(el)
+        if isinstance(el, Rotation):
+            ct, st, ph = np.cos(el.theta), np.sin(el.theta), np.exp(1j * el.phi)
+            modes, u = list(el.modes), np.array([[ct, -ph * st], [st / ph, ct]])
+        elif isinstance(el, PhaseShift):
+            modes, u = [el.mode], np.array([[np.exp(1j * el.alpha)]])
+        else:
+            raise TypeError(f"unknown passive element {el!r}")
         U[:, modes] = U[:, modes] @ u
     return U
+
+
+def _apply_passive(Z: np.ndarray, modes, theta: float, phi: float) -> None:
+    """Left-multiply the rows ``modes`` of the complex matrix Z in place by
+    a passive element's unitary: on two modes the ``Rotation`` unitary of
+    (theta, phi), on one mode the phase exp(i phi)."""
+    if len(modes) == 1:
+        Z[modes[0]] *= cmath.exp(1j * phi)
+        return
+    i, j = modes
+    ct, st, ph = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    top, bottom = Z[i], Z[j]
+    Z[i], Z[j] = ct * top - (ph * st) * bottom, (st / ph) * top + ct * bottom
+
+
+def _reck(O, modes=None) -> list[PassiveElement]:
+    """``passive_to_two_mode_rotations`` with mode j of O emitted as
+    ``modes[j]``."""
+    if isinstance(O, SymplecticTransform):
+        O = O.entries
+    work = orthosymplectic_to_unitary(O)
+    n = work.shape[0]
+    modes = range(n) if modes is None else modes
+    elements: list[PassiveElement] = []
+    for col in range(n - 1):
+        for row in range(n - 1, col, -1):
+            a = complex(work[row - 1, col])
+            b = complex(work[row, col])
+            if abs(b) <= _ELEMENT_DROP:
+                continue
+            if abs(a) <= _ELEMENT_DROP:
+                theta, phi = math.pi / 2, 0.0
+            else:
+                ratio = b / a
+                phi = -cmath.phase(ratio)
+                theta = -math.atan(abs(ratio))
+            # apply M(theta, phi) on rows (row-1, row); its inverse,
+            # M(-theta, phi), is what the emitted list must contain
+            _apply_passive(work, (row - 1, row), theta, phi)
+            elements.append(Rotation((modes[row - 1], modes[row]), -theta, phi))
+    for i in range(n):
+        alpha = cmath.phase(work[i, i])
+        if abs(alpha) > _ELEMENT_DROP:
+            elements.append(PhaseShift(modes[i], alpha))
+    return elements
 
 
 def passive_to_two_mode_rotations(O) -> list[PassiveElement]:
@@ -136,50 +182,25 @@ def passive_to_two_mode_rotations(O) -> list[PassiveElement]:
     and n phases are emitted and their ordered product, leftmost factor
     first, rebuilds the input; the last element is the first to act.
     """
-    if isinstance(O, SymplecticTransform):
-        O = O.entries
-    U = orthosymplectic_to_unitary(O)
-    n = U.shape[0]
-    work = U.copy()
-    elements: list[PassiveElement] = []
-    for col in range(n - 1):
-        for row in range(n - 1, col, -1):
-            a = work[row - 1, col]
-            b = work[row, col]
-            if abs(b) <= _ELEMENT_DROP:
-                continue
-            if abs(a) <= _ELEMENT_DROP:
-                theta, phi = np.pi / 2, 0.0
-            else:
-                ratio = b / a
-                phi = -float(np.angle(ratio))
-                theta = -float(np.arctan(abs(ratio)))
-            # apply M(theta, phi) on rows (row-1, row); its inverse,
-            # M(-theta, phi), is what the emitted list must contain
-            rows, M = _element_unitary(Rotation((row - 1, row), theta, phi))
-            work[rows] = M @ work[rows]
-            elements.append(Rotation((row - 1, row), -theta, phi))
-    for i in range(n):
-        alpha = float(np.angle(work[i, i]))
-        if abs(alpha) > _ELEMENT_DROP:
-            elements.append(PhaseShift(i, alpha))
-    return elements
+    return _reck(O)
 
 
 def replay_circuit(circuit: PreparationCircuit) -> np.ndarray:
     """Covariance matrix produced by running the circuit on its seed:
-    S diag(seed) S^T, with S built one element at a time, each changing only
-    the rows of its modes."""
-    S = np.eye(2 * circuit.n)
+    S diag(seed) S^T, with S built one element at a time.  S is held as its
+    complex rows x - i p per mode, on which a passive element acts as its
+    unitary on the rows of its modes and a squeezer scales the real and
+    imaginary parts of its mode's row."""
+    Z = _complex_rows(np.eye(2 * circuit.n))
     for el in circuit.elements:
         if isinstance(el, Squeezer):
-            root = np.sqrt(el.z)
-            S[2 * el.mode] *= root
-            S[2 * el.mode + 1] /= root
+            root, row = math.sqrt(el.z), Z[el.mode]
+            Z[el.mode] = root * row.real + (1j / root) * row.imag
+        elif isinstance(el, Rotation):
+            _apply_passive(Z, el.modes, el.theta, el.phi)
         else:
-            modes, u = _element_unitary(el)
-            rows = [r for m in modes for r in (2 * m, 2 * m + 1)]
-            S[rows] = unitary_to_orthosymplectic(u) @ S[rows]
+            _apply_passive(Z, (el.mode,), 0.0, el.alpha)
+    S = _real_rows(Z)
     return (S * np.repeat(circuit.seed, 2)) @ S.T
 
 
@@ -189,11 +210,9 @@ def replay_defect(circuit: PreparationCircuit, target: np.ndarray) -> float:
 
 
 def _passive_network(O, modes) -> list[PassiveElement]:
-    """O's Reck elements in acting order, moved from modes 0, 1, ... onto
-    ``modes``."""
-    return [replace(el, modes=(modes[el.modes[0]], modes[el.modes[1]]))
-            if isinstance(el, Rotation) else replace(el, mode=modes[el.mode])
-            for el in reversed(passive_to_two_mode_rotations(O))]
+    """O's Reck elements in acting order, on ``modes`` in place of
+    0, 1, ...."""
+    return _reck(O, modes)[::-1]
 
 
 def circuit_from_matrix(gamma) -> PreparationCircuit:
@@ -222,14 +241,17 @@ def circuit_from_pure(gamma) -> PreparationCircuit:
     return circuit
 
 
-def circuit_from_mixed(trace: SynthesisTrace) -> PreparationCircuit:
-    """Circuit preparing a synthesized mixed target from its thermal seed.
+def circuit_from_mixed(trace) -> PreparationCircuit:
+    """Circuit preparing the final matrix of a ``SynthesisTrace`` from its
+    thermal seed.
 
     The seed is the trace's spectrum in mode order.  Each two-mode gate, in
     trace order, is Euler-factored as O Q V and emitted on its own modes as
     V's elements, Q's non-unit squeezers, then O's elements; a trace without
     gates gives no elements.
     """
+    from .synthesis import replay_trace
+
     if trace.final_matrix is None:
         raise InvalidTrace("trace has no final matrix")
     target = trace.final_matrix.entries

@@ -358,35 +358,6 @@ def williamson_defect(gamma: CovarianceMatrix, S: SymplecticTransform,
     return relative_defect(S.entries @ g @ S.entries.T - interleaved_diagonal(d.values), g)
 
 
-def symplectic_trace(gamma) -> float:
-    """Sum of the symplectic eigenvalues.
-
-    Bounded above by half the ordinary trace whenever the 2x2 diagonal
-    blocks are proportional to the identity; in general the bound holds
-    against the sum of the local symplectic values.
-    """
-    return float(np.sum(symplectic_eigenvalues(gamma).values))
-
-
-def _symplectic_gram_schmidt_pair(candidates: np.ndarray, chosen: np.ndarray):
-    """Pick the candidate column with the largest residual after projecting
-    out the columns of ``chosen``; return the normalised vector and its
-    symplectic partner."""
-    resid = candidates - chosen @ (chosen.T @ candidates)
-    norms = np.linalg.norm(resid, axis=0)
-    if norms.size == 0 or norms.max() < 1e-8:
-        raise NumericalFailure("failed to extend symplectic basis of the unit subspace")
-    best = int(norms.argmax())
-    u = resid[:, best] / norms[best]
-    v = _sigma_right(u)
-    v -= chosen @ (chosen.T @ v)
-    v -= (u @ v) * u
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-8:
-        raise NumericalFailure("symplectic partner collapsed in the unit subspace")
-    return u, v / norm
-
-
 def _positive_leading_sign(u: np.ndarray) -> np.ndarray:
     """Flip each column so its dominant entry, first index winning near-ties,
     is non-negative."""
@@ -396,24 +367,36 @@ def _positive_leading_sign(u: np.ndarray) -> np.ndarray:
     return u * np.copysign(1.0, u[lead, np.arange(u.shape[1])])
 
 
-def _polish_passive(M: np.ndarray, exact_pairs: bool = False) -> np.ndarray:
-    """Project onto the exact orthogonal-symplectic structure.
+def _complex_rows(M: np.ndarray) -> np.ndarray:
+    """The rows x - i p of each mode of a 2n x k real matrix, as an n x k
+    complex matrix: the unitary picture's coordinates, in which sigma^T acts
+    as multiplication by -i and a passive transform as its unitary."""
+    return M[0::2] - 1j * M[1::2]
 
-    Averages M with sigma M sigma^T, which keeps the part commuting with
-    sigma (2x2 blocks [[a, b], [-b, a]], the complex embedding), then takes
-    Newton orthogonalisation steps A (3 - A^T A) / 2, which preserve that
-    structure and square the orthogonality defect: one step when the
-    defect it measures is at most 1e-8, which is the usual case, more
-    while it is larger.  Moves M by no more than its structural defect,
-    which is assumed small.  When the columns of M are exact pairs
-    (u, sigma^T u), the average is bitwise M itself and is skipped.
+
+def _real_rows(Z: np.ndarray) -> np.ndarray:
+    """Inverse of ``_complex_rows``: the interleaved rows (Re, -Im) of Z."""
+    out = np.empty((2 * Z.shape[0], Z.shape[1]))
+    out[0::2] = Z.real
+    out[1::2] = -Z.imag
+    return out
+
+
+def _polish_passive(A: np.ndarray) -> np.ndarray:
+    """Newton orthogonalisation of a near-orthogonal matrix commuting with
+    sigma, that is built from 2x2 blocks [[a, b], [-b, a]].
+
+    The steps A (3 - A^T A) / 2 preserve that structure and square the
+    orthogonality defect: one step when the defect it measures is at most
+    1e-8, which is the usual case, more while it is larger.  Moves A by no
+    more than its defect, which is assumed small.  A matrix whose structure
+    is not exact goes through ``_sigma_average`` first.
     """
-    A = M if exact_pairs else _sigma_average(M)
     # quadratic convergence from a defect below 1: four steps take a 1e-2
     # defect to rounding, and the validation rejects anything worse
     for _ in range(4):
         defect = A.T @ A
-        defect.ravel()[:: M.shape[0] + 1] -= 1.0
+        defect.ravel()[:: A.shape[0] + 1] -= 1.0
         A = A - A @ (0.5 * defect)
         # Frobenius norm at most 1e-8, which bounds the max-norm too
         if np.vdot(defect, defect) <= 1e-16:
@@ -424,15 +407,18 @@ def _polish_passive(M: np.ndarray, exact_pairs: bool = False) -> np.ndarray:
 def euler_decompose(S) -> EulerFactors:
     """Factor a symplectic matrix as S = O Q V with passive O, V.
 
-    Everything comes from one SVD S = U diag(lam) W^T, that is from the
-    polar splitting S = P R with P = U diag(lam) U^T and R = U W^T.  The
-    singular values pair into (z, 1/z); the leading columns u of U whose
-    z lies above the noise floor are the anti-squeezed directions, and
-    their exact partners sigma^T u span the squeezed ones.  The remaining
-    unit planes are completed by a symplectic Gram-Schmidt over the other
-    columns of U.  The passive right factor is V = O^T R, read off the
-    SVD's own orthogonal polar factor: R carries the rounding of the SVD
-    alone, whereas P^{-1} S would amplify it by ||S||.  Squeezing
+    The planes come from one SVD S = U diag(lam) W^T, that is from the polar
+    splitting S = P R with P = U diag(lam) U^T and R = U W^T.  The singular
+    values pair into (z, 1/z); the leading columns u of U whose z lies above
+    the noise floor are the anti-squeezed directions, and their exact
+    partners sigma^T u span the squeezed ones.  The other columns of U span
+    the unit subspace plus those partners; written as complex vectors
+    x - i p per mode, with the u projected out, they span the unit subspace
+    as a complex space, and the leading left singular vectors of a second,
+    complex SVD give it an orthonormal basis, each vector a column u with
+    its exact partner sigma^T u.  The passive right factor is V = O^T R,
+    read off the SVD's own orthogonal polar factor: R carries the rounding
+    of the SVD alone, whereas P^{-1} S would amplify it by ||S||.  Squeezing
     magnitudes are normalised to z >= 1 by assigning the larger member of
     each pair to the x quadrature, and sorted non-decreasing.
     """
@@ -457,7 +443,7 @@ def euler_decompose(S) -> EulerFactors:
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
         return EulerFactors(O=SymplecticTransform(np.eye(2 * n)), z=np.ones(n),
-                            V=SymplecticTransform(_polish_passive(R)))
+                            V=SymplecticTransform(_polish_passive(_sigma_average(R))))
     if k > n:
         raise NumericalFailure(
             "squeeze planes of the polar factor do not pair into doublets: "
@@ -465,34 +451,32 @@ def euler_decompose(S) -> EulerFactors:
         )
     # lam is descending; reversing the leading k columns sorts z ascending
     u_cols = _positive_leading_sign(U[:, k - 1 :: -1])
-    v_cols = -_sigma_left(u_cols)
     z_vec = lam[k - 1 :: -1]
     if k < n:
-        # the other columns over-cover the unit subspace; the max-residual
-        # selection inside the pairing discards what the planes already span
-        cluster = U[:, k:]
-        chosen = np.column_stack([u_cols, v_cols])
-        unit_u, unit_v, unit_z = [], [], []
-        for _ in range(n - k):
-            u, v = _symplectic_gram_schmidt_pair(cluster, chosen)
-            unit_u.append(u)
-            unit_v.append(v)
-            # u^T P u from the SVD, without forming P
-            unit_z.append(max(1.0, float(lam @ (U.T @ u) ** 2)))
-            chosen = np.column_stack([chosen, u, v])
+        # projecting out the complex u projects out (u, sigma^T u) alike;
+        # the residual's unit-subspace singular values are sqrt(2)
+        chosen = _complex_rows(u_cols)
+        cluster = _complex_rows(U[:, k:])
+        resid = cluster - chosen @ (chosen.conj().T @ cluster)
+        basis, spread, _ = np.linalg.svd(resid, full_matrices=False)
+        if spread[n - k - 1] < 1e-8:
+            raise NumericalFailure("failed to extend symplectic basis of the unit subspace")
+        unit_u = _real_rows(basis[:, : n - k])
+        # u^T P u from the SVD, without forming P
+        unit_z = np.maximum(1.0, lam @ (U.T @ unit_u) ** 2)
         z_vec = np.concatenate([z_vec, unit_z])
         order = np.argsort(z_vec, kind="stable")
         z_vec = z_vec[order]
-        u_cols = np.column_stack([u_cols, *unit_u])[:, order]
-        v_cols = np.column_stack([v_cols, *unit_v])[:, order]
+        u_cols = np.column_stack([u_cols, unit_u])[:, order]
+    # every column pair (u, sigma^T u) is exact, so O1 needs no averaging
     O1 = np.empty((2 * n, 2 * n))
     O1[:, 0::2] = u_cols
-    O1[:, 1::2] = v_cols
-    O1 = _polish_passive(O1, exact_pairs=k == n)
+    O1[:, 1::2] = -_sigma_left(u_cols)
+    O1 = _polish_passive(O1)
     return EulerFactors(
         O=SymplecticTransform(O1),
         z=z_vec,
-        V=SymplecticTransform(_polish_passive(O1.T @ R)),
+        V=SymplecticTransform(_polish_passive(_sigma_average(O1.T @ R))),
     )
 
 

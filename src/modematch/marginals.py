@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL_INEQ
-from .core import CovarianceMatrix, SpectrumVector, _as_covariance, symplectic_eigenvalues
+from .core import SpectrumVector, _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
 from .gate import FeasibilityVerdict, check_mixed
 
@@ -59,21 +59,6 @@ def local_diagonal(gamma) -> LocalDiagonal:
     values = SpectrumVector([raw[j] for j in order])
     return LocalDiagonal(values=values, order=np.array(order),
                          transforms=np.array(transforms).reshape(-1, 2, 2), raw=np.array(raw))
-
-
-def local_normal_form(gamma):
-    """Apply the per-mode transforms so every diagonal block becomes c_j * I.
-
-    Returns the transformed covariance matrix (mode order unchanged) together
-    with the LocalDiagonal record used.
-    """
-    cov = _as_covariance(gamma)
-    local = local_diagonal(cov)
-    modes = np.arange(cov.n)
-    L = np.zeros((cov.n, 2, cov.n, 2))
-    L[modes, :, modes, :] = local.transforms
-    L = L.reshape(2 * cov.n, 2 * cov.n)
-    return CovarianceMatrix(L @ cov.entries @ L.T), local
 
 
 def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:

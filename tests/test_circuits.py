@@ -27,8 +27,8 @@ from modematch.circuits import (
 from modematch.core import (
     interleaved_diagonal,
     relative_defect,
+    symplectic_eigenvalues,
     symplectic_form,
-    symplectic_trace,
     williamson,
 )
 from modematch.errors import InvalidInput, InvalidTrace
@@ -169,7 +169,7 @@ class TestCircuitFromPure:
         O = unitary_to_orthosymplectic(U)
         moved = O @ gamma.entries @ O.T
         assert abs(np.trace(moved) - np.trace(gamma.entries)) <= 1e-10 * np.trace(gamma.entries)
-        assert abs(symplectic_trace(moved) - symplectic_trace(gamma.entries)) <= 1e-8
+        assert abs(sum(symplectic_eigenvalues(moved)) - sum(symplectic_eigenvalues(gamma))) <= 1e-8
 
     def test_rejects_mixed_and_unphysical(self):
         with pytest.raises(InvalidInput):
@@ -268,6 +268,27 @@ class TestActingOrder:
         wrong_order = Q @ R @ D @ R.T @ Q.T
         assert np.max(np.abs(expected - wrong_order)) > 0.1
         np.testing.assert_allclose(replay_circuit(circuit), expected, rtol=0, atol=1e-13)
+
+    def test_dense_replay_matches_mesh_products(self):
+        # the complex-row replay against dense products in the documented
+        # convention: each mesh is its elements' unitary, first-acting
+        # element rightmost, then embedded; the squeezers sit between
+        n = 24
+        gamma, _, _ = random_physical_covariance(np.random.default_rng(77), n, 3.0)
+        circuit = circuit_from_matrix(gamma)
+        kinds = [isinstance(el, Squeezer) for el in circuit.elements]
+        first, last = kinds.index(True), len(kinds) - kinds[::-1].index(True)
+        V_mesh, O_mesh = circuit.elements[:first], circuit.elements[last:]
+        assert len(V_mesh) > n and len(O_mesh) > n and last - first == n
+
+        def mesh(elements):
+            return unitary_to_orthosymplectic(elements_to_unitary(elements[::-1], n))
+
+        z = np.array([sq.z for sq in sorted(circuit.squeezers, key=lambda sq: sq.mode)])
+        Q = np.diag(np.ravel(np.column_stack([np.sqrt(z), 1 / np.sqrt(z)])))
+        S = mesh(O_mesh) @ Q @ mesh(V_mesh)
+        expected = S @ interleaved_diagonal(circuit.seed) @ S.T
+        assert relative_defect(replay_circuit(circuit) - expected, expected) <= 1e-13
 
     def test_views_split_the_element_list(self):
         rng = np.random.default_rng(73)

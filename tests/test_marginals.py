@@ -9,7 +9,6 @@ from modematch import (
     check_mixed,
     check_pure,
     local_diagonal,
-    local_normal_form,
     random_symplectic,
     symplectic_eigenvalues,
     temperature_to_b,
@@ -95,18 +94,14 @@ class TestLocalDiagonal:
         np.testing.assert_allclose(local.values.values, [1.0, 2.0, 3.0])
         assert np.array_equal(local.order, [1, 2, 0])
 
-
-class TestLocalNormalForm:
-    def test_blocks_become_scalar(self):
+    def test_transforms_make_blocks_scalar(self):
         rng = np.random.default_rng(4)
         gamma, _ = random_physical(rng, 4)
-        normal, local = local_normal_form(gamma)
-        for j in range(4):
-            block = normal.entries[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
-            np.testing.assert_allclose(block, local.raw[j] * np.eye(2), atol=1e-9)
-        # the transform is a local symplectic, so the spectrum is untouched
-        np.testing.assert_allclose(symplectic_eigenvalues(normal).values,
-                                   symplectic_eigenvalues(gamma).values, atol=1e-9)
+        local = local_diagonal(gamma)
+        for j, L in enumerate(local.transforms):
+            block = gamma.entries[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+            assert np.linalg.det(L) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(L @ block @ L.T, local.raw[j] * np.eye(2), atol=1e-9)
 
 
 class TestCheckMixed:

@@ -84,6 +84,17 @@ class TestLazyImports:
         assert "modematch.marginals" in imported
         assert "_hashlib" not in imported
 
+    def test_matrix_prepare_and_replay_skip_synthesis(self, tmp_path):
+        matrix, circuit = tmp_path / "g.mat", tmp_path / "c.txt"
+        assert _cli("synth", "--c", "1.5,1.5", "--d", "1,2", "--out", str(matrix)).returncode == 0
+        for argv in (["prepare", "--matrix", str(matrix), "--out", str(circuit)],
+                     ["replay", "--circuit", str(circuit), "--out", str(tmp_path / "r.mat")]):
+            proc = _python("-X", "importtime", "-m", "modematch.cli", *argv)
+            assert proc.returncode == 0, proc.stderr
+            imported = _imported(proc.stderr)
+            assert "modematch.circuits" in imported
+            assert not {"modematch.synthesis", "modematch.marginals"} & imported, argv[0]
+
     def test_every_export_resolves_and_is_listed(self):
         code = ("import json, modematch; listed = dir(modematch); "
                 "missing = [n for n in modematch.__all__ if n not in listed]; "
@@ -94,7 +105,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         missing, unresolved, count, version = json.loads(proc.stdout)
         assert missing == [] and unresolved == []
-        assert count == 42 and version == "0.1.0"
+        assert count == 40 and version == "0.1.0"
 
     def test_submodules_and_unknown_names(self):
         code = ("import modematch; "
