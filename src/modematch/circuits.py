@@ -29,10 +29,9 @@ from .core import (
     _complex_rows,
     _real_rows,
     euler_decompose,
+    orthosymplectic_to_unitary,
     relative_defect,
-    symplectic_defect,
     symplectic_inverse,
-    unitary_to_orthosymplectic,
     williamson,
 )
 from .errors import InvalidInput, InvalidTrace
@@ -94,21 +93,6 @@ class PreparationCircuit:
     @property
     def passive_ops(self) -> list[PassiveElement]:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
-
-
-def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
-    """Inverse of the passive representation map, with validation."""
-    O = np.asarray(O, dtype=float)
-    if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
-        raise InvalidInput(f"expected an even square matrix, got shape {O.shape}")
-    U = O[0::2, 0::2] + 1j * O[0::2, 1::2]
-    defects = (float(np.max(np.abs(O @ O.T - np.eye(O.shape[0])))), symplectic_defect(O),
-               float(np.max(np.abs(O - unitary_to_orthosymplectic(U)))))
-    if max(defects) > 1e-8:
-        raise InvalidInput("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
-                           "symplectic and block defects "
-                           + ", ".join(f"{v:.3g}" for v in defects))
-    return U
 
 
 def elements_to_unitary(elements, n: int) -> np.ndarray:
@@ -320,12 +304,14 @@ def _parse_element(head: str, parts, n: int) -> Element:
 def parse_circuit(text: str) -> PreparationCircuit:
     """Parse the output of serialize_circuit, validating every record.
 
-    The n record comes first.  Modes lie in 0..n-1 and a rotation's two
-    differ; angles are finite; squeezer and seed values are finite and
-    positive; any other field, as in the older three-block format, is
-    rejected.  Failures raise ValueError naming the line.
+    The n record comes first, and n, source and seed each appear at most
+    once.  Modes lie in 0..n-1 and a rotation's two differ; angles are
+    finite; squeezer and seed values are finite and positive; any other
+    field, as in the older three-block format, is rejected.  Failures raise
+    ValueError naming the line.
     """
     n, source, seed = None, PURE_SOURCE, None
+    headers: set[str] = set()
     elements: list[Element] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -333,6 +319,10 @@ def parse_circuit(text: str) -> PreparationCircuit:
             continue
         head, *rest = line.split()
         try:
+            if head in headers:
+                raise ValueError(f"repeated {head} record")
+            if head in ("n", "source", "seed"):
+                headers.add(head)
             if head == "n":
                 n = int(rest[0])
                 if n < 1:

@@ -161,27 +161,43 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
-def cmd_synth(args) -> int:
+def _synthesized(command: str, args, physical: bool = False):
+    """Sort --c and --d, synthesize their witness and self-check it: returns
+    (c, d, trace, defect), or the exit code of an infeasible pair or a
+    failed self-check once its record is emitted.  With ``physical``, a
+    spectrum below one is an input error."""
     import numpy as np
 
-    from .matrixio import write_matrix
     from .synthesis import synthesis_defect, synthesize
 
-    start = time.perf_counter()
     c = np.sort(_parse_vector(args.c))
     d = np.sort(_parse_vector(args.d))
+    if physical and d[0] < 1.0 - config.TOL_PSD:
+        raise InvalidInput(f"target violates the uncertainty bound: smallest "
+                           f"symplectic eigenvalue {d[0]:.17g} is below 1")
     try:
         trace = synthesize(c, d, tol_ineq=args.tol_ineq)
     except Infeasible as exc:
-        _emit({"command": "synth", "feasible": False, "error": str(exc),
+        _emit({"command": command, "feasible": False, "error": str(exc),
                "tolerances": _tol_dict(args.tol_ineq)})
         return EXIT_INFEASIBLE
-
     # self-verification before anything is written
     defect = synthesis_defect(trace, c, d)
     if not defect <= config.TOL_RECON:
-        return _failed("synth", "self-verification", defect)
+        return _failed(command, "self-verification", defect)
+    return c, d, trace, defect
 
+
+def cmd_synth(args) -> int:
+    # the synthesis side, numpy included, loads before the clock starts
+    from . import synthesis  # noqa: F401
+    from .matrixio import write_matrix
+
+    start = time.perf_counter()
+    result = _synthesized("synth", args)
+    if isinstance(result, int):
+        return result
+    c, d, trace, defect = result
     write_matrix(args.out, trace.final_matrix.entries, "covariance")
     if args.emit_trace:
         with open(args.emit_trace, "w") as fh:
@@ -309,7 +325,7 @@ def cmd_prepare(args) -> int:
     )
 
     if not args.matrix:
-        from .synthesis import synthesis_defect, synthesize
+        from . import synthesis  # noqa: F401
 
     start = time.perf_counter()
     if args.matrix:
@@ -319,19 +335,10 @@ def cmd_prepare(args) -> int:
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
-        c = np.sort(_parse_vector(args.c))
-        d = np.sort(_parse_vector(args.d))
-        if d[0] < 1.0 - config.TOL_PSD:
-            raise InvalidInput(f"target violates the uncertainty bound: smallest "
-                               f"symplectic eigenvalue {d[0]:.17g} is below 1")
-        try:
-            trace = synthesize(c, d, tol_ineq=args.tol_ineq)
-        except Infeasible as exc:
-            _emit({"command": "prepare", "feasible": False, "error": str(exc)})
-            return EXIT_INFEASIBLE
-        defect = synthesis_defect(trace, c, d)
-        if not defect <= config.TOL_RECON:
-            return _failed("prepare", "self-verification", defect)
+        result = _synthesized("prepare", args, physical=True)
+        if isinstance(result, int):
+            return result
+        c, d, trace, _ = result
         target = trace.final_matrix.entries
         if np.max(np.abs(d - 1.0)) <= config.TOL_PSD:
             circuit = circuit_from_matrix(trace.final_matrix)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,55 +26,47 @@ _EPS = float(np.finfo(float).eps)
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form in interleaved mode ordering.
 
-    Each call returns a new array; library code applies the form through
-    ``_sigma_left`` and ``_sigma_right`` instead of building it.
+    Each call returns a new array, a copy of the cached one; library code
+    applies the form through ``_sigma_left`` and ``_sigma_right`` instead.
     """
-    out = np.zeros((2 * n, 2 * n))
-    _add_sigma(out, 1.0)
-    return out
+    return _symplectic_structure(2 * n).sigma.copy()
 
 
-def _add_sigma(M: np.ndarray, scale) -> None:
-    """M += scale * sigma in place, for a C-contiguous square M.
-
-    The entries (2k, 2k + 1) and (2k + 1, 2k) sit at flat positions
-    k (2m + 2) + 1 and k (2m + 2) + m of the m x m array.
-    """
-    m = M.shape[0]
-    flat = M.ravel()
-    flat[1 :: 2 * m + 2] += scale
-    flat[m :: 2 * m + 2] -= scale
+_Structure = namedtuple("_Structure", "swap row_sign col_sign sigma eye")
 
 
 @functools.cache
-def _mode_swap(m: int):
-    """Read-only helpers for applying sigma at size m = 2n, built once per
-    size: the index swapping x and p within each mode, the row signs of
-    sigma M as a column, and the column signs of M sigma."""
+def _symplectic_structure(m: int) -> _Structure:
+    """The symplectic structure at size m = 2n, built once per size and
+    read-only: the index swapping x and p within each mode, the row signs
+    of sigma M as a column, the column signs of M sigma, sigma itself and
+    the identity."""
     swap = np.arange(m) ^ 1
     row_sign = np.tile((1.0, -1.0), m // 2)[:, None]
-    return _frozen(swap, row_sign, -row_sign[:, 0])
+    sigma = np.zeros((m, m))
+    sigma[np.arange(m), swap] = row_sign[:, 0]
+    return _Structure(*_frozen(swap, row_sign, -row_sign[:, 0], sigma, np.eye(m)))
 
 
 def _sigma_left(M: np.ndarray) -> np.ndarray:
     """sigma @ M for a 2n x k matrix, as a row swap within each mode plus a
     sign flip."""
-    swap, row_sign, _ = _mode_swap(M.shape[0])
-    return M.take(swap, axis=0) * row_sign
+    s = _symplectic_structure(M.shape[0])
+    return M.take(s.swap, axis=0) * s.row_sign
 
 
 def _sigma_right(M: np.ndarray) -> np.ndarray:
     """M @ sigma as a column swap within each mode plus a sign flip; for a
     vector u this is u^T sigma, that is sigma^T u."""
-    swap, _, col_sign = _mode_swap(M.shape[-1])
-    return M.take(swap, axis=-1) * col_sign
+    s = _symplectic_structure(M.shape[-1])
+    return M.take(s.swap, axis=-1) * s.col_sign
 
 
 def _sigma_average(M: np.ndarray) -> np.ndarray:
     """(M + sigma M sigma^T) / 2 for a square M; sigma M sigma^T swaps rows
     and columns within each mode and flips the sign of the mixed entries."""
-    swap, row_sign, col_sign = _mode_swap(M.shape[0])
-    return 0.5 * (M - M.take(swap, axis=0).take(swap, axis=1) * (row_sign * col_sign))
+    s = _symplectic_structure(M.shape[0])
+    return 0.5 * (M - M.take(s.swap, axis=0).take(s.swap, axis=1) * (s.row_sign * s.col_sign))
 
 
 def _check_even_square(entries: np.ndarray, what: str) -> int:
@@ -122,9 +115,7 @@ def _symplectic_defect(entries: np.ndarray) -> float:
     """symplectic_defect of a float array already known to be even square."""
     # S sigma S^T = X - X^T with X the x-columns times the p-columns
     cross = entries[:, 0::2] @ entries[:, 1::2].T
-    form = cross - cross.T
-    _add_sigma(form, -1.0)
-    return _max_abs(form)
+    return _max_abs(cross - cross.T - _symplectic_structure(entries.shape[0]).sigma)
 
 
 def symplectic_inverse(entries: np.ndarray) -> np.ndarray:
@@ -177,13 +168,12 @@ class CovarianceMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
-        return cls(np.eye(2 * n))
+        return cls(_symplectic_structure(2 * n).eye)
 
     def is_physical(self) -> bool:
         """Uncertainty test: smallest eigenvalue of gamma + i*sigma >= -TOL_PSD."""
-        herm = self.entries.astype(complex)
-        _add_sigma(herm, 1j)
-        return bool(np.linalg.eigvalsh(herm)[0] >= -TOL_PSD)
+        sigma = _symplectic_structure(2 * self.n).sigma
+        return bool(np.linalg.eigvalsh(self.entries + 1j * sigma)[0] >= -TOL_PSD)
 
     def is_physical_by_spectrum(self) -> bool:
         """Independent physicality test via the symplectic spectrum."""
@@ -314,10 +304,8 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         p = V[lead, np.arange(n)]
         V = V * (1j * math.sqrt(2.0) * p.conj() / np.abs(p))
         # the columns (Im v, Re v) of each vector, read off its float view
-        W = V.view(float).take(_mode_swap(2 * n)[0], axis=1)
-        gram = W.T @ W
-        gram.ravel()[:: 2 * n + 1] -= 1.0
-        orth_defect = _max_abs(gram)
+        W = V.view(float).take(_symplectic_structure(2 * n).swap, axis=1)
+        orth_defect = _max_abs(W.T @ W - _symplectic_structure(2 * n).eye)
         if orth_defect > 1e-8:
             raise NumericalFailure("canonical basis of the skew kernel is not orthogonal: "
                                    f"defect {orth_defect:.3g}")
@@ -395,8 +383,7 @@ def _polish_passive(A: np.ndarray) -> np.ndarray:
     # quadratic convergence from a defect below 1: four steps take a 1e-2
     # defect to rounding, and the validation rejects anything worse
     for _ in range(4):
-        defect = A.T @ A
-        defect.ravel()[:: A.shape[0] + 1] -= 1.0
+        defect = A.T @ A - _symplectic_structure(A.shape[0]).eye
         A = A - A @ (0.5 * defect)
         # Frobenius norm at most 1e-8, which bounds the max-norm too
         if np.vdot(defect, defect) <= 1e-16:
@@ -442,7 +429,8 @@ def euler_decompose(S) -> EulerFactors:
     k = sum(v > floor for v in singular)
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
-        return EulerFactors(O=SymplecticTransform(np.eye(2 * n)), z=np.ones(n),
+        return EulerFactors(O=SymplecticTransform(_symplectic_structure(2 * n).eye.copy()),
+                            z=np.ones(n),
                             V=SymplecticTransform(_polish_passive(_sigma_average(R))))
     if k > n:
         raise NumericalFailure(
@@ -486,14 +474,25 @@ def euler_defect(S: SymplecticTransform, factors: EulerFactors) -> float:
 
 
 def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
-    """Map an n x n unitary to its 2n x 2n passive representation."""
-    n = U.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = U.real
-    out[0::2, 1::2] = U.imag
-    out[1::2, 0::2] = -U.imag
-    out[1::2, 1::2] = U.real
-    return out
+    """Map an n x n unitary to its 2n x 2n passive representation: column 2k
+    has the complex rows U[:, k], and column 2k + 1 its partner -i U[:, k]."""
+    return _real_rows(np.stack([U, -1j * U], axis=-1).reshape(U.shape[0], -1))
+
+
+def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
+    """Inverse of the passive representation map, with validation."""
+    O = np.asarray(O, dtype=float)
+    if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
+        raise InvalidInput(f"expected an even square matrix, got shape {O.shape}")
+    U = O[0::2, 0::2] + 1j * O[0::2, 1::2]
+    eye = _symplectic_structure(O.shape[0]).eye
+    defects = (float(np.max(np.abs(O @ O.T - eye))), _symplectic_defect(O),
+               float(np.max(np.abs(O - unitary_to_orthosymplectic(U)))))
+    if max(defects) > 1e-8:
+        raise InvalidInput("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
+                           "symplectic and block defects "
+                           + ", ".join(f"{v:.3g}" for v in defects))
+    return U
 
 
 def haar_orthogonal_symplectic(n: int, rng: "np.random.Generator") -> np.ndarray:

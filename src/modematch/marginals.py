@@ -1,13 +1,12 @@
 """Local mode data of a covariance matrix.
 
-The local symplectic values c_j of a matrix, the per-mode transforms that
-bring its diagonal blocks to c_j * I, the feasibility gate run on a matrix's
-own (c, d), and the maps between local excitations and temperatures.  The
-gate itself is in ``gate``, which needs no numpy.
+The local symplectic values c_j of a matrix, the feasibility gate run on a
+matrix's own (c, d), and the maps between local excitations and
+temperatures.  The gate itself is in ``gate``, which needs no numpy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,46 +18,26 @@ from .gate import FeasibilityVerdict, check_mixed
 
 @dataclass
 class LocalDiagonal:
-    """Per-mode local symplectic values of a matrix, sorted non-decreasing.
-
-    ``order`` maps sorted positions back to original mode indices, and
-    ``transforms`` stacks one determinant-one 2x2 matrix per original mode,
-    shape (n, 2, 2), mapping that mode's diagonal block to c_j * I.
-    """
+    """Per-mode local symplectic values of a matrix, sorted non-decreasing."""
 
     values: SpectrumVector
-    order: np.ndarray
-    transforms: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
-    raw: np.ndarray | None = None
 
 
 def local_diagonal(gamma) -> LocalDiagonal:
-    """Local symplectic values c_j = sqrt(det of the j-th 2x2 diagonal block).
-
-    The returned values are sorted non-decreasing with the permutation
-    recorded; the stored per-mode transforms bring each diagonal block to
-    c_j * I without touching other modes.
-    """
+    """Local symplectic values c_j = sqrt(det of the j-th 2x2 diagonal block),
+    sorted non-decreasing."""
     g = _as_covariance(gamma).entries
-    # the block diagonals (2k, 2k), (2k + 1, 2k + 1) and (2k, 2k + 1) are
-    # strided views of the flat array; per mode, the work is on floats
-    m = g.shape[0]
-    flat = g.ravel()
-    blocks = zip(flat[:: 2 * m + 2].tolist(), flat[m + 1 :: 2 * m + 2].tolist(),
-                 flat[1 :: 2 * m + 2].tolist())
-    raw, transforms = [], []
+    # the entries (2k, 2k), (2k + 1, 2k + 1) and (2k, 2k + 1) of each block
+    # are strided views of the diagonals; per mode, the work is on floats
+    diag, upper = g.diagonal(), g.diagonal(1)
+    blocks = zip(diag[0::2].tolist(), diag[1::2].tolist(), upper[0::2].tolist())
+    values = []
     for j, (xx, pp, xp) in enumerate(blocks):
         det = xx * pp - xp * xp
         if det <= 0 or xx <= 0:
             raise InvalidInput(f"diagonal block of mode {j} is not positive (det {det:.3g})")
-        c = math.sqrt(det)
-        raw.append(c)
-        # determinant-one L = sqrt(c) chol(block)^-1, so L block L^T = c * I
-        transforms += (math.sqrt(c / xx), 0.0, -xp / math.sqrt(xx * c), math.sqrt(xx / c))
-    order = sorted(range(len(raw)), key=raw.__getitem__)
-    values = SpectrumVector([raw[j] for j in order])
-    return LocalDiagonal(values=values, order=np.array(order),
-                         transforms=np.array(transforms).reshape(-1, 2, 2), raw=np.array(raw))
+        values.append(math.sqrt(det))
+    return LocalDiagonal(SpectrumVector(sorted(values)))
 
 
 def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:

@@ -22,13 +22,13 @@ from modematch.circuits import (
     Squeezer,
     elements_to_unitary,
     orthosymplectic_to_unitary,
-    unitary_to_orthosymplectic,
 )
 from modematch.core import (
     interleaved_diagonal,
     relative_defect,
     symplectic_eigenvalues,
     symplectic_form,
+    unitary_to_orthosymplectic,
     williamson,
 )
 from modematch.errors import InvalidInput, InvalidTrace
@@ -335,6 +335,8 @@ class TestSerialization:
         ("1 nan", "squeezer mode=0 z=2"),
         ("1 -1", "squeezer mode=0 z=2"),
         ("1 1 1", "squeezer mode=0 z=2"),
+        ("1 1", "n 1"),
+        ("1 1", "seed 2 2"),
     ])
     def test_parse_rejects_invalid_records_by_line(self, seed, element):
         text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"

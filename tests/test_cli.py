@@ -290,9 +290,12 @@ class TestPrepare:
         assert record["passive_elements"] == 0
 
     def test_infeasible_target(self, capsys, tmp_path):
-        code, _ = run_cli(capsys, "prepare", "--c", "1,5", "--d", "1,1",
-                          "--out", str(tmp_path / "c.txt"))
+        code, record = run_cli(capsys, "--tol-ineq", "1e-6", "prepare", "--c", "1,5",
+                               "--d", "1,1", "--out", str(tmp_path / "c.txt"))
         assert code == 1
+        assert record["feasible"] is False
+        # the verdict depends on tol_ineq, so the record reports it, as synth's does
+        assert record["tolerances"]["tol_ineq"] == 1e-6
 
     def test_mixed_matrix_target_and_replay(self, capsys, tmp_path):
         src = tmp_path / "g.mat"
@@ -360,6 +363,8 @@ class TestPrepare:
         "rotation modes=0,5 theta=0.1 phi=0",
         "phase mode=-1 alpha=0.3",
         "squeezer mode=0 z=2 orientation=q",
+        "n 1",
+        "seed 2 2",
     ])
     def test_invalid_circuit_file_is_an_input_error(self, capsys, tmp_path, element):
         circ = tmp_path / "c.txt"

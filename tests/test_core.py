@@ -18,6 +18,7 @@ from modematch.core import (
     _sigma_left,
     _sigma_right,
     _skew_spectral_data,
+    _symplectic_structure,
     haar_orthogonal_symplectic,
     interleaved_diagonal,
     symplectic_inverse,
@@ -89,6 +90,20 @@ class TestSymplecticForm:
         assert np.array_equal(_sigma_right(M), M @ sig)
         assert np.array_equal(_sigma_right(M[0]), sig.T @ M[0])
         assert np.array_equal(_sigma_average(M), 0.5 * (M + sig @ M @ sig.T))
+        # the one cached record: sigma and the identity, read-only
+        structure = _symplectic_structure(2 * n)
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(structure.sigma, np.kron(np.eye(n), J))
+        assert np.array_equal(structure.eye, np.eye(2 * n))
+        for cached in (structure.sigma, structure.eye):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+        dense = np.max(np.abs(M @ sig @ M.T - sig))
+        assert core._symplectic_defect(M) == pytest.approx(dense, rel=1e-12)
+        # symplectic_form hands out a writable copy
+        sig[0, 1] = 7.0
+        assert np.array_equal(symplectic_form(n), structure.sigma)
 
 
 class TestCovarianceMatrix:
