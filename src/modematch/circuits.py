@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL_PSD, TOL_RECON
+from .config import TOL_RECON
 from .core import (
     SymplecticTransform,
     _as_covariance,
@@ -35,6 +35,7 @@ from .core import (
     williamson,
 )
 from .errors import InvalidInput, InvalidTrace
+from .gate import at_vacuum
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
@@ -203,12 +204,12 @@ def circuit_from_matrix(gamma) -> PreparationCircuit:
     """Circuit preparing a physical matrix as itself: the Euler factors
     O Q V of the inverse Williamson transform give V's network, n squeezers
     and O's network on the seed d, or on the vacuum without V's network when
-    every d is within ``TOL_PSD`` of one."""
+    every d is at the vacuum."""
     cov = _as_covariance(gamma)
     if not cov.is_physical():
         raise InvalidInput("target matrix violates the uncertainty bound")
     S_w, d = williamson(cov)
-    pure = np.max(np.abs(d.values - 1.0)) <= TOL_PSD
+    pure = all(map(at_vacuum, d.values.tolist()))
     factors = euler_decompose(symplectic_inverse(S_w.entries))
     elements: list[Element] = [] if pure else _passive_network(factors.V, range(cov.n))
     elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
@@ -305,10 +306,11 @@ def parse_circuit(text: str) -> PreparationCircuit:
     """Parse the output of serialize_circuit, validating every record.
 
     The n record comes first, and n, source and seed each appear at most
-    once.  Modes lie in 0..n-1 and a rotation's two differ; angles are
-    finite; squeezer and seed values are finite and positive; any other
-    field, as in the older three-block format, is rejected.  Failures raise
-    ValueError naming the line.
+    once; n and source hold one value each, and source is ``PURE_SOURCE``
+    or ``MIXED_SOURCE``.  Modes lie in 0..n-1 and a rotation's two differ;
+    angles are finite; squeezer and seed values are finite and positive;
+    any other field, as in the older three-block format, is rejected.
+    Failures raise ValueError naming the line.
     """
     n, source, seed = None, PURE_SOURCE, None
     headers: set[str] = set()
@@ -323,12 +325,16 @@ def parse_circuit(text: str) -> PreparationCircuit:
                 raise ValueError(f"repeated {head} record")
             if head in ("n", "source", "seed"):
                 headers.add(head)
+            if head in ("n", "source") and rest[1:]:
+                raise ValueError(f"{head} record takes one value, got {' '.join(rest)}")
             if head == "n":
                 n = int(rest[0])
                 if n < 1:
                     raise ValueError(f"mode count {n} is not positive")
             elif head == "source":
                 source = rest[0]
+                if source not in (PURE_SOURCE, MIXED_SOURCE):
+                    raise ValueError(f"unknown source {source!r}")
             elif head != "seed" and head not in _RECORDS:
                 raise ValueError(f"unknown record {head!r}")
             elif n is None:

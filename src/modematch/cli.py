@@ -12,8 +12,8 @@ fails unless the defect is at most ``TOL_RECON``, so a NaN defect fails.
 ``--tol-ineq``, or else MODEMATCH_TOL_INEQ, sets the inequality tolerance,
 which must be finite and positive.
 
-Each subcommand imports the library modules it calls, numpy and the matrix
-file code included, when it runs, so a process loads only what its
+Each subcommand imports the matrix-side modules it calls, numpy and the
+matrix file code included, when it runs, so a process loads only what its
 subcommand needs: ``check --c --d`` and ``check --pure --b`` load no numpy.
 ``run`` is the console entry point: it exits through ``os._exit`` once the
 output is flushed.
@@ -29,6 +29,7 @@ from array import array
 
 from . import config
 from .errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
+from .gate import at_vacuum, below_vacuum, check_mixed, check_pure
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -130,8 +131,6 @@ def _load(path, kind):
 
 
 def cmd_check(args) -> int:
-    from .gate import check_mixed, check_pure
-
     if args.matrix:
         # the matrix side, numpy included, loads before the clock starts, as
         # in the other subcommands; _load reads the file through matrixio
@@ -172,7 +171,7 @@ def _synthesized(command: str, args, physical: bool = False):
 
     c = np.sort(_parse_vector(args.c))
     d = np.sort(_parse_vector(args.d))
-    if physical and d[0] < 1.0 - config.TOL_PSD:
+    if physical and below_vacuum(d[0]):
         raise InvalidInput(f"target violates the uncertainty bound: smallest "
                            f"symplectic eigenvalue {d[0]:.17g} is below 1")
     try:
@@ -290,8 +289,7 @@ def cmd_entropy(args) -> int:
         if args.c is None:
             raise InvalidInput("provide --c or --matrix")
         c = np.sort(_parse_vector(args.c))
-        if np.any(c < 1.0 - config.TOL_PSD):
-            raise InvalidInput("entropy requires local values c >= 1")
+        # entropy_report rejects local values below the vacuum
         report = entropy_report(c=c, tol_ineq=args.tol_ineq)
         digest = _digest("entropy", c)
     record = {
@@ -315,8 +313,6 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    import numpy as np
-
     from .circuits import (
         circuit_from_matrix,
         circuit_from_mixed,
@@ -340,7 +336,7 @@ def cmd_prepare(args) -> int:
             return result
         c, d, trace, _ = result
         target = trace.final_matrix.entries
-        if np.max(np.abs(d - 1.0)) <= config.TOL_PSD:
+        if all(map(at_vacuum, d.tolist())):
             circuit = circuit_from_matrix(trace.final_matrix)
         else:
             circuit = circuit_from_mixed(trace)

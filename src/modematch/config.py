@@ -22,7 +22,7 @@ TOL_SYM = 1e-10
 TOL_SYMPL = 1e-10
 # strict-positivity threshold on the smallest eigenvalue
 TOL_POS = 1e-12
-# slack allowed in the uncertainty (physicality) test
+# slack of a symplectic or local mode value against the vacuum value 1
 TOL_PSD = 1e-9
 # allowed reconstruction defect of decompositions
 TOL_RECON = 1e-8

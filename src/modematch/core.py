@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PAIR_REL, TOL_POS, TOL_PSD, TOL_SYM, TOL_SYMPL
+from .config import TOL_PAIR_REL, TOL_POS, TOL_SYM, TOL_SYMPL
 from .errors import InvalidInput, NumericalFailure
-from .gate import _descends
+from .gate import _as_vector, _check_positive_sorted, below_vacuum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -136,10 +136,10 @@ class CovarianceMatrix:
 
     Validation enforces finite entries, symmetry (relative to the max-norm)
     and strict positivity of the smallest eigenvalue.  Physicality, i.e.
-    compatibility with the uncertainty bound gamma + i*sigma >= 0, is a
-    separate optional check because the feasibility machinery also applies
-    to strictly positive matrices that are not covariance matrices of
-    quantum states.
+    compatibility with the uncertainty bound gamma + i*sigma >= 0, or
+    equivalently d_1 >= 1, is a separate optional check because the
+    feasibility machinery also applies to strictly positive matrices that
+    are not covariance matrices of quantum states.
 
     The eigen-decomposition used by the positivity check is kept, and the
     skew spectral data built from it is computed and checked once, on first
@@ -171,13 +171,9 @@ class CovarianceMatrix:
         return cls(_symplectic_structure(2 * n).eye)
 
     def is_physical(self) -> bool:
-        """Uncertainty test: smallest eigenvalue of gamma + i*sigma >= -TOL_PSD."""
-        sigma = _symplectic_structure(2 * self.n).sigma
-        return bool(np.linalg.eigvalsh(self.entries + 1j * sigma)[0] >= -TOL_PSD)
-
-    def is_physical_by_spectrum(self) -> bool:
-        """Independent physicality test via the symplectic spectrum."""
-        return bool(symplectic_eigenvalues(self).values[0] >= 1.0 - TOL_PSD)
+        """Uncertainty test: d_1, read from the memoised skew spectral data,
+        is not below the vacuum."""
+        return not below_vacuum(float(_skew_spectral_data(self)[0][0]))
 
     def __repr__(self):
         return f"CovarianceMatrix(n={self.n})"
@@ -210,19 +206,9 @@ class SpectrumVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidInput("spectrum must be a non-empty 1-d vector")
-        # n values: the checks run on Python floats, which beats a numpy
-        # dispatch per reduction at these sizes
-        vals = values.tolist()
-        if not all(map(math.isfinite, vals)):
-            raise InvalidInput("spectrum has non-finite entries")
-        if min(vals) <= 0:
-            raise InvalidInput("spectrum entries must be strictly positive")
-        if _descends(vals):
-            raise InvalidInput("spectrum values must be non-decreasing")
-        self.values = values
+        values = _as_vector(self.values, "spectrum")
+        _check_positive_sorted(values, "spectrum")
+        self.values = np.array(values)
 
     def __len__(self):
         return self.values.size
@@ -299,9 +285,7 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         # imaginary axis, first index winning near-ties, so diagonal inputs
         # map to W = I; the factor sqrt(2) of the real basis rides along
         V = vecs[:, n:]
-        mags = np.abs(V)
-        lead = (mags >= np.maximum.reduce(mags) * (1.0 - 1e-9)).argmax(axis=0)
-        p = V[lead, np.arange(n)]
+        p = V[_lead_rows(V), np.arange(n)]
         V = V * (1j * math.sqrt(2.0) * p.conj() / np.abs(p))
         # the columns (Im v, Re v) of each vector, read off its float view
         W = V.view(float).take(_symplectic_structure(2 * n).swap, axis=1)
@@ -346,13 +330,17 @@ def williamson_defect(gamma: CovarianceMatrix, S: SymplecticTransform,
     return relative_defect(S.entries @ g @ S.entries.T - interleaved_diagonal(d.values), g)
 
 
+def _lead_rows(M: np.ndarray) -> np.ndarray:
+    """Row of each column's dominant entry, the first index winning within 1e-9."""
+    mags = np.abs(M)
+    return (mags >= np.maximum.reduce(mags) * (1.0 - 1e-9)).argmax(axis=0)
+
+
 def _positive_leading_sign(u: np.ndarray) -> np.ndarray:
     """Flip each column so its dominant entry, first index winning near-ties,
     is non-negative."""
-    mags = np.abs(u)
-    lead = (mags >= np.maximum.reduce(mags) * (1.0 - 1e-9)).argmax(axis=0)
     # the dominant entry of a unit column is never zero
-    return u * np.copysign(1.0, u[lead, np.arange(u.shape[1])])
+    return u * np.copysign(1.0, u[_lead_rows(u), np.arange(u.shape[1])])
 
 
 def _complex_rows(M: np.ndarray) -> np.ndarray:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_INEQ, TOL_PSD, valid_tol_ineq
+from .config import TOL_INEQ, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput, NumericalFailure
-from .gate import _as_vector, check_pure
+from .gate import _as_vector, at_vacuum, below_vacuum, check_pure
 from .marginals import local_diagonal
 
 
@@ -49,11 +49,11 @@ class EntropyReport:
 def entropy_s(c: float) -> float:
     """Thermal entropy in bits of a mode with local symplectic value c >= 1.
 
-    Values within TOL_PSD below one are clamped to one; s(1) = 0 by the
-    0 log 0 = 0 convention.
+    Values below one but not below the vacuum, that is within TOL_PSD of
+    it, are clamped to one; s(1) = 0 by the 0 log 0 = 0 convention.
     """
     c = float(c)
-    if c < 1.0 - TOL_PSD:
+    if below_vacuum(c):
         raise InvalidInput(f"entropy argument {c} lies below 1")
     c = max(c, 1.0)
     up = 0.5 * (c + 1.0)
@@ -103,7 +103,7 @@ def entanglement_profile(gamma) -> np.ndarray:
     """
     cov = _as_covariance(gamma)
     d = symplectic_eigenvalues(cov).values
-    if max(abs(v - 1.0) for v in d.tolist()) > TOL_PSD:
+    if not all(map(at_vacuum, d.tolist())):
         raise InvalidInput(f"matrix is not pure: symplectic spectrum {d}")
     c = local_diagonal(cov).values.values.tolist()
     return np.array([entropy_s(v) for v in c])
@@ -124,24 +124,18 @@ def sharing_feasible(E, *, tol_ineq: float = TOL_INEQ):
 def entropy_upper_bound(c) -> float:
     """The paper's aggregate entropy expression s(sum c_k).
 
-    The paper presents it as a bound on the global entropy from local values
-    alone, but the chain behind it fails for mixed states: with
-    c = d = (2, 2), a product of two thermal modes, the entropy is
-    2 s(2) = 2.755 bits while s(4) = 2.427 bits.  The name is kept for
-    compatibility; treat the value as the paper's expression, not as a
-    bound.  The valid bound from local values is sum_j s(c_j), reported as
-    ``EntropyReport.total_local_sum``: Gaussian extremality bounds each
-    mode's entropy by s(c_j), and subadditivity bounds the global entropy
-    by their sum.
+    The name is kept for compatibility: the value is not a bound for mixed
+    states (the module docstring gives a counterexample).  The valid bound
+    from local values is sum_j s(c_j), ``EntropyReport.total_local_sum``.
     """
     c = _as_vector(c, "c")
-    if min(c) < 1.0 - TOL_PSD:
+    if any(map(below_vacuum, c)):
         raise InvalidInput("local values must be >= 1 for the entropy bound")
     return _aggregate_bits(c)
 
 
 def _aggregate_bits(c: list) -> float:
-    """s(sum c) for validated local values c >= 1 - TOL_PSD."""
+    """s(sum c) for validated local values c, none below the vacuum."""
     return entropy_s(sum(max(v, 1.0) for v in c))
 
 

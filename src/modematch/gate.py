@@ -14,6 +14,10 @@ and the anti-majorization condition
 hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
 cases stay testable.
 
+It also holds the rules on per-mode values: ``_as_vector`` (finite vectors),
+``_check_positive_sorted`` (spectra), and ``below_vacuum`` and ``at_vacuum``,
+each one comparison of a value with the vacuum value 1 within ``TOL_PSD``.
+
 The gate is n + 1 sums of Python floats, so this module must stay free of
 numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
 check --c --d`` load only ``config``, ``errors`` and this module.  Its two
@@ -25,7 +29,7 @@ import math
 import sys
 from itertools import accumulate
 
-from .config import TOL_INEQ, valid_tol_ineq
+from .config import TOL_INEQ, TOL_PSD, valid_tol_ineq
 from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
@@ -91,11 +95,6 @@ class FeasibilityVerdict(_Record):
         return min(s.slack for s in self.slacks)
 
 
-def _descends(values: list) -> bool:
-    """Whether a list of floats has a neighbour pair in decreasing order."""
-    return any(b < a for a, b in zip(values, values[1:]))
-
-
 def _as_vector(values, what: str) -> list:
     """A non-empty 1-d vector of finite values, as a list of Python floats.
 
@@ -132,14 +131,22 @@ def _as_vector(values, what: str) -> list:
     return out
 
 
-def _validate_pair(c: list, d: list):
-    if len(c) != len(d):
-        raise InvalidInput(f"vectors have lengths {len(c)} and {len(d)}")
-    for name, v in (("c", c), ("d", d)):
-        if min(v) <= 0:
-            raise InvalidInput(f"{name} must be strictly positive")
-        if _descends(v):
-            raise InvalidInput(f"{name} must be non-decreasing")
+def _check_positive_sorted(values: list, what: str):
+    """Require a list of floats to be strictly positive and non-decreasing."""
+    if min(values) <= 0:
+        raise InvalidInput(f"{what} must be strictly positive")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise InvalidInput(f"{what} must be non-decreasing")
+
+
+def below_vacuum(value: float) -> bool:
+    """Whether a mode value lies below the vacuum value 1 by more than TOL_PSD."""
+    return value < 1.0 - TOL_PSD
+
+
+def at_vacuum(value: float) -> bool:
+    """Whether a mode value lies within TOL_PSD of the vacuum value 1."""
+    return abs(value - 1.0) <= TOL_PSD
 
 
 def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
@@ -152,7 +159,10 @@ def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     tol_ineq = valid_tol_ineq(tol_ineq)
     c = _as_vector(c, "c")
     d = _as_vector(d, "d")
-    _validate_pair(c, d)
+    if len(c) != len(d):
+        raise InvalidInput(f"vectors have lengths {len(c)} and {len(d)}")
+    _check_positive_sorted(c, "c")
+    _check_positive_sorted(d, "d")
     # running sums in order, as np.cumsum forms them; the last one is the total
     sum_c, sum_d = list(accumulate(c)), list(accumulate(d))
     values = [a - b for a, b in zip(sum_c, sum_d)]

@@ -337,10 +337,18 @@ class TestSerialization:
         ("1 1 1", "squeezer mode=0 z=2"),
         ("1 1", "n 1"),
         ("1 1", "seed 2 2"),
+        (None, "n 2 7"),
+        (None, "n 2\nsource bogus"),
+        (None, "n 2\nsource mixed_OQV extra"),
+        (None, "n 2\nsource bogus extra"),
     ])
     def test_parse_rejects_invalid_records_by_line(self, seed, element):
-        text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"
-        bad_line = 4 if seed == "1 1" else 3
+        if seed is None:
+            # the last line of element is a bad n or source record
+            text, bad_line = f"{element}\nseed 1 1\n", element.count("\n") + 1
+        else:
+            text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"
+            bad_line = 4 if seed == "1 1" else 3
         with pytest.raises(ValueError, match=f"circuit line {bad_line}:"):
             parse_circuit(text)
 

@@ -263,8 +263,9 @@ class TestEntropy:
         assert record["global_upper_bound_bits"] >= 0.0
 
     def test_rejects_below_one(self, capsys):
-        code, _ = run_cli(capsys, "entropy", "--c", "0.5,2")
+        code, record = run_cli(capsys, "entropy", "--c", "0.5,2")
         assert code == 2
+        assert "lies below 1" in record["error"]
 
 
 def entropy_of_two():

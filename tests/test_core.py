@@ -13,6 +13,7 @@ from modematch import (
 )
 import modematch.core as core
 from modematch import synthesize
+from modematch.config import TOL_PSD
 from modematch.core import (
     _sigma_average,
     _sigma_left,
@@ -117,15 +118,20 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidInput):
             CovarianceMatrix(np.diag([1.0, -1.0]))
 
-    def test_physicality_checks_agree(self):
+    def test_physicality_matches_the_uncertainty_bound(self):
+        # reference: gamma + i sigma >= 0, read from its smallest eigenvalue
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 5))
-            # mix physical and unphysical scales
-            scale = rng.uniform(0.4, 1.5)
-            gamma, _, _ = random_physical(rng, n)
-            cov = CovarianceMatrix(scale * gamma.entries)
-            assert cov.is_physical() == cov.is_physical_by_spectrum()
+            gamma, d, S = random_physical(rng, n)
+            # d_1 scaled into (0.4, 0.95), below the vacuum
+            scale = rng.uniform(0.4, 0.95) / d[0]
+            cases = ((gamma.entries, True), (S.entries @ S.entries.T, True),
+                     (scale * gamma.entries, False))
+            for entries, physical in cases:
+                cov = CovarianceMatrix(entries)
+                smallest = np.linalg.eigvalsh(cov.entries + 1j * symplectic_form(n))[0]
+                assert cov.is_physical() == bool(smallest >= -TOL_PSD) == physical
 
     def test_vacuum_is_physical(self):
         assert CovarianceMatrix.identity(3).is_physical()
@@ -154,6 +160,7 @@ class TestSingleSpectralPass:
         local_diagonal(cov)
         symplectic_eigenvalues(cov)
         williamson(cov)
+        cov.is_physical()
         assert calls == ["eigh", "eigh"]
         # the consistency gate, the entropy report and the verify suites'
         # slacks and Williamson defect read the same memoised data

@@ -1,5 +1,5 @@
 """The numpy-free vector check of the gate against the numpy form it replaced,
-and the gate's plain records."""
+the rules on mode values it holds for the package, and its plain records."""
 
 import math
 import struct
@@ -7,13 +7,17 @@ import struct
 import numpy as np
 import pytest
 
-from modematch import SpectrumVector
+from modematch import CovarianceMatrix, SpectrumVector, circuit_from_matrix, entropy_s
+from modematch.circuits import PURE_SOURCE
+from modematch.config import TOL_PSD
 from modematch.errors import InvalidInput
 from modematch.gate import (
     PARTIAL_SUM,
     ConstraintSlack,
     FeasibilityVerdict,
     _as_vector,
+    at_vacuum,
+    below_vacuum,
     check_mixed,
 )
 
@@ -101,3 +105,33 @@ def test_records_behave_as_their_dataclass_forms_did():
         assert not hasattr(record, "__dict__")
         with pytest.raises(TypeError):
             hash(record)
+
+
+@pytest.mark.parametrize("offset, below, at", [
+    (-2.0, True, False), (-0.5, False, True), (0.0, False, True),
+    (0.5, False, True), (2.0, False, False),
+])
+def test_vacuum_predicates_at_their_boundaries(offset, below, at):
+    value = 1.0 + offset * TOL_PSD
+    assert below_vacuum(value) is below
+    assert at_vacuum(value) is at
+    # the callers draw the same lines: the thermal state value * I
+    assert CovarianceMatrix(value * np.eye(2)).is_physical() is not below
+    if below:
+        with pytest.raises(InvalidInput):
+            entropy_s(value)
+        with pytest.raises(InvalidInput):
+            circuit_from_matrix(value * np.eye(2))
+    else:
+        assert entropy_s(value) >= 0.0
+        assert (circuit_from_matrix(value * np.eye(2)).source == PURE_SOURCE) is at
+
+
+@pytest.mark.parametrize("values", [[], [1.0, math.nan], [0.0, 1.0], [2.0, 1.0]],
+                         ids=["empty", "non-finite", "non-positive", "unsorted"])
+def test_spectrum_and_gate_apply_the_same_vector_rules(values):
+    with pytest.raises(InvalidInput) as spectrum:
+        SpectrumVector(values)
+    with pytest.raises(InvalidInput) as gate:
+        check_mixed(values, values)
+    assert str(gate.value) == str(spectrum.value).replace("spectrum", "c")
