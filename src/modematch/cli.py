@@ -165,12 +165,10 @@ def _synthesized(command: str, args, physical: bool = False):
     (c, d, trace, defect), or the exit code of an infeasible pair or a
     failed self-check once its record is emitted.  With ``physical``, a
     spectrum below one is an input error."""
-    import numpy as np
-
     from .synthesis import synthesis_defect, synthesize
 
-    c = np.sort(_parse_vector(args.c))
-    d = np.sort(_parse_vector(args.d))
+    c = sorted(_parse_vector(args.c))
+    d = sorted(_parse_vector(args.d))
     if physical and below_vacuum(d[0]):
         raise InvalidInput(f"target violates the uncertainty bound: smallest "
                            f"symplectic eigenvalue {d[0]:.17g} is below 1")
@@ -211,12 +209,12 @@ def cmd_synth(args) -> int:
         "digest": _digest("synth", c, d),
         "feasible": True,
         "out": args.out,
-        "n": int(c.size),
+        "n": len(c),
         "verification_defect": defect,
         "tolerances": _tol_dict(args.tol_ineq),
         "elapsed_s": round(time.perf_counter() - start, 6),
     }
-    _emit(record, [f"wrote {args.out} (n={c.size}, defect {defect:.3g})"])
+    _emit(record, [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
     return EXIT_OK
 
 
@@ -272,8 +270,6 @@ def cmd_euler(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    import numpy as np
-
     from .core import symplectic_eigenvalues
     from .entropy import entropy_report, entropy_s
 
@@ -282,13 +278,12 @@ def cmd_entropy(args) -> int:
     if args.matrix:
         cov = _load(args.matrix, "covariance")
         report = entropy_report(gamma=cov, tol_ineq=args.tol_ineq)
-        d = symplectic_eigenvalues(cov).values
-        gaussian_entropy = float(sum(entropy_s(v) for v in d))
+        gaussian_entropy = sum(map(entropy_s, symplectic_eigenvalues(cov).values.tolist()))
         digest = _digest("entropy", cov.entries)
     else:
         if args.c is None:
             raise InvalidInput("provide --c or --matrix")
-        c = np.sort(_parse_vector(args.c))
+        c = sorted(_parse_vector(args.c))
         # entropy_report rejects local values below the vacuum
         report = entropy_report(c=c, tol_ineq=args.tol_ineq)
         digest = _digest("entropy", c)
@@ -336,7 +331,7 @@ def cmd_prepare(args) -> int:
             return result
         c, d, trace, _ = result
         target = trace.final_matrix.entries
-        if all(map(at_vacuum, d.tolist())):
+        if all(map(at_vacuum, d)):
             circuit = circuit_from_matrix(trace.final_matrix)
         else:
             circuit = circuit_from_mixed(trace)

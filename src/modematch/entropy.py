@@ -23,9 +23,11 @@ import numpy as np
 
 from .config import TOL_INEQ, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .gate import _as_vector, at_vacuum, below_vacuum, check_pure
 from .marginals import local_diagonal
+
+_LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
 
 
 @dataclass
@@ -50,49 +52,50 @@ def entropy_s(c: float) -> float:
     """Thermal entropy in bits of a mode with local symplectic value c >= 1.
 
     Values below one but not below the vacuum, that is within TOL_PSD of
-    it, are clamped to one; s(1) = 0 by the 0 log 0 = 0 convention.
+    it, are clamped to one; s(1) = 0 by the 0 log 0 = 0 convention.  The
+    defining difference cancels two terms of size c log2(c) and loses every
+    bit near c = 1e16, so with down = (c - 1) / 2 it is evaluated as
+    (log1p(down) + down log1p(1 / down)) / ln 2, within a few ulp from
+    c = 1 to the largest float.  A non-finite c is rejected.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise InvalidInput(f"entropy argument {c} is not finite")
     if below_vacuum(c):
         raise InvalidInput(f"entropy argument {c} lies below 1")
-    c = max(c, 1.0)
-    up = 0.5 * (c + 1.0)
-    down = 0.5 * (c - 1.0)
-    out = up * math.log2(up)
-    if down > 0.0:
-        out -= down * math.log2(down)
-    return out
+    down = 0.5 * (max(c, 1.0) - 1.0)
+    return (math.log1p(down) + down * math.log1p(1.0 / down)) / _LN2 if down else 0.0
 
 
 def entropy_s_inverse(value: float) -> float:
     """Monotone inverse of entropy_s by bisection.
 
-    Brackets the root by geometric growth of the upper end, then bisects the
-    interval down to 1e-12 (absolute, with a relative floor for large
-    arguments).
+    Brackets the root by geometric growth of the upper end, capped at the
+    largest float, whose s of about 1024.4 bits bounds the values accepted,
+    then bisects the interval down to 1e-12 (absolute, with a relative
+    floor for large arguments).
     """
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidInput(f"entropy value {value} is not finite")
     if value < 0.0:
         raise InvalidInput(f"entropy value {value} is negative")
     if value == 0.0:
         return 1.0
     hi = 2.0
-    for _ in range(1100):
-        if entropy_s(hi) >= value:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalFailure(f"failed to bracket entropy value {value}")
+    while entropy_s(hi) < value:
+        if hi == _FLOAT_MAX:
+            raise InvalidInput(f"entropy value {value} exceeds s of the largest float")
+        hi = min(2.0 * hi, _FLOAT_MAX)
     lo = 1.0
+    # halves before the sum, which is exact and cannot overflow at the cap
     while hi - lo > 1e-12 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if entropy_s(mid) < value:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def entanglement_profile(gamma) -> np.ndarray:

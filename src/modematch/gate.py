@@ -14,8 +14,9 @@ and the anti-majorization condition
 hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
 cases stay testable.
 
-It also holds the rules on per-mode values: ``_as_vector`` (finite vectors),
-``_check_positive_sorted`` (spectra), and ``below_vacuum`` and ``at_vacuum``,
+It also holds the rules on per-mode values: ``_as_vector`` (finite real
+vectors), ``_check_positive_sorted`` (spectra), ``_check_total`` (totals the
+slacks can double without overflow), and ``below_vacuum`` and ``at_vacuum``,
 each one comparison of a value with the vacuum value 1 within ``TOL_PSD``.
 
 The gate is n + 1 sums of Python floats, so this module must stay free of
@@ -121,7 +122,10 @@ def _as_vector(values, what: str) -> list:
         out = values.tolist()
         # a float64 array lists Python floats already
         if values.dtype.char != "d":
-            out = [float(v) for v in out]
+            try:
+                out = [float(v) for v in out]
+            except TypeError:  # complex entries
+                raise InvalidInput(f"{what} must have real entries") from None
     else:
         raise InvalidInput(f"{what} must be a non-empty 1-d vector")
     if not out:
@@ -137,6 +141,12 @@ def _check_positive_sorted(values: list, what: str):
         raise InvalidInput(f"{what} must be strictly positive")
     if any(b < a for a, b in zip(values, values[1:])):
         raise InvalidInput(f"{what} must be non-decreasing")
+
+
+def _check_total(total: float, what: str):
+    """Require twice a total to be finite: no slack forms more than that."""
+    if not math.isfinite(2.0 * total):
+        raise InvalidInput(f"{what} is too large: its total must stay below 8.99e+307")
 
 
 def below_vacuum(value: float) -> bool:
@@ -165,6 +175,8 @@ def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     _check_positive_sorted(d, "d")
     # running sums in order, as np.cumsum forms them; the last one is the total
     sum_c, sum_d = list(accumulate(c)), list(accumulate(d))
+    _check_total(sum_c[-1], "c")
+    _check_total(sum_d[-1], "d")
     values = [a - b for a, b in zip(sum_c, sum_d)]
     values.append((2.0 * d[-1] - sum_d[-1]) - (2.0 * c[-1] - sum_c[-1]))
     slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(values[:-1], start=1)]
@@ -183,9 +195,10 @@ def check_pure(b, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     b = _as_vector(b, "b")
     if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
-    top = max(b)
+    total, top = sum(b), max(b)
+    _check_total(total, "b")
     j = b.index(top)
-    slack = sum(b) - 2.0 * top
+    slack = total - 2.0 * top
     return FeasibilityVerdict(
         feasible=slack >= -tol_ineq,
         slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],

@@ -147,15 +147,6 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=e, f=f)
 
 
-def _recursion_check(c: np.ndarray, d: np.ndarray, tol_ineq: float):
-    verdict = check_mixed(c, d, tol_ineq=tol_ineq)
-    if not verdict.feasible:
-        raise NumericalFailure(
-            "reduced subproblem lost feasibility "
-            f"(min slack {verdict.min_slack:.3g}); this indicates a bug"
-        )
-
-
 def _gate(c1: float, c2: float, d1: float, d2: float, tol_ineq: float) -> np.ndarray:
     """Symplectic g with g diag(d1, d1, d2, d2) g^T = the block that
     solve_two_mode(c1, c2, d1, d2) assembles.
@@ -179,60 +170,59 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     the feasibility gate.  Returns the build trace; the witness matrix is
     ``trace.final_matrix``.  The realising matrix is not unique, this returns
     the one produced by the recorded two-mode gates.
+
+    The feasibility gate runs once, on (c, d).  Each two-mode gate then
+    sets the block of the mode it freezes exactly, and no later gate touches
+    that mode.  S is a product of symplectic gates, so the spectrum is the
+    seed.  A reduced problem that lost feasibility fails at the level that
+    needs it, as an empty interval or an Infeasible pair in ``_gate``, both
+    a NumericalFailure.  ``synthesis_defect`` measures the witness.
     """
-    c = np.array(_as_vector(c, "c"))
-    d = np.array(_as_vector(d, "d"))
+    c = _as_vector(c, "c")
+    d = _as_vector(d, "d")
     verdict = check_mixed(c, d, tol_ineq=tol_ineq)
     if not verdict.feasible:
         worst = min(verdict.violated, key=lambda s: s.slack)
         raise Infeasible(
             f"(c, d) pair is infeasible: {worst.label()} slack {worst.slack:.3g}"
         )
-    n = c.size
+    n = len(c)
     # slot s of the seed holds d[s].  The open slots, sorted by the value
     # the remaining subproblem sees there, realise c[lo:hi]; a slot whose
     # gate gave it its final local value is frozen at that mode.
-    mode_of = np.empty(n, dtype=int)
+    mode_of = [0] * n
     values, slots = list(d), list(range(n))
     lo, hi = 0, n
     gates = []
-    while hi - lo > 2 and not np.array_equal(c[lo:hi], values):
+    while hi - lo > 2 and c[lo:hi] != values:
         m = hi - lo
-        cw = c[lo:hi]
         # largest k (1-based) with c1 >= d_k, equality within tolerance rounding up
-        k = bisect.bisect_right(values, cw[0] + tol_ineq)
+        k = bisect.bisect_right(values, c[lo] + tol_ineq)
         if 1 <= k <= m - 2:
             # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - c1
             i = k - 1
-            fixed, x = float(cw[0]), float(values[i] + values[i + 1] - cw[0])
+            fixed, x = c[lo], values[i] + values[i + 1] - c[lo]
             frozen_mode = lo
             lo += 1
         else:
             # k in {m-1, m}: pair (c_m, x) with (d_{m-1}, d_m), x anywhere in
             # the interval below; the midpoint stays clear of boundary
             # degeneracies
-            lower = max(
-                float(values[m - 2]),
-                float(values[m - 2] + values[m - 1] - cw[m - 1]),
-                float(values[m - 2] - values[m - 1] + cw[m - 1]),
-                float(np.sum(values[: m - 2]) + cw[m - 2] - np.sum(cw[: m - 2])),
-            )
-            upper = min(
-                float(values[m - 1] - values[m - 2] + cw[m - 1]),
-                float(np.sum(cw[: m - 1]) - np.sum(values[: m - 2])),
-            )
+            sum_d, sum_c = sum(values[: m - 2]), sum(c[lo : hi - 2])
+            lower = max(values[m - 2], values[m - 2] + values[m - 1] - c[hi - 1],
+                        values[m - 2] - values[m - 1] + c[hi - 1], sum_d + c[hi - 2] - sum_c)
+            upper = min(values[m - 1] - values[m - 2] + c[hi - 1], (sum_c + c[hi - 2]) - sum_d)
             if lower > upper + tol_ineq:
                 raise NumericalFailure(
                     f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
                 )
             i = m - 2
-            fixed, x = float(cw[m - 1]), 0.5 * (lower + max(lower, upper))
+            fixed, x = c[hi - 1], 0.5 * (lower + max(lower, upper))
             hi -= 1
             frozen_mode = hi
         a, b = slots[i], slots[i + 1]
         small, large = sorted((fixed, x))
-        gates.append((a, b, _gate(small, large, float(values[i]), float(values[i + 1]),
-                                  tol_ineq)))
+        gates.append((a, b, _gate(small, large, values[i], values[i + 1], tol_ineq)))
         # the gate gives its first mode the smaller local value
         frozen, carrier = (a, b) if fixed <= x else (b, a)
         mode_of[frozen] = frozen_mode
@@ -240,16 +230,14 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
         at = bisect.bisect_left(values, x)
         values.insert(at, x)
         slots.insert(at, carrier)
-        _recursion_check(c[lo:hi], np.array(values), tol_ineq)
-    if hi - lo == 2 and not np.array_equal(c[lo:hi], values):
-        gates.append((slots[0], slots[1],
-                      _gate(c[lo], c[lo + 1], values[0], values[1], tol_ineq)))
+    if hi - lo == 2 and c[lo:hi] != values:
+        gates.append((*slots, _gate(c[lo], c[lo + 1], *values, tol_ineq)))
     # one open mode, or c == d on the open modes: the seed is already final
-    mode_of[slots] = np.arange(lo, hi)
-
+    for slot, mode in zip(slots, range(lo, hi)):
+        mode_of[slot] = mode
     seed = np.empty(n)
     seed[mode_of] = d
-    steps = [TwoModeStep((int(mode_of[a]), int(mode_of[b])), g) for a, b, g in gates]
+    steps = [TwoModeStep((mode_of[a], mode_of[b]), g) for a, b, g in gates]
     trace = SynthesisTrace(n=n, seed=seed, steps=steps)
     trace.final_matrix = CovarianceMatrix(replay_trace(trace))
     return trace
@@ -261,13 +249,13 @@ def synthesize_pure(b, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     Delegates to synthesize(c = b + 1, d = (1, ..., 1)); the result has all
     symplectic eigenvalues equal to one within tolerance and unit determinant.
     """
-    b = np.sort(_as_vector(b, "b"))
+    b = sorted(_as_vector(b, "b"))
     verdict = check_pure(b, tol_ineq=tol_ineq)
     if not verdict.feasible:
         raise Infeasible(
             f"b vector is outside the pure cone: slack {verdict.min_slack:.3g}"
         )
-    return synthesize(b + 1.0, np.ones_like(b), tol_ineq=tol_ineq)
+    return synthesize([v + 1.0 for v in b], [1.0] * len(b), tol_ineq=tol_ineq)
 
 
 def replay_trace(trace: SynthesisTrace) -> np.ndarray:

@@ -86,6 +86,17 @@ class TestCheck:
         code, _ = run_cli(capsys, "entropy", f"--c={token},2")
         assert code == 2
 
+    # b_max equals the sum of the others, so the pure pair is feasible, but
+    # a gate that doubles an infinite total would report a NaN slack
+    @pytest.mark.parametrize("argv, vector", [
+        (("--pure", "--b", "1e308,1e308"), "b"),
+        (("--c", "1e308,1e308", "--d", "1,1"), "c"),
+    ], ids=["pure", "mixed"])
+    def test_overflowing_total_is_an_input_error(self, capsys, argv, vector):
+        code, record = run_cli(capsys, "check", *argv)
+        assert code == 2
+        assert record["error"].startswith(f"{vector} is too large")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_file_is_an_input_error(self, capsys, tmp_path, value):
         path = tmp_path / "g.mat"
@@ -266,6 +277,16 @@ class TestEntropy:
         code, record = run_cli(capsys, "entropy", "--c", "0.5,2")
         assert code == 2
         assert "lies below 1" in record["error"]
+
+    def test_largest_values_give_finite_bits(self, capsys):
+        code, record = run_cli(capsys, "entropy", "--c", "1e308")
+        assert code == 0
+        assert record["per_mode_bits"][0] == pytest.approx(np.log2(0.5e308) + 1 / np.log(2))
+
+    def test_overflowing_aggregate_is_an_input_error(self, capsys):
+        code, record = run_cli(capsys, "entropy", "--c", "1e308,1e308")
+        assert code == 2
+        assert "not finite" in record["error"]
 
 
 def entropy_of_two():

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,20 @@ class TestEntropyFunction:
         with pytest.raises(InvalidInput):
             entropy_s(0.9)
 
+    def test_large_arguments_match_the_asymptotic_series(self):
+        # s(c) = log2((c + 1) / 2) + (1 - 1/(c - 1) + 4/(3 (c - 1)^2) - ...) / ln 2,
+        # whose next term is below 1e-17 here; the difference of the defining
+        # form returned 0 bits at c = 1e16 and NaN at 1e308
+        for c in np.geomspace(1e6, 1e308, 200).tolist():
+            series = (1 - 1 / (c - 1) + 4 / (3 * (c - 1) * (c - 1))) / math.log(2)
+            reference = math.log2((c + 1) / 2) + series
+            assert abs(entropy_s(c) - reference) <= 4 * math.ulp(reference)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(InvalidInput, match="not finite"):
+            entropy_s(value)
+
 
 class TestEntropyInverse:
     def test_zero_maps_to_one(self):
@@ -62,6 +79,16 @@ class TestEntropyInverse:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
             entropy_s_inverse(-0.5)
+
+    def test_round_trip_up_to_a_thousand_bits(self):
+        for value in np.geomspace(1e-3, 1000.0, 80):
+            assert entropy_s(entropy_s_inverse(value)) == pytest.approx(value, abs=1e-11)
+
+    def test_largest_float_bounds_the_range(self):
+        top = entropy_s(sys.float_info.max)
+        assert entropy_s(entropy_s_inverse(top)) == pytest.approx(top, abs=1e-11)
+        with pytest.raises(InvalidInput, match="largest float"):
+            entropy_s_inverse(top + 0.01)
 
 
 class TestEntanglementProfile:

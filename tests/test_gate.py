@@ -3,6 +3,7 @@ the rules on mode values it holds for the package, and its plain records."""
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from modematch.gate import (
     at_vacuum,
     below_vacuum,
     check_mixed,
+    check_pure,
 )
 
 
@@ -127,11 +129,28 @@ def test_vacuum_predicates_at_their_boundaries(offset, below, at):
         assert (circuit_from_matrix(value * np.eye(2)).source == PURE_SOURCE) is at
 
 
-@pytest.mark.parametrize("values", [[], [1.0, math.nan], [0.0, 1.0], [2.0, 1.0]],
-                         ids=["empty", "non-finite", "non-positive", "unsorted"])
+@pytest.mark.parametrize("values", [
+    [], [1.0, math.nan], [0.0, 1.0], [2.0, 1.0],
+    np.array([1 + 0j, 2 + 0j]), np.array([1.0, 2 + 0j], dtype=object),
+], ids=["empty", "non-finite", "non-positive", "unsorted", "complex", "object-complex"])
 def test_spectrum_and_gate_apply_the_same_vector_rules(values):
     with pytest.raises(InvalidInput) as spectrum:
         SpectrumVector(values)
     with pytest.raises(InvalidInput) as gate:
         check_mixed(values, values)
     assert str(gate.value) == str(spectrum.value).replace("spectrum", "c")
+
+
+@pytest.mark.parametrize("check, values", [
+    (lambda v: check_mixed(v, [1.0, 1.0]), [1e308, 1e308]),
+    (lambda v: check_mixed([1.0, 1.0], v), [1e308, 1e308]),
+    # a finite total whose double, formed by the last condition, overflows
+    (lambda v: check_mixed(v, v), [1.0, 1e308]),
+    (check_pure, [1e308, 1e308]),
+], ids=["mixed-c", "mixed-d", "mixed-doubled", "pure"])
+def test_totals_the_slacks_cannot_double_are_rejected(check, values):
+    with pytest.raises(InvalidInput, match="is too large"):
+        check(values)
+    # with a total of half the largest float the slacks stay finite
+    half = [0.25 * sys.float_info.max] * 2
+    assert all(math.isfinite(s.slack) for s in check(half).slacks)

@@ -13,14 +13,33 @@ from modematch import (
     two_mode_eigenvalues_closed_form,
     williamson,
 )
+from modematch import synthesis
 from modematch.errors import Infeasible, InvalidInput
 from modematch.core import symplectic_defect
 from modematch.synthesis import (
     TwoModeStep,
     assemble_two_mode,
+    synthesis_defect,
 )
 
 R3 = np.sqrt(3.0)
+C2_BOUND = 1e-7  # acceptance criterion C2: spectrum and locals within 1e-7
+
+
+def ramp_pair(rng, n):
+    """d in [1, 3] sorted and c = d plus a linear ramp, strictly feasible for n >= 4."""
+    d = np.sort(rng.uniform(1.0, 3.0, n))
+    return d + rng.uniform(0.2, 1.0) * np.arange(1, n + 1) / n, d
+
+
+def interval_branch_pair(rng, n):
+    """A feasible pair with every c at or above d[-2], so that the first
+    level picks its auxiliary value from an interval."""
+    while True:
+        d = np.sort(rng.uniform(0.5, 4.0, n))
+        c = np.sort(rng.uniform(d[-2], d[-2] + 3.0, n))
+        if check_mixed(c, d).feasible:
+            return c, d
 
 
 def random_positive_assembly(rng):
@@ -180,6 +199,30 @@ class TestSynthesize:
                 assert step.transform.shape == (4, 4)
                 assert symplectic_defect(step.transform) <= 1e-10
 
+    def test_gate_runs_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_mixed(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "check_mixed", counted)
+        c, d = ramp_pair(np.random.default_rng(64), 64)
+        trace = synthesize(c, d)
+        assert len(calls) == 1
+        assert len(trace.steps) == 63
+
+    @pytest.mark.parametrize("family, sizes", [
+        (interval_branch_pair, range(10, 65, 6)),
+        (ramp_pair, [64]),
+    ], ids=["interval-branch", "ramp"])
+    def test_large_pairs_reproduce_their_targets(self, family, sizes):
+        rng = np.random.default_rng(47)
+        for n in sizes:
+            for _ in range(3):
+                c, d = family(rng, n)
+                assert synthesis_defect(synthesize(c, d), c, d) <= C2_BOUND
+
     def test_feasibility_of_every_recorded_seed(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -211,6 +254,13 @@ class TestSynthesizePure:
     def test_rejects_outside_cone(self):
         with pytest.raises(Infeasible):
             synthesize_pure([0.0, 0.0, 1.0])
+
+    def test_same_witness_from_a_list_a_tuple_and_an_array(self):
+        b = [0.3, 1.7, 0.9, 1.1]
+        witnesses = [synthesize_pure(v).final_matrix.entries
+                     for v in (b, tuple(b), np.array(b))]
+        for other in witnesses[1:]:
+            assert np.array_equal(other, witnesses[0])
 
 
 class TestSampler:
