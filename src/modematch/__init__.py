@@ -34,7 +34,6 @@ _EXPORTS = {
     "entropy_report": "entropy",
     "entropy_s": "entropy",
     "entropy_s_inverse": "entropy",
-    "entropy_upper_bound": "entropy",
     "euler_decompose": "core",
     "local_diagonal": "marginals",
     "parse_circuit": "circuits",

@@ -34,7 +34,7 @@ from .core import (
     symplectic_inverse,
     williamson,
 )
-from .errors import InvalidInput, InvalidTrace
+from .errors import InvalidInput
 from .gate import at_vacuum
 
 PURE_SOURCE = "pure_OPO"
@@ -238,11 +238,11 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
     from .synthesis import replay_trace
 
     if trace.final_matrix is None:
-        raise InvalidTrace("trace has no final matrix")
+        raise InvalidInput("trace has no final matrix")
     target = trace.final_matrix.entries
     defect = relative_defect(replay_trace(trace) - target, target)
     if not defect <= TOL_RECON:
-        raise InvalidTrace(f"trace does not replay to its final matrix: defect {defect:.3g}")
+        raise InvalidInput(f"trace does not replay to its final matrix: defect {defect:.3g}")
     elements: list[Element] = []
     for step in trace.steps:
         factors = euler_decompose(step.transform)

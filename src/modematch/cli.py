@@ -92,8 +92,8 @@ def _tol_dict(tol_ineq: float) -> dict:
     }
 
 
-def _verdict_record(command: str, verdict, digest: str, elapsed: float, extra=None) -> dict:
-    record = {
+def _verdict_record(command: str, verdict, digest: str, elapsed: float) -> dict:
+    return {
         "command": command,
         "digest": digest,
         "feasible": verdict.feasible,
@@ -101,9 +101,6 @@ def _verdict_record(command: str, verdict, digest: str, elapsed: float, extra=No
         "tolerances": _tol_dict(verdict.tol_ineq),
         "elapsed_s": round(elapsed, 6),
     }
-    if extra:
-        record.update(extra)
-    return record
 
 
 def _verdict_table(verdict) -> list[str]:

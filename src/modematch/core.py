@@ -158,7 +158,8 @@ class CovarianceMatrix:
             )
         sym = 0.5 * (entries + entries.T)
         w, U = np.linalg.eigh(sym)
-        _check_positive(w)
+        if w[0] <= TOL_POS:
+            raise InvalidInput(f"matrix is not strictly positive: smallest eigenvalue {w[0]:.3g}")
         self._entries, self._eig_values, self._eig_vectors = _frozen(sym, w, U)
         self._skew = None
 
@@ -245,25 +246,17 @@ def _as_covariance(gamma) -> CovarianceMatrix:
     return CovarianceMatrix(gamma)
 
 
-def _check_positive(eigenvalues: np.ndarray):
-    if eigenvalues[0] <= TOL_POS:
-        raise InvalidInput(
-            f"matrix is not strictly positive: smallest eigenvalue {eigenvalues[0]:.3g}"
-        )
-
-
 def _skew_spectral_data(cov: CovarianceMatrix):
     """Checked eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
 
     Returns read-only (d, W, A_inv): d, the upper half of the Hermitian
     spectrum of i K, holds the n symplectic eigenvalues in non-decreasing
     order; W is orthogonal with K = W blockdiag(d_j J) W^T; A_inv is the
-    inverse square root of gamma.  The data is computed, and the positivity,
-    pairing and orthogonality checks run, once per matrix and memoised on
-    ``cov``.
+    inverse square root of gamma.  The data is computed, and the pairing and
+    orthogonality checks run, once per matrix and memoised on ``cov``; the
+    constructor has already checked the frozen eigenvalues for positivity.
     """
     if cov._skew is None:
-        _check_positive(cov._eig_values)
         n = cov.n
         root = np.sqrt(cov._eig_values)
         U = cov._eig_vectors

@@ -12,8 +12,8 @@ cone c_j - 1 <= sum_{k != j} (c_k - 1).
 The aggregate s(sum c_k) is the paper's expression for a global entropy
 bound from local values.  It is not a bound for mixed states: a product of
 two thermal modes with c = d = (2, 2) has entropy 2 s(2) = 2.755 bits, more
-than s(4) = 2.427 bits.  It is kept under its historical names
-(``entropy_upper_bound``, ``EntropyReport.global_upper_bound``).
+than s(4) = 2.427 bits.  It is kept under its historical name,
+``EntropyReport.global_upper_bound``.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from .config import TOL_INEQ, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import _as_vector, at_vacuum, below_vacuum, check_pure
+from .gate import _as_vector, at_vacuum, below_vacuum, check_pure, pure_cone_slack
 from .marginals import local_diagonal
 
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
@@ -124,31 +124,13 @@ def sharing_feasible(E, *, tol_ineq: float = TOL_INEQ):
     return check_pure([max(entropy_s_inverse(v) - 1.0, 0.0) for v in E], tol_ineq=tol_ineq)
 
 
-def entropy_upper_bound(c) -> float:
-    """The paper's aggregate entropy expression s(sum c_k).
-
-    The name is kept for compatibility: the value is not a bound for mixed
-    states (the module docstring gives a counterexample).  The valid bound
-    from local values is sum_j s(c_j), ``EntropyReport.total_local_sum``.
-    """
-    c = _as_vector(c, "c")
-    if any(map(below_vacuum, c)):
-        raise InvalidInput("local values must be >= 1 for the entropy bound")
-    return _aggregate_bits(c)
-
-
-def _aggregate_bits(c: list) -> float:
-    """s(sum c) for validated local values c, none below the vacuum."""
-    return entropy_s(sum(max(v, 1.0) for v in c))
-
-
 def entropy_report(c=None, gamma=None, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
     """Assemble the entropy summary from local values or a full matrix.
 
     c is validated once, here; the per-mode entropies check c >= 1, and the
-    aggregate and the purity test then run on the validated vector.  The
-    purity test is check_pure's: the excitations b = c - 1 satisfy
-    sum(b) - 2 max(b) >= -tol_ineq.
+    aggregate s(sum c) and the purity test then run on the validated vector.
+    The purity test is check_pure's: the slack of the excitations b = c - 1
+    is at least -tol_ineq.
     """
     if (c is None) == (gamma is None):
         raise ValueError("provide exactly one of c or gamma")
@@ -159,10 +141,9 @@ def entropy_report(c=None, gamma=None, *, tol_ineq: float = TOL_INEQ) -> Entropy
         c = _as_vector(c, "c")
         c.sort()
     per_mode = [entropy_s(v) for v in c]
-    b = [max(v - 1.0, 0.0) for v in c]
     return EntropyReport(
         per_mode_entropies=np.array(per_mode),
         total_local_sum=sum(per_mode),
-        global_upper_bound=_aggregate_bits(c),
-        purity_consistent=sum(b) - 2.0 * max(b) >= -tol_ineq,
+        global_upper_bound=entropy_s(sum(max(v, 1.0) for v in c)),
+        purity_consistent=pure_cone_slack([max(v - 1.0, 0.0) for v in c]) >= -tol_ineq,
     )

@@ -28,7 +28,3 @@ class NumericalFailure(ModeMatchError):
     The construction keeps every step well posed, so this signals a bug or
     severely ill-conditioned input rather than a bad request.
     """
-
-
-class InvalidTrace(InvalidInput):
-    """A synthesis trace does not replay to its recorded final matrix."""

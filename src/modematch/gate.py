@@ -114,18 +114,15 @@ def _as_vector(values, what: str) -> list:
         if isinstance(values, (str, bytes)):
             raise InvalidInput(f"{what} must be a non-empty 1-d vector")
         try:
-            out = [float(v) for v in values]
-        except TypeError:
-            # a scalar, None, or a nested sequence
+            out = list(values)
+        except TypeError:  # a scalar or None
             raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
+        out = _real_entries(out, what)
     elif ndim == 1:
         out = values.tolist()
         # a float64 array lists Python floats already
         if values.dtype.char != "d":
-            try:
-                out = [float(v) for v in out]
-            except TypeError:  # complex entries
-                raise InvalidInput(f"{what} must have real entries") from None
+            out = _real_entries(out, what)
     else:
         raise InvalidInput(f"{what} must be a non-empty 1-d vector")
     if not out:
@@ -133,6 +130,19 @@ def _as_vector(values, what: str) -> list:
     if not all(map(math.isfinite, out)):
         raise InvalidInput(f"{what} has non-finite entries")
     return out
+
+
+def _real_entries(items: list, what: str) -> list:
+    """The entries as Python floats; a complex entry or a string that is no
+    number makes the vector not real, a nested sequence or None not 1-d."""
+    try:
+        return [float(v) for v in items]
+    except ValueError:
+        raise InvalidInput(f"{what} must have real entries") from None
+    except TypeError:
+        if any(isinstance(v, complex) for v in items):
+            raise InvalidInput(f"{what} must have real entries") from None
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
 
 
 def _check_positive_sorted(values: list, what: str):
@@ -185,6 +195,12 @@ def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol_ineq)
 
 
+def pure_cone_slack(b: list) -> float:
+    """sum(b) - 2 max(b): the slack of the binding pure-cone condition for
+    validated excitations b >= 0."""
+    return sum(b) - 2.0 * max(b)
+
+
 def check_pure(b, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     """Feasibility of local excitations b >= 0 against a pure global state.
 
@@ -195,12 +211,10 @@ def check_pure(b, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     b = _as_vector(b, "b")
     if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
-    total, top = sum(b), max(b)
-    _check_total(total, "b")
-    j = b.index(top)
-    slack = total - 2.0 * top
+    _check_total(sum(b), "b")
+    slack = pure_cone_slack(b)
     return FeasibilityVerdict(
         feasible=slack >= -tol_ineq,
-        slacks=[ConstraintSlack(LAST_CONDITION, j, slack)],
+        slacks=[ConstraintSlack(LAST_CONDITION, b.index(max(b)), slack)],
         tol_ineq=tol_ineq,
     )

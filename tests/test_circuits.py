@@ -31,7 +31,7 @@ from modematch.core import (
     unitary_to_orthosymplectic,
     williamson,
 )
-from modematch.errors import InvalidInput, InvalidTrace
+from modematch.errors import InvalidInput
 from modematch.verify import random_physical_covariance
 
 
@@ -250,7 +250,7 @@ class TestCircuitFromMixed:
         gate = trace.steps[0]
         gate.transform = gate.transform.copy()
         gate.transform[0, 0] += 1e-4
-        with pytest.raises(InvalidTrace):
+        with pytest.raises(InvalidInput, match="does not replay"):
             circuit_from_mixed(trace)
 
 

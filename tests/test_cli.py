@@ -398,6 +398,12 @@ class TestPrepare:
         assert not out.exists()
 
 
+# the paper's n + 1 conditions are sufficient, so a slack suite beyond
+# necessity could only repeat it
+SUITES = {"necessity", "williamson_euler_reconstruction", "synthesis_roundtrip",
+          "circuit_replay"}
+
+
 class TestVerify:
     def test_smoke_run(self, capsys):
         code, record = run_cli(capsys, "verify", "--trials", "1", "--n-max", "2",
@@ -411,6 +417,7 @@ class TestVerify:
                                "--seed", "7")
         assert code == 0
         assert record["violations"] == 0
+        assert {s["suite"] for s in record["suites"]} == SUITES
 
     def test_corrupted_pipeline_is_detected(self, capsys):
         code, record = run_cli(capsys, "verify", "--trials", "40", "--n-max", "6",
@@ -440,24 +447,23 @@ class TestVerify:
                                "--seed", "7")
         assert code == 0
         suites = {s["suite"]: s for s in record["suites"]}
-        assert len(suites) == 5
+        assert suites.keys() == SUITES
         for suite in suites.values():
             assert {"worst", "bound"} <= suite.keys() and "worst_margin" not in suite
         for name in ("williamson_euler_reconstruction", "synthesis_roundtrip",
                      "circuit_replay"):
             assert suites[name]["bound"] == 1e-8
             assert 0.0 <= suites[name]["worst"] <= 1e-12
-        for name in ("necessity", "spread_bound"):
-            assert suites[name]["bound"] == -1e-9
-            assert suites[name]["worst"] >= 0.0
+        assert suites["necessity"]["bound"] == -1e-9
+        assert suites["necessity"]["worst"] >= 0.0
 
     def test_slack_bound_follows_the_tolerance_flag(self, capsys):
         code, record = run_cli(capsys, "--tol-ineq", "1e-3", "verify", "--trials", "5",
                                "--n-max", "3", "--seed", "7")
         assert code == 0
         bounds = {s["suite"]: s["bound"] for s in record["suites"]}
-        for name in ("necessity", "spread_bound"):
-            assert bounds[name] == -1e-3
+        assert bounds.keys() == SUITES
+        assert bounds["necessity"] == -1e-3
 
     def test_rejects_bad_parameters(self, capsys):
         code, _ = run_cli(capsys, "verify", "--trials", "0")

@@ -171,14 +171,10 @@ class TestSingleSpectralPass:
         assert calls == ["eigh", "eigh"]
 
     def test_checks_run_on_memoised_data(self, monkeypatch):
-        # the positivity and pairing checks run when the memo is built; a
-        # failed check stores nothing
+        # the pairing check runs when the memo is built, on eigenvalues the
+        # constructor has checked for positivity; a failed check stores nothing
         gamma = np.diag([0.5, 0.5, 2.0, 2.0])
         cov = CovarianceMatrix(gamma)
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "TOL_POS", 1.0)
-            with pytest.raises(InvalidInput):
-                symplectic_eigenvalues(cov)
         with monkeypatch.context() as patch:
             patch.setattr(core, "TOL_PAIR_REL", -1.0)
             with pytest.raises(NumericalFailure):
@@ -188,7 +184,6 @@ class TestSingleSpectralPass:
     def test_checks_run_once_per_matrix(self, monkeypatch):
         cov = CovarianceMatrix(np.diag([0.5, 0.5, 2.0, 2.0]))
         symplectic_eigenvalues(cov)
-        monkeypatch.setattr(core, "TOL_POS", 1.0)
         monkeypatch.setattr(core, "TOL_PAIR_REL", -1.0)
         np.testing.assert_allclose(williamson(cov)[1].values, [0.5, 2.0])
         with pytest.raises(NumericalFailure):

@@ -13,7 +13,6 @@ from modematch import (
     entropy_report,
     entropy_s,
     entropy_s_inverse,
-    entropy_upper_bound,
     local_diagonal,
     random_symplectic,
     sharing_feasible,
@@ -138,12 +137,14 @@ class TestSharingFeasible:
 
 
 class TestEntropyUpperBound:
+    # the paper's aggregate s(sum c), reported as global_upper_bound
     def test_worked_example(self):
-        assert entropy_upper_bound([1.5, 1.5, 2.0]) == pytest.approx(S5, abs=1e-12)
+        bound = entropy_report(c=[1.5, 1.5, 2.0]).global_upper_bound
+        assert bound == pytest.approx(S5, abs=1e-12)
 
     def test_all_pure_modes(self):
         # sum of local values n means a pure product within the bound chain
-        assert entropy_upper_bound(np.ones(2)) == pytest.approx(entropy_s(2.0))
+        assert entropy_report(c=np.ones(2)).global_upper_bound == pytest.approx(entropy_s(2.0))
 
     def test_aggregate_bound_meets_gaussian_entropy_only_at_one_mode(self):
         d = np.array([2.0])
@@ -178,7 +179,7 @@ class TestEntropyUpperBound:
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidInput):
-            entropy_upper_bound([0.5, 2.0])
+            entropy_report(c=[0.5, 2.0])
 
 
 class TestEntropyReport:
@@ -240,5 +241,5 @@ class TestEntropyReport:
         c = [1.5, 1.5, 2.0]
         report = entropy_report(c=c)
         assert calls == ["c"]
-        assert report.global_upper_bound == entropy_upper_bound(c)
+        assert report.global_upper_bound == entropy_s(5.0)
         assert report.purity_consistent == check_pure([0.5, 0.5, 1.0]).feasible

@@ -39,6 +39,9 @@ REJECTIONS = {
     "unsorted-spectrum": (lambda: SpectrumVector([2.0, 1.0]), "non-decreasing"),
     "non-positive-spectrum": (lambda: SpectrumVector([0.0, 1.0]), "strictly positive"),
     "empty-vector": (lambda: check_mixed([], []), "non-empty 1-d"),
+    "non-numeric-string": (lambda: check_mixed(["1.5", "x"], [1, 2]), "c must have real"),
+    "non-numeric-b": (lambda: check_pure([1, "nan?"]), "b must have real"),
+    "complex-in-list": (lambda: check_mixed([1.5, 1j], [1, 2]), "c must have real"),
     "length-mismatch": (lambda: check_mixed([1.0, 2.0], [1.0]), "lengths 2 and 1"),
     "non-positive-c": (lambda: check_mixed([0.0, 1.0], [1.0, 1.0]), "c must be strictly"),
     "negative-b": (lambda: check_pure([-1.0, 1.0]), "b entries must be non-negative"),
@@ -66,17 +69,15 @@ def test_every_rejection_is_an_invalid_input_and_a_value_error(reject, message):
 
 def test_outcomes_are_distinct():
     assert issubclass(MatrixParseError, InvalidInput)
-    assert issubclass(errors.InvalidTrace, InvalidInput)
     for outcome in (Infeasible, NumericalFailure):
         assert issubclass(outcome, ModeMatchError)
         assert not issubclass(outcome, (ValueError, InvalidInput))
     assert not issubclass(Infeasible, NumericalFailure)
 
 
-def test_module_defines_exactly_five_classes():
+def test_module_defines_exactly_four_classes():
     defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
-    assert defined == {"ModeMatchError", "InvalidInput", "Infeasible", "NumericalFailure",
-                       "InvalidTrace"}
+    assert defined == {"ModeMatchError", "InvalidInput", "Infeasible", "NumericalFailure"}
 
 
 @pytest.mark.parametrize("corrupt", [

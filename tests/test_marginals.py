@@ -192,6 +192,21 @@ class TestCheckMatrixConsistency:
             rhs = np.sum(d[1:]) + (3.0 - 2.0 * n) * d[0]
             assert lhs <= rhs + 1e-8
 
+    def test_spread_bound_is_implied_by_the_last_condition(self):
+        # the spread slack exceeds the last-condition slack by
+        # 2 sum_{j=2}^{n-1} (d_j - d_1) >= 0, so the gate passing implies it
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            gamma, _ = random_physical(rng, n)
+            c = local_diagonal(gamma).values.values
+            d = symplectic_eigenvalues(gamma).values
+            spread = np.sum(d[1:]) + (3.0 - 2.0 * n) * d[0] - (2.0 * c[-1] - np.sum(c))
+            last = check_mixed(c, d).slacks[-1].slack
+            gap = 2.0 * np.sum(d[1:-1] - d[0])
+            assert gap >= 0.0
+            assert spread - last == pytest.approx(gap, abs=1e-12 * np.sum(c))
+
 
 class TestTemperatureConversions:
     def test_known_values(self):

@@ -7,13 +7,14 @@ the last condition.  The gate must reproduce a numpy reference: the
 partial-sum slacks bitwise (both are running sums in index order), the
 last slack within 4 ulp of sum(c + d), since its totals may be summed in
 another order, and the verdict everywhere outside that rounding band.
+The entropy report's purity test must be the pure gate's verdict exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modematch import SpectrumVector, check_mixed, check_pure
+from modematch import SpectrumVector, check_mixed, check_pure, entropy_report
 from modematch.config import TOL_INEQ as TOL
 
 OFFSETS = (0.0, TOL, -TOL, 3.0 * TOL, -3.0 * TOL)
@@ -78,11 +79,11 @@ def test_slacks_and_verdict_match_numpy_reference(pair, wrapped):
 
 
 @st.composite
-def pure_boundary(draw):
+def pure_boundary(draw, offsets=OFFSETS):
     """Sorted b >= 0 whose largest entry sits a few tol_ineq from the sum of
     the others."""
     rest = draw(spectra())
-    offset = draw(st.sampled_from(OFFSETS))
+    offset = draw(st.sampled_from(offsets))
     top = max(float(np.sum(rest)) - offset, float(rest[-1]))
     return np.append(rest, top)
 
@@ -99,3 +100,10 @@ def test_pure_slack_and_verdict_match_numpy_reference(b):
     assert abs(only.slack - slack) <= band
     if abs(slack + TOL) > band:
         assert verdict.feasible == (slack >= -TOL)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=pure_boundary((0.0, TOL, -TOL, 2.0 * TOL, -2.0 * TOL)))
+def test_entropy_purity_is_the_pure_gate_verdict(b):
+    c = b + 1.0
+    assert entropy_report(c=c).purity_consistent == check_pure(c - 1.0).feasible
