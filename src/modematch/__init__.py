@@ -22,7 +22,6 @@ _EXPORTS = {
     "SpectrumVector": "core",
     "SymplecticTransform": "core",
     "SynthesisTrace": "synthesis",
-    "TwoModeBlock": "synthesis",
     "b_to_temperature": "marginals",
     "check_matrix_consistency": "marginals",
     "check_mixed": "gate",

@@ -14,6 +14,11 @@ matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 [[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].  On the complex rows x - i p of
 a matrix it acts as U itself, so the Reck sweep and the replay apply every
 passive element as one update of the rows of its modes.
+
+The one Reck sweep, ``passive_to_two_mode_rotations``, returns a passive
+transform's elements as a product, leftmost factor first; the builders
+``circuit_from_matrix``, ``circuit_from_pure`` and ``circuit_from_mixed``
+reverse it into the acting order of the ``PreparationCircuit`` they return.
 """
 
 import cmath
@@ -126,9 +131,18 @@ def _apply_passive(Z: np.ndarray, modes, theta: float, phi: float) -> None:
     Z[i], Z[j] = ct * top - (ph * st) * bottom, (st / ph) * top + ct * bottom
 
 
-def _reck(O, modes=None) -> list[PassiveElement]:
-    """``passive_to_two_mode_rotations`` with mode j of O emitted as
-    ``modes[j]``."""
+def passive_to_two_mode_rotations(O, modes=None) -> list[PassiveElement]:
+    """Break a passive transform into two-mode rotations plus phases: the
+    Reck sweep.
+
+    Sweeps subdiagonal entries of the unitary picture column by column,
+    bottom row up, nulling each with a rotation between adjacent modes; the
+    residual diagonal becomes single-mode phases.  At most n(n-1)/2 rotations
+    and n phases are emitted and their ordered product, leftmost factor
+    first, rebuilds the input; the last element is the first to act, so a
+    circuit lists them reversed.  Mode j of O is emitted as ``modes[j]``,
+    by default j itself.
+    """
     if isinstance(O, SymplecticTransform):
         O = O.entries
     work = orthosymplectic_to_unitary(O)
@@ -158,18 +172,6 @@ def _reck(O, modes=None) -> list[PassiveElement]:
     return elements
 
 
-def passive_to_two_mode_rotations(O) -> list[PassiveElement]:
-    """Break a passive transform into two-mode rotations plus phases.
-
-    Sweeps subdiagonal entries of the unitary picture column by column,
-    bottom row up, nulling each with a rotation between adjacent modes; the
-    residual diagonal becomes single-mode phases.  At most n(n-1)/2 rotations
-    and n phases are emitted and their ordered product, leftmost factor
-    first, rebuilds the input; the last element is the first to act.
-    """
-    return _reck(O)
-
-
 def replay_circuit(circuit: PreparationCircuit) -> np.ndarray:
     """Covariance matrix produced by running the circuit on its seed:
     S diag(seed) S^T, with S built one element at a time.  S is held as its
@@ -194,12 +196,6 @@ def replay_defect(circuit: PreparationCircuit, target: np.ndarray) -> float:
     return relative_defect(replay_circuit(circuit) - target, target)
 
 
-def _passive_network(O, modes) -> list[PassiveElement]:
-    """O's Reck elements in acting order, on ``modes`` in place of
-    0, 1, ...."""
-    return _reck(O, modes)[::-1]
-
-
 def circuit_from_matrix(gamma) -> PreparationCircuit:
     """Circuit preparing a physical matrix as itself: the Euler factors
     O Q V of the inverse Williamson transform give V's network, n squeezers
@@ -211,9 +207,9 @@ def circuit_from_matrix(gamma) -> PreparationCircuit:
     S_w, d = williamson(cov)
     pure = all(map(at_vacuum, d.values.tolist()))
     factors = euler_decompose(symplectic_inverse(S_w.entries))
-    elements: list[Element] = [] if pure else _passive_network(factors.V, range(cov.n))
+    elements: list[Element] = [] if pure else passive_to_two_mode_rotations(factors.V)[::-1]
     elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
-    elements += _passive_network(factors.O, range(cov.n))
+    elements += passive_to_two_mode_rotations(factors.O)[::-1]
     seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values.copy(), MIXED_SOURCE)
     return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
 
@@ -246,10 +242,10 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
     elements: list[Element] = []
     for step in trace.steps:
         factors = euler_decompose(step.transform)
-        elements += _passive_network(factors.V, step.modes)
+        elements += passive_to_two_mode_rotations(factors.V, step.modes)[::-1]
         elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
                      if z - 1.0 > _ELEMENT_DROP]
-        elements += _passive_network(factors.O, step.modes)
+        elements += passive_to_two_mode_rotations(factors.O, step.modes)[::-1]
     return PreparationCircuit(n=trace.n, seed=trace.seed.copy(), elements=elements,
                               source=MIXED_SOURCE)
 
@@ -295,7 +291,14 @@ def _value(key: str, raw: str, n: int):
 
 def _parse_element(head: str, parts, n: int) -> Element:
     cls, keys = _RECORDS[head]
-    kv = dict(part.split("=", 1) for part in parts)
+    kv = {}
+    for part in parts:
+        key, eq, raw = part.partition("=")
+        if not eq:
+            raise ValueError(f"{head} field {part!r} is not of the form key=value")
+        if key in kv:
+            raise ValueError(f"{head} repeats the field {key}")
+        kv[key] = raw
     if sorted(kv) != sorted(keys):
         raise ValueError(f"{head} takes the fields {', '.join(keys)}, got {', '.join(kv)}; "
                          "for a file in the older three-block format, re-run prepare")
@@ -309,7 +312,8 @@ def parse_circuit(text: str) -> PreparationCircuit:
     once; n and source hold one value each, and source is ``PURE_SOURCE``
     or ``MIXED_SOURCE``.  Modes lie in 0..n-1 and a rotation's two differ;
     angles are finite; squeezer and seed values are finite and positive;
-    any other field, as in the older three-block format, is rejected.
+    each field is key=value and appears once, and any other field, as in
+    the older three-block format, is rejected.
     Failures raise ValueError naming the line.
     """
     n, source, seed = None, PURE_SOURCE, None

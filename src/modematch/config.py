@@ -5,10 +5,11 @@ settable: the functions that evaluate the feasibility inequalities take it
 as a keyword, defaulting to ``TOL_INEQ``, and the CLI reads it from
 ``--tol-ineq`` or the ``MODEMATCH_TOL_INEQ`` environment variable (a decimal
 value).  Wherever it enters, ``valid_tol_ineq`` requires it to be finite and
-positive.
+positive.  ``real_float`` states the one rule on real inputs.
 """
 
 import math
+import numbers
 import os
 
 from .errors import InvalidInput
@@ -33,9 +34,21 @@ TOL_PAIR_REL = 1e-8
 TOL_INEQ = 1e-9
 
 
+def real_float(value, what: str) -> float:
+    """A real input as a Python float.  A value of complex type is rejected
+    whatever its imaginary part, which ``float()`` of a numpy complex scalar
+    drops with only a warning; numpy registers its complex scalars as
+    ``numbers.Complex`` and its real ones as ``numbers.Real``."""
+    if value.__class__ is float:
+        return value
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{what} must be real, got {value}")
+    return float(value)
+
+
 def valid_tol_ineq(value, what: str = "tol_ineq") -> float:
     """The feasibility slack tolerance, which must be finite and positive."""
-    value = float(value)
+    value = real_float(value, what)
     if not 0.0 < value < math.inf:
         raise InvalidInput(f"{what} must be finite and positive, got {value}")
     return value

@@ -104,15 +104,8 @@ def _finite_max_abs(entries: np.ndarray, what: str) -> float:
     return scale
 
 
-def symplectic_defect(entries: np.ndarray) -> float:
-    """Max-norm of S sigma S^T - sigma."""
-    entries = np.asarray(entries, dtype=float)
-    _check_even_square(entries, "transform")
-    return _symplectic_defect(entries)
-
-
 def _symplectic_defect(entries: np.ndarray) -> float:
-    """symplectic_defect of a float array already known to be even square."""
+    """Max-norm of S sigma S^T - sigma, for an even square float array."""
     # S sigma S^T = X - X^T with X the x-columns times the p-columns
     cross = entries[:, 0::2] @ entries[:, 1::2].T
     return _max_abs(cross - cross.T - _symplectic_structure(entries.shape[0]).sigma)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_INEQ, valid_tol_ineq
+from .config import TOL_INEQ, real_float, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
 from .gate import _as_vector, at_vacuum, below_vacuum, check_pure, pure_cone_slack
@@ -56,9 +56,9 @@ def entropy_s(c: float) -> float:
     defining difference cancels two terms of size c log2(c) and loses every
     bit near c = 1e16, so with down = (c - 1) / 2 it is evaluated as
     (log1p(down) + down log1p(1 / down)) / ln 2, within a few ulp from
-    c = 1 to the largest float.  A non-finite c is rejected.
+    c = 1 to the largest float.  A non-finite or complex c is rejected.
     """
-    c = float(c)
+    c = real_float(c, "entropy argument")
     if not math.isfinite(c):
         raise InvalidInput(f"entropy argument {c} is not finite")
     if below_vacuum(c):
@@ -75,7 +75,7 @@ def entropy_s_inverse(value: float) -> float:
     then bisects the interval down to 1e-12 (absolute, with a relative
     floor for large arguments).
     """
-    value = float(value)
+    value = real_float(value, "entropy value")
     if not math.isfinite(value):
         raise InvalidInput(f"entropy value {value} is not finite")
     if value < 0.0:

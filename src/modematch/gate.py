@@ -30,7 +30,7 @@ import math
 import sys
 from itertools import accumulate
 
-from .config import TOL_INEQ, TOL_PSD, valid_tol_ineq
+from .config import TOL_INEQ, TOL_PSD, real_float, valid_tol_ineq
 from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
@@ -102,7 +102,7 @@ def _as_vector(values, what: str) -> list:
     Vectors here have one entry per mode, so checks and reductions run on
     floats: at these sizes each numpy dispatch costs more than the work.  An
     array or a SpectrumVector goes through ``tolist()``; any other iterable
-    of reals goes through ``float()``.
+    of reals goes through ``real_float``.
     """
     ndim = getattr(values, "ndim", None)
     if ndim is None:
@@ -133,15 +133,14 @@ def _as_vector(values, what: str) -> list:
 
 
 def _real_entries(items: list, what: str) -> list:
-    """The entries as Python floats; a complex entry or a string that is no
-    number makes the vector not real, a nested sequence or None not 1-d."""
+    """The entries as Python floats; an entry of complex type or a string
+    that is no number makes the vector not real, a nested sequence or None
+    not 1-d."""
     try:
-        return [float(v) for v in items]
-    except ValueError:
+        return [real_float(v, what) for v in items]
+    except ValueError:  # InvalidInput, raised for a complex entry, is one
         raise InvalidInput(f"{what} must have real entries") from None
     except TypeError:
-        if any(isinstance(v, complex) for v in items):
-            raise InvalidInput(f"{what} must have real entries") from None
         raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
 
 

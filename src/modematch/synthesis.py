@@ -11,6 +11,11 @@ two-mode symplectic gate on a thermal seed, so the witness is
 
 a product of at most n - 1 gates.  The gates and the seed are recorded so
 the result can be replayed and audited.
+
+``solve_two_mode`` returns a kernel's couplings (e, f), ``assemble_two_mode``
+its 4x4 block.  ``synthesize`` and ``synthesize_pure`` return a
+``SynthesisTrace``, whose ``final_matrix`` is the witness and whose gates
+``replay_trace`` multiplies out again.
 """
 
 import bisect
@@ -32,28 +37,6 @@ from .core import (
 from .errors import Infeasible, InvalidInput, NumericalFailure
 from .gate import _as_vector, check_mixed, check_pure
 from .marginals import local_diagonal
-
-
-@dataclass
-class TwoModeBlock:
-    """4x4 coupling kernel with locals (c1, c2) and spectrum (d1, d2).
-
-    The assembled matrix is
-        [[c1, 0,  e, 0],
-         [0,  c1, 0, f],
-         [e,  0,  c2, 0],
-         [0,  f,  0, c2]].
-    """
-
-    c1: float
-    c2: float
-    d1: float
-    d2: float
-    e: float
-    f: float
-
-    def matrix(self) -> np.ndarray:
-        return assemble_two_mode(self.c1, self.c2, self.e, self.f)
 
 
 @dataclass
@@ -80,6 +63,8 @@ class SynthesisTrace:
 
 
 def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
+    """The 4x4 two-mode block with locals (c1, c2) and couplings (e, f),
+    [[c1, 0, e, 0], [0, c1, 0, f], [e, 0, c2, 0], [0, f, 0, c2]]."""
     out = np.diag([c1, c1, c2, c2]).astype(float)
     out[0, 2] = out[2, 0] = e
     out[1, 3] = out[3, 1] = f
@@ -106,8 +91,9 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
 
 
 def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
-                   tol_ineq: float = TOL_INEQ) -> TwoModeBlock:
-    """Couplings (e, f) realising spectrum (d1, d2) with locals (c1, c2).
+                   tol_ineq: float = TOL_INEQ) -> tuple[float, float]:
+    """The couplings (e, f), a tuple of floats, for which ``assemble_two_mode(c1,
+    c2, e, f)`` has spectrum (d1, d2).
 
     Requires c2 >= c1 > 0 and d2 >= d1 > 0 (else InvalidInput) and the pair
     inequalities (else Infeasible), whose slacks are the sum gap G and the
@@ -143,23 +129,22 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     v = 0.5 * sum_gap * (sum_gap + 2.0 * (d1 + d2))
     k, cc = 2.0 * d1 * d2, c1 * c2
     plus, minus = math.sqrt(u * (u + k) / cc), math.sqrt(v * (v + k) / cc)
-    e, f = 0.5 * (plus + minus), 0.5 * (plus - minus)
-    return TwoModeBlock(c1=c1, c2=c2, d1=d1, d2=d2, e=e, f=f)
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
 def _gate(c1: float, c2: float, d1: float, d2: float, tol_ineq: float) -> np.ndarray:
-    """Symplectic g with g diag(d1, d1, d2, d2) g^T = the block that
-    solve_two_mode(c1, c2, d1, d2) assembles.
+    """Symplectic g with g diag(d1, d1, d2, d2) g^T = assemble_two_mode(c1,
+    c2, e, f), where (e, f) = solve_two_mode(c1, c2, d1, d2).
 
     The first mode of g holds the smaller thermal value and receives the
     local value c1.  The gate loop derives only feasible pairs, so an
     Infeasible pair here is a numerical failure.
     """
     try:
-        block = solve_two_mode(c1, c2, d1, d2, tol_ineq=tol_ineq)
+        e, f = solve_two_mode(c1, c2, d1, d2, tol_ineq=tol_ineq)
     except Infeasible as exc:
         raise NumericalFailure(f"reduced subproblem lost feasibility: {exc}") from None
-    S_w, _ = williamson(block.matrix())
+    S_w, _ = williamson(assemble_two_mode(c1, c2, e, f))
     return symplectic_inverse(S_w.entries)
 
 

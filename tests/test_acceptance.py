@@ -156,15 +156,15 @@ def test_criterion_3_two_mode_closed_form():
     worst_solve = 0.0
     for _ in range(TRIALS_TWO_MODE):
         c, d = sample_feasible_pair(rng, 2)
-        block = solve_two_mode(c[0], c[1], d[0], d[1])
-        d_back = two_mode_eigenvalues_closed_form(c[0], c[1], block.e, block.f)
+        e, f = solve_two_mode(c[0], c[1], d[0], d[1])
+        d_back = two_mode_eigenvalues_closed_form(c[0], c[1], e, f)
         worst_solve = max(worst_solve, float(np.max(np.abs(np.array(d_back) - d))))
 
     worst_boundary = 0.0
     for _ in range(200):
         v = np.sort(rng.uniform(0.4, 4.0, 2))
-        block = solve_two_mode(v[0], v[1], v[0], v[1])
-        worst_boundary = max(worst_boundary, abs(block.e), abs(block.f))
+        e, f = solve_two_mode(v[0], v[1], v[0], v[1])
+        worst_boundary = max(worst_boundary, abs(e), abs(f))
 
     ok = worst_formula <= 1e-10 and worst_solve <= 1e-9 and worst_boundary <= 1e-12
     report("C3 two-mode closed form",

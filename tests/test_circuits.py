@@ -122,6 +122,23 @@ class TestPassiveBreakdown:
         np.testing.assert_allclose(elements_to_unitary(elements, n), expected,
                                    rtol=0, atol=1e-13)
 
+    def test_modes_relabel_the_default_sweep(self):
+        rng = np.random.default_rng(67)
+        total = 7
+        for n in (1, 2, 3, 5):
+            modes = [int(m) for m in rng.permutation(total)[:n]]
+            U = haar_unitary(n, rng)
+            O = unitary_to_orthosymplectic(U)
+            expected = [Rotation((modes[el.modes[0]], modes[el.modes[1]]), el.theta, el.phi)
+                        if isinstance(el, Rotation) else PhaseShift(modes[el.mode], el.alpha)
+                        for el in passive_to_two_mode_rotations(O)]
+            elements = passive_to_two_mode_rotations(O, modes)
+            assert elements == expected
+            embedded = np.eye(total, dtype=complex)
+            embedded[np.ix_(modes, modes)] = U
+            np.testing.assert_allclose(elements_to_unitary(elements, total), embedded,
+                                       rtol=0, atol=1e-10)
+
     def test_five_mode_bound(self):
         rng = np.random.default_rng(59)
         U = haar_unitary(5, rng)
@@ -332,6 +349,9 @@ class TestSerialization:
         ("1 1", "phase mode=-1 alpha=0.3"),
         ("1 1", "phase mode=0 alpha=-inf"),
         ("1 1", "phase mode=0 alpha=0.3 extra=1"),
+        ("1 1", "rotation modes=0,1 theta=0.1 theta=0.7 phi=0"),
+        ("1 1", "squeezer mode=0 z=2 z=3"),
+        ("1 1", "squeezer mode=0 z"),
         ("1 nan", "squeezer mode=0 z=2"),
         ("1 -1", "squeezer mode=0 z=2"),
         ("1 1 1", "squeezer mode=0 z=2"),
@@ -350,6 +370,16 @@ class TestSerialization:
             text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"
             bad_line = 4 if seed == "1 1" else 3
         with pytest.raises(ValueError, match=f"circuit line {bad_line}:"):
+            parse_circuit(text)
+
+    @pytest.mark.parametrize("element, message", [
+        ("rotation modes=0,1 theta=0.1 theta=0.7 phi=0", "rotation repeats the field theta"),
+        ("squeezer mode=0 z=2 z=3", "squeezer repeats the field z"),
+        ("squeezer mode=0 z", "squeezer field 'z' is not of the form key=value"),
+    ])
+    def test_parse_names_a_repeated_or_bare_field(self, element, message):
+        text = f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n"
+        with pytest.raises(ValueError, match=f"circuit line 4: {message}"):
             parse_circuit(text)
 
     @pytest.mark.parametrize("element", [

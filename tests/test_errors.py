@@ -42,11 +42,16 @@ REJECTIONS = {
     "non-numeric-string": (lambda: check_mixed(["1.5", "x"], [1, 2]), "c must have real"),
     "non-numeric-b": (lambda: check_pure([1, "nan?"]), "b must have real"),
     "complex-in-list": (lambda: check_mixed([1.5, 1j], [1, 2]), "c must have real"),
+    "complex128-in-list": (lambda: check_mixed([1.5, np.complex128(2 + 1j)], [1, 2]),
+                           "c must have real"),
+    "complex64-in-list": (lambda: check_mixed([1.5, np.complex64(2 + 1j)], [1, 2]),
+                          "c must have real"),
     "length-mismatch": (lambda: check_mixed([1.0, 2.0], [1.0]), "lengths 2 and 1"),
     "non-positive-c": (lambda: check_mixed([0.0, 1.0], [1.0, 1.0]), "c must be strictly"),
     "negative-b": (lambda: check_pure([-1.0, 1.0]), "b entries must be non-negative"),
     "zero-temperature": (lambda: temperature_to_b([0.0]), "temperatures must be strictly"),
     "entropy-below-one": (lambda: entropy_s(0.5), "lies below 1"),
+    "complex-entropy": (lambda: entropy_s(np.complex128(2 + 1j)), "entropy argument must be real"),
     "non-finite-entropy": (lambda: entropy_s_inverse(np.inf), "is not finite"),
     "mixed-not-pure": (lambda: entanglement_profile(2.0 * np.eye(2)), "not pure"),
     "unphysical": (lambda: circuit_from_pure(0.5 * np.eye(2)), "uncertainty bound"),

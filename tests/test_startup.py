@@ -105,7 +105,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         missing, unresolved, count, version = json.loads(proc.stdout)
         assert missing == [] and unresolved == []
-        assert count == 39 and version == "0.1.0"
+        assert count == 38 and version == "0.1.0"
 
     def test_submodules_and_unknown_names(self):
         code = ("import modematch; "

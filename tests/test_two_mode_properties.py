@@ -41,25 +41,25 @@ def boundary_pairs(draw):
     return c1, c2, d1, d2
 
 
-def assert_reproduces(c1, c2, d1, d2, block):
-    got = two_mode_eigenvalues_closed_form(c1, c2, block.e, block.f)
+def assert_reproduces(c1, c2, d1, d2, e, f):
+    got = two_mode_eigenvalues_closed_form(c1, c2, e, f)
     np.testing.assert_allclose(got, (d1, d2), rtol=1e-10, atol=0)
 
 
 @SETTINGS
 @given(c=ordered_pairs())
 def test_equal_targets_are_exactly_uncoupled(c):
-    block = solve_two_mode(*c, *c)
-    assert block.e == 0.0 and block.f == 0.0
-    assert_reproduces(*c, *c, block)
+    e, f = solve_two_mode(*c, *c)
+    assert e == 0.0 and f == 0.0
+    assert_reproduces(*c, *c, e, f)
 
 
 @SETTINGS
 @given(args=boundary_pairs())
 def test_boundary_couplings_have_equal_magnitudes(args):
-    block = solve_two_mode(*args)
-    assert abs(block.e) == abs(block.f)
-    assert_reproduces(*args, block)
+    e, f = solve_two_mode(*args)
+    assert abs(e) == abs(f)
+    assert_reproduces(*args, e, f)
 
 
 @SETTINGS
