@@ -284,7 +284,7 @@ def _value(key: str, raw: str, n: int):
             raise ValueError(f"mode {mode} is outside 0..{n - 1}")
         return mode
     value, positive = float(raw), key in ("z", "seed")
-    if not np.isfinite(value) or (positive and value <= 0):
+    if not math.isfinite(value) or (positive and value <= 0):
         raise ValueError(f"{key}={raw} is not finite" + (" and positive" * positive))
     return value
 

@@ -1,16 +1,25 @@
 """Command-line interface.
 
-Subcommands: check, synth, williamson, euler, entropy, prepare, verify.
-Machine-readable output is one JSON object per line on stdout; a short
-human-readable table goes to stderr.  Exit codes: 0 success or feasible,
-1 infeasible (the gate, or ``Infeasible`` from synth or prepare) or
-violations found, 2 input error (``InvalidInput``, any other library error,
-``ValueError`` or ``OSError``), 3 internal failure (a failed self-check in
-synth, prepare, williamson or euler, or ``NumericalFailure``).  A self-check
-measures its defect with the function next to the kernel it checks and
-fails unless the defect is at most ``TOL_RECON``, so a NaN defect fails.
-``--tol-ineq``, or else MODEMATCH_TOL_INEQ, sets the inequality tolerance,
-which must be finite and positive.
+Subcommands: check, synth, williamson, euler, entropy, prepare, replay,
+verify.  Machine-readable output is one JSON object per line on stdout; a
+short human-readable table goes to stderr.  ``_record`` lays out every
+record: ``command``, ``digest``, the subcommand's own fields,
+``tolerances``, then ``elapsed_s``, each key present only where the
+subcommand has it.
+
+A subcommand returns 0 on success or a feasible verdict, and 1 on an
+infeasible verdict from ``check`` or violations from ``verify``.  Every
+other outcome is an exception that ``main`` alone turns into a record and
+an exit code: ``Infeasible`` (an infeasible pair in synth or prepare) exits
+1 with a record of ``command``, ``feasible``, ``error`` and the
+``tolerances`` its verdict used; ``NumericalFailure`` exits 3 and
+``InvalidInput``, any other library error, ``ValueError`` or ``OSError``
+exit 2, each with a record of ``command`` and ``error`` and an ``error:``
+line on stderr.  A self-check raises ``NumericalFailure``: it measures its
+defect with the function next to the kernel it checks and fails unless the
+defect is at most ``TOL_RECON``, so a NaN defect fails.  ``--tol-ineq``, or
+else MODEMATCH_TOL_INEQ, sets the inequality tolerance, which must be
+finite and positive.
 
 Each subcommand imports the matrix-side modules it calls, numpy and the
 matrix file code included, when it runs, so a process loads only what its
@@ -73,34 +82,34 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _failed(command: str, check: str, defect: float) -> int:
-    _emit({"command": command, "error": f"{check} failed: defect {defect:.3g}"})
-    return EXIT_INTERNAL
-
-
 def _emit(record: dict, table_lines=None):
     print(json.dumps(record))
     if table_lines:
         print("\n".join(table_lines), file=sys.stderr)
 
 
-def _tol_dict(tol_ineq: float) -> dict:
-    return {
-        "tol_ineq": tol_ineq,
-        "tol_recon": config.TOL_RECON,
-        "tol_psd": config.TOL_PSD,
-    }
+def _record(command: str, digest=None, *, tol_ineq=None, elapsed=None, **fields) -> dict:
+    """A record in the one key order: command, digest, the command's own
+    fields, tolerances, elapsed_s.  A digest, tolerance or elapsed time left
+    None leaves its key out."""
+    record = {"command": command}
+    if digest is not None:
+        record["digest"] = digest
+    record.update(fields)
+    if tol_ineq is not None:
+        record["tolerances"] = {"tol_ineq": tol_ineq, "tol_recon": config.TOL_RECON,
+                                "tol_psd": config.TOL_PSD}
+    if elapsed is not None:
+        record["elapsed_s"] = round(elapsed, 6)
+    return record
 
 
-def _verdict_record(command: str, verdict, digest: str, elapsed: float) -> dict:
-    return {
-        "command": command,
-        "digest": digest,
-        "feasible": verdict.feasible,
-        "slacks": [{"constraint": s.label(), "slack": s.slack} for s in verdict.slacks],
-        "tolerances": _tol_dict(verdict.tol_ineq),
-        "elapsed_s": round(elapsed, 6),
-    }
+def _self_checked(check: str, defect: float) -> float:
+    """The defect of a self-check, which fails unless it is at most
+    ``TOL_RECON``, so a NaN defect fails."""
+    if not defect <= config.TOL_RECON:
+        raise NumericalFailure(f"{check} failed: defect {defect:.3g}")
+    return defect
 
 
 def _verdict_table(verdict) -> list[str]:
@@ -152,16 +161,18 @@ def cmd_check(args) -> int:
         d = sorted(_parse_vector(args.d))
         verdict = check_mixed(c, d, tol_ineq=args.tol_ineq)
         digest = _digest("check-mixed", c, d)
-    record = _verdict_record("check", verdict, digest, time.perf_counter() - start)
-    _emit(record, _verdict_table(verdict))
+    slacks = [{"constraint": s.label(), "slack": s.slack} for s in verdict.slacks]
+    _emit(_record("check", digest, feasible=verdict.feasible, slacks=slacks,
+                  tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
+          _verdict_table(verdict))
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
 
 
-def _synthesized(command: str, args, physical: bool = False):
-    """Sort --c and --d, synthesize their witness and self-check it: returns
-    (c, d, trace, defect), or the exit code of an infeasible pair or a
-    failed self-check once its record is emitted.  With ``physical``, a
-    spectrum below one is an input error."""
+def _synthesized(args, physical: bool = False):
+    """Sort --c and --d, synthesize their witness and self-check it before
+    anything is written: returns (c, d, trace, defect).  An infeasible pair
+    raises ``Infeasible``; with ``physical``, a spectrum below one is an
+    input error."""
     from .synthesis import synthesis_defect, synthesize
 
     c = sorted(_parse_vector(args.c))
@@ -169,16 +180,8 @@ def _synthesized(command: str, args, physical: bool = False):
     if physical and below_vacuum(d[0]):
         raise InvalidInput(f"target violates the uncertainty bound: smallest "
                            f"symplectic eigenvalue {d[0]:.17g} is below 1")
-    try:
-        trace = synthesize(c, d, tol_ineq=args.tol_ineq)
-    except Infeasible as exc:
-        _emit({"command": command, "feasible": False, "error": str(exc),
-               "tolerances": _tol_dict(args.tol_ineq)})
-        return EXIT_INFEASIBLE
-    # self-verification before anything is written
-    defect = synthesis_defect(trace, c, d)
-    if not defect <= config.TOL_RECON:
-        return _failed(command, "self-verification", defect)
+    trace = synthesize(c, d, tol_ineq=args.tol_ineq)
+    defect = _self_checked("self-verification", synthesis_defect(trace, c, d))
     return c, d, trace, defect
 
 
@@ -188,10 +191,7 @@ def cmd_synth(args) -> int:
     from .matrixio import write_matrix
 
     start = time.perf_counter()
-    result = _synthesized("synth", args)
-    if isinstance(result, int):
-        return result
-    c, d, trace, defect = result
+    c, d, trace, defect = _synthesized(args)
     write_matrix(args.out, trace.final_matrix.entries, "covariance")
     if args.emit_trace:
         with open(args.emit_trace, "w") as fh:
@@ -201,17 +201,10 @@ def cmd_synth(args) -> int:
                 fh.write(json.dumps({"step": "two_mode", "modes": list(step.modes),
                                      "transform": [[f"{v:.17g}" for v in row]
                                                    for row in step.transform]}) + "\n")
-    record = {
-        "command": "synth",
-        "digest": _digest("synth", c, d),
-        "feasible": True,
-        "out": args.out,
-        "n": len(c),
-        "verification_defect": defect,
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(record, [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
+    _emit(_record("synth", _digest("synth", c, d), feasible=True, out=args.out, n=len(c),
+                  verification_defect=defect, tol_ineq=args.tol_ineq,
+                  elapsed=time.perf_counter() - start),
+          [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
     return EXIT_OK
 
 
@@ -222,21 +215,14 @@ def cmd_williamson(args) -> int:
     start = time.perf_counter()
     cov = _load(args.matrix, "covariance")
     S, d = williamson(cov)
-    defect = williamson_defect(cov, S, d)
-    if not defect <= config.TOL_RECON:
-        return _failed("williamson", "reconstruction check", defect)
+    defect = _self_checked("reconstruction check", williamson_defect(cov, S, d))
     write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.D.mat", interleaved_diagonal(d.values), "covariance")
-    record = {
-        "command": "williamson",
-        "digest": _digest("williamson", cov.entries),
-        "d": list(d.values),
-        "reconstruction_defect": defect,
-        "files": [f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(record, [f"d = {d.values}", f"defect {defect:.3g}"])
+    _emit(_record("williamson", _digest("williamson", cov.entries), d=list(d.values),
+                  reconstruction_defect=defect,
+                  files=[f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
+                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+          [f"d = {d.values}", f"defect {defect:.3g}"])
     return EXIT_OK
 
 
@@ -247,22 +233,15 @@ def cmd_euler(args) -> int:
     start = time.perf_counter()
     S = _load(args.matrix, "symplectic")
     factors = euler_decompose(S)
-    defect = euler_defect(S, factors)
-    if not defect <= config.TOL_RECON:
-        return _failed("euler", "reconstruction check", defect)
+    defect = _self_checked("reconstruction check", euler_defect(S, factors))
     write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
     write_matrix(f"{args.out_prefix}.V.mat", factors.V.entries, "symplectic")
-    record = {
-        "command": "euler",
-        "digest": _digest("euler", S.entries),
-        "z": list(factors.z),
-        "reconstruction_defect": defect,
-        "files": [f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(record, [f"z = {factors.z}", f"defect {defect:.3g}"])
+    _emit(_record("euler", _digest("euler", S.entries), z=list(factors.z),
+                  reconstruction_defect=defect,
+                  files=[f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
+                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+          [f"z = {factors.z}", f"defect {defect:.3g}"])
     return EXIT_OK
 
 
@@ -284,20 +263,16 @@ def cmd_entropy(args) -> int:
         # entropy_report rejects local values below the vacuum
         report = entropy_report(c=c, tol_ineq=args.tol_ineq)
         digest = _digest("entropy", c)
-    record = {
-        "command": "entropy",
-        "digest": digest,
-        "per_mode_bits": list(report.per_mode_entropies),
-        "total_local_sum_bits": report.total_local_sum,
-        "global_upper_bound_bits": report.global_upper_bound,
-        "purity_consistent": report.purity_consistent,
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
+    record = _record("entropy", digest, per_mode_bits=list(report.per_mode_entropies),
+                     total_local_sum_bits=report.total_local_sum,
+                     global_upper_bound_bits=report.global_upper_bound,
+                     purity_consistent=report.purity_consistent,
+                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start)
     table = [f"per-mode entropies (bits): {report.per_mode_entropies}",
              f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
              f"{report.global_upper_bound:.12g}"]
     if gaussian_entropy is not None:
+        # after elapsed_s, where this record has always carried it
         record["gaussian_global_entropy_bits"] = gaussian_entropy
         table.append(f"Gaussian global entropy (bits): {gaussian_entropy:.12g}")
     _emit(record, table)
@@ -323,10 +298,7 @@ def cmd_prepare(args) -> int:
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
-        result = _synthesized("prepare", args, physical=True)
-        if isinstance(result, int):
-            return result
-        c, d, trace, _ = result
+        c, d, trace, _ = _synthesized(args, physical=True)
         target = trace.final_matrix.entries
         if all(map(at_vacuum, d)):
             circuit = circuit_from_matrix(trace.final_matrix)
@@ -334,24 +306,15 @@ def cmd_prepare(args) -> int:
             circuit = circuit_from_mixed(trace)
         digest = _digest("prepare", c, d)
 
-    defect = replay_defect(circuit, target)
-    if not defect <= config.TOL_RECON:
-        return _failed("prepare", "replay verification", defect)
+    defect = _self_checked("replay verification", replay_defect(circuit, target))
     with open(args.out, "w") as fh:
         fh.write(serialize_circuit(circuit))
-    record = {
-        "command": "prepare",
-        "digest": digest,
-        "out": args.out,
-        "source": circuit.source,
-        "squeezers": [sq.z for sq in circuit.squeezers],
-        "passive_elements": len(circuit.passive_ops),
-        "replay_defect": defect,
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(record, [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
-                   f"replay defect {defect:.3g})"])
+    _emit(_record("prepare", digest, out=args.out, source=circuit.source,
+                  squeezers=[sq.z for sq in circuit.squeezers],
+                  passive_elements=len(circuit.passive_ops), replay_defect=defect,
+                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+          [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
+           f"replay defect {defect:.3g})"])
     return EXIT_OK
 
 
@@ -364,13 +327,8 @@ def cmd_replay(args) -> int:
         circuit = parse_circuit(fh.read())
     result = replay_circuit(circuit)
     write_matrix(args.out, result, "covariance")
-    record = {
-        "command": "replay",
-        "out": args.out,
-        "n": circuit.n,
-        "elapsed_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(record, [f"wrote {args.out}"])
+    _emit(_record("replay", out=args.out, n=circuit.n, elapsed=time.perf_counter() - start),
+          [f"wrote {args.out}"])
     return EXIT_OK
 
 
@@ -395,21 +353,11 @@ def cmd_verify(args) -> int:
     summary = run_verification(args.trials, args.n_max, seed=args.seed,
                                squeeze_bound=args.squeeze_bound, corrupt=corrupt,
                                tol_ineq=args.tol_ineq)
-    record = {
-        "command": "verify",
-        "trials": args.trials,
-        "n_max": args.n_max,
-        "seed": args.seed,
-        "squeeze_bound": args.squeeze_bound,
-        "violations": summary.total_violations,
-        "suites": [
-            {"suite": s.name, "trials": s.trials, "violations": s.violations,
-             "worst": s.worst, "bound": s.bound}
-            for s in summary.suites
-        ],
-        "tolerances": _tol_dict(args.tol_ineq),
-        "elapsed_s": round(summary.elapsed_s, 6),
-    }
+    suites = [{"suite": s.name, "trials": s.trials, "violations": s.violations,
+               "worst": s.worst, "bound": s.bound} for s in summary.suites]
+    record = _record("verify", trials=args.trials, n_max=args.n_max, seed=args.seed,
+                     squeeze_bound=args.squeeze_bound, violations=summary.total_violations,
+                     suites=suites, tol_ineq=args.tol_ineq, elapsed=summary.elapsed_s)
     table = [f"{'suite':<34} {'trials':>7} {'violations':>11} {'worst':>10} {'bound':>10}"]
     for s in summary.suites:
         worst = "-" if s.worst is None else f"{s.worst:.3g}"
@@ -484,25 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(exc, code: int) -> int:
-    print(json.dumps({"error": str(exc)}))
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  An exception it
+    raises becomes a record and an exit code here, and nowhere else."""
+    args = build_parser().parse_args(argv)
     try:
         tol_ineq = config.from_environment()
         if args.tol_ineq is not None:
             tol_ineq = config.valid_tol_ineq(args.tol_ineq, "--tol-ineq")
         args.tol_ineq = tol_ineq
         return args.func(args)
-    except NumericalFailure as exc:
-        return _error(exc, EXIT_INTERNAL)
+    except Infeasible as exc:
+        _emit(_record(args.command, feasible=False, error=str(exc), tol_ineq=args.tol_ineq))
+        return EXIT_INFEASIBLE
     except (ModeMatchError, ValueError, OSError) as exc:
-        return _error(exc, EXIT_INPUT)
+        _emit(_record(args.command, error=str(exc)), [f"error: {exc}"])
+        return EXIT_INTERNAL if isinstance(exc, NumericalFailure) else EXIT_INPUT
 
 
 def run() -> None:

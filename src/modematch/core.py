@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PAIR_REL, TOL_POS, TOL_SYM, TOL_SYMPL
+from .config import TOL_PAIR_REL, TOL_POS, TOL_SYM, TOL_SYMPL, real_float
 from .errors import InvalidInput, NumericalFailure
 from .gate import _as_vector, _check_positive_sorted, below_vacuum
 
@@ -67,6 +67,28 @@ def _sigma_average(M: np.ndarray) -> np.ndarray:
     and columns within each mode and flips the sign of the mixed entries."""
     s = _symplectic_structure(M.shape[0])
     return 0.5 * (M - M.take(s.swap, axis=0).take(s.swap, axis=1) * (s.row_sign * s.col_sign))
+
+
+def _real_array(entries, what: str) -> np.ndarray:
+    """The entries as a float64 array, under the vector rule: an entry of
+    complex type, numpy's included, or one that is no number makes the array
+    not real, and a ragged nesting is no array.  A float64 array passes
+    through on one dtype test."""
+    if entries.__class__ is np.ndarray and entries.dtype.char == "d":
+        return entries
+    try:
+        arr = np.asarray(entries)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise InvalidInput(f"{what} must be a rectangular array") from None
+    not_real = f"{what} must have real entries"
+    if arr.dtype.kind == "c":
+        raise InvalidInput(not_real)
+    try:
+        if arr.dtype.kind == "O":
+            return np.array([real_float(v, what) for v in arr.flat]).reshape(arr.shape)
+        return arr.astype(float, copy=False)
+    except (ValueError, TypeError):  # InvalidInput, from real_float, is a ValueError
+        raise InvalidInput(not_real) from None
 
 
 def _check_even_square(entries: np.ndarray, what: str) -> int:
@@ -127,7 +149,7 @@ def _frozen(*arrays):
 class CovarianceMatrix:
     """Real symmetric strictly positive matrix of second moments.
 
-    Validation enforces finite entries, symmetry (relative to the max-norm)
+    Validation enforces real finite entries, symmetry (relative to the max-norm)
     and strict positivity of the smallest eigenvalue.  Physicality, i.e.
     compatibility with the uncertainty bound gamma + i*sigma >= 0, or
     equivalently d_1 >= 1, is a separate optional check because the
@@ -140,7 +162,7 @@ class CovarianceMatrix:
     """
 
     def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
+        entries = _real_array(entries, "covariance matrix")
         self.n = _check_even_square(entries, "covariance matrix")
         scale = max(1.0, _finite_max_abs(entries, "covariance matrix"))
         sym_defect = _max_abs(entries - entries.T)
@@ -177,7 +199,7 @@ class SymplecticTransform:
     """Real matrix S with S sigma S^T = sigma within tolerance."""
 
     def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
+        entries = _real_array(entries, "symplectic transform")
         self.n = _check_even_square(entries, "symplectic transform")
         scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
         defect = _symplectic_defect(entries)
@@ -455,7 +477,7 @@ def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
 
 def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     """Inverse of the passive representation map, with validation."""
-    O = np.asarray(O, dtype=float)
+    O = _real_array(O, "passive transform")
     if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
         raise InvalidInput(f"expected an even square matrix, got shape {O.shape}")
     U = O[0::2, 0::2] + 1j * O[0::2, 1::2]

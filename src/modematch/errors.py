@@ -3,8 +3,7 @@
 A request is invalid (``InvalidInput``, also a ``ValueError``), or it is
 infeasible (``Infeasible``), or the construction broke on a valid request
 (``NumericalFailure``).  The CLI exits 2 on the first, 1 on the second
-where synth and prepare report it as a verdict (2 elsewhere), and 3 on the
-third.
+and 3 on the third.
 """
 
 

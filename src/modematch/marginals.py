@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL_INEQ
-from .core import SpectrumVector, _as_covariance, symplectic_eigenvalues
+from .core import SpectrumVector, _as_covariance, _real_array, symplectic_eigenvalues
 from .errors import InvalidInput
 from .gate import FeasibilityVerdict, check_mixed
 
@@ -57,7 +57,7 @@ def temperature_to_b(T) -> np.ndarray:
 
     Monotone increasing in T; tiny temperatures underflow to b = 0.
     """
-    values = np.asarray(T, dtype=float)
+    values = _real_array(T, "temperatures")
     if not np.all(np.isfinite(values)):
         raise InvalidInput("temperatures have non-finite entries")
     if np.any(values <= 0):
@@ -71,7 +71,7 @@ def b_to_temperature(b) -> np.ndarray:
 
     b = 0 maps to T = 0 exactly, which marks a pure local mode.
     """
-    b = np.asarray(b, dtype=float)
+    b = _real_array(b, "b")
     if not np.all(np.isfinite(b)):
         raise InvalidInput("b has non-finite entries")
     if np.any(b < 0):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL_INEQ, valid_tol_ineq
+from .config import TOL_INEQ, real_float, valid_tol_ineq
 from .core import (
     _EPS,
     CovarianceMatrix,
@@ -71,6 +71,17 @@ def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
     return out
 
 
+def _finite_reals(values, names) -> list[float]:
+    """Two-mode inputs as Python floats, each real and finite."""
+    try:
+        out = [real_float(v, name) for v, name in zip(values, names)]
+    except (TypeError, ValueError):  # InvalidInput, raised for a complex value, is one
+        raise InvalidInput(f"{', '.join(names)} must be real numbers, got {values}") from None
+    if not all(map(math.isfinite, out)):
+        raise InvalidInput(f"{', '.join(names)} must be finite, got {values}")
+    return out
+
+
 def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     """Symplectic eigenvalues of the assembled two-mode matrix, closed form.
 
@@ -81,8 +92,9 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     spectrum gives an exact zero rather than rounding noise whose square
     root would split d1 from d2 by about sqrt(eps); d1 comes from
     d1^2 d2^2 = det rather than from the cancelling difference.  Requires
-    the assembled matrix to be strictly positive.
+    real finite inputs and the assembled matrix to be strictly positive.
     """
+    c1, c2, e, f = _finite_reals((c1, c2, e, f), ("c1", "c2", "e", "f"))
     if c1 <= 0 or c2 <= 0 or c1 * c2 - e * e <= 0 or c1 * c2 - f * f <= 0:
         raise InvalidInput("assembled two-mode matrix is not strictly positive")
     radicand = (c1 * c1 - c2 * c2) ** 2 + 4.0 * (c1 * e + c2 * f) * (c1 * f + c2 * e)
@@ -95,9 +107,9 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     """The couplings (e, f), a tuple of floats, for which ``assemble_two_mode(c1,
     c2, e, f)`` has spectrum (d1, d2).
 
-    Requires c2 >= c1 > 0 and d2 >= d1 > 0 (else InvalidInput) and the pair
-    inequalities (else Infeasible), whose slacks are the sum gap G and the
-    spread gap H:
+    Requires real finite inputs with c2 >= c1 > 0 and d2 >= d1 > 0 (else
+    InvalidInput) and the pair inequalities (else Infeasible), whose slacks
+    are the sum gap G and the spread gap H:
 
         G = (c1 + c2) - (d1 + d2) >= 0,    H = (d2 - d1) - (c2 - c1) >= 0.
 
@@ -111,6 +123,7 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     formed, and a gap within rounding of the sums counts as zero, so c = d
     gives e = f = 0 exactly and a pair on one boundary |e| = |f| bitwise.
     """
+    c1, c2, d1, d2 = _finite_reals((c1, c2, d1, d2), ("c1", "c2", "d1", "d2"))
     if not (0 < c1 <= c2) or not (0 < d1 <= d2):
         raise InvalidInput(
             f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "

@@ -1,5 +1,8 @@
 import importlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,7 +549,7 @@ class TestInternalFailures:
         monkeypatch.setattr(importlib.import_module(f"modematch.{module}"), name, broken)
         code, record = run_cli(capsys, *(arg.format(**files) for arg in argv))
         assert code == 3
-        assert record == {"error": "injected failure"}
+        assert record == {"command": argv[0], "error": "injected failure"}
         assert not files["out"].exists()
 
     def test_infeasible_gate_of_a_feasible_pair_exits_three(self, capsys, tmp_path,
@@ -562,5 +565,110 @@ class TestInternalFailures:
         code, record = run_cli(capsys, "synth", "--c", "1.2,1.7,2.4", "--d", "1,1.5,2.3",
                                "--out", str(out))
         assert code == 3
-        assert record == {"error": "reduced subproblem lost feasibility: injected failure"}
+        assert record == {"command": "synth",
+                          "error": "reduced subproblem lost feasibility: injected failure"}
         assert not out.exists()
+
+
+class TestRecordShape:
+    """Every record lays out its keys in one order: command, digest, the
+    command's own fields, tolerances, elapsed_s; a failure's record is the
+    command and its error, and an infeasible pair's also its verdict.
+    ``TestInternalFailures`` pins the record of a ``NumericalFailure``."""
+
+    VERDICT = ["command", "digest", "feasible", "slacks", "tolerances", "elapsed_s"]
+    ENTROPY = ["command", "digest", "per_mode_bits", "total_local_sum_bits",
+               "global_upper_bound_bits", "purity_consistent", "tolerances", "elapsed_s"]
+    PREPARE = ["command", "digest", "out", "source", "squeezers", "passive_elements",
+               "replay_defect", "tolerances", "elapsed_s"]
+
+    def test_success_records(self, capsys, tmp_path):
+        mat, circ = str(tmp_path / "g.mat"), str(tmp_path / "c.txt")
+        cases = [
+            (["check", "--c", "1.5,1.5", "--d", "1,2"], self.VERDICT),
+            (["check", "--pure", "--b", "1,1,2"], self.VERDICT),
+            (["synth", "--c", "1.5,1.5", "--d", "1,2", "--out", mat],
+             ["command", "digest", "feasible", "out", "n", "verification_defect",
+              "tolerances", "elapsed_s"]),
+            (["check", "--matrix", mat], self.VERDICT),
+            (["williamson", "--matrix", mat, "--out-prefix", str(tmp_path / "w")],
+             ["command", "digest", "d", "reconstruction_defect", "files", "tolerances",
+              "elapsed_s"]),
+            (["euler", "--matrix", str(tmp_path / "w.S.mat"), "--out-prefix",
+              str(tmp_path / "e")],
+             ["command", "digest", "z", "reconstruction_defect", "files", "tolerances",
+              "elapsed_s"]),
+            (["entropy", "--c", "1.5,2"], self.ENTROPY),
+            (["entropy", "--matrix", mat], self.ENTROPY + ["gaussian_global_entropy_bits"]),
+            (["prepare", "--c", "1.5,1.5", "--d", "1,2", "--out", circ], self.PREPARE),
+            (["prepare", "--matrix", mat, "--out", circ], self.PREPARE),
+            (["replay", "--circuit", circ, "--out", str(tmp_path / "r.mat")],
+             ["command", "out", "n", "elapsed_s"]),
+            (["verify", "--trials", "2", "--n-max", "2"],
+             ["command", "trials", "n_max", "seed", "squeeze_bound", "violations", "suites",
+              "tolerances", "elapsed_s"]),
+        ]
+        for argv, keys in cases:
+            code, record = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert list(record) == keys, argv
+            assert record["command"] == argv[0]
+            if "tolerances" in record:
+                assert list(record["tolerances"]) == ["tol_ineq", "tol_recon", "tol_psd"]
+
+    @pytest.mark.parametrize("command", ["synth", "prepare"])
+    def test_infeasible_pair(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        code = main([command, "--c", "1,5", "--d", "1,1", "--out", str(out)])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 1
+        assert list(record) == ["command", "feasible", "error", "tolerances"]
+        assert record["command"] == command and record["feasible"] is False
+        assert record["error"].startswith("(c, d) pair is infeasible")
+        assert captured.err == ""
+        assert not out.exists()
+
+    def test_failed_self_check(self, capsys, tmp_path, monkeypatch):
+        import modematch.core as core
+
+        monkeypatch.setattr(core, "williamson_defect", lambda *args: 1.0)
+        src = tmp_path / "g.mat"
+        write_matrix(src, np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
+        code = main(["williamson", "--matrix", str(src), "--out-prefix", str(tmp_path / "w")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"command": "williamson",
+                                            "error": "reconstruction check failed: defect 1"}
+        assert captured.err == "error: reconstruction check failed: defect 1\n"
+        assert not (tmp_path / "w.S.mat").exists()
+
+    def test_input_error(self, capsys):
+        code = main(["check", "--c", "1,x", "--d", "1,2"])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 2
+        assert list(record) == ["command", "error"] and record["command"] == "check"
+        assert captured.err == f"error: {record['error']}\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    """The README's command-line block runs in order in an empty directory,
+    each line exiting with the code its comment marks."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MODEMATCH_TOL_INEQ", raising=False)
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        marked = re.match(r"\s*exit (\d)\b", comment)
+        assert marked, f"no exit code marked: {line}"
+        argv = shlex.split(command)
+        assert argv[0] == "modematch"
+        assert main(argv[1:]) == int(marked.group(1)), line
+        capsys.readouterr()

@@ -11,6 +11,7 @@ from modematch import (
     CovarianceMatrix,
     SpectrumVector,
     SymplecticTransform,
+    b_to_temperature,
     check_mixed,
     check_pure,
     circuit_from_mixed,
@@ -21,6 +22,7 @@ from modematch import (
     solve_two_mode,
     temperature_to_b,
     two_mode_eigenvalues_closed_form,
+    williamson,
 )
 from modematch import errors
 from modematch.circuits import orthosymplectic_to_unitary
@@ -36,6 +38,18 @@ REJECTIONS = {
     "odd-matrix": (lambda: CovarianceMatrix(np.eye(3)), "even dimension"),
     "non-finite-matrix": (lambda: CovarianceMatrix([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
     "non-symplectic": (lambda: SymplecticTransform(2.0 * np.eye(2)), "symplectic defect"),
+    "complex-matrix": (lambda: CovarianceMatrix(np.array([[2, 0.5j], [-0.5j, 2]])),
+                       "covariance matrix must have real"),
+    "complex-transform": (lambda: SymplecticTransform(np.eye(2) * (1 + 0.5j)),
+                          "symplectic transform must have real"),
+    "complex-williamson": (lambda: williamson(np.diag([2.0, 2, 3, 3]) + 0.3j * np.eye(4)),
+                           "covariance matrix must have real"),
+    "complex-in-nested-list": (lambda: CovarianceMatrix([[2, 0.5j], [-0.5j, 2]]),
+                               "covariance matrix must have real"),
+    "string-matrix": (lambda: CovarianceMatrix([["a", "b"], ["c", "d"]]),
+                      "covariance matrix must have real"),
+    "string-as-matrix": (lambda: SymplecticTransform("ab"), "symplectic transform must have real"),
+    "ragged-matrix": (lambda: CovarianceMatrix([[2.0, 0.0], [0.0]]), "rectangular array"),
     "unsorted-spectrum": (lambda: SpectrumVector([2.0, 1.0]), "non-decreasing"),
     "non-positive-spectrum": (lambda: SpectrumVector([0.0, 1.0]), "strictly positive"),
     "empty-vector": (lambda: check_mixed([], []), "non-empty 1-d"),
@@ -50,6 +64,10 @@ REJECTIONS = {
     "non-positive-c": (lambda: check_mixed([0.0, 1.0], [1.0, 1.0]), "c must be strictly"),
     "negative-b": (lambda: check_pure([-1.0, 1.0]), "b entries must be non-negative"),
     "zero-temperature": (lambda: temperature_to_b([0.0]), "temperatures must be strictly"),
+    "complex-temperature": (lambda: temperature_to_b([np.complex128(1 + 1j)]),
+                            "temperatures must have real"),
+    "complex-b-to-temperature": (lambda: b_to_temperature(np.complex128(1 + 0j)),
+                                 "b must have real"),
     "entropy-below-one": (lambda: entropy_s(0.5), "lies below 1"),
     "complex-entropy": (lambda: entropy_s(np.complex128(2 + 1j)), "entropy argument must be real"),
     "non-finite-entropy": (lambda: entropy_s_inverse(np.inf), "is not finite"),
@@ -57,9 +75,18 @@ REJECTIONS = {
     "unphysical": (lambda: circuit_from_pure(0.5 * np.eye(2)), "uncertainty bound"),
     "non-passive": (lambda: orthosymplectic_to_unitary(np.diag([2.0, 0.5])),
                     "not orthogonal-symplectic"),
+    "complex-passive": (lambda: orthosymplectic_to_unitary(np.eye(2) + 0.1j),
+                        "passive transform must have real"),
     "indefinite-two-mode": (lambda: two_mode_eigenvalues_closed_form(1.0, 1.0, 2.0, 0.0),
                             "not strictly positive"),
     "misordered-two-mode": (lambda: solve_two_mode(2.0, 1.0, 1.0, 2.0), "0 < c1 <= c2"),
+    "infinite-two-mode": (lambda: solve_two_mode(1.0, np.inf, 1.0, np.inf), "must be finite"),
+    "complex-two-mode": (lambda: solve_two_mode(np.complex128(1.5 + 1j), 2, 1, 2),
+                         "must be real numbers"),
+    "infinite-closed-form": (lambda: two_mode_eigenvalues_closed_form(1.0, np.inf, 0, 0),
+                             "must be finite"),
+    "nan-closed-form": (lambda: two_mode_eigenvalues_closed_form(np.nan, 2, 0, 0),
+                        "must be finite"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
     "trace": (lambda: circuit_from_mixed(SynthesisTrace(n=1, seed=np.ones(1))), "no final matrix"),
 }
