@@ -32,6 +32,7 @@ from .core import (
     SymplecticTransform,
     _as_covariance,
     _complex_rows,
+    _real_array,
     _real_rows,
     euler_decompose,
     orthosymplectic_to_unitary,
@@ -90,7 +91,7 @@ class PreparationCircuit:
     source: str = PURE_SOURCE
 
     def __post_init__(self):
-        self.seed = np.asarray(self.seed, dtype=float)
+        self.seed = _real_array(self.seed, "seed")
 
     @property
     def squeezers(self) -> list[Squeezer]:

@@ -91,39 +91,39 @@ def _real_array(entries, what: str) -> np.ndarray:
         raise InvalidInput(not_real) from None
 
 
-def _check_even_square(entries: np.ndarray, what: str) -> int:
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise InvalidInput(f"{what} must be a square matrix, got shape {entries.shape}")
-    if entries.shape[0] % 2 != 0:
-        raise InvalidInput(f"{what} must have even dimension, got {entries.shape[0]}")
-    return entries.shape[0] // 2
-
-
-def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
-    """diag(v1, v1, ..., vn, vn) for a length-n vector."""
-    values = np.asarray(values, dtype=float)
-    return np.diag(np.repeat(values, 2))
-
-
 def _max_abs(M: np.ndarray) -> float:
     # the ufunc reduction skips ndarray.max's Python wrapper; like it, it
     # propagates NaN
     return float(np.maximum.reduce(np.abs(M), axis=None))
 
 
+def _square_input(entries, what: str):
+    """The matrix rule, the one check behind every matrix the library
+    accepts: real entries under the vector rule, square, of positive even
+    size and finite.  Returns (array, n, scale) with scale = max(1,
+    max-norm); NaN and +/-inf propagate through the max, so one reduction
+    serves both the finiteness check and the scale.  An empty matrix has
+    no max, so size 0 is rejected with the odd sizes."""
+    entries = _real_array(entries, what)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise InvalidInput(f"{what} must be a square matrix, got shape {entries.shape}")
+    if entries.shape[0] == 0 or entries.shape[0] % 2 != 0:
+        raise InvalidInput(f"{what} must have positive even dimension, got {entries.shape[0]}")
+    scale = _max_abs(entries)
+    if not math.isfinite(scale):
+        raise InvalidInput(f"{what} has non-finite entries")
+    return entries, entries.shape[0] // 2, max(1.0, scale)
+
+
+def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
+    """diag(v1, v1, ..., vn, vn) for a length-n vector."""
+    return np.diag(np.repeat(values, 2))
+
+
 def relative_defect(difference: np.ndarray, reference: np.ndarray) -> float:
     """Largest entry of a difference over max(1, largest entry of the
     reference): the measure of every reconstruction and replay self-check."""
     return _max_abs(difference) / max(1.0, _max_abs(reference))
-
-
-def _finite_max_abs(entries: np.ndarray, what: str) -> float:
-    """Max-norm of a matrix that must be finite: NaN and +/-inf propagate
-    through the max, so one reduction serves both the check and the scale."""
-    scale = _max_abs(entries)
-    if not math.isfinite(scale):
-        raise InvalidInput(f"{what} has non-finite entries")
-    return scale
 
 
 def _symplectic_defect(entries: np.ndarray) -> float:
@@ -134,9 +134,8 @@ def _symplectic_defect(entries: np.ndarray) -> float:
 
 
 def symplectic_inverse(entries: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix via S^-1 = -sigma S^T sigma."""
-    entries = np.asarray(entries, dtype=float)
-    _check_even_square(entries, "transform")
+    """Inverse of a symplectic matrix via S^-1 = -sigma S^T sigma, for the
+    checked entries of a ``SymplecticTransform``."""
     return -_sigma_left(_sigma_right(entries.T))
 
 
@@ -162,9 +161,7 @@ class CovarianceMatrix:
     """
 
     def __init__(self, entries: np.ndarray):
-        entries = _real_array(entries, "covariance matrix")
-        self.n = _check_even_square(entries, "covariance matrix")
-        scale = max(1.0, _finite_max_abs(entries, "covariance matrix"))
+        entries, self.n, scale = _square_input(entries, "covariance matrix")
         sym_defect = _max_abs(entries - entries.T)
         if sym_defect > TOL_SYM * scale:
             raise InvalidInput(
@@ -199,9 +196,8 @@ class SymplecticTransform:
     """Real matrix S with S sigma S^T = sigma within tolerance."""
 
     def __init__(self, entries: np.ndarray):
-        entries = _real_array(entries, "symplectic transform")
-        self.n = _check_even_square(entries, "symplectic transform")
-        scale = max(1.0, _finite_max_abs(entries, "symplectic transform") ** 2)
+        entries, self.n, scale = _square_input(entries, "symplectic transform")
+        scale = scale**2
         defect = _symplectic_defect(entries)
         if defect > TOL_SYMPL * scale:
             raise InvalidInput(
@@ -246,7 +242,7 @@ class EulerFactors:
     V: SymplecticTransform
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
+        self.z = _real_array(self.z, "squeezing magnitudes")
 
     def q_matrix(self) -> np.ndarray:
         return np.diag(np.ravel(np.column_stack([self.z, 1.0 / self.z])))
@@ -477,13 +473,11 @@ def unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
 
 def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     """Inverse of the passive representation map, with validation."""
-    O = _real_array(O, "passive transform")
-    if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
-        raise InvalidInput(f"expected an even square matrix, got shape {O.shape}")
+    O, _, _ = _square_input(O, "passive transform")
     U = O[0::2, 0::2] + 1j * O[0::2, 1::2]
     eye = _symplectic_structure(O.shape[0]).eye
-    defects = (float(np.max(np.abs(O @ O.T - eye))), _symplectic_defect(O),
-               float(np.max(np.abs(O - unitary_to_orthosymplectic(U)))))
+    defects = (_max_abs(O @ O.T - eye), _symplectic_defect(O),
+               _max_abs(O - unitary_to_orthosymplectic(U)))
     if max(defects) > 1e-8:
         raise InvalidInput("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
                            "symplectic and block defects "

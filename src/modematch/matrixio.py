@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _real_array
 from .errors import InvalidInput
 
 ORDERING = "xpxp"
@@ -38,7 +39,7 @@ class MatrixFile:
 
 
 def format_matrix(values: np.ndarray, kind: str) -> str:
-    values = np.asarray(values, dtype=float)
+    values = _real_array(values, "matrix")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] % 2:

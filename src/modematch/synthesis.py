@@ -283,18 +283,17 @@ def synthesis_defect(trace: SynthesisTrace, c, d) -> float:
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int,
-                         d_low: float = 0.5, d_high: float = 4.0,
-                         physical: bool = False, *, tol_ineq: float = TOL_INEQ):
+                         *, physical: bool = False, tol_ineq: float = TOL_INEQ):
     """Random feasible (c, d) pair for property testing.
 
-    Samples d, starts from the boundary point c = d, applies feasibility
-    preserving perturbations (uniform increase of a suffix of c, with the
+    Samples d uniformly in [0.5, 4], or in [1, 4] when ``physical``, starts
+    from the boundary point c = d, applies feasibility preserving
+    perturbations (uniform increase of a suffix of c by at most 2, with the
     last-entry-only case capped by the remaining slack), and with probability
     0.2 tightens back toward the boundary.  The result is re-checked before
     being returned.
     """
-    low = max(d_low, 1.0) if physical else d_low
-    d = np.sort(rng.uniform(low, d_high, n))
+    d = np.sort(rng.uniform(1.0 if physical else 0.5, 4.0, n))
     c = d.copy()
     for _ in range(int(rng.integers(1, 4))):
         j0 = int(rng.integers(0, n))
@@ -302,7 +301,7 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int,
             head = (2.0 * d[-1] - np.sum(d)) - (2.0 * c[-1] - np.sum(c))
             delta = rng.uniform(0.0, max(head, 0.0))
         else:
-            delta = rng.uniform(0.0, d_high / 2.0)
+            delta = rng.uniform(0.0, 2.0)
         c[j0:] += delta
     if rng.random() < 0.2:
         c = d + rng.random() * (c - d)

@@ -9,6 +9,8 @@ import pytest
 
 from modematch import (
     CovarianceMatrix,
+    EulerFactors,
+    PreparationCircuit,
     SpectrumVector,
     SymplecticTransform,
     b_to_temperature,
@@ -19,6 +21,7 @@ from modematch import (
     entanglement_profile,
     entropy_s,
     entropy_s_inverse,
+    passive_to_two_mode_rotations,
     solve_two_mode,
     temperature_to_b,
     two_mode_eigenvalues_closed_form,
@@ -27,15 +30,20 @@ from modematch import (
 from modematch import errors
 from modematch.circuits import orthosymplectic_to_unitary
 from modematch.errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
-from modematch.matrixio import MatrixParseError, parse_matrix
+from modematch.matrixio import MatrixParseError, format_matrix, parse_matrix
 from modematch.synthesis import SynthesisTrace
 from modematch.verify import run_verification
+
+NAN_PASSIVE = np.diag([1.0, 1.0, np.nan, 1.0])
+INF_PASSIVE = np.diag([1.0, 1.0, np.inf, 1.0])
+IDENTITY = SymplecticTransform(np.eye(2))
 
 # one rejection per former validation class, with the message it keeps
 REJECTIONS = {
     "asymmetric-matrix": (lambda: CovarianceMatrix([[2.0, 1.0], [0.0, 2.0]]), "not symmetric"),
     "non-positive-matrix": (lambda: CovarianceMatrix(-np.eye(2)), "not strictly positive"),
     "odd-matrix": (lambda: CovarianceMatrix(np.eye(3)), "even dimension"),
+    "empty-matrix": (lambda: CovarianceMatrix(np.zeros((0, 0))), "positive even dimension"),
     "non-finite-matrix": (lambda: CovarianceMatrix([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
     "non-symplectic": (lambda: SymplecticTransform(2.0 * np.eye(2)), "symplectic defect"),
     "complex-matrix": (lambda: CovarianceMatrix(np.array([[2, 0.5j], [-0.5j, 2]])),
@@ -77,6 +85,26 @@ REJECTIONS = {
                     "not orthogonal-symplectic"),
     "complex-passive": (lambda: orthosymplectic_to_unitary(np.eye(2) + 0.1j),
                         "passive transform must have real"),
+    "nan-passive": (lambda: orthosymplectic_to_unitary(NAN_PASSIVE),
+                    "passive transform has non-finite"),
+    "inf-passive": (lambda: orthosymplectic_to_unitary(INF_PASSIVE),
+                    "passive transform has non-finite"),
+    "nan-reck": (lambda: passive_to_two_mode_rotations(NAN_PASSIVE),
+                 "passive transform has non-finite"),
+    "inf-reck": (lambda: passive_to_two_mode_rotations(INF_PASSIVE),
+                 "passive transform has non-finite"),
+    "odd-passive": (lambda: orthosymplectic_to_unitary(np.eye(3)),
+                    "passive transform must have positive even dimension"),
+    "non-square-passive": (lambda: orthosymplectic_to_unitary(np.ones((2, 4))),
+                           "passive transform must be a square matrix"),
+    "ragged-passive": (lambda: orthosymplectic_to_unitary([[1.0, 0.0], [0.0]]),
+                       "passive transform must be a rectangular array"),
+    "complex-euler-z": (lambda: EulerFactors(IDENTITY, np.array([1 + 1j]), IDENTITY),
+                        "squeezing magnitudes must have real"),
+    "complex-seed": (lambda: PreparationCircuit(n=1, seed=np.array([1 + 1j])),
+                     "seed must have real"),
+    "complex-matrix-file": (lambda: format_matrix(np.eye(2) * (1 + 0.5j), "covariance"),
+                            "matrix must have real"),
     "indefinite-two-mode": (lambda: two_mode_eigenvalues_closed_form(1.0, 1.0, 2.0, 0.0),
                             "not strictly positive"),
     "misordered-two-mode": (lambda: solve_two_mode(2.0, 1.0, 1.0, 2.0), "0 < c1 <= c2"),
