@@ -15,10 +15,7 @@ matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 a matrix it acts as U itself, so the Reck sweep and the replay apply every
 passive element as one update of the rows of its modes.
 
-The one Reck sweep, ``passive_to_two_mode_rotations``, returns a passive
-transform's elements as a product, leftmost factor first; the builders
-``circuit_from_matrix``, ``circuit_from_pure`` and ``circuit_from_mixed``
-reverse it into the acting order of the ``PreparationCircuit`` they return.
+Building a ``PreparationCircuit`` checks it; replay and writer see no other.
 """
 
 import cmath
@@ -32,7 +29,7 @@ from .core import (
     SymplecticTransform,
     _as_covariance,
     _complex_rows,
-    _real_array,
+    _mode_input,
     _real_rows,
     euler_decompose,
     orthosymplectic_to_unitary,
@@ -83,7 +80,9 @@ Element = Squeezer | Rotation | PhaseShift
 @dataclass
 class PreparationCircuit:
     """A seed, one covariance value per mode (all ones for a pure source),
-    and the elements that act on it in list order."""
+    and the elements that act on it in list order.  Building one by any
+    route checks the circuit rule: a known source, n, seed and modes under
+    ``core._mode_input``, finite angles and finite, positive z."""
 
     n: int
     seed: np.ndarray
@@ -91,7 +90,16 @@ class PreparationCircuit:
     source: str = PURE_SOURCE
 
     def __post_init__(self):
-        self.seed = _real_array(self.seed, "seed")
+        _check_source(self.source)
+        self.seed = _mode_input(self.n, self.seed,
+                                [el.mode for el in self.elements if not isinstance(el, Rotation)],
+                                [el.modes for el in self.elements if isinstance(el, Rotation)])
+        bad = [el for el in self.elements if not (
+            0 < el.z < math.inf if isinstance(el, Squeezer)
+            else math.isfinite(el.alpha) if isinstance(el, PhaseShift)
+            else math.isfinite(el.theta) and math.isfinite(el.phi))]
+        if bad:
+            raise InvalidInput(f"{bad[0]}: angles must be finite, and z finite and positive")
 
     @property
     def squeezers(self) -> list[Squeezer]:
@@ -102,21 +110,9 @@ class PreparationCircuit:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
 
 
-def elements_to_unitary(elements, n: int) -> np.ndarray:
-    """Left-to-right product of the listed passive elements, each changing
-    only the columns of its modes: the dense reference for the row updates
-    of the mesh and the replay."""
-    U = np.eye(n, dtype=complex)
-    for el in elements:
-        if isinstance(el, Rotation):
-            ct, st, ph = np.cos(el.theta), np.sin(el.theta), np.exp(1j * el.phi)
-            modes, u = list(el.modes), np.array([[ct, -ph * st], [st / ph, ct]])
-        elif isinstance(el, PhaseShift):
-            modes, u = [el.mode], np.array([[np.exp(1j * el.alpha)]])
-        else:
-            raise TypeError(f"unknown passive element {el!r}")
-        U[:, modes] = U[:, modes] @ u
-    return U
+def _check_source(source: str) -> None:
+    if source not in (PURE_SOURCE, MIXED_SOURCE):
+        raise InvalidInput(f"unknown source {source!r}")
 
 
 def _apply_passive(Z: np.ndarray, modes, theta: float, phi: float) -> None:
@@ -178,7 +174,8 @@ def replay_circuit(circuit: PreparationCircuit) -> np.ndarray:
     S diag(seed) S^T, with S built one element at a time.  S is held as its
     complex rows x - i p per mode, on which a passive element acts as its
     unitary on the rows of its modes and a squeezer scales the real and
-    imaginary parts of its mode's row."""
+    imaginary parts of its mode's row.  The circuit was checked when it was
+    built, so every mode indexes a row and every value is finite."""
     Z = _complex_rows(np.eye(2 * circuit.n))
     for el in circuit.elements:
         if isinstance(el, Squeezer):
@@ -268,30 +265,15 @@ def serialize_circuit(circuit: PreparationCircuit) -> str:
     return "\n".join(lines + [_element_line(el) for el in circuit.elements]) + "\n"
 
 
-_RECORDS = {"squeezer": (Squeezer, ("mode", "z")), "phase": (PhaseShift, ("mode", "alpha")),
-            "rotation": (Rotation, ("modes", "theta", "phi"))}
+# each record's element and fields, read as the types the element holds
+_RECORDS = {"squeezer": (Squeezer, {"mode": int, "z": float}),
+            "phase": (PhaseShift, {"mode": int, "alpha": float}),
+            "rotation": (Rotation, {"modes": lambda raw: tuple(map(int, raw.split(","))),
+                                    "theta": float, "phi": float})}
 
 
-def _value(key: str, raw: str, n: int):
-    """One validated field of a circuit record."""
-    if key == "modes":
-        modes = tuple(_value("mode", v, n) for v in raw.split(","))
-        if len(modes) != 2 or modes[0] == modes[1]:
-            raise ValueError(f"a rotation needs two distinct modes, got {raw}")
-        return modes
-    if key == "mode":
-        mode = int(raw)
-        if not 0 <= mode < n:
-            raise ValueError(f"mode {mode} is outside 0..{n - 1}")
-        return mode
-    value, positive = float(raw), key in ("z", "seed")
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ValueError(f"{key}={raw} is not finite" + (" and positive" * positive))
-    return value
-
-
-def _parse_element(head: str, parts, n: int) -> Element:
-    cls, keys = _RECORDS[head]
+def _parse_element(head: str, parts) -> Element:
+    cls, fields = _RECORDS[head]
     kv = {}
     for part in parts:
         key, eq, raw = part.partition("=")
@@ -300,58 +282,57 @@ def _parse_element(head: str, parts, n: int) -> Element:
         if key in kv:
             raise ValueError(f"{head} repeats the field {key}")
         kv[key] = raw
-    if sorted(kv) != sorted(keys):
-        raise ValueError(f"{head} takes the fields {', '.join(keys)}, got {', '.join(kv)}; "
+    if sorted(kv) != sorted(fields):
+        raise ValueError(f"{head} takes the fields {', '.join(fields)}, got {', '.join(kv)}; "
                          "for a file in the older three-block format, re-run prepare")
-    return cls(*(_value(key, kv[key], n) for key in keys))
+    return cls(*[read(kv[key]) for key, read in fields.items()])
 
 
 def parse_circuit(text: str) -> PreparationCircuit:
-    """Parse the output of serialize_circuit, validating every record.
-
-    The n record comes first, and n, source and seed each appear at most
-    once; n and source hold one value each, and source is ``PURE_SOURCE``
-    or ``MIXED_SOURCE``.  Modes lie in 0..n-1 and a rotation's two differ;
-    angles are finite; squeezer and seed values are finite and positive;
-    each field is key=value and appears once, and any other field, as in
-    the older three-block format, is rejected.
-    Failures raise ValueError naming the line.
-    """
+    """Parse the output of serialize_circuit.  The n record comes first; n,
+    source and seed appear at most once, n and source with one value; each
+    field is key=value and appears once, and any other field, as in the
+    older three-block format, is rejected.  Values meet the circuit rule of
+    ``PreparationCircuit``.  Failures raise ValueError naming the first
+    failing line."""
     n, source, seed = None, PURE_SOURCE, None
     headers: set[str] = set()
-    elements: list[Element] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, *rest = line.split()
-        try:
-            if head in headers:
-                raise ValueError(f"repeated {head} record")
-            if head in ("n", "source", "seed"):
-                headers.add(head)
-            if head in ("n", "source") and rest[1:]:
-                raise ValueError(f"{head} record takes one value, got {' '.join(rest)}")
-            if head == "n":
-                n = int(rest[0])
-                if n < 1:
-                    raise ValueError(f"mode count {n} is not positive")
-            elif head == "source":
-                source = rest[0]
-                if source not in (PURE_SOURCE, MIXED_SOURCE):
-                    raise ValueError(f"unknown source {source!r}")
-            elif head != "seed" and head not in _RECORDS:
-                raise ValueError(f"unknown record {head!r}")
-            elif n is None:
-                raise ValueError(f"{head} record before the n record")
-            elif head == "seed":
-                seed = np.array([_value("seed", v, n) for v in rest])
-                if seed.size != n:
-                    raise ValueError(f"seed has {seed.size} values for {n} modes")
-            else:
-                elements.append(_parse_element(head, rest, n))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"circuit line {lineno}: {exc}") from exc
-    if n is None or seed is None:
-        raise ValueError("circuit file is missing the n or seed record")
-    return PreparationCircuit(n=n, seed=seed, elements=elements, source=source)
+    numbered: list[tuple[int, Element]] = []
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            head, *rest = line.split()
+            try:
+                if head in headers:
+                    raise ValueError(f"repeated {head} record")
+                if head in ("n", "source", "seed"):
+                    headers.add(head)
+                if head in ("n", "source") and rest[1:]:
+                    raise ValueError(f"{head} record takes one value, got {' '.join(rest)}")
+                if head == "n":
+                    _mode_input(n := int(rest[0]))
+                elif head == "source":
+                    _check_source(source := rest[0])
+                elif head != "seed" and head not in _RECORDS:
+                    raise ValueError(f"unknown record {head!r}")
+                elif n is None:
+                    raise ValueError(f"{head} record before the n record")
+                elif head == "seed":
+                    seed = _mode_input(n, [float(v) for v in rest])
+                else:
+                    numbered.append((lineno, _parse_element(head, rest)))
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"circuit line {lineno}: {exc}") from exc
+        if n is None or seed is None:
+            raise ValueError("circuit file is missing the n or seed record")
+        return PreparationCircuit(n=n, seed=seed, elements=[el for _, el in numbered],
+                                  source=source)
+    except ValueError:  # an earlier element line that breaks the rule comes first
+        for lineno, el in numbered:
+            try:
+                PreparationCircuit(n, np.ones(n), [el])
+            except InvalidInput as exc:
+                raise ValueError(f"circuit line {lineno}: {exc}") from exc
+        raise

@@ -115,6 +115,29 @@ def _square_input(entries, what: str):
     return entries, entries.shape[0] // 2, max(1.0, scale)
 
 
+def _mode_input(n, seed=None, modes=(), pairs=()):
+    """The mode rule behind every circuit and trace: n is a positive
+    integer; a seed, unless None, holds n real, finite, positive values;
+    each entry of ``modes`` and of the ``pairs`` is an integer in 0..n-1,
+    and a pair is two different modes.  Returns the seed as float64."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InvalidInput(f"mode count {n} is not positive")
+    if seed is not None:
+        seed = _real_array(seed, "seed")
+        if seed.shape != (n,):
+            raise InvalidInput(f"seed has {seed.size} values for {n} modes")
+        if not ((seed > 0) & (seed < math.inf)).all():
+            raise InvalidInput(f"seed values must be finite and positive, got {seed}")
+    bad = [pair for pair in pairs if len(pair) != 2 or pair[0] == pair[1]]
+    if bad:
+        raise InvalidInput(f"a two-mode element needs two distinct modes, got {bad[0]}")
+    bad = [m for group in (modes, *pairs) for m in group
+           if not (isinstance(m, (int, np.integer)) and 0 <= m < n)]
+    if bad:
+        raise InvalidInput(f"mode {bad[0]} is outside 0..{n - 1}")
+    return seed
+
+
 def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
     """diag(v1, v1, ..., vn, vn) for a length-n vector."""
     return np.diag(np.repeat(values, 2))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _real_array
+from .core import _square_input
 from .errors import InvalidInput
 
 ORDERING = "xpxp"
@@ -39,12 +39,10 @@ class MatrixFile:
 
 
 def format_matrix(values: np.ndarray, kind: str) -> str:
-    values = _real_array(values, "matrix")
+    """A matrix file's text; the values pass ``core._square_input``."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] % 2:
-        raise ValueError(f"matrix must be even square, got shape {values.shape}")
-    n = values.shape[0] // 2
+    values, n, _ = _square_input(values, "matrix")
     # Python floats format faster than numpy scalars, to the same digits
     row_format = " ".join(["%.17g"] * (2 * n))
     lines = [f"n {n}", f"ordering {ORDERING}", f"kind {kind}"]

@@ -28,7 +28,9 @@ from .config import TOL_INEQ, real_float, valid_tol_ineq
 from .core import (
     _EPS,
     CovarianceMatrix,
+    SymplecticTransform,
     _max_abs,
+    _mode_input,
     relative_defect,
     symplectic_eigenvalues,
     symplectic_inverse,
@@ -53,13 +55,20 @@ class SynthesisTrace:
 
     ``seed`` holds one thermal value per mode, the spectrum d in mode order;
     ``steps`` are the two-mode gates, applied in order.  With S the product
-    of the gates, ``final_matrix`` is S diag(seed) S^T.
+    of the gates, ``final_matrix`` is S diag(seed) S^T.  Building a trace
+    checks n, the seed and the steps' modes under ``core._mode_input`` and
+    each transform as a 4x4 ``SymplecticTransform``.
     """
 
     n: int
     seed: np.ndarray
     steps: list[TwoModeStep] = field(default_factory=list)
     final_matrix: CovarianceMatrix | None = None
+
+    def __post_init__(self):
+        self.seed = _mode_input(self.n, self.seed, pairs=[step.modes for step in self.steps])
+        if any(SymplecticTransform(step.transform).n != 2 for step in self.steps):
+            raise InvalidInput("a two-mode gate must be 4x4")
 
 
 def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
@@ -261,7 +270,8 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
 
     S, the product of the gates, is built by four-row updates, one per
     gate on the rows of its modes.  The result must match
-    ``trace.final_matrix`` within the reconstruction tolerance.
+    ``trace.final_matrix`` within the reconstruction tolerance.  The modes,
+    seed and gates were checked when the trace was built.
     """
     S = np.eye(2 * trace.n)
     for step in trace.steps:

@@ -20,7 +20,6 @@ from modematch.circuits import (
     PreparationCircuit,
     Rotation,
     Squeezer,
-    elements_to_unitary,
     orthosymplectic_to_unitary,
 )
 from modematch.core import (
@@ -33,6 +32,21 @@ from modematch.core import (
 )
 from modematch.errors import InvalidInput
 from modematch.verify import random_physical_covariance
+
+
+def elements_to_unitary(elements, n):
+    """Left-to-right product of the listed passive elements, each changing
+    only the columns of its modes: the dense reference for the row updates
+    of the mesh and the replay."""
+    U = np.eye(n, dtype=complex)
+    for el in elements:
+        if isinstance(el, Rotation):
+            ct, st, ph = np.cos(el.theta), np.sin(el.theta), np.exp(1j * el.phi)
+            modes, u = list(el.modes), np.array([[ct, -ph * st], [st / ph, ct]])
+        else:
+            modes, u = [el.mode], np.array([[np.exp(1j * el.alpha)]])
+        U[:, modes] = U[:, modes] @ u
+    return U
 
 
 def haar_unitary(n, rng):
@@ -317,17 +331,24 @@ class TestActingOrder:
 
 class TestSerialization:
     def test_round_trip_exact(self):
+        # every builder's output: the per-gate circuit of a trace, and the
+        # dense circuit of a pure and of a mixed target for n = 1..6
         rng = np.random.default_rng(71)
         c, d = sample_feasible_pair(rng, 4, physical=True)
-        circuit = circuit_from_mixed(synthesize(c, d))
-        text = serialize_circuit(circuit)
-        parsed = parse_circuit(text)
-        assert parsed.n == circuit.n
-        assert parsed.source == circuit.source
-        assert np.array_equal(parsed.seed, circuit.seed)
-        assert serialize_circuit(parsed) == text
-        np.testing.assert_allclose(replay_circuit(parsed), replay_circuit(circuit),
-                                   atol=0, rtol=0)
+        circuits = [circuit_from_mixed(synthesize(c, d))]
+        for n in range(1, 7):
+            circuits += [circuit_from_matrix(random_pure(rng, n)),
+                         circuit_from_matrix(random_physical_covariance(rng, n, 3.0)[0])]
+        assert [circ.source for circ in circuits[1:3]] == ["pure_OPO", "mixed_OQV"]
+        for circuit in circuits:
+            text = serialize_circuit(circuit)
+            parsed = parse_circuit(text)
+            assert parsed.n == circuit.n
+            assert parsed.source == circuit.source
+            assert np.array_equal(parsed.seed, circuit.seed)
+            assert serialize_circuit(parsed) == text
+            np.testing.assert_allclose(replay_circuit(parsed), replay_circuit(circuit),
+                                       atol=0, rtol=0)
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -392,6 +413,13 @@ class TestSerialization:
         text = f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n"
         with pytest.raises(ValueError, match="circuit line 4: .*re-run prepare"):
             parse_circuit(text)
+
+    def test_the_first_failing_line_is_named(self):
+        # a bad value before a bad record, and before a missing seed
+        with pytest.raises(ValueError, match="circuit line 3: mode 5 is outside 0..1"):
+            parse_circuit("n 2\nseed 1 1\nsqueezer mode=5 z=2\nbogus\n")
+        with pytest.raises(ValueError, match="circuit line 2: .*z=-1.0.*z finite and positive"):
+            parse_circuit("n 2\nsqueezer mode=0 z=-1\n")
 
     def test_element_before_mode_count_is_rejected(self):
         with pytest.raises(ValueError, match="circuit line 1:"):

@@ -105,7 +105,9 @@ class TestCheck:
         path = tmp_path / "g.mat"
         bad = np.eye(4)
         bad[1, 2] = bad[2, 1] = value
-        write_matrix(path, bad, "covariance")
+        # written by hand: the library's writer refuses a non-finite matrix
+        rows = [" ".join(f"{v:.17g}" for v in row) for row in bad]
+        path.write_text("\n".join(["n 2", "ordering xpxp", "kind covariance", *rows]) + "\n")
         code, record = run_cli(capsys, "check", "--matrix", str(path))
         assert code == 2
         assert "non-finite" in record["error"]

@@ -28,15 +28,25 @@ from modematch import (
     williamson,
 )
 from modematch import errors
-from modematch.circuits import orthosymplectic_to_unitary
+from modematch.circuits import PhaseShift, Rotation, Squeezer, orthosymplectic_to_unitary
 from modematch.errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
 from modematch.matrixio import MatrixParseError, format_matrix, parse_matrix
-from modematch.synthesis import SynthesisTrace
+from modematch.synthesis import SynthesisTrace, TwoModeStep
 from modematch.verify import run_verification
 
 NAN_PASSIVE = np.diag([1.0, 1.0, np.nan, 1.0])
 INF_PASSIVE = np.diag([1.0, 1.0, np.inf, 1.0])
 IDENTITY = SymplecticTransform(np.eye(2))
+SQUEEZE_GATE = np.diag([2.0, 0.5, 1.0, 1.0])
+
+
+def circuit(*elements, n=2, seed=(1.0, 1.0), source="mixed_OQV"):
+    return PreparationCircuit(n=n, seed=np.array(seed), elements=list(elements), source=source)
+
+
+def trace(modes, gate=SQUEEZE_GATE):
+    return SynthesisTrace(n=2, seed=np.array([1.0, 2.0]), steps=[TwoModeStep(modes, gate)])
+
 
 # one rejection per former validation class, with the message it keeps
 REJECTIONS = {
@@ -115,6 +125,26 @@ REJECTIONS = {
                              "must be finite"),
     "nan-closed-form": (lambda: two_mode_eigenvalues_closed_form(np.nan, 2, 0, 0),
                         "must be finite"),
+    "non-finite-matrix-file": (lambda: format_matrix(np.full((2, 2), np.inf), "covariance"),
+                               "matrix has non-finite"),
+    "odd-matrix-file": (lambda: format_matrix(np.eye(3), "covariance"),
+                        "matrix must have positive even dimension"),
+    "circuit-negative-mode": (lambda: circuit(Squeezer(-1, 2.0)), "mode -1 is outside 0..1"),
+    "circuit-mode-past-n": (lambda: circuit(PhaseShift(2, 0.3)), "mode 2 is outside 0..1"),
+    "circuit-repeated-modes": (lambda: circuit(Rotation((1, 1), 0.1, 0.0)),
+                               "two distinct modes"),
+    "circuit-nan-z": (lambda: circuit(Squeezer(0, np.nan)), "z=nan.*z finite and positive"),
+    "circuit-zero-z": (lambda: circuit(Squeezer(0, 0.0)), "z=0.0.*z finite and positive"),
+    "circuit-infinite-angle": (lambda: circuit(Rotation((0, 1), 0.1, np.inf)),
+                               "phi=inf.*angles must be finite"),
+    "circuit-negative-seed": (lambda: circuit(seed=(1.0, -1.0)),
+                              "seed values must be finite and positive"),
+    "circuit-seed-length": (lambda: circuit(seed=(1.0, 1.0, 1.0)), "seed has 3 values for 2"),
+    "circuit-unknown-source": (lambda: circuit(source="bogus"), "unknown source"),
+    "circuit-no-modes": (lambda: circuit(n=0, seed=()), "mode count 0 is not positive"),
+    "trace-negative-mode": (lambda: trace((0, -1)), "mode -1 is outside 0..1"),
+    "trace-repeated-modes": (lambda: trace((1, 1)), "two distinct modes"),
+    "trace-non-symplectic": (lambda: trace((0, 1), 2.0 * np.eye(4)), "symplectic defect"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
     "trace": (lambda: circuit_from_mixed(SynthesisTrace(n=1, seed=np.ones(1))), "no final matrix"),
 }
