@@ -1,7 +1,7 @@
-"""Preparation circuits: a seed state and one ordered list of elements.
+"""Preparation circuits: a seed state and one ordered tuple of elements.
 
 A circuit applies squeezers, two-mode rotations and phases to its seed, one
-covariance value per mode, in list order.  A physical target S D S^T (D
+covariance value per mode, in tuple order.  A physical target S D S^T (D
 its Williamson spectrum d, S = O Q V by Bloch-Messiah, O and V passive) is
 V's Reck mesh, n squeezers and O's mesh on the thermal seed d; V leaves the
 vacuum seed of a pure target unchanged and is left out.  A synthesized
@@ -15,16 +15,15 @@ matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 a matrix it acts as U itself, so the Reck sweep and the replay apply every
 passive element as one update of the rows of its modes.
 
-Building a ``PreparationCircuit`` checks it; replay and writer see no other.
+Building a ``PreparationCircuit`` checks and freezes it; replay and writer see no other.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_RECON
 from .core import (
     SymplecticTransform,
     _as_covariance,
@@ -46,7 +45,7 @@ MIXED_SOURCE = "mixed_OQV"
 _ELEMENT_DROP = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class Squeezer:
     """Single-mode squeezer; z is the covariance of the anti-squeezed x
     quadrature, so the symplectic action is diag(sqrt(z), 1/sqrt(z))."""
@@ -55,7 +54,7 @@ class Squeezer:
     z: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rotation:
     """Two-mode passive rotation, unitary picture
     [[cos(theta), -exp(i phi) sin(theta)], [exp(-i phi) sin(theta), cos(theta)]]."""
@@ -65,7 +64,7 @@ class Rotation:
     phi: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseShift:
     """Single-mode phase rotation exp(i alpha) in the unitary picture."""
 
@@ -77,24 +76,28 @@ PassiveElement = Rotation | PhaseShift
 Element = Squeezer | Rotation | PhaseShift
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparationCircuit:
     """A seed, one covariance value per mode (all ones for a pure source),
-    and the elements that act on it in list order.  Building one by any
-    route checks the circuit rule: a known source, n, seed and modes under
-    ``core._mode_input``, finite angles and finite, positive z."""
+    and the elements that act on it in tuple order.  Building one by any
+    route, ``dataclasses.replace`` included, checks the circuit rule: a known
+    source, n, seed and modes under ``core._mode_input``, finite angles and
+    finite, positive z.  It and its elements are frozen, so it keeps the rule."""
 
     n: int
     seed: np.ndarray
-    elements: list[Element] = field(default_factory=list)
+    elements: tuple[Element, ...] = ()
     source: str = PURE_SOURCE
 
     def __post_init__(self):
         _check_source(self.source)
-        self.seed = _mode_input(self.n, self.seed,
-                                [el.mode for el in self.elements if not isinstance(el, Rotation)],
-                                [el.modes for el in self.elements if isinstance(el, Rotation)])
-        bad = [el for el in self.elements if not (
+        elements = tuple(self.elements)
+        seed = _mode_input(self.n, self.seed,
+                           [el.mode for el in elements if not isinstance(el, Rotation)],
+                           [el.modes for el in elements if isinstance(el, Rotation)])
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "seed", seed)
+        bad = [el for el in elements if not (
             0 < el.z < math.inf if isinstance(el, Squeezer)
             else math.isfinite(el.alpha) if isinstance(el, PhaseShift)
             else math.isfinite(el.theta) and math.isfinite(el.phi))]
@@ -208,7 +211,7 @@ def circuit_from_matrix(gamma) -> PreparationCircuit:
     elements: list[Element] = [] if pure else passive_to_two_mode_rotations(factors.V)[::-1]
     elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
     elements += passive_to_two_mode_rotations(factors.O)[::-1]
-    seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values.copy(), MIXED_SOURCE)
+    seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values, MIXED_SOURCE)
     return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
 
 
@@ -227,16 +230,9 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
     The seed is the trace's spectrum in mode order.  Each two-mode gate, in
     trace order, is Euler-factored as O Q V and emitted on its own modes as
     V's elements, Q's non-unit squeezers, then O's elements; a trace without
-    gates gives no elements.
+    gates gives no elements.  A trace's final matrix is the replay of its
+    gates, fixed when it was built, so the gates alone are read.
     """
-    from .synthesis import replay_trace
-
-    if trace.final_matrix is None:
-        raise InvalidInput("trace has no final matrix")
-    target = trace.final_matrix.entries
-    defect = relative_defect(replay_trace(trace) - target, target)
-    if not defect <= TOL_RECON:
-        raise InvalidInput(f"trace does not replay to its final matrix: defect {defect:.3g}")
     elements: list[Element] = []
     for step in trace.steps:
         factors = euler_decompose(step.transform)
@@ -244,7 +240,7 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
         elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
                      if z - 1.0 > _ELEMENT_DROP]
         elements += passive_to_two_mode_rotations(factors.O, step.modes)[::-1]
-    return PreparationCircuit(n=trace.n, seed=trace.seed.copy(), elements=elements,
+    return PreparationCircuit(n=trace.n, seed=trace.seed, elements=elements,
                               source=MIXED_SOURCE)
 
 
@@ -278,13 +274,13 @@ def _parse_element(head: str, parts) -> Element:
     for part in parts:
         key, eq, raw = part.partition("=")
         if not eq:
-            raise ValueError(f"{head} field {part!r} is not of the form key=value")
+            raise InvalidInput(f"{head} field {part!r} is not of the form key=value")
         if key in kv:
-            raise ValueError(f"{head} repeats the field {key}")
+            raise InvalidInput(f"{head} repeats the field {key}")
         kv[key] = raw
-    if sorted(kv) != sorted(fields):
-        raise ValueError(f"{head} takes the fields {', '.join(fields)}, got {', '.join(kv)}; "
-                         "for a file in the older three-block format, re-run prepare")
+    if kv.keys() != fields.keys():
+        raise InvalidInput(f"{head} takes the fields {', '.join(fields)}, got {', '.join(kv)}; "
+                           "for a file in the older three-block format, re-run prepare")
     return cls(*[read(kv[key]) for key, read in fields.items()])
 
 
@@ -293,7 +289,7 @@ def parse_circuit(text: str) -> PreparationCircuit:
     source and seed appear at most once, n and source with one value; each
     field is key=value and appears once, and any other field, as in the
     older three-block format, is rejected.  Values meet the circuit rule of
-    ``PreparationCircuit``.  Failures raise ValueError naming the first
+    ``PreparationCircuit``.  Failures raise InvalidInput naming the first
     failing line."""
     n, source, seed = None, PURE_SOURCE, None
     headers: set[str] = set()
@@ -306,33 +302,33 @@ def parse_circuit(text: str) -> PreparationCircuit:
             head, *rest = line.split()
             try:
                 if head in headers:
-                    raise ValueError(f"repeated {head} record")
+                    raise InvalidInput(f"repeated {head} record")
                 if head in ("n", "source", "seed"):
                     headers.add(head)
                 if head in ("n", "source") and rest[1:]:
-                    raise ValueError(f"{head} record takes one value, got {' '.join(rest)}")
+                    raise InvalidInput(f"{head} record takes one value, got {' '.join(rest)}")
                 if head == "n":
                     _mode_input(n := int(rest[0]))
                 elif head == "source":
                     _check_source(source := rest[0])
                 elif head != "seed" and head not in _RECORDS:
-                    raise ValueError(f"unknown record {head!r}")
+                    raise InvalidInput(f"unknown record {head!r}")
                 elif n is None:
-                    raise ValueError(f"{head} record before the n record")
+                    raise InvalidInput(f"{head} record before the n record")
                 elif head == "seed":
                     seed = _mode_input(n, [float(v) for v in rest])
                 else:
                     numbered.append((lineno, _parse_element(head, rest)))
             except (IndexError, ValueError) as exc:
-                raise ValueError(f"circuit line {lineno}: {exc}") from exc
+                raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
         if n is None or seed is None:
-            raise ValueError("circuit file is missing the n or seed record")
+            raise InvalidInput("circuit file is missing the n or seed record")
         return PreparationCircuit(n=n, seed=seed, elements=[el for _, el in numbered],
                                   source=source)
-    except ValueError:  # an earlier element line that breaks the rule comes first
+    except InvalidInput:  # an earlier element line that breaks the rule comes first
         for lineno, el in numbered:
             try:
                 PreparationCircuit(n, np.ones(n), [el])
             except InvalidInput as exc:
-                raise ValueError(f"circuit line {lineno}: {exc}") from exc
+                raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
         raise

@@ -181,7 +181,7 @@ def _synthesized(args, physical: bool = False):
         raise InvalidInput(f"target violates the uncertainty bound: smallest "
                            f"symplectic eigenvalue {d[0]:.17g} is below 1")
     trace = synthesize(c, d, tol_ineq=args.tol_ineq)
-    defect = _self_checked("self-verification", synthesis_defect(trace, c, d))
+    defect = _self_checked("self-verification", synthesis_defect(trace.final_matrix, c, d))
     return c, d, trace, defect
 
 

@@ -119,11 +119,11 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
     """The mode rule behind every circuit and trace: n is a positive
     integer; a seed, unless None, holds n real, finite, positive values;
     each entry of ``modes`` and of the ``pairs`` is an integer in 0..n-1,
-    and a pair is two different modes.  Returns the seed as float64."""
+    and a pair is two different modes.  Returns a read-only float64 copy of the seed."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInput(f"mode count {n} is not positive")
     if seed is not None:
-        seed = _real_array(seed, "seed")
+        seed, = _frozen(np.array(_real_array(seed, "seed")))
         if seed.shape != (n,):
             raise InvalidInput(f"seed has {seed.size} values for {n} modes")
         if not ((seed > 0) & (seed < math.inf)).all():
@@ -522,10 +522,9 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None) -> Symplect
     O and V are Haar-like random passive transforms and the squeezing
     magnitudes are uniform in [1, squeeze_bound].
     """
-    if n < 1:
-        raise ValueError("mode count must be positive")
+    _mode_input(n)
     if not 1.0 <= squeeze_bound < math.inf:
-        raise ValueError(f"squeeze_bound must be finite and >= 1, got {squeeze_bound}")
+        raise InvalidInput(f"squeeze_bound must be finite and >= 1, got {squeeze_bound}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     O = haar_orthogonal_symplectic(n, rng)
     V = haar_orthogonal_symplectic(n, rng)

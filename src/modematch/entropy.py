@@ -133,7 +133,7 @@ def entropy_report(c=None, gamma=None, *, tol_ineq: float = TOL_INEQ) -> Entropy
     is at least -tol_ineq.
     """
     if (c is None) == (gamma is None):
-        raise ValueError("provide exactly one of c or gamma")
+        raise InvalidInput("provide exactly one of c or gamma")
     tol_ineq = valid_tol_ineq(tol_ineq)
     if gamma is not None:
         c = local_diagonal(gamma).values.values.tolist()

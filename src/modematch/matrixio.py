@@ -41,7 +41,7 @@ class MatrixFile:
 def format_matrix(values: np.ndarray, kind: str) -> str:
     """A matrix file's text; the values pass ``core._square_input``."""
     if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise InvalidInput(f"kind must be one of {KINDS}, got {kind!r}")
     values, n, _ = _square_input(values, "matrix")
     # Python floats format faster than numpy scalars, to the same digits
     row_format = " ".join(["%.17g"] * (2 * n))

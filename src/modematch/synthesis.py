@@ -14,8 +14,8 @@ the result can be replayed and audited.
 
 ``solve_two_mode`` returns a kernel's couplings (e, f), ``assemble_two_mode``
 its 4x4 block.  ``synthesize`` and ``synthesize_pure`` return a
-``SynthesisTrace``, whose ``final_matrix`` is the witness and whose gates
-``replay_trace`` multiplies out again.
+``SynthesisTrace``, whose ``final_matrix``, the witness, is the replay of
+its gates.
 """
 
 import bisect
@@ -29,9 +29,9 @@ from .core import (
     _EPS,
     CovarianceMatrix,
     SymplecticTransform,
+    _frozen,
     _max_abs,
     _mode_input,
-    relative_defect,
     symplectic_eigenvalues,
     symplectic_inverse,
     williamson,
@@ -41,34 +41,41 @@ from .gate import _as_vector, check_mixed, check_pure
 from .marginals import local_diagonal
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoModeStep:
-    """Apply a 4x4 symplectic gate to the modes (i, j), in that order."""
+    """Apply a checked 4x4 symplectic gate, kept read-only, to the modes (i, j), in order."""
 
     modes: tuple[int, int]
     transform: np.ndarray
 
+    def __post_init__(self):
+        gate = SymplecticTransform(self.transform)
+        if gate.n != 2:
+            raise InvalidInput("a two-mode gate must be 4x4")
+        object.__setattr__(self, "transform", *_frozen(gate.entries.copy()))
 
-@dataclass
+
+@dataclass(frozen=True)
 class SynthesisTrace:
-    """Thermal seed, gate list and the final matrix.
+    """Thermal seed, gate tuple and the final matrix, frozen once built.
 
     ``seed`` holds one thermal value per mode, the spectrum d in mode order;
-    ``steps`` are the two-mode gates, applied in order.  With S the product
-    of the gates, ``final_matrix`` is S diag(seed) S^T.  Building a trace
-    checks n, the seed and the steps' modes under ``core._mode_input`` and
-    each transform as a 4x4 ``SymplecticTransform``.
+    ``steps`` are the two-mode gates, applied in order.  Building a trace
+    checks n, the seed and the steps' modes under ``core._mode_input``, then
+    sets ``final_matrix``, the witness, to its replay S diag(seed) S^T.
     """
 
     n: int
     seed: np.ndarray
-    steps: list[TwoModeStep] = field(default_factory=list)
-    final_matrix: CovarianceMatrix | None = None
+    steps: tuple[TwoModeStep, ...] = ()
+    final_matrix: CovarianceMatrix = field(init=False)
 
     def __post_init__(self):
-        self.seed = _mode_input(self.n, self.seed, pairs=[step.modes for step in self.steps])
-        if any(SymplecticTransform(step.transform).n != 2 for step in self.steps):
-            raise InvalidInput("a two-mode gate must be 4x4")
+        steps = tuple(self.steps)
+        seed = _mode_input(self.n, self.seed, pairs=[step.modes for step in steps])
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "final_matrix", CovarianceMatrix(replay_trace(self)))
 
 
 def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
@@ -244,10 +251,8 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
         mode_of[slot] = mode
     seed = np.empty(n)
     seed[mode_of] = d
-    steps = [TwoModeStep((mode_of[a], mode_of[b]), g) for a, b, g in gates]
-    trace = SynthesisTrace(n=n, seed=seed, steps=steps)
-    trace.final_matrix = CovarianceMatrix(replay_trace(trace))
-    return trace
+    return SynthesisTrace(n=n, seed=seed,
+                          steps=[TwoModeStep((mode_of[a], mode_of[b]), g) for a, b, g in gates])
 
 
 def synthesize_pure(b, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
@@ -269,9 +274,9 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     """Re-run the recorded steps: S diag(seed) S^T.
 
     S, the product of the gates, is built by four-row updates, one per
-    gate on the rows of its modes.  The result must match
-    ``trace.final_matrix`` within the reconstruction tolerance.  The modes,
-    seed and gates were checked when the trace was built.
+    gate on the rows of its modes.  A trace's ``final_matrix`` is this
+    replay, taken when the trace was built; the modes, seed and gates were
+    checked before it.
     """
     S = np.eye(2 * trace.n)
     for step in trace.steps:
@@ -281,15 +286,13 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
     return (S * np.repeat(trace.seed, 2)) @ S.T
 
 
-def synthesis_defect(trace: SynthesisTrace, c, d) -> float:
-    """Largest defect of a synthesized witness against its sorted targets:
-    its symplectic spectrum against d and its local values against c, both
-    absolute, and the replay of its trace relative to it."""
-    final = trace.final_matrix
+def synthesis_defect(gamma, c, d) -> float:
+    """Larger defect of a witness against its sorted targets, both absolute:
+    its symplectic spectrum against d and its local values against c; a
+    trace's ``final_matrix`` is its replay by construction."""
     # np.max, unlike max, keeps a NaN defect
-    return float(np.max((_max_abs(symplectic_eigenvalues(final).values - d),
-                         _max_abs(local_diagonal(final).values.values - c),
-                         relative_defect(replay_trace(trace) - final.entries, final.entries))))
+    return float(np.max((_max_abs(symplectic_eigenvalues(gamma).values - d),
+                         _max_abs(local_diagonal(gamma).values.values - c))))
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int,

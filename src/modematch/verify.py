@@ -27,7 +27,7 @@ from .core import (
     williamson,
     williamson_defect,
 )
-from .errors import ModeMatchError
+from .errors import InvalidInput, ModeMatchError
 from .marginals import check_matrix_consistency
 from .synthesis import sample_feasible_pair, synthesis_defect, synthesize
 
@@ -83,12 +83,12 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
                      corrupt=None, *, tol_ineq: float = TOL_INEQ) -> VerificationSummary:
     """Run every suite over ``trials`` sampled instances.
 
-    ``corrupt``, when given, is applied to each synthesized matrix before
-    re-verification; it exists so the harness itself can be sanity-checked
-    against an intentionally broken pipeline.
+    ``corrupt``, when given, maps each synthesized witness to the matrix
+    ``synthesis_defect`` measures; it exists so the harness itself can be
+    sanity-checked against an intentionally broken pipeline.
     """
-    if trials < 1 or n_max < 1:
-        raise ValueError("trials and n_max must be positive")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (trials, n_max)):
+        raise InvalidInput(f"trials and n_max must be positive integers, got {trials}, {n_max}")
     tol_ineq = valid_tol_ineq(tol_ineq)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
@@ -108,11 +108,11 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
 
         if trial % 5 == 0:
             c, d = sample_feasible_pair(rng, int(rng.integers(1, n_max + 1)))
-            trace = synthesize(c, d, tol_ineq=tol_ineq)
+            witness = synthesize(c, d, tol_ineq=tol_ineq).final_matrix
             try:
                 if corrupt is not None:
-                    trace.final_matrix = CovarianceMatrix(corrupt(trace.final_matrix.entries))
-                roundtrip.record(synthesis_defect(trace, c, d))
+                    witness = CovarianceMatrix(corrupt(witness.entries))
+                roundtrip.record(synthesis_defect(witness, c, d))
             except ModeMatchError:
                 # a matrix that no longer validates counts as a violation
                 roundtrip.record(None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from modematch.core import (
     williamson,
 )
 from modematch.errors import InvalidInput
+from modematch.synthesis import SynthesisTrace, TwoModeStep
 from modematch.verify import random_physical_covariance
 
 
@@ -238,7 +241,7 @@ class TestCircuitFromMixed:
     def test_equal_pair_gives_bare_seed(self):
         trace = synthesize([1.5, 2.5], [1.5, 2.5])
         circuit = circuit_from_mixed(trace)
-        assert circuit.elements == []
+        assert circuit.elements == ()
         assert circuit.passive_ops == []
         assert all(sq.z == 1.0 for sq in circuit.squeezers)
         np.testing.assert_allclose(replay_circuit(circuit),
@@ -278,11 +281,52 @@ class TestCircuitFromMixed:
         rng = np.random.default_rng(69)
         c, d = sample_feasible_pair(rng, 4, physical=True)
         trace = synthesize(c, d)
-        gate = trace.steps[0]
-        gate.transform = gate.transform.copy()
-        gate.transform[0, 0] += 1e-4
-        with pytest.raises(InvalidInput, match="does not replay"):
-            circuit_from_mixed(trace)
+        gate = trace.steps[0].transform.copy()
+        gate[0, 0] += 1e-4
+        with pytest.raises(InvalidInput, match="symplectic defect"):
+            SynthesisTrace(trace.n, trace.seed,
+                           (TwoModeStep(trace.steps[0].modes, gate), *trace.steps[1:]))
+
+
+class TestFrozenRecords:
+    """A built circuit or trace cannot be edited out of the rule it passed."""
+
+    @pytest.fixture
+    def records(self):
+        trace = synthesize([1.5, 2.5], [1.0, 2.0])
+        return circuit_from_mixed(trace), trace
+
+    def test_elements_cannot_grow(self, records):
+        circuit, _ = records
+        with pytest.raises(AttributeError):
+            circuit.elements.append(Squeezer(-1, 4.0))
+
+    def test_squeezer_cannot_be_reset(self, records):
+        circuit, _ = records
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.squeezers[0].z = -1.0
+
+    def test_trace_steps_cannot_be_replaced(self, records):
+        _, trace = records
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.steps = ()
+
+    def test_gate_and_seeds_are_read_only(self, records):
+        circuit, trace = records
+        for array in (trace.steps[0].transform, trace.seed, circuit.seed):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_replace_runs_the_rule_again(self, records):
+        circuit, _ = records
+        with pytest.raises(InvalidInput, match="mode -1 is outside 0..1"):
+            dataclasses.replace(circuit, elements=(Squeezer(-1, 4.0),))
+
+    def test_a_seed_is_copied_when_built(self):
+        seed = np.array([1.5, 2.5])
+        circuit = PreparationCircuit(n=2, seed=seed, source="mixed_OQV")
+        seed[0] = -1.0
+        assert circuit.seed.tolist() == [1.5, 2.5]
 
 
 class TestActingOrder:

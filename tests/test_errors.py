@@ -16,12 +16,14 @@ from modematch import (
     b_to_temperature,
     check_mixed,
     check_pure,
-    circuit_from_mixed,
     circuit_from_pure,
     entanglement_profile,
+    entropy_report,
     entropy_s,
     entropy_s_inverse,
+    parse_circuit,
     passive_to_two_mode_rotations,
+    random_symplectic,
     solve_two_mode,
     temperature_to_b,
     two_mode_eigenvalues_closed_form,
@@ -146,7 +148,14 @@ REJECTIONS = {
     "trace-repeated-modes": (lambda: trace((1, 1)), "two distinct modes"),
     "trace-non-symplectic": (lambda: trace((0, 1), 2.0 * np.eye(4)), "symplectic defect"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
-    "trace": (lambda: circuit_from_mixed(SynthesisTrace(n=1, seed=np.ones(1))), "no final matrix"),
+    "circuit-file": (lambda: parse_circuit("n 2\nseed 1 1\nsqueezer mode=0 z=x\n"),
+                     "circuit line 3: could not convert"),
+    "entropy-both-inputs": (lambda: entropy_report(c=[1.5], gamma=np.eye(2)),
+                            "exactly one of c or gamma"),
+    "verify-fractional-trials": (lambda: run_verification(2.5, 3), "positive integers"),
+    "random-symplectic-fractional-n": (lambda: random_symplectic(1.5), "mode count 1.5"),
+    "random-symplectic-squeeze-bound": (lambda: random_symplectic(2, 0.5), "squeeze_bound"),
+    "matrix-file-kind": (lambda: format_matrix(np.eye(2), "bogus"), "kind must be one of"),
 }
 
 

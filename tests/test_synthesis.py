@@ -221,7 +221,7 @@ class TestSynthesize:
         for n in sizes:
             for _ in range(3):
                 c, d = family(rng, n)
-                assert synthesis_defect(synthesize(c, d), c, d) <= C2_BOUND
+                assert synthesis_defect(synthesize(c, d).final_matrix, c, d) <= C2_BOUND
 
     def test_feasibility_of_every_recorded_seed(self):
         rng = np.random.default_rng(41)
