@@ -20,6 +20,7 @@ Building a ``PreparationCircuit`` checks and freezes it; replay and writer see n
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,15 @@ PassiveElement = Rotation | PhaseShift
 Element = Squeezer | Rotation | PhaseShift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparationCircuit:
     """A seed, one covariance value per mode (all ones for a pure source),
     and the elements that act on it in tuple order.  Building one by any
     route, ``dataclasses.replace`` included, checks the circuit rule: a known
-    source, n, seed and modes under ``core._mode_input``, finite angles and
-    finite, positive z.  It and its elements are frozen, so it keeps the rule."""
+    source, n, seed and modes under ``core._mode_input``, and element values
+    that are real numbers by type, finite angles and finite, positive z.  It
+    and its elements are frozen, so it keeps the rule.  Two circuits are
+    equal only if they are the same object."""
 
     n: int
     seed: np.ndarray
@@ -98,9 +101,10 @@ class PreparationCircuit:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "seed", seed)
         bad = [el for el in elements if not (
-            0 < el.z < math.inf if isinstance(el, Squeezer)
-            else math.isfinite(el.alpha) if isinstance(el, PhaseShift)
-            else math.isfinite(el.theta) and math.isfinite(el.phi))]
+            _real(el.z) and 0 < el.z < math.inf if isinstance(el, Squeezer)
+            else _real(el.alpha) and math.isfinite(el.alpha) if isinstance(el, PhaseShift)
+            else _real(el.theta) and _real(el.phi)
+            and math.isfinite(el.theta) and math.isfinite(el.phi))]
         if bad:
             raise InvalidInput(f"{bad[0]}: angles must be finite, and z finite and positive")
 
@@ -111,6 +115,13 @@ class PreparationCircuit:
     @property
     def passive_ops(self) -> list[PassiveElement]:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
+
+
+def _real(value) -> bool:
+    """Whether an element value is a real number by type: numpy's real
+    scalars count, its complex ones do not.  An element keeps the value it
+    was given, so converting it would not do."""
+    return value.__class__ is float or isinstance(value, numbers.Real)
 
 
 def _check_source(source: str) -> None:

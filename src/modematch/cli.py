@@ -3,9 +3,9 @@
 Subcommands: check, synth, williamson, euler, entropy, prepare, replay,
 verify.  Machine-readable output is one JSON object per line on stdout; a
 short human-readable table goes to stderr.  ``_record`` lays out every
-record: ``command``, ``digest``, the subcommand's own fields,
-``tolerances``, then ``elapsed_s``, each key present only where the
-subcommand has it.
+record: ``command``, ``digest``, the subcommand's own fields (``entropy
+--matrix`` ends them with ``gaussian_global_entropy_bits``), ``tolerances``,
+then ``elapsed_s``, each key present only where the subcommand has it.
 
 A subcommand returns 0 on success or a feasible verdict, and 1 on an
 infeasible verdict from ``check`` or violations from ``verify``.  Every
@@ -248,33 +248,32 @@ def cmd_euler(args) -> int:
 def cmd_entropy(args) -> int:
     from .core import symplectic_eigenvalues
     from .entropy import entropy_report, entropy_s
+    from .marginals import local_diagonal
 
     start = time.perf_counter()
-    gaussian_entropy = None
+    gaussian = {}
     if args.matrix:
         cov = _load(args.matrix, "covariance")
-        report = entropy_report(gamma=cov, tol_ineq=args.tol_ineq)
-        gaussian_entropy = sum(map(entropy_s, symplectic_eigenvalues(cov).values.tolist()))
+        report = entropy_report(local_diagonal(cov).values, tol_ineq=args.tol_ineq)
+        gaussian["gaussian_global_entropy_bits"] = sum(
+            map(entropy_s, symplectic_eigenvalues(cov).values.tolist()))
         digest = _digest("entropy", cov.entries)
     else:
         if args.c is None:
             raise InvalidInput("provide --c or --matrix")
         c = sorted(_parse_vector(args.c))
         # entropy_report rejects local values below the vacuum
-        report = entropy_report(c=c, tol_ineq=args.tol_ineq)
+        report = entropy_report(c, tol_ineq=args.tol_ineq)
         digest = _digest("entropy", c)
     record = _record("entropy", digest, per_mode_bits=list(report.per_mode_entropies),
                      total_local_sum_bits=report.total_local_sum,
                      global_upper_bound_bits=report.global_upper_bound,
-                     purity_consistent=report.purity_consistent,
+                     purity_consistent=report.purity_consistent, **gaussian,
                      tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start)
     table = [f"per-mode entropies (bits): {report.per_mode_entropies}",
              f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
              f"{report.global_upper_bound:.12g}"]
-    if gaussian_entropy is not None:
-        # after elapsed_s, where this record has always carried it
-        record["gaussian_global_entropy_bits"] = gaussian_entropy
-        table.append(f"Gaussian global entropy (bits): {gaussian_entropy:.12g}")
+    table += [f"Gaussian global entropy (bits): {v:.12g}" for v in gaussian.values()]
     _emit(record, table)
     return EXIT_OK
 

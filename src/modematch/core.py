@@ -119,7 +119,7 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
     """The mode rule behind every circuit and trace: n is a positive
     integer; a seed, unless None, holds n real, finite, positive values;
     each entry of ``modes`` and of the ``pairs`` is an integer in 0..n-1,
-    and a pair is two different modes.  Returns a read-only float64 copy of the seed."""
+    and a pair is a tuple of two different modes.  Returns a read-only float64 copy of the seed."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInput(f"mode count {n} is not positive")
     if seed is not None:
@@ -128,9 +128,9 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
             raise InvalidInput(f"seed has {seed.size} values for {n} modes")
         if not ((seed > 0) & (seed < math.inf)).all():
             raise InvalidInput(f"seed values must be finite and positive, got {seed}")
-    bad = [pair for pair in pairs if len(pair) != 2 or pair[0] == pair[1]]
+    bad = [p for p in pairs if not (isinstance(p, tuple) and len(p) == 2 and p[0] != p[1])]
     if bad:
-        raise InvalidInput(f"a two-mode element needs two distinct modes, got {bad[0]}")
+        raise InvalidInput(f"modes {bad[0]!r} are not a tuple of two distinct modes")
     bad = [m for group in (modes, *pairs) for m in group
            if not (isinstance(m, (int, np.integer)) and 0 <= m < n)]
     if bad:
@@ -233,7 +233,7 @@ class SymplecticTransform:
         return f"SymplecticTransform(n={self.n})"
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumVector:
     """Non-decreasing vector of positive values: the symplectic eigenvalues
     of a matrix or its sorted local symplectic values."""
@@ -252,7 +252,7 @@ class SpectrumVector:
         return iter(self.values)
 
 
-@dataclass
+@dataclass(eq=False)
 class EulerFactors:
     """Passive-squeeze-passive factorisation S = O Q V.
 
@@ -523,6 +523,7 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None) -> Symplect
     magnitudes are uniform in [1, squeeze_bound].
     """
     _mode_input(n)
+    squeeze_bound = real_float(squeeze_bound, "squeeze_bound")
     if not 1.0 <= squeeze_bound < math.inf:
         raise InvalidInput(f"squeeze_bound must be finite and >= 1, got {squeeze_bound}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

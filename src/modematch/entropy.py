@@ -30,7 +30,7 @@ from .marginals import local_diagonal
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class EntropyReport:
     """Per-mode entropies, their sum, and the paper's aggregate expression.
 
@@ -124,22 +124,18 @@ def sharing_feasible(E, *, tol_ineq: float = TOL_INEQ):
     return check_pure([max(entropy_s_inverse(v) - 1.0, 0.0) for v in E], tol_ineq=tol_ineq)
 
 
-def entropy_report(c=None, gamma=None, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
-    """Assemble the entropy summary from local values or a full matrix.
+def entropy_report(c, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
+    """Assemble the entropy summary from local values c alone; a caller
+    with a matrix passes ``local_diagonal(gamma).values``.
 
     c is validated once, here; the per-mode entropies check c >= 1, and the
     aggregate s(sum c) and the purity test then run on the validated vector.
     The purity test is check_pure's: the slack of the excitations b = c - 1
     is at least -tol_ineq.
     """
-    if (c is None) == (gamma is None):
-        raise InvalidInput("provide exactly one of c or gamma")
     tol_ineq = valid_tol_ineq(tol_ineq)
-    if gamma is not None:
-        c = local_diagonal(gamma).values.values.tolist()
-    else:
-        c = _as_vector(c, "c")
-        c.sort()
+    c = _as_vector(c, "c")
+    c.sort()
     per_mode = [entropy_s(v) for v in c]
     return EntropyReport(
         per_mode_entropies=np.array(per_mode),

@@ -16,7 +16,7 @@ from .errors import InvalidInput
 from .gate import FeasibilityVerdict, check_mixed
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalDiagonal:
     """Per-mode local symplectic values of a matrix, sorted non-decreasing."""
 

@@ -31,7 +31,7 @@ class MatrixParseError(InvalidInput):
         self.column = column
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixFile:
     n: int
     kind: str

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL_INEQ, real_float, valid_tol_ineq
+from .config import TOL_INEQ, valid_tol_ineq
 from .core import (
     _EPS,
     CovarianceMatrix,
@@ -41,7 +41,7 @@ from .gate import _as_vector, check_mixed, check_pure
 from .marginals import local_diagonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeStep:
     """Apply a checked 4x4 symplectic gate, kept read-only, to the modes (i, j), in order."""
 
@@ -55,7 +55,7 @@ class TwoModeStep:
         object.__setattr__(self, "transform", *_frozen(gate.entries.copy()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisTrace:
     """Thermal seed, gate tuple and the final matrix, frozen once built.
 
@@ -87,17 +87,6 @@ def assemble_two_mode(c1: float, c2: float, e: float, f: float) -> np.ndarray:
     return out
 
 
-def _finite_reals(values, names) -> list[float]:
-    """Two-mode inputs as Python floats, each real and finite."""
-    try:
-        out = [real_float(v, name) for v, name in zip(values, names)]
-    except (TypeError, ValueError):  # InvalidInput, raised for a complex value, is one
-        raise InvalidInput(f"{', '.join(names)} must be real numbers, got {values}") from None
-    if not all(map(math.isfinite, out)):
-        raise InvalidInput(f"{', '.join(names)} must be finite, got {values}")
-    return out
-
-
 def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     """Symplectic eigenvalues of the assembled two-mode matrix, closed form.
 
@@ -108,9 +97,9 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     spectrum gives an exact zero rather than rounding noise whose square
     root would split d1 from d2 by about sqrt(eps); d1 comes from
     d1^2 d2^2 = det rather than from the cancelling difference.  Requires
-    real finite inputs and the assembled matrix to be strictly positive.
+    real finite inputs (``gate._as_vector``) and a strictly positive matrix.
     """
-    c1, c2, e, f = _finite_reals((c1, c2, e, f), ("c1", "c2", "e", "f"))
+    c1, c2, e, f = _as_vector((c1, c2, e, f), "(c1, c2, e, f)")
     if c1 <= 0 or c2 <= 0 or c1 * c2 - e * e <= 0 or c1 * c2 - f * f <= 0:
         raise InvalidInput("assembled two-mode matrix is not strictly positive")
     radicand = (c1 * c1 - c2 * c2) ** 2 + 4.0 * (c1 * e + c2 * f) * (c1 * f + c2 * e)
@@ -123,9 +112,9 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     """The couplings (e, f), a tuple of floats, for which ``assemble_two_mode(c1,
     c2, e, f)`` has spectrum (d1, d2).
 
-    Requires real finite inputs with c2 >= c1 > 0 and d2 >= d1 > 0 (else
-    InvalidInput) and the pair inequalities (else Infeasible), whose slacks
-    are the sum gap G and the spread gap H:
+    Requires real finite inputs (``gate._as_vector``) with c2 >= c1 > 0 and
+    d2 >= d1 > 0 (else InvalidInput) and the pair inequalities (else
+    Infeasible), whose slacks are the sum gap G and the spread gap H:
 
         G = (c1 + c2) - (d1 + d2) >= 0,    H = (d2 - d1) - (c2 - c1) >= 0.
 
@@ -139,7 +128,7 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     formed, and a gap within rounding of the sums counts as zero, so c = d
     gives e = f = 0 exactly and a pair on one boundary |e| = |f| bitwise.
     """
-    c1, c2, d1, d2 = _finite_reals((c1, c2, d1, d2), ("c1", "c2", "d1", "d2"))
+    c1, c2, d1, d2 = _as_vector((c1, c2, d1, d2), "(c1, c2, d1, d2)")
     if not (0 < c1 <= c2) or not (0 < d1 <= d2):
         raise InvalidInput(
             f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "
@@ -295,16 +284,15 @@ def synthesis_defect(gamma, c, d) -> float:
                          _max_abs(local_diagonal(gamma).values.values - c))))
 
 
-def sample_feasible_pair(rng: "np.random.Generator", n: int,
-                         *, physical: bool = False, tol_ineq: float = TOL_INEQ):
+def sample_feasible_pair(rng: "np.random.Generator", n: int, *, physical: bool = False):
     """Random feasible (c, d) pair for property testing.
 
     Samples d uniformly in [0.5, 4], or in [1, 4] when ``physical``, starts
     from the boundary point c = d, applies feasibility preserving
     perturbations (uniform increase of a suffix of c by at most 2, with the
     last-entry-only case capped by the remaining slack), and with probability
-    0.2 tightens back toward the boundary.  The result is re-checked before
-    being returned.
+    0.2 tightens back toward the boundary.  The draws take no tolerance;
+    ``check_mixed`` re-checks the result at its default one.
     """
     d = np.sort(rng.uniform(1.0 if physical else 0.5, 4.0, n))
     c = d.copy()
@@ -318,7 +306,6 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int,
         c[j0:] += delta
     if rng.random() < 0.2:
         c = d + rng.random() * (c - d)
-    verdict = check_mixed(c, d, tol_ineq=tol_ineq)
-    if not verdict.feasible:
+    if not check_mixed(c, d).feasible:
         raise NumericalFailure("feasibility-preserving sampler produced an infeasible pair")
     return c, d

@@ -5,9 +5,13 @@ import pytest
 
 from modematch import (
     CovarianceMatrix,
+    SpectrumVector,
     circuit_from_matrix,
     circuit_from_mixed,
     circuit_from_pure,
+    entropy_report,
+    euler_decompose,
+    local_diagonal,
     parse_circuit,
     passive_to_two_mode_rotations,
     random_symplectic,
@@ -33,6 +37,7 @@ from modematch.core import (
     williamson,
 )
 from modematch.errors import InvalidInput
+from modematch.matrixio import format_matrix, parse_matrix
 from modematch.synthesis import SynthesisTrace, TwoModeStep
 from modematch.verify import random_physical_covariance
 
@@ -327,6 +332,38 @@ class TestFrozenRecords:
         circuit = PreparationCircuit(n=2, seed=seed, source="mixed_OQV")
         seed[0] = -1.0
         assert circuit.seed.tolist() == [1.5, 2.5]
+
+    def test_modes_are_tuples(self):
+        # a list of modes could be edited after the rule checked it
+        with pytest.raises(InvalidInput, match="tuple of two distinct modes"):
+            PreparationCircuit(n=2, seed=np.ones(2), elements=[Rotation([0, 1], 0.3, 0.0)])
+        with pytest.raises(InvalidInput, match="tuple of two distinct modes"):
+            SynthesisTrace(n=2, seed=np.ones(2), steps=[TwoModeStep([0, 1], np.eye(4))])
+
+
+# each builds a record that holds an array, the same record on every call
+ARRAY_RECORDS = {
+    "circuit": lambda: PreparationCircuit(n=2, seed=np.ones(2), elements=[Squeezer(0, 2.0)]),
+    "trace": lambda: synthesize([1.5, 2.5], [1.0, 2.0]),
+    "step": lambda: TwoModeStep((0, 1), np.eye(4)),
+    "spectrum": lambda: SpectrumVector([1.0, 2.0]),
+    "local-diagonal": lambda: local_diagonal(np.eye(4)),
+    "euler-factors": lambda: euler_decompose(np.eye(4)),
+    "entropy-report": lambda: entropy_report([1.5, 2.0]),
+    "matrix-file": lambda: parse_matrix(format_matrix(np.eye(2), "covariance")),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_records_holding_arrays_compare_by_identity(build):
+    record, twin = build(), build()
+    assert record == record and record != twin
+    assert hash(record) == hash(record) != hash(twin)
+
+
+def test_elements_compare_by_value():
+    assert Rotation((0, 1), 0.3, 0.0) == Rotation((0, 1), 0.3, 0.0)
+    assert hash(Squeezer(0, 2.0)) == hash(Squeezer(0, 2.0))
 
 
 class TestActingOrder:

@@ -601,7 +601,8 @@ class TestRecordShape:
              ["command", "digest", "z", "reconstruction_defect", "files", "tolerances",
               "elapsed_s"]),
             (["entropy", "--c", "1.5,2"], self.ENTROPY),
-            (["entropy", "--matrix", mat], self.ENTROPY + ["gaussian_global_entropy_bits"]),
+            (["entropy", "--matrix", mat],
+             self.ENTROPY[:-2] + ["gaussian_global_entropy_bits", "tolerances", "elapsed_s"]),
             (["prepare", "--c", "1.5,1.5", "--d", "1,2", "--out", circ], self.PREPARE),
             (["prepare", "--matrix", mat, "--out", circ], self.PREPARE),
             (["replay", "--circuit", circ, "--out", str(tmp_path / "r.mat")],
@@ -615,6 +616,8 @@ class TestRecordShape:
             assert code == 0, argv
             assert list(record) == keys, argv
             assert record["command"] == argv[0]
+            if "elapsed_s" in record:
+                assert list(record)[-1] == "elapsed_s", argv
             if "tolerances" in record:
                 assert list(record["tolerances"]) == ["tol_ineq", "tol_recon", "tol_psd"]
 

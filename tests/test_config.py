@@ -24,8 +24,6 @@ TAKES_TOL_INEQ = {
     "solve_two_mode": lambda tol: modematch.solve_two_mode(1.5, 1.5, 1.0, 2.0, tol_ineq=tol),
     "synthesize": lambda tol: modematch.synthesize([1.5, 1.5], [1.0, 2.0], tol_ineq=tol),
     "synthesize_pure": lambda tol: modematch.synthesize_pure([0.5, 0.5], tol_ineq=tol),
-    "sample_feasible_pair": lambda tol: modematch.sample_feasible_pair(
-        np.random.default_rng(0), 3, tol_ineq=tol),
     "entropy_report": lambda tol: modematch.entropy_report(c=[1.5, 1.5], tol_ineq=tol),
     "sharing_feasible": lambda tol: modematch.sharing_feasible([0.5, 0.5], tol_ineq=tol),
     "run_verification": lambda tol: run_verification(1, 2, seed=0, tol_ineq=tol),

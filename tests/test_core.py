@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,11 @@ class TestCovarianceMatrix:
     def test_vacuum_is_physical(self):
         assert CovarianceMatrix.identity(3).is_physical()
 
+    def test_accepts_real_numbers_of_any_type(self):
+        # a nested list of Fractions is an object array, read entry by entry
+        cov = CovarianceMatrix([[Fraction(2), 0], [0, Fraction(2)]])
+        assert cov.entries.dtype == float and cov.entries.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_rejects_non_finite(self, value):
         bad = np.eye(4)
@@ -165,7 +172,7 @@ class TestSingleSpectralPass:
         # the consistency gate, the entropy report and the verify suites'
         # slacks and Williamson defect read the same memoised data
         check_matrix_consistency(cov)
-        entropy_report(gamma=cov)
+        entropy_report(local_diagonal(cov).values)
         check_mixed(local_diagonal(cov).values, symplectic_eigenvalues(cov))
         williamson_defect(cov, *williamson(cov))
         assert calls == ["eigh", "eigh"]

@@ -18,7 +18,6 @@ from modematch import (
     check_pure,
     circuit_from_pure,
     entanglement_profile,
-    entropy_report,
     entropy_s,
     entropy_s_inverse,
     parse_circuit,
@@ -40,6 +39,8 @@ NAN_PASSIVE = np.diag([1.0, 1.0, np.nan, 1.0])
 INF_PASSIVE = np.diag([1.0, 1.0, np.inf, 1.0])
 IDENTITY = SymplecticTransform(np.eye(2))
 SQUEEZE_GATE = np.diag([2.0, 0.5, 1.0, 1.0])
+OBJECT_COMPLEX = np.array([[2.0, np.complex128(0.5)], [np.complex128(0.5), 2.0]], dtype=object)
+OBJECT_NONE = np.array([[2.0, None], [None, 2.0]], dtype=object)
 
 
 def circuit(*elements, n=2, seed=(1.0, 1.0), source="mixed_OQV"):
@@ -70,6 +71,12 @@ REJECTIONS = {
                       "covariance matrix must have real"),
     "string-as-matrix": (lambda: SymplecticTransform("ab"), "symplectic transform must have real"),
     "ragged-matrix": (lambda: CovarianceMatrix([[2.0, 0.0], [0.0]]), "rectangular array"),
+    # an object array is read entry by entry, so numpy casts no complex entry
+    # to its real part and no None to NaN
+    "complex-in-object-array": (lambda: CovarianceMatrix(OBJECT_COMPLEX),
+                                "covariance matrix must have real"),
+    "none-in-object-array": (lambda: CovarianceMatrix(OBJECT_NONE),
+                             "covariance matrix must have real"),
     "unsorted-spectrum": (lambda: SpectrumVector([2.0, 1.0]), "non-decreasing"),
     "non-positive-spectrum": (lambda: SpectrumVector([0.0, 1.0]), "strictly positive"),
     "empty-vector": (lambda: check_mixed([], []), "non-empty 1-d"),
@@ -120,13 +127,14 @@ REJECTIONS = {
     "indefinite-two-mode": (lambda: two_mode_eigenvalues_closed_form(1.0, 1.0, 2.0, 0.0),
                             "not strictly positive"),
     "misordered-two-mode": (lambda: solve_two_mode(2.0, 1.0, 1.0, 2.0), "0 < c1 <= c2"),
-    "infinite-two-mode": (lambda: solve_two_mode(1.0, np.inf, 1.0, np.inf), "must be finite"),
+    "infinite-two-mode": (lambda: solve_two_mode(1.0, np.inf, 1.0, np.inf),
+                          r"\(c1, c2, d1, d2\) has non-finite entries"),
     "complex-two-mode": (lambda: solve_two_mode(np.complex128(1.5 + 1j), 2, 1, 2),
-                         "must be real numbers"),
+                         r"\(c1, c2, d1, d2\) must have real entries"),
     "infinite-closed-form": (lambda: two_mode_eigenvalues_closed_form(1.0, np.inf, 0, 0),
-                             "must be finite"),
+                             r"\(c1, c2, e, f\) has non-finite entries"),
     "nan-closed-form": (lambda: two_mode_eigenvalues_closed_form(np.nan, 2, 0, 0),
-                        "must be finite"),
+                        r"\(c1, c2, e, f\) has non-finite entries"),
     "non-finite-matrix-file": (lambda: format_matrix(np.full((2, 2), np.inf), "covariance"),
                                "matrix has non-finite"),
     "odd-matrix-file": (lambda: format_matrix(np.eye(3), "covariance"),
@@ -139,6 +147,18 @@ REJECTIONS = {
     "circuit-zero-z": (lambda: circuit(Squeezer(0, 0.0)), "z=0.0.*z finite and positive"),
     "circuit-infinite-angle": (lambda: circuit(Rotation((0, 1), 0.1, np.inf)),
                                "phi=inf.*angles must be finite"),
+    "circuit-complex-z": (lambda: PreparationCircuit(n=1, seed=[1.0],
+                                                     elements=[Squeezer(0, 1j)]),
+                          "z=1j.*z finite and positive"),
+    "circuit-complex128-z": (lambda: circuit(Squeezer(0, np.complex128(2))),
+                             r"z=.*2\+0j.*z finite and positive"),
+    "circuit-string-z": (lambda: circuit(Squeezer(0, "2")), "z='2'.*z finite and positive"),
+    "circuit-complex-angle": (lambda: circuit(Rotation((0, 1), 1j, 0.0)),
+                              "theta=1j.*angles must be finite"),
+    "circuit-none-angle": (lambda: circuit(PhaseShift(0, None)),
+                           "alpha=None.*angles must be finite"),
+    "circuit-list-modes": (lambda: circuit(Rotation([0, 1], 0.3, 0.0)),
+                           r"modes \[0, 1\] are not a tuple of two distinct modes"),
     "circuit-negative-seed": (lambda: circuit(seed=(1.0, -1.0)),
                               "seed values must be finite and positive"),
     "circuit-seed-length": (lambda: circuit(seed=(1.0, 1.0, 1.0)), "seed has 3 values for 2"),
@@ -146,15 +166,17 @@ REJECTIONS = {
     "circuit-no-modes": (lambda: circuit(n=0, seed=()), "mode count 0 is not positive"),
     "trace-negative-mode": (lambda: trace((0, -1)), "mode -1 is outside 0..1"),
     "trace-repeated-modes": (lambda: trace((1, 1)), "two distinct modes"),
+    "trace-list-modes": (lambda: trace([0, 1]),
+                         r"modes \[0, 1\] are not a tuple of two distinct modes"),
     "trace-non-symplectic": (lambda: trace((0, 1), 2.0 * np.eye(4)), "symplectic defect"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
     "circuit-file": (lambda: parse_circuit("n 2\nseed 1 1\nsqueezer mode=0 z=x\n"),
                      "circuit line 3: could not convert"),
-    "entropy-both-inputs": (lambda: entropy_report(c=[1.5], gamma=np.eye(2)),
-                            "exactly one of c or gamma"),
     "verify-fractional-trials": (lambda: run_verification(2.5, 3), "positive integers"),
     "random-symplectic-fractional-n": (lambda: random_symplectic(1.5), "mode count 1.5"),
     "random-symplectic-squeeze-bound": (lambda: random_symplectic(2, 0.5), "squeeze_bound"),
+    "random-symplectic-complex-bound": (lambda: random_symplectic(2, 1j),
+                                        "squeeze_bound must be real"),
     "matrix-file-kind": (lambda: format_matrix(np.eye(2), "bogus"), "kind must be one of"),
 }
 
