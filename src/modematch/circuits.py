@@ -256,12 +256,13 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
 
 
 def _element_line(el: Element) -> str:
+    # an element keeps the real value it was given; float() formats a Fraction too
     if isinstance(el, Squeezer):
-        return f"squeezer mode={el.mode} z={el.z:.17g}"
+        return f"squeezer mode={el.mode} z={float(el.z):.17g}"
     if isinstance(el, Rotation):
         return (f"rotation modes={el.modes[0]},{el.modes[1]} "
-                f"theta={el.theta:.17g} phi={el.phi:.17g}")
-    return f"phase mode={el.mode} alpha={el.alpha:.17g}"
+                f"theta={float(el.theta):.17g} phi={float(el.phi):.17g}")
+    return f"phase mode={el.mode} alpha={float(el.alpha):.17g}"
 
 
 def serialize_circuit(circuit: PreparationCircuit) -> str:

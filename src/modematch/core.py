@@ -29,6 +29,7 @@ def symplectic_form(n: int) -> np.ndarray:
     Each call returns a new array, a copy of the cached one; library code
     applies the form through ``_sigma_left`` and ``_sigma_right`` instead.
     """
+    _mode_input(n)
     return _symplectic_structure(2 * n).sigma.copy()
 
 
@@ -70,10 +71,10 @@ def _sigma_average(M: np.ndarray) -> np.ndarray:
 
 
 def _real_array(entries, what: str) -> np.ndarray:
-    """The entries as a float64 array, under the vector rule: an entry of
-    complex type, numpy's included, or one that is no number makes the array
-    not real, and a ragged nesting is no array.  A float64 array passes
-    through on one dtype test."""
+    """The matrix rule's realness step: the entries as a float64 array.  An
+    entry of complex type, numpy's included, or one that is no number makes
+    the array not real, and a ragged nesting is no array.  A float64 array
+    passes through on one dtype test."""
     if entries.__class__ is np.ndarray and entries.dtype.char == "d":
         return entries
     try:
@@ -99,7 +100,7 @@ def _max_abs(M: np.ndarray) -> float:
 
 def _square_input(entries, what: str):
     """The matrix rule, the one check behind every matrix the library
-    accepts: real entries under the vector rule, square, of positive even
+    accepts: real entries (``_real_array``), square, of positive even
     size and finite.  Returns (array, n, scale) with scale = max(1,
     max-norm); NaN and +/-inf propagate through the max, so one reduction
     serves both the finiteness check and the scale.  An empty matrix has
@@ -116,18 +117,20 @@ def _square_input(entries, what: str):
 
 
 def _mode_input(n, seed=None, modes=(), pairs=()):
-    """The mode rule behind every circuit and trace: n is a positive
-    integer; a seed, unless None, holds n real, finite, positive values;
-    each entry of ``modes`` and of the ``pairs`` is an integer in 0..n-1,
-    and a pair is a tuple of two different modes.  Returns a read-only float64 copy of the seed."""
+    """The mode rule behind every mode count, circuit and trace: n is a
+    positive integer; a seed, unless None, is a vector (``gate._as_vector``)
+    of n positive values; each entry of ``modes`` and of the ``pairs`` is an
+    integer in 0..n-1, and a pair is a tuple of two different modes.
+    Returns a read-only float64 copy of the seed."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidInput(f"mode count {n} is not positive")
     if seed is not None:
-        seed, = _frozen(np.array(_real_array(seed, "seed")))
-        if seed.shape != (n,):
-            raise InvalidInput(f"seed has {seed.size} values for {n} modes")
-        if not ((seed > 0) & (seed < math.inf)).all():
-            raise InvalidInput(f"seed values must be finite and positive, got {seed}")
+        values = _as_vector(seed, "seed")
+        if len(values) != n:
+            raise InvalidInput(f"seed has {len(values)} values for {n} modes")
+        if min(values) <= 0:
+            raise InvalidInput(f"seed values must be finite and positive, got {values}")
+        seed, = _frozen(np.array(values))
     bad = [p for p in pairs if not (isinstance(p, tuple) and len(p) == 2 and p[0] != p[1])]
     if bad:
         raise InvalidInput(f"modes {bad[0]!r} are not a tuple of two distinct modes")
@@ -204,6 +207,7 @@ class CovarianceMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
+        _mode_input(n)
         return cls(_symplectic_structure(2 * n).eye)
 
     def is_physical(self) -> bool:
@@ -216,7 +220,7 @@ class CovarianceMatrix:
 
 
 class SymplecticTransform:
-    """Real matrix S with S sigma S^T = sigma within tolerance."""
+    """Real matrix S with S sigma S^T = sigma within tolerance, kept as a read-only copy."""
 
     def __init__(self, entries: np.ndarray):
         entries, self.n, scale = _square_input(entries, "symplectic transform")
@@ -227,7 +231,11 @@ class SymplecticTransform:
                 f"symplectic defect {defect:.3g} exceeds tolerance "
                 f"{TOL_SYMPL:.3g} at scale {scale:.3g}"
             )
-        self.entries = entries
+        self._entries, = _frozen(entries.copy())
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._entries
 
     def __repr__(self):
         return f"SymplecticTransform(n={self.n})"
@@ -236,7 +244,7 @@ class SymplecticTransform:
 @dataclass(eq=False)
 class SpectrumVector:
     """Non-decreasing vector of positive values: the symplectic eigenvalues
-    of a matrix or its sorted local symplectic values."""
+    of a matrix or its sorted local symplectic values; it iterates as floats."""
 
     values: np.ndarray
 
@@ -249,15 +257,15 @@ class SpectrumVector:
         return self.values.size
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(self.values.tolist())
 
 
 @dataclass(eq=False)
 class EulerFactors:
     """Passive-squeeze-passive factorisation S = O Q V.
 
-    ``z`` holds the n squeezing magnitudes, all >= 1; the middle factor is
-    diag(z1, 1/z1, ..., zn, 1/zn).
+    ``z``, a vector (``gate._as_vector``), holds the n squeezing magnitudes,
+    all >= 1; the middle factor is diag(z1, 1/z1, ..., zn, 1/zn).
     """
 
     O: SymplecticTransform
@@ -265,7 +273,7 @@ class EulerFactors:
     V: SymplecticTransform
 
     def __post_init__(self):
-        self.z = _real_array(self.z, "squeezing magnitudes")
+        self.z = np.array(_as_vector(self.z, "squeezing magnitudes"))
 
     def q_matrix(self) -> np.ndarray:
         return np.diag(np.ravel(np.column_stack([self.z, 1.0 / self.z])))
@@ -444,7 +452,7 @@ def euler_decompose(S) -> EulerFactors:
     k = sum(v > floor for v in singular)
     if k == 0:
         # P is the identity within the noise floor: S itself is passive
-        return EulerFactors(O=SymplecticTransform(_symplectic_structure(2 * n).eye.copy()),
+        return EulerFactors(O=SymplecticTransform(_symplectic_structure(2 * n).eye),
                             z=np.ones(n),
                             V=SymplecticTransform(_polish_passive(_sigma_average(R))))
     if k > n:

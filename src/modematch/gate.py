@@ -14,10 +14,11 @@ and the anti-majorization condition
 hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
 cases stay testable.
 
-It also holds the rules on per-mode values: ``_as_vector`` (finite real
-vectors), ``_check_positive_sorted`` (spectra), ``_check_total`` (totals the
-slacks can double without overflow), and ``below_vacuum`` and ``at_vacuum``,
-each one comparison of a value with the vacuum value 1 within ``TOL_PSD``.
+It also holds the rules on per-mode values: ``_as_vector`` (the vector rule
+on every per-mode vector), ``_check_positive_sorted`` (spectra),
+``_check_total`` (totals the slacks can double without overflow), and
+``below_vacuum`` and ``at_vacuum``, each one comparison of a value with the
+vacuum value 1 within ``TOL_PSD``.
 
 The gate is n + 1 sums of Python floats, so this module must stay free of
 numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
@@ -27,7 +28,6 @@ records are plain ``__slots__`` classes, since ``dataclasses`` imports
 """
 
 import math
-import sys
 from itertools import accumulate
 
 from .config import TOL_INEQ, TOL_PSD, real_float, valid_tol_ineq
@@ -35,11 +35,6 @@ from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
 LAST_CONDITION = "last_condition"
-
-# a SpectrumVector exists only once modematch.core is loaded, so its class
-# is looked up in sys.modules rather than imported
-_MODULES = sys.modules
-_CORE = f"{__package__}.core"
 
 
 class _Record:
@@ -101,15 +96,10 @@ def _as_vector(values, what: str) -> list:
 
     Vectors here have one entry per mode, so checks and reductions run on
     floats: at these sizes each numpy dispatch costs more than the work.  An
-    array or a SpectrumVector goes through ``tolist()``; any other iterable
-    of reals goes through ``real_float``.
+    array goes through ``tolist()``; any other iterable of reals, a
+    spectrum's Python floats included, goes through ``real_float``.
     """
     ndim = getattr(values, "ndim", None)
-    if ndim is None:
-        core = _MODULES.get(_CORE)
-        if core is not None and isinstance(values, core.SpectrumVector):
-            values = values.values
-            ndim = values.ndim
     if ndim is None:
         if isinstance(values, (str, bytes)):
             raise InvalidInput(f"{what} must be a non-empty 1-d vector")
@@ -133,15 +123,17 @@ def _as_vector(values, what: str) -> list:
 
 
 def _real_entries(items: list, what: str) -> list:
-    """The entries as Python floats; an entry of complex type or a string
-    that is no number makes the vector not real, a nested sequence or None
-    not 1-d."""
+    """The entries as Python floats; a nested sequence makes the vector not
+    1-d, and any other entry that is no real number, such as one of complex
+    type, a string that is no number or None, makes it not real."""
     try:
         return [real_float(v, what) for v in items]
-    except ValueError:  # InvalidInput, raised for a complex entry, is one
-        raise InvalidInput(f"{what} must have real entries") from None
-    except TypeError:
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
+    # InvalidInput, raised for a complex entry, is a ValueError; float()
+    # raises TypeError for a sequence or None
+    except (ValueError, TypeError):
+        nested = any(hasattr(v, "__iter__") and not isinstance(v, (str, bytes)) for v in items)
+        raise InvalidInput(f"{what} must be a non-empty 1-d vector" if nested
+                           else f"{what} must have real entries") from None
 
 
 def _check_positive_sorted(values: list, what: str):

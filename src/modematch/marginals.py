@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL_INEQ
-from .core import SpectrumVector, _as_covariance, _real_array, symplectic_eigenvalues
+from .core import SpectrumVector, _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import FeasibilityVerdict, check_mixed
+from .gate import FeasibilityVerdict, _as_vector, check_mixed
 
 
 @dataclass(eq=False)
@@ -53,29 +53,24 @@ def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> Feasibilit
 
 
 def temperature_to_b(T) -> np.ndarray:
-    """Local excitation b = 2 / (exp(1/T) - 1) per mode.
-
-    Monotone increasing in T; tiny temperatures underflow to b = 0.
-    """
-    values = _real_array(T, "temperatures")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInput("temperatures have non-finite entries")
-    if np.any(values <= 0):
+    """Local excitation b = 2 / (exp(1/T) - 1) per mode, for a vector of
+    temperatures (``gate._as_vector``); monotone increasing in T, and tiny
+    temperatures underflow to b = 0."""
+    T = _as_vector(T, "temperatures")
+    if min(T) <= 0:
         raise InvalidInput("temperatures must be strictly positive")
     with np.errstate(over="ignore"):
-        return 2.0 / np.expm1(1.0 / values)
+        return 2.0 / np.expm1(1.0 / np.array(T))
 
 
 def b_to_temperature(b) -> np.ndarray:
-    """Invert the excitation map: T = 1 / log(1 + 2/b).
-
-    b = 0 maps to T = 0 exactly, which marks a pure local mode.
-    """
-    b = _real_array(b, "b")
-    if not np.all(np.isfinite(b)):
-        raise InvalidInput("b has non-finite entries")
-    if np.any(b < 0):
+    """Invert the excitation map for a vector b >= 0 (``gate._as_vector``):
+    T = 1 / log(1 + 2/b), and b = 0 maps to T = 0 exactly, which marks a
+    pure local mode."""
+    b = _as_vector(b, "b")
+    if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
+    b = np.array(b)
     out = np.zeros_like(b)
     positive = b > 0
     out[positive] = 1.0 / np.log1p(2.0 / b[positive])

@@ -29,7 +29,6 @@ from .core import (
     _EPS,
     CovarianceMatrix,
     SymplecticTransform,
-    _frozen,
     _max_abs,
     _mode_input,
     symplectic_eigenvalues,
@@ -52,7 +51,7 @@ class TwoModeStep:
         gate = SymplecticTransform(self.transform)
         if gate.n != 2:
             raise InvalidInput("a two-mode gate must be 4x4")
-        object.__setattr__(self, "transform", *_frozen(gate.entries.copy()))
+        object.__setattr__(self, "transform", gate.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +293,7 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int, *, physical: bool =
     0.2 tightens back toward the boundary.  The draws take no tolerance;
     ``check_mixed`` re-checks the result at its default one.
     """
+    _mode_input(n)
     d = np.sort(rng.uniform(1.0 if physical else 0.5, 4.0, n))
     c = d.copy()
     for _ in range(int(rng.integers(1, 4))):

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,6 +412,18 @@ class TestActingOrder:
 
 
 class TestSerialization:
+    def test_fraction_values_write_as_their_floats(self):
+        # an element keeps the real value it was given; a Fraction has no
+        # float format code before Python 3.12
+        def build(value):
+            return PreparationCircuit(n=2, seed=[1.0, 1.0], elements=[
+                Squeezer(0, value(9, 4)), Rotation((0, 1), value(1, 3), value(-1, 7)),
+                PhaseShift(1, value(5, 2))])
+
+        text = serialize_circuit(build(Fraction))
+        assert text == serialize_circuit(build(lambda a, b: a / b))
+        assert serialize_circuit(parse_circuit(text)) == text
+
     def test_round_trip_exact(self):
         # every builder's output: the per-gate circuit of a trace, and the
         # dense circuit of a pure and of a mixed target for n = 1..6

@@ -656,6 +656,21 @@ class TestRecordShape:
         assert list(record) == ["command", "error"] and record["command"] == "check"
         assert captured.err == f"error: {record['error']}\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["check", "--c", ",", "--d", "1"], "empty vector ','"),
+        (["check", "--pure"], "--pure requires --b"),
+        (["entropy"], "provide --c or --matrix"),
+        (["prepare", "--out", "c.txt"], "provide --matrix, or --c and --d"),
+    ], ids=["empty-vector", "pure-without-b", "entropy-without-input", "prepare-without-target"])
+    def test_missing_input_is_an_input_error(self, capsys, tmp_path, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"command": argv[0], "error": error}
+        assert captured.err == f"error: {error}\n"
+        assert not list(tmp_path.iterdir())
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -211,13 +211,26 @@ class TestSingleSpectralPass:
         symplectic_eigenvalues(cov).values[0] = 99.0
         S, d = williamson(cov)
         d.values[0] = 99.0
-        S.entries[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            S.entries[0, 0] = 99.0
         S2, d2 = williamson(cov)
         np.testing.assert_allclose(d2.values, d_in, atol=1e-9)
         assert S2.entries[0, 0] != 99.0
         sig = symplectic_form(2)
         sig[0, 1] = 7.0
         assert symplectic_form(2)[0, 1] == 1.0
+
+    def test_a_transform_keeps_its_own_copy(self):
+        # euler_decompose trusts a SymplecticTransform, so writing to the
+        # caller's array must not reach the checked entries
+        entries = np.eye(4)
+        S = SymplecticTransform(entries)
+        entries[0, 0] = 5.0
+        factors = euler_decompose(S)
+        np.testing.assert_array_equal(S.entries, np.eye(4))
+        np.testing.assert_allclose(factors.z, [1.0, 1.0])
+        with pytest.raises(AttributeError):
+            S.entries = np.eye(4)
 
 
 class TestSpectrumVector:

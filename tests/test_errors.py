@@ -23,7 +23,9 @@ from modematch import (
     parse_circuit,
     passive_to_two_mode_rotations,
     random_symplectic,
+    sample_feasible_pair,
     solve_two_mode,
+    symplectic_form,
     temperature_to_b,
     two_mode_eigenvalues_closed_form,
     williamson,
@@ -87,14 +89,21 @@ REJECTIONS = {
                            "c must have real"),
     "complex64-in-list": (lambda: check_mixed([1.5, np.complex64(2 + 1j)], [1, 2]),
                           "c must have real"),
+    "none-in-list": (lambda: check_mixed([1.5, None], [1, 2]), "c must have real"),
+    "list-in-list": (lambda: check_mixed([1.5, [2.0]], [1, 2]),
+                     "c must be a non-empty 1-d vector"),
     "length-mismatch": (lambda: check_mixed([1.0, 2.0], [1.0]), "lengths 2 and 1"),
     "non-positive-c": (lambda: check_mixed([0.0, 1.0], [1.0, 1.0]), "c must be strictly"),
     "negative-b": (lambda: check_pure([-1.0, 1.0]), "b entries must be non-negative"),
     "zero-temperature": (lambda: temperature_to_b([0.0]), "temperatures must be strictly"),
     "complex-temperature": (lambda: temperature_to_b([np.complex128(1 + 1j)]),
                             "temperatures must have real"),
-    "complex-b-to-temperature": (lambda: b_to_temperature(np.complex128(1 + 0j)),
+    "complex-b-to-temperature": (lambda: b_to_temperature([np.complex128(1 + 0j)]),
                                  "b must have real"),
+    "empty-temperatures": (lambda: temperature_to_b([]),
+                           "temperatures must be a non-empty 1-d vector"),
+    "nested-temperatures": (lambda: temperature_to_b([[1.0, 2.0]]),
+                            "temperatures must be a non-empty 1-d vector"),
     "entropy-below-one": (lambda: entropy_s(0.5), "lies below 1"),
     "complex-entropy": (lambda: entropy_s(np.complex128(2 + 1j)), "entropy argument must be real"),
     "non-finite-entropy": (lambda: entropy_s_inverse(np.inf), "is not finite"),
@@ -120,8 +129,12 @@ REJECTIONS = {
                        "passive transform must be a rectangular array"),
     "complex-euler-z": (lambda: EulerFactors(IDENTITY, np.array([1 + 1j]), IDENTITY),
                         "squeezing magnitudes must have real"),
+    "nan-euler-z": (lambda: EulerFactors(IDENTITY, np.array([np.nan]), IDENTITY),
+                    "squeezing magnitudes has non-finite"),
     "complex-seed": (lambda: PreparationCircuit(n=1, seed=np.array([1 + 1j])),
                      "seed must have real"),
+    "nested-seed": (lambda: PreparationCircuit(n=2, seed=[[1.0, 2.0]]),
+                    "seed must be a non-empty 1-d vector"),
     "complex-matrix-file": (lambda: format_matrix(np.eye(2) * (1 + 0.5j), "covariance"),
                             "matrix must have real"),
     "indefinite-two-mode": (lambda: two_mode_eigenvalues_closed_form(1.0, 1.0, 2.0, 0.0),
@@ -131,6 +144,8 @@ REJECTIONS = {
                           r"\(c1, c2, d1, d2\) has non-finite entries"),
     "complex-two-mode": (lambda: solve_two_mode(np.complex128(1.5 + 1j), 2, 1, 2),
                          r"\(c1, c2, d1, d2\) must have real entries"),
+    "none-two-mode": (lambda: solve_two_mode(1.0, None, 1.0, 2.0),
+                      r"\(c1, c2, d1, d2\) must have real entries"),
     "infinite-closed-form": (lambda: two_mode_eigenvalues_closed_form(1.0, np.inf, 0, 0),
                              r"\(c1, c2, e, f\) has non-finite entries"),
     "nan-closed-form": (lambda: two_mode_eigenvalues_closed_form(np.nan, 2, 0, 0),
@@ -169,6 +184,7 @@ REJECTIONS = {
     "trace-list-modes": (lambda: trace([0, 1]),
                          r"modes \[0, 1\] are not a tuple of two distinct modes"),
     "trace-non-symplectic": (lambda: trace((0, 1), 2.0 * np.eye(4)), "symplectic defect"),
+    "trace-one-mode-gate": (lambda: TwoModeStep((0, 1), np.eye(2)), "two-mode gate must be 4x4"),
     "matrix-file": (lambda: parse_matrix(""), "header lines"),
     "circuit-file": (lambda: parse_circuit("n 2\nseed 1 1\nsqueezer mode=0 z=x\n"),
                      "circuit line 3: could not convert"),
@@ -177,6 +193,11 @@ REJECTIONS = {
     "random-symplectic-squeeze-bound": (lambda: random_symplectic(2, 0.5), "squeeze_bound"),
     "random-symplectic-complex-bound": (lambda: random_symplectic(2, 1j),
                                         "squeeze_bound must be real"),
+    "symplectic-form-no-modes": (lambda: symplectic_form(0), "mode count 0 is not positive"),
+    "symplectic-form-fractional-n": (lambda: symplectic_form(1.5), "mode count 1.5"),
+    "identity-fractional-n": (lambda: CovarianceMatrix.identity(1.5), "mode count 1.5"),
+    "sampler-fractional-n": (lambda: sample_feasible_pair(np.random.default_rng(0), 2.5),
+                             "mode count 2.5"),
     "matrix-file-kind": (lambda: format_matrix(np.eye(2), "bogus"), "kind must be one of"),
 }
 

@@ -70,3 +70,13 @@ class TestValidation:
     def test_rejects_missing_header(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("1 0\n0 1\n")
+
+    @pytest.mark.parametrize("header, message", [
+        ("n\nordering xpxp\nkind covariance", "malformed header line 'n'"),
+        ("n 1\nordering xpxp\nshape covariance", "header is missing 'kind'"),
+        ("n one\nordering xpxp\nkind covariance", "header n is not an integer: 'one'"),
+        ("n 0\nordering xpxp\nkind covariance", "mode count must be positive, got 0"),
+    ], ids=["malformed-line", "missing-key", "non-integer-n", "no-modes"])
+    def test_rejects_a_bad_header(self, header, message):
+        with pytest.raises(MatrixParseError, match=message):
+            parse_matrix(f"{header}\n1 0\n0 1\n")
