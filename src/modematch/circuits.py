@@ -15,7 +15,8 @@ matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 a matrix it acts as U itself, so the Reck sweep and the replay apply every
 passive element as one update of the rows of its modes.
 
-Building a ``PreparationCircuit`` checks and freezes it; replay and writer see no other.
+Each element checks its own values when built, and a ``PreparationCircuit``
+its source, seed and modes against n; replay and writer see no other circuit.
 """
 
 import cmath
@@ -54,6 +55,9 @@ class Squeezer:
     mode: int
     z: float
 
+    def __post_init__(self):
+        _check_values(self, _finite(self.z) and self.z > 0)
+
 
 @dataclass(frozen=True)
 class Rotation:
@@ -64,6 +68,9 @@ class Rotation:
     theta: float
     phi: float
 
+    def __post_init__(self):
+        _check_values(self, _finite(self.theta) and _finite(self.phi))
+
 
 @dataclass(frozen=True)
 class PhaseShift:
@@ -71,6 +78,9 @@ class PhaseShift:
 
     mode: int
     alpha: float
+
+    def __post_init__(self):
+        _check_values(self, _finite(self.alpha))
 
 
 PassiveElement = Rotation | PhaseShift
@@ -82,10 +92,9 @@ class PreparationCircuit:
     """A seed, one covariance value per mode (all ones for a pure source),
     and the elements that act on it in tuple order.  Building one by any
     route, ``dataclasses.replace`` included, checks the circuit rule: a known
-    source, n, seed and modes under ``core._mode_input``, and element values
-    that are real numbers by type, finite angles and finite, positive z.  It
-    and its elements are frozen, so it keeps the rule.  Two circuits are
-    equal only if they are the same object."""
+    source, and n, seed and the elements' modes under ``core._mode_input``.
+    Its elements checked their own values; all are frozen, so it keeps the
+    rule.  Two circuits are equal only if they are the same object."""
 
     n: int
     seed: np.ndarray
@@ -95,18 +104,8 @@ class PreparationCircuit:
     def __post_init__(self):
         _check_source(self.source)
         elements = tuple(self.elements)
-        seed = _mode_input(self.n, self.seed,
-                           [el.mode for el in elements if not isinstance(el, Rotation)],
-                           [el.modes for el in elements if isinstance(el, Rotation)])
+        object.__setattr__(self, "seed", _check_modes(self.n, elements, self.seed))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "seed", seed)
-        bad = [el for el in elements if not (
-            _real(el.z) and 0 < el.z < math.inf if isinstance(el, Squeezer)
-            else _real(el.alpha) and math.isfinite(el.alpha) if isinstance(el, PhaseShift)
-            else _real(el.theta) and _real(el.phi)
-            and math.isfinite(el.theta) and math.isfinite(el.phi))]
-        if bad:
-            raise InvalidInput(f"{bad[0]}: angles must be finite, and z finite and positive")
 
     @property
     def squeezers(self) -> list[Squeezer]:
@@ -117,11 +116,22 @@ class PreparationCircuit:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
 
 
-def _real(value) -> bool:
-    """Whether an element value is a real number by type: numpy's real
-    scalars count, its complex ones do not.  An element keeps the value it
-    was given, so converting it would not do."""
-    return value.__class__ is float or isinstance(value, numbers.Real)
+def _finite(value) -> bool:
+    """Whether an element value is a finite real number by type: numpy's real
+    scalars count, its complex ones do not, and the value is kept unconverted."""
+    return (value.__class__ is float or isinstance(value, numbers.Real)) and math.isfinite(value)
+
+
+def _check_values(el: Element, valid: bool) -> None:
+    """Raise unless ``valid``: an element's verdict on its values, each ``_finite`` and z > 0."""
+    if not valid:
+        raise InvalidInput(f"{el}: angles must be finite, and z finite and positive")
+
+
+def _check_modes(n, elements, seed=None):
+    """``core._mode_input`` on n, a seed, and the elements' modes and rotation pairs."""
+    return _mode_input(n, seed, [el.mode for el in elements if not isinstance(el, Rotation)],
+                       [el.modes for el in elements if isinstance(el, Rotation)])
 
 
 def _check_source(source: str) -> None:
@@ -255,14 +265,15 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
                               source=MIXED_SOURCE)
 
 
-def _element_line(el: Element) -> str:
-    # an element keeps the real value it was given; float() formats a Fraction too
-    if isinstance(el, Squeezer):
-        return f"squeezer mode={el.mode} z={float(el.z):.17g}"
-    if isinstance(el, Rotation):
-        return (f"rotation modes={el.modes[0]},{el.modes[1]} "
-                f"theta={float(el.theta):.17g} phi={float(el.phi):.17g}")
-    return f"phase mode={el.mode} alpha={float(el.alpha):.17g}"
+# The element line format: each record's head, element, and fields in file order with how each
+# is read and written.  A value is written as its float: a Fraction formats only from 3.12.
+_MODE = (int, str)
+_MODES = (lambda raw: tuple(map(int, raw.split(","))), lambda modes: f"{modes[0]},{modes[1]}")
+_VALUE = (float, lambda value: f"{float(value):.17g}")
+_RECORDS = {"squeezer": (Squeezer, {"mode": _MODE, "z": _VALUE}),
+            "phase": (PhaseShift, {"mode": _MODE, "alpha": _VALUE}),
+            "rotation": (Rotation, {"modes": _MODES, "theta": _VALUE, "phi": _VALUE})}
+_HEADS = {cls: head for head, (cls, _) in _RECORDS.items()}
 
 
 def serialize_circuit(circuit: PreparationCircuit) -> str:
@@ -270,14 +281,11 @@ def serialize_circuit(circuit: PreparationCircuit) -> str:
     element lines follow the seed in the order the elements act."""
     lines = [f"n {circuit.n}", f"source {circuit.source}",
              "seed " + " ".join(f"{v:.17g}" for v in circuit.seed)]
-    return "\n".join(lines + [_element_line(el) for el in circuit.elements]) + "\n"
-
-
-# each record's element and fields, read as the types the element holds
-_RECORDS = {"squeezer": (Squeezer, {"mode": int, "z": float}),
-            "phase": (PhaseShift, {"mode": int, "alpha": float}),
-            "rotation": (Rotation, {"modes": lambda raw: tuple(map(int, raw.split(","))),
-                                    "theta": float, "phi": float})}
+    for el in circuit.elements:
+        head = _HEADS[type(el)]
+        lines.append(" ".join([head] + [f"{key}={write(getattr(el, key))}"
+                                        for key, (_, write) in _RECORDS[head][1].items()]))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_element(head: str, parts) -> Element:
@@ -293,54 +301,45 @@ def _parse_element(head: str, parts) -> Element:
     if kv.keys() != fields.keys():
         raise InvalidInput(f"{head} takes the fields {', '.join(fields)}, got {', '.join(kv)}; "
                            "for a file in the older three-block format, re-run prepare")
-    return cls(*[read(kv[key]) for key, read in fields.items()])
+    return cls(*[read(kv[key]) for key, (read, _) in fields.items()])
 
 
 def parse_circuit(text: str) -> PreparationCircuit:
     """Parse the output of serialize_circuit.  The n record comes first; n,
     source and seed appear at most once, n and source with one value; each
-    field is key=value and appears once, and any other field, as in the
-    older three-block format, is rejected.  Values meet the circuit rule of
-    ``PreparationCircuit``.  Failures raise InvalidInput naming the first
-    failing line."""
+    field is key=value and appears once; any other field, as in the older
+    three-block format, is rejected.  Lines are checked as they are read,
+    elements by themselves and against n; InvalidInput names the failing line."""
     n, source, seed = None, PURE_SOURCE, None
     headers: set[str] = set()
-    numbered: list[tuple[int, Element]] = []
-    try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, *rest = line.split()
-            try:
-                if head in headers:
-                    raise InvalidInput(f"repeated {head} record")
-                if head in ("n", "source", "seed"):
-                    headers.add(head)
-                if head in ("n", "source") and rest[1:]:
-                    raise InvalidInput(f"{head} record takes one value, got {' '.join(rest)}")
-                if head == "n":
-                    _mode_input(n := int(rest[0]))
-                elif head == "source":
-                    _check_source(source := rest[0])
-                elif head != "seed" and head not in _RECORDS:
-                    raise InvalidInput(f"unknown record {head!r}")
-                elif n is None:
-                    raise InvalidInput(f"{head} record before the n record")
-                elif head == "seed":
-                    seed = _mode_input(n, [float(v) for v in rest])
-                else:
-                    numbered.append((lineno, _parse_element(head, rest)))
-            except (IndexError, ValueError) as exc:
-                raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
-        if n is None or seed is None:
-            raise InvalidInput("circuit file is missing the n or seed record")
-        return PreparationCircuit(n=n, seed=seed, elements=[el for _, el in numbered],
-                                  source=source)
-    except InvalidInput:  # an earlier element line that breaks the rule comes first
-        for lineno, el in numbered:
-            try:
-                PreparationCircuit(n, np.ones(n), [el])
-            except InvalidInput as exc:
-                raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
-        raise
+    elements: list[Element] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, *rest = line.split()
+        try:
+            if head in headers:
+                raise InvalidInput(f"repeated {head} record")
+            if head in ("n", "source", "seed"):
+                headers.add(head)
+            if head in ("n", "source") and rest[1:]:
+                raise InvalidInput(f"{head} record takes one value, got {' '.join(rest)}")
+            if head == "n":
+                _mode_input(n := int(rest[0]))
+            elif head == "source":
+                _check_source(source := rest[0])
+            elif head != "seed" and head not in _RECORDS:
+                raise InvalidInput(f"unknown record {head!r}")
+            elif n is None:
+                raise InvalidInput(f"{head} record before the n record")
+            elif head == "seed":
+                seed = _mode_input(n, [float(v) for v in rest])
+            else:
+                _check_modes(n, [el := _parse_element(head, rest)])
+                elements.append(el)
+        except (IndexError, ValueError) as exc:
+            raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
+    if n is None or seed is None:
+        raise InvalidInput("circuit file is missing the n or seed record")
+    return PreparationCircuit(n=n, seed=seed, elements=elements, source=source)

@@ -116,13 +116,19 @@ def _square_input(entries, what: str):
     return entries, entries.shape[0] // 2, max(1.0, scale)
 
 
+def _int_at_least(value, low: int = 1) -> bool:
+    """Whether a value is an integer by type, Python's or numpy's but not a
+    bool, and at least ``low``: by default a positive integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
 def _mode_input(n, seed=None, modes=(), pairs=()):
     """The mode rule behind every mode count, circuit and trace: n is a
-    positive integer; a seed, unless None, is a vector (``gate._as_vector``)
-    of n positive values; each entry of ``modes`` and of the ``pairs`` is an
-    integer in 0..n-1, and a pair is a tuple of two different modes.
-    Returns a read-only float64 copy of the seed."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    positive integer (``_int_at_least``); a seed, unless None, is a vector
+    (``gate._as_vector``) of n positive values; each entry of ``modes`` and
+    of the ``pairs`` is an integer in 0..n-1, and a pair is a tuple of two
+    different modes.  Returns a read-only float64 copy of the seed."""
+    if not _int_at_least(n):
         raise InvalidInput(f"mode count {n} is not positive")
     if seed is not None:
         values = _as_vector(seed, "seed")
@@ -134,8 +140,7 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
     bad = [p for p in pairs if not (isinstance(p, tuple) and len(p) == 2 and p[0] != p[1])]
     if bad:
         raise InvalidInput(f"modes {bad[0]!r} are not a tuple of two distinct modes")
-    bad = [m for group in (modes, *pairs) for m in group
-           if not (isinstance(m, (int, np.integer)) and 0 <= m < n)]
+    bad = [m for group in (modes, *pairs) for m in group if not (_int_at_least(m, 0) and m < n)]
     if bad:
         raise InvalidInput(f"mode {bad[0]} is outside 0..{n - 1}")
     return seed
@@ -516,6 +521,18 @@ def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     return U
 
 
+def _generator(seed) -> "np.random.Generator":
+    """The random generator of a seed: a Generator is used as it is, and
+    anything else goes to ``np.random.default_rng``; a seed it refuses, such
+    as a fraction or a negative integer, raises InvalidInput."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"seed {seed!r} is not a valid random seed: {exc}") from None
+
+
 def haar_orthogonal_symplectic(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Random passive transform, drawn Haar-like from the unitary picture."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -534,7 +551,7 @@ def random_symplectic(n: int, squeeze_bound: float = 1.0, seed=None) -> Symplect
     squeeze_bound = real_float(squeeze_bound, "squeeze_bound")
     if not 1.0 <= squeeze_bound < math.inf:
         raise InvalidInput(f"squeeze_bound must be finite and >= 1, got {squeeze_bound}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     O = haar_orthogonal_symplectic(n, rng)
     V = haar_orthogonal_symplectic(n, rng)
     z = rng.uniform(1.0, squeeze_bound, n)

@@ -66,12 +66,15 @@ def temperature_to_b(T) -> np.ndarray:
 def b_to_temperature(b) -> np.ndarray:
     """Invert the excitation map for a vector b >= 0 (``gate._as_vector``):
     T = 1 / log(1 + 2/b), and b = 0 maps to T = 0 exactly, which marks a
-    pure local mode."""
+    pure local mode.  Where 2/b overflows, for a subnormal b, the log is
+    taken as log 2 - log b, so every positive b has a finite positive T."""
     b = _as_vector(b, "b")
     if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
     b = np.array(b)
     out = np.zeros_like(b)
-    positive = b > 0
-    out[positive] = 1.0 / np.log1p(2.0 / b[positive])
+    positive = b[b > 0]
+    with np.errstate(over="ignore"):
+        ratio = 2.0 / positive
+    out[b > 0] = 1.0 / np.where(ratio < math.inf, np.log1p(ratio), math.log(2.0) - np.log(positive))
     return out

@@ -20,6 +20,8 @@ from .circuits import circuit_from_matrix, replay_defect
 from .config import TOL_INEQ, TOL_RECON, valid_tol_ineq
 from .core import (
     CovarianceMatrix,
+    _generator,
+    _int_at_least,
     euler_decompose,
     euler_defect,
     interleaved_diagonal,
@@ -81,16 +83,17 @@ def random_physical_covariance(rng: "np.random.Generator", n: int,
 
 def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 5.0,
                      corrupt=None, *, tol_ineq: float = TOL_INEQ) -> VerificationSummary:
-    """Run every suite over ``trials`` sampled instances.
+    """Run every suite over ``trials`` sampled instances, drawn from the
+    generator of ``seed`` (``core._generator``).
 
     ``corrupt``, when given, maps each synthesized witness to the matrix
     ``synthesis_defect`` measures; it exists so the harness itself can be
     sanity-checked against an intentionally broken pipeline.
     """
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (trials, n_max)):
+    if not (_int_at_least(trials) and _int_at_least(n_max)):
         raise InvalidInput(f"trials and n_max must be positive integers, got {trials}, {n_max}")
     tol_ineq = valid_tol_ineq(tol_ineq)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     start = time.perf_counter()
     necessity = SuiteResult("necessity", -tol_ineq, upper=False)
     recon = SuiteResult("williamson_euler_reconstruction", TOL_RECON)

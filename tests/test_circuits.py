@@ -528,3 +528,40 @@ class TestSerialization:
                          for el in circuit.elements]
         assert "stage=" not in serialize_circuit(circuit)
         assert "orientation=" not in serialize_circuit(circuit)
+
+    @pytest.mark.parametrize("element, line", [
+        (Squeezer(1, 2), "squeezer mode=1 z=2"),
+        (Squeezer(np.int64(1), np.int64(3)), "squeezer mode=1 z=3"),
+        (Squeezer(0, Fraction(9, 4)), "squeezer mode=0 z=2.25"),
+        (Squeezer(0, np.float64(0.1)), "squeezer mode=0 z=0.10000000000000001"),
+        (Rotation((np.int64(0), np.int64(1)), Fraction(1, 3), Fraction(-1, 7)),
+         "rotation modes=0,1 theta=0.33333333333333331 phi=-0.14285714285714285"),
+        (Rotation((1, 0), 1, np.float64(-2.5)), "rotation modes=1,0 theta=1 phi=-2.5"),
+        (PhaseShift(1, np.float64(0.1)), "phase mode=1 alpha=0.10000000000000001"),
+        (PhaseShift(np.int64(0), Fraction(5, 2)), "phase mode=0 alpha=2.5"),
+        (PhaseShift(0, -3), "phase mode=0 alpha=-3"),
+    ])
+    def test_each_value_type_writes_a_fixed_line(self, element, line):
+        # modes are written as integers and values as their floats, whatever
+        # real type the element holds
+        text = serialize_circuit(PreparationCircuit(n=2, seed=[1.0, 1.0], elements=[element]))
+        assert text.splitlines()[3] == line
+        assert serialize_circuit(parse_circuit(text)) == text
+
+    @pytest.mark.parametrize("bad, message", [
+        ("squeezer mode=0 z=-1", "z=-1.0.*z finite and positive"),
+        ("phase mode=2 alpha=0", "mode 2 is outside 0..1"),
+        ("rotation modes=1,1 theta=0 phi=0", "tuple of two distinct modes"),
+    ])
+    def test_a_bad_last_line_fails_as_it_is_read(self, monkeypatch, bad, message):
+        # each line is checked when read, so no circuit is built on the way
+        built, check = [], PreparationCircuit.__post_init__
+        monkeypatch.setattr(PreparationCircuit, "__post_init__",
+                            lambda circuit: built.append(check(circuit)))
+        lines = [f"phase mode={k % 2} alpha=0.{k}" for k in range(999)]
+        text = "\n".join(["n 2", "source mixed_OQV", "seed 1 1", *lines, bad]) + "\n"
+        with pytest.raises(InvalidInput, match=f"circuit line 1003: .*{message}"):
+            parse_circuit(text)
+        assert built == []
+        assert len(parse_circuit(text.replace(bad, lines[0])).elements) == 1000
+        assert len(built) == 1

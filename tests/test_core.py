@@ -474,6 +474,11 @@ class TestRandomSymplectic:
         with pytest.raises(ValueError):
             random_symplectic(2, 0.5, seed=1)
 
+    def test_an_int_seed_draws_as_its_generator(self):
+        a = random_symplectic(3, 3.0, seed=42)
+        b = random_symplectic(3, 3.0, seed=np.random.default_rng(42))
+        assert np.array_equal(a.entries, b.entries)
+
 
 class TestSymplecticTransform:
     def test_inverse(self):

@@ -199,6 +199,21 @@ REJECTIONS = {
     "sampler-fractional-n": (lambda: sample_feasible_pair(np.random.default_rng(0), 2.5),
                              "mode count 2.5"),
     "matrix-file-kind": (lambda: format_matrix(np.eye(2), "bogus"), "kind must be one of"),
+    "squeezer-negative-z": (lambda: Squeezer(0, -1.0), "z=-1.0.*z finite and positive"),
+    "phase-nan-angle": (lambda: PhaseShift(0, np.nan), "alpha=nan.*angles must be finite"),
+    "rotation-complex-angle": (lambda: Rotation((0, 1), 1j, 0), "theta=1j.*angles must be finite"),
+    "symplectic-form-bool-n": (lambda: symplectic_form(True), "mode count True is not positive"),
+    "circuit-bool-n": (lambda: PreparationCircuit(n=True, seed=[1.5], source="mixed_OQV"),
+                       "mode count True is not positive"),
+    "circuit-bool-mode": (lambda: circuit(Squeezer(True, 2.0)), "mode True is outside 0..1"),
+    "trace-bool-mode": (lambda: trace((False, 1)), "mode False is outside 0..1"),
+    "verify-bool-trials": (lambda: run_verification(True, 2), "positive integers"),
+    "random-symplectic-fractional-seed": (lambda: random_symplectic(2, 1.0, seed=1.5),
+                                          "seed 1.5 is not a valid random seed"),
+    "random-symplectic-negative-seed": (lambda: random_symplectic(2, 1.0, seed=-1),
+                                        "seed -1 is not a valid random seed"),
+    "verify-fractional-seed": (lambda: run_verification(2, 2, seed=1.5),
+                               "seed 1.5 is not a valid random seed"),
 }
 
 

@@ -236,6 +236,15 @@ class TestTemperatureConversions:
         assert T[0] == 0.0
         assert list(T == 0) == [True, False]
 
+    def test_every_positive_excitation_has_a_finite_positive_temperature(self):
+        # 2/b overflows for a subnormal b, which read as T = 0, the pure-mode
+        # marker, with a RuntimeWarning
+        b = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+                      np.finfo(float).max])
+        T = b_to_temperature(b)
+        assert np.all(np.isfinite(T)) and np.all(T > 0) and np.all(np.diff(T) > 0)
+        np.testing.assert_allclose(T[:3], 1.0 / (np.log(2.0) - np.log(b[:3])), rtol=1e-15)
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             temperature_to_b([0.0])
