@@ -21,11 +21,11 @@ its source, seed and modes against n; replay and writer see no other circuit.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import real_float
 from .core import (
     SymplecticTransform,
     _as_covariance,
@@ -117,9 +117,11 @@ class PreparationCircuit:
 
 
 def _finite(value) -> bool:
-    """Whether an element value is a finite real number by type: numpy's real
-    scalars count, its complex ones do not, and the value is kept unconverted."""
-    return (value.__class__ is float or isinstance(value, numbers.Real)) and math.isfinite(value)
+    """Whether an element value is a finite real number (``config.real_float``)."""
+    try:
+        return math.isfinite(real_float(value, "element value"))
+    except InvalidInput:
+        return False
 
 
 def _check_values(el: Element, valid: bool) -> None:

@@ -5,7 +5,7 @@ settable: the functions that evaluate the feasibility inequalities take it
 as a keyword, defaulting to ``TOL_INEQ``, and the CLI reads it from
 ``--tol-ineq`` or the ``MODEMATCH_TOL_INEQ`` environment variable (a decimal
 value).  Wherever it enters, ``valid_tol_ineq`` requires it to be finite and
-positive.  ``real_float`` states the one rule on real inputs.
+positive.  ``real_float`` is the one test of what a real number is.
 """
 
 import math
@@ -35,15 +35,18 @@ TOL_INEQ = 1e-9
 
 
 def real_float(value, what: str) -> float:
-    """A real input as a Python float.  A value of complex type is rejected
-    whatever its imaginary part, which ``float()`` of a numpy complex scalar
-    drops with only a warning; numpy registers its complex scalars as
-    ``numbers.Complex`` and its real ones as ``numbers.Real``."""
+    """A real number, by type, as a Python float: a ``float``, or any other
+    ``numbers.Real`` (ints, bools, fractions, numpy's real scalars) through
+    ``float()``, an int or fraction past the float range as +/-inf.  Complex
+    values, text, ``Decimal``, None, sequences, numpy's bool and 0-d arrays are not."""
     if value.__class__ is float:
         return value
-    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
-        raise InvalidInput(f"{what} must be real, got {value}")
-    return float(value)
+    if not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{what} must be real, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def valid_tol_ineq(value, what: str = "tol_ineq") -> float:

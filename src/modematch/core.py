@@ -71,25 +71,24 @@ def _sigma_average(M: np.ndarray) -> np.ndarray:
 
 
 def _real_array(entries, what: str) -> np.ndarray:
-    """The matrix rule's realness step: the entries as a float64 array.  An
-    entry of complex type, numpy's included, or one that is no number makes
-    the array not real, and a ragged nesting is no array.  A float64 array
-    passes through on one dtype test."""
+    """The matrix rule's realness step: the entries as a float64 array, by
+    dtype kind.  Bool, integer and float arrays are cast, an object array is
+    read entry by entry under ``real_float``, and any other kind, complex and
+    string arrays included, is not real.  A ragged nesting is no array."""
     if entries.__class__ is np.ndarray and entries.dtype.char == "d":
         return entries
     try:
         arr = np.asarray(entries)
     except ValueError:  # numpy refuses a ragged nesting
         raise InvalidInput(f"{what} must be a rectangular array") from None
-    not_real = f"{what} must have real entries"
-    if arr.dtype.kind == "c":
-        raise InvalidInput(not_real)
-    try:
-        if arr.dtype.kind == "O":
-            return np.array([real_float(v, what) for v in arr.flat]).reshape(arr.shape)
+    if arr.dtype.kind in "biuf":
         return arr.astype(float, copy=False)
-    except (ValueError, TypeError):  # InvalidInput, from real_float, is a ValueError
-        raise InvalidInput(not_real) from None
+    if arr.dtype.kind == "O":
+        try:
+            return np.array([real_float(v, what) for v in arr.flat]).reshape(arr.shape)
+        except InvalidInput:  # the message below names the array, not the entry
+            pass
+    raise InvalidInput(f"{what} must have real entries")
 
 
 def _max_abs(M: np.ndarray) -> float:
@@ -129,7 +128,7 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
     of the ``pairs`` is an integer in 0..n-1, and a pair is a tuple of two
     different modes.  Returns a read-only float64 copy of the seed."""
     if not _int_at_least(n):
-        raise InvalidInput(f"mode count {n} is not positive")
+        raise InvalidInput(f"mode count {n} is not a positive integer")
     if seed is not None:
         values = _as_vector(seed, "seed")
         if len(values) != n:

@@ -56,7 +56,7 @@ def entropy_s(c: float) -> float:
     defining difference cancels two terms of size c log2(c) and loses every
     bit near c = 1e16, so with down = (c - 1) / 2 it is evaluated as
     (log1p(down) + down log1p(1 / down)) / ln 2, within a few ulp from
-    c = 1 to the largest float.  A non-finite or complex c is rejected.
+    c = 1 to the largest float.  A c that is not a finite real (``real_float``) is rejected.
     """
     c = real_float(c, "entropy argument")
     if not math.isfinite(c):

@@ -123,14 +123,11 @@ def _as_vector(values, what: str) -> list:
 
 
 def _real_entries(items: list, what: str) -> list:
-    """The entries as Python floats; a nested sequence makes the vector not
-    1-d, and any other entry that is no real number, such as one of complex
-    type, a string that is no number or None, makes it not real."""
+    """The entries as Python floats (``real_float``); a nested sequence makes
+    the vector not 1-d, and any other entry that is no real number not real."""
     try:
         return [real_float(v, what) for v in items]
-    # InvalidInput, raised for a complex entry, is a ValueError; float()
-    # raises TypeError for a sequence or None
-    except (ValueError, TypeError):
+    except InvalidInput:
         nested = any(hasattr(v, "__iter__") and not isinstance(v, (str, bytes)) for v in items)
         raise InvalidInput(f"{what} must be a non-empty 1-d vector" if nested
                            else f"{what} must have real entries") from None

@@ -76,9 +76,8 @@ def random_physical_covariance(rng: "np.random.Generator", n: int,
                                squeeze_bound: float, d_high: float = 3.0):
     """Random physical covariance gamma = S D S^T with d >= 1."""
     d = np.sort(rng.uniform(1.0, d_high, n))
-    S = random_symplectic(n, squeeze_bound, rng)
-    gamma = S.entries @ interleaved_diagonal(d) @ S.entries.T
-    return CovarianceMatrix(gamma), d, S
+    S = random_symplectic(n, squeeze_bound, rng).entries
+    return CovarianceMatrix(S @ interleaved_diagonal(d) @ S.T)
 
 
 def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 5.0,
@@ -102,7 +101,7 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
 
     for trial in range(trials):
         n = 2 + trial % max(1, n_max - 1) if n_max > 1 else 1
-        gamma, _, _ = random_physical_covariance(rng, n, squeeze_bound)
+        gamma = random_physical_covariance(rng, n, squeeze_bound)
         necessity.record(check_matrix_consistency(gamma, tol_ineq=tol_ineq).min_slack)
         S_w, d_w = williamson(gamma)
         # np.max, unlike max, keeps a NaN defect
@@ -124,8 +123,8 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
             # pure targets (d = 1) and mixed ones in turn; a Reck mesh has at
             # most m(m - 1)/2 rotations and m phases, and a mixed circuit two
             m, pure = int(rng.integers(1, min(n_max, 6) + 1)), trial % 20 == 0
-            target, _, _ = random_physical_covariance(rng, m, min(squeeze_bound, 3.0),
-                                                      d_high=1.0 if pure else 3.0)
+            target = random_physical_covariance(rng, m, min(squeeze_bound, 3.0),
+                                                d_high=1.0 if pure else 3.0)
             circ = circuit_from_matrix(target)
             meshed = len(circ.passive_ops) <= (1 if pure else 2) * (m * (m - 1) // 2 + m)
             circuits.record(replay_defect(circ, target.entries) if meshed else None)

@@ -223,7 +223,7 @@ class TestCircuitFromMatrix:
     def test_random_mixed_targets_replay_as_themselves(self, n):
         rng = np.random.default_rng(70 + n)
         for _ in range(5):
-            gamma, _, _ = random_physical_covariance(rng, n, 3.0)
+            gamma = random_physical_covariance(rng, n, 3.0)
             circuit = circuit_from_matrix(gamma)
             assert circuit.source == "mixed_OQV"
             assert relative_defect(replay_circuit(circuit) - gamma.entries,
@@ -387,7 +387,7 @@ class TestActingOrder:
         # convention: each mesh is its elements' unitary, first-acting
         # element rightmost, then embedded; the squeezers sit between
         n = 24
-        gamma, _, _ = random_physical_covariance(np.random.default_rng(77), n, 3.0)
+        gamma = random_physical_covariance(np.random.default_rng(77), n, 3.0)
         circuit = circuit_from_matrix(gamma)
         kinds = [isinstance(el, Squeezer) for el in circuit.elements]
         first, last = kinds.index(True), len(kinds) - kinds[::-1].index(True)
@@ -432,7 +432,7 @@ class TestSerialization:
         circuits = [circuit_from_mixed(synthesize(c, d))]
         for n in range(1, 7):
             circuits += [circuit_from_matrix(random_pure(rng, n)),
-                         circuit_from_matrix(random_physical_covariance(rng, n, 3.0)[0])]
+                         circuit_from_matrix(random_physical_covariance(rng, n, 3.0))]
         assert [circ.source for circ in circuits[1:3]] == ["pure_OPO", "mixed_OQV"]
         for circuit in circuits:
             text = serialize_circuit(circuit)

@@ -4,6 +4,9 @@ Every validation failure is an ``InvalidInput``, which is also a
 ``ValueError``; infeasible requests and numerical failures are neither.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from modematch import (
     williamson,
 )
 from modematch import errors
+from modematch.config import valid_tol_ineq
 from modematch.circuits import PhaseShift, Rotation, Squeezer, orthosymplectic_to_unitary
 from modematch.errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
 from modematch.matrixio import MatrixParseError, format_matrix, parse_matrix
@@ -178,7 +182,7 @@ REJECTIONS = {
                               "seed values must be finite and positive"),
     "circuit-seed-length": (lambda: circuit(seed=(1.0, 1.0, 1.0)), "seed has 3 values for 2"),
     "circuit-unknown-source": (lambda: circuit(source="bogus"), "unknown source"),
-    "circuit-no-modes": (lambda: circuit(n=0, seed=()), "mode count 0 is not positive"),
+    "circuit-no-modes": (lambda: circuit(n=0, seed=()), "mode count 0 is not a positive integer"),
     "trace-negative-mode": (lambda: trace((0, -1)), "mode -1 is outside 0..1"),
     "trace-repeated-modes": (lambda: trace((1, 1)), "two distinct modes"),
     "trace-list-modes": (lambda: trace([0, 1]),
@@ -193,7 +197,8 @@ REJECTIONS = {
     "random-symplectic-squeeze-bound": (lambda: random_symplectic(2, 0.5), "squeeze_bound"),
     "random-symplectic-complex-bound": (lambda: random_symplectic(2, 1j),
                                         "squeeze_bound must be real"),
-    "symplectic-form-no-modes": (lambda: symplectic_form(0), "mode count 0 is not positive"),
+    "symplectic-form-no-modes": (lambda: symplectic_form(0),
+                                 "mode count 0 is not a positive integer"),
     "symplectic-form-fractional-n": (lambda: symplectic_form(1.5), "mode count 1.5"),
     "identity-fractional-n": (lambda: CovarianceMatrix.identity(1.5), "mode count 1.5"),
     "sampler-fractional-n": (lambda: sample_feasible_pair(np.random.default_rng(0), 2.5),
@@ -202,9 +207,10 @@ REJECTIONS = {
     "squeezer-negative-z": (lambda: Squeezer(0, -1.0), "z=-1.0.*z finite and positive"),
     "phase-nan-angle": (lambda: PhaseShift(0, np.nan), "alpha=nan.*angles must be finite"),
     "rotation-complex-angle": (lambda: Rotation((0, 1), 1j, 0), "theta=1j.*angles must be finite"),
-    "symplectic-form-bool-n": (lambda: symplectic_form(True), "mode count True is not positive"),
+    "symplectic-form-bool-n": (lambda: symplectic_form(True),
+                               "mode count True is not a positive integer"),
     "circuit-bool-n": (lambda: PreparationCircuit(n=True, seed=[1.5], source="mixed_OQV"),
-                       "mode count True is not positive"),
+                       "mode count True is not a positive integer"),
     "circuit-bool-mode": (lambda: circuit(Squeezer(True, 2.0)), "mode True is outside 0..1"),
     "trace-bool-mode": (lambda: trace((False, 1)), "mode False is outside 0..1"),
     "verify-bool-trials": (lambda: run_verification(True, 2), "positive integers"),
@@ -214,6 +220,33 @@ REJECTIONS = {
                                         "seed -1 is not a valid random seed"),
     "verify-fractional-seed": (lambda: run_verification(2, 2, seed=1.5),
                                "seed 1.5 is not a valid random seed"),
+    # config.real_float decides realness by type, so numeric text, Decimal,
+    # None and sequences are no real numbers, and an int or fraction past the
+    # float range reads as infinite
+    "numeric-strings-in-list": (lambda: check_mixed(["1.5", "2"], [b"1", "2"]),
+                                "c must have real entries"),
+    "numeric-string-matrix": (lambda: CovarianceMatrix(np.array([["2", "0"], ["0", "2"]])),
+                              "covariance matrix must have real entries"),
+    "numeric-string-transform": (lambda: SymplecticTransform(np.array([["1", "0"], ["0", "1"]])),
+                                 "symplectic transform must have real entries"),
+    "string-entropy": (lambda: entropy_s("3"), "entropy argument must be real, got '3'"),
+    "decimal-entropy": (lambda: entropy_s(Decimal("3")),
+                        r"entropy argument must be real, got Decimal\('3'\)"),
+    "none-entropy": (lambda: entropy_s(None), "entropy argument must be real, got None"),
+    "string-squeeze-bound": (lambda: random_symplectic(2, "2.0"),
+                             "squeeze_bound must be real, got '2.0'"),
+    "none-squeeze-bound": (lambda: random_symplectic(2, None),
+                           "squeeze_bound must be real, got None"),
+    "verify-none-squeeze-bound": (lambda: run_verification(2, 2, squeeze_bound=None),
+                                  "squeeze_bound must be real, got None"),
+    "list-tol-ineq": (lambda: check_pure([1.0], tol_ineq=[1e-9]),
+                      r"tol_ineq must be real, got \[1e-09\]"),
+    "string-tol-ineq": (lambda: check_mixed([1], [1], tol_ineq="abc"),
+                        "tol_ineq must be real, got 'abc'"),
+    "int-past-float-in-list": (lambda: check_mixed([10**400], [1]), "c has non-finite entries"),
+    "squeezer-int-past-float": (lambda: Squeezer(0, 10**400), r"z=10*\).*z finite and positive"),
+    "phase-fraction-past-float": (lambda: PhaseShift(0, Fraction(10**400)),
+                                  r"alpha=Fraction\(10*, 1\).*angles must be finite"),
 }
 
 
@@ -222,6 +255,42 @@ def test_every_rejection_is_an_invalid_input_and_a_value_error(reject, message):
     with pytest.raises(InvalidInput, match=message) as err:
         reject()
     assert isinstance(err.value, ValueError)
+
+
+def _object_matrix(value):
+    m = np.full((2, 2), 0.0, dtype=object)
+    m[0, 0] = m[1, 1] = value
+    return m
+
+
+# each kind of numeric entry, fed one value; all of them judge it by
+# config.real_float
+NUMERIC_ENTRIES = {
+    "scalar-entropy": entropy_s,
+    "scalar-tol-ineq": valid_tol_ineq,
+    "vector-entry": lambda v: check_mixed([v, 2.0], [1.0, 2.0]),
+    "matrix-entry": lambda v: CovarianceMatrix(_object_matrix(v)),
+    "circuit-value": lambda v: Squeezer(0, v),
+}
+REAL_VALUES = {"float": 2.0, "int": 2, "bool": True, "fraction": Fraction(2),
+               "float32": np.float32(2), "int64": np.int64(2)}
+NOT_REAL_VALUES = {"complex": 1j, "complex128": np.complex128(2), "str": "2", "bytes": b"2",
+                   "decimal": Decimal("2"), "none": None, "list": [2.0],
+                   "numpy-bool": np.bool_(True), "0-d-array": np.array(2.0),
+                   "int-past-float": 10**400}
+
+
+@pytest.mark.parametrize("value", REAL_VALUES.values(), ids=REAL_VALUES.keys())
+@pytest.mark.parametrize("entry", NUMERIC_ENTRIES.values(), ids=NUMERIC_ENTRIES.keys())
+def test_every_numeric_entry_accepts_a_real_number_of_any_real_type(entry, value):
+    entry(value)
+
+
+@pytest.mark.parametrize("value", NOT_REAL_VALUES.values(), ids=NOT_REAL_VALUES.keys())
+@pytest.mark.parametrize("entry", NUMERIC_ENTRIES.values(), ids=NUMERIC_ENTRIES.keys())
+def test_every_numeric_entry_rejects_what_is_no_finite_real_as_invalid_input(entry, value):
+    with pytest.raises(InvalidInput):
+        entry(value)
 
 
 def test_outcomes_are_distinct():
