@@ -1,6 +1,6 @@
 """Numerical tolerances.
 
-Six are fixed constants.  One, the feasibility slack ``tol_ineq``, is
+Five are fixed constants.  One, the feasibility slack ``tol_ineq``, is
 settable: the functions that evaluate the feasibility inequalities take it
 as a keyword, defaulting to ``TOL_INEQ``, and the CLI reads it from
 ``--tol-ineq`` or the ``MODEMATCH_TOL_INEQ`` environment variable (a decimal
@@ -21,8 +21,6 @@ TOL_SYM = 1e-10
 # max-norm of S sigma S^T - sigma, relative to max(1, max|S|^2), since the
 # form is quadratic in S
 TOL_SYMPL = 1e-10
-# strict-positivity threshold on the smallest eigenvalue
-TOL_POS = 1e-12
 # slack of a symplectic or local mode value against the vacuum value 1
 TOL_PSD = 1e-9
 # allowed reconstruction defect of decompositions

@@ -4,9 +4,11 @@ Conventions used throughout the package:
 
 * modes are interleaved as (x1, p1, ..., xn, pn);
 * the symplectic form is the block-diagonal stack of [[0, 1], [-1, 0]];
-* a covariance matrix is a real symmetric strictly positive 2n x 2n matrix;
+* a covariance matrix is a real symmetric strictly positive 2n x 2n matrix,
+  strictly positive meaning that it has a Cholesky factor gamma = L L^T;
 * Williamson output satisfies S @ gamma @ S.T = diag(d1, d1, ..., dn, dn)
-  with S symplectic and d non-decreasing.
+  with S = -sigma D^{-1/2} W^T L^T sigma symplectic, W the canonical basis
+  of the skew kernel L^T sigma L, and d non-decreasing.
 """
 
 import functools
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PAIR_REL, TOL_POS, TOL_SYM, TOL_SYMPL, real_float
+from .config import TOL_PAIR_REL, TOL_SYM, TOL_SYMPL, real_float
 from .errors import InvalidInput, NumericalFailure
 from .gate import _as_vector, _check_positive_sorted, below_vacuum
 
@@ -164,8 +166,7 @@ def _symplectic_defect(entries: np.ndarray) -> float:
 
 
 def symplectic_inverse(entries: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix via S^-1 = -sigma S^T sigma, for the
-    checked entries of a ``SymplecticTransform``."""
+    """Inverse of a symplectic matrix via S^-1 = -sigma S^T sigma."""
     return -_sigma_left(_sigma_right(entries.T))
 
 
@@ -179,15 +180,15 @@ class CovarianceMatrix:
     """Real symmetric strictly positive matrix of second moments.
 
     Validation enforces real finite entries, symmetry (relative to the max-norm)
-    and strict positivity of the smallest eigenvalue.  Physicality, i.e.
-    compatibility with the uncertainty bound gamma + i*sigma >= 0, or
-    equivalently d_1 >= 1, is a separate optional check because the
-    feasibility machinery also applies to strictly positive matrices that
-    are not covariance matrices of quantum states.
+    and strict positivity: the Cholesky factorisation gamma = L L^T succeeds,
+    a test with no threshold and so no units.  Physicality, i.e. the bound
+    gamma + i*sigma >= 0, or equivalently d_1 >= 1, is a separate optional
+    check because the feasibility machinery also applies to strictly
+    positive matrices that are not covariance matrices of quantum states.
 
-    The eigen-decomposition used by the positivity check is kept, and the
-    skew spectral data built from it is computed and checked once, on first
-    use; both are read-only, like ``entries``, so they cannot go stale.
+    The factor L is the one factorisation kept, and the skew spectral data
+    built from it is computed and checked once, on first use; both are
+    read-only, like ``entries``, so they cannot go stale.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -199,10 +200,11 @@ class CovarianceMatrix:
                 f"{TOL_SYM:.3g} relative to max-norm {scale:.3g}"
             )
         sym = 0.5 * (entries + entries.T)
-        w, U = np.linalg.eigh(sym)
-        if w[0] <= TOL_POS:
-            raise InvalidInput(f"matrix is not strictly positive: smallest eigenvalue {w[0]:.3g}")
-        self._entries, self._eig_values, self._eig_vectors = _frozen(sym, w, U)
+        try:
+            L = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            raise InvalidInput("matrix is not strictly positive: no Cholesky factor") from None
+        self._entries, self._factor = _frozen(sym, L)
         self._skew = None
 
     @property
@@ -293,22 +295,19 @@ def _as_covariance(gamma) -> CovarianceMatrix:
 
 
 def _skew_spectral_data(cov: CovarianceMatrix):
-    """Checked eigen-data of the skew kernel K = sqrt(gamma) sigma sqrt(gamma).
+    """Checked eigen-data of the skew kernel K = L^T sigma L, with L the
+    constructor's Cholesky factor; K is similar to sigma gamma.
 
-    Returns read-only (d, W, A_inv): d, the upper half of the Hermitian
-    spectrum of i K, holds the n symplectic eigenvalues in non-decreasing
-    order; W is orthogonal with K = W blockdiag(d_j J) W^T; A_inv is the
-    inverse square root of gamma.  The data is computed, and the pairing and
-    orthogonality checks run, once per matrix and memoised on ``cov``; the
-    constructor has already checked the frozen eigenvalues for positivity.
+    Returns read-only (d, W): d, the upper half of the Hermitian spectrum
+    of i K, holds the n symplectic eigenvalues in non-decreasing order; W is
+    orthogonal with K = W blockdiag(d_j J) W^T.  The data is computed, and
+    the pairing and orthogonality checks run, once per matrix and memoised
+    on ``cov``.
     """
     if cov._skew is None:
         n = cov.n
-        root = np.sqrt(cov._eig_values)
-        U = cov._eig_vectors
-        A = (U * root) @ U.T
-        A_inv = (U / root) @ U.T
-        lam, vecs = np.linalg.eigh(1j * (A @ _sigma_left(A)))
+        L = cov._factor
+        lam, vecs = np.linalg.eigh(1j * (L.T @ _sigma_left(L)))
         spectrum = lam.tolist()
         # the Hermitian spectrum must be symmetric about zero: +/- doublets
         mismatch = max(abs(a + b) for a, b in zip(spectrum, reversed(spectrum)))
@@ -332,7 +331,7 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         if orth_defect > 1e-8:
             raise NumericalFailure("canonical basis of the skew kernel is not orthogonal: "
                                    f"defect {orth_defect:.3g}")
-        cov._skew = _frozen(lam[n:].copy(), W, A_inv)
+        cov._skew = _frozen(lam[n:].copy(), W)
     return cov._skew
 
 
@@ -341,9 +340,9 @@ def symplectic_eigenvalues(gamma) -> SpectrumVector:
 
     The values are the positive square roots of the doubly-degenerate
     eigenvalues of -gamma sigma gamma sigma, computed through the Hermitian
-    spectral problem for i sqrt(gamma) sigma sqrt(gamma).
+    spectral problem for i L^T sigma L, with gamma = L L^T.
     """
-    d, _, _ = _skew_spectral_data(_as_covariance(gamma))
+    d, _ = _skew_spectral_data(_as_covariance(gamma))
     return SpectrumVector(d)
 
 
@@ -351,14 +350,15 @@ def williamson(gamma):
     """Normal-mode decomposition of a strictly positive matrix.
 
     Returns (S, D) with S symplectic and S gamma S^T = diag(d1, d1, ..., dn, dn),
-    D non-decreasing.  Computed from the skew kernel sqrt(gamma) sigma
-    sqrt(gamma): its orthogonal canonical form W gives S = D^{1/2} W^T
-    gamma^{-1/2}, which is symplectic because the same W also canonicalises
-    the inverse kernel.
+    D non-decreasing.  The skew kernel of the Cholesky factor gamma = L L^T
+    is K = L^T sigma L = W blockdiag(d_j J) W^T, and S = D^{1/2} W^T L^{-1} is
+    symplectic because W also canonicalises K^{-1}.  As L^{-1} = K^{-1} L^T
+    sigma, S = -sigma D^{-1/2} W^T L^T sigma, the symplectic inverse of
+    L W D^{-1/2}: one product, no inverse.
     """
-    d, W, A_inv = _skew_spectral_data(_as_covariance(gamma))
-    d_half = np.sqrt(np.repeat(d, 2))
-    S = (d_half[:, None] * W.T) @ A_inv
+    cov = _as_covariance(gamma)
+    d, W = _skew_spectral_data(cov)
+    S = symplectic_inverse(cov._factor @ (W / np.sqrt(np.repeat(d, 2))))
     return SymplecticTransform(S), SpectrumVector(d)
 
 

@@ -54,6 +54,13 @@ class TestCheck:
         code, record = run_cli(capsys, "check", "--matrix", str(path))
         assert code == 0 and record["feasible"]
 
+    def test_squeezed_vacuum_matrix(self, capsys, tmp_path):
+        # smallest eigenvalue 1e-12: positive, whatever its units
+        path = tmp_path / "g.mat"
+        write_matrix(path, np.diag([1.0, 1.0, 1e-12, 1e12]), "covariance")
+        code, record = run_cli(capsys, "check", "--matrix", str(path))
+        assert code == 0 and record["feasible"]
+
     def test_digests_are_pinned(self, capsys, tmp_path):
         # values from the hashlib/numpy digest: the builtin SHA-256 and the
         # float64 bytes of a list must reproduce them
@@ -247,6 +254,16 @@ class TestWilliamsonEuler:
         assert code == 3
         assert record["error"] == "reconstruction check failed: defect nan"
         assert not (tmp_path / "e.O.mat").exists()
+
+    def test_strongly_squeezed_state(self, capsys, tmp_path):
+        d = np.sort(np.random.default_rng(2).uniform(1.0, 3.0, 6))
+        S = random_symplectic(6, 1e4, seed=2).entries
+        src = tmp_path / "g.mat"
+        write_matrix(src, S @ interleaved_diagonal(d) @ S.T, "covariance")
+        code, record = run_cli(capsys, "williamson", "--matrix", str(src),
+                               "--out-prefix", str(tmp_path / "w"))
+        assert code == 0
+        assert record["reconstruction_defect"] <= 1e-8
 
     def test_rejects_asymmetric_matrix_file(self, capsys, tmp_path):
         bad = np.eye(4)

@@ -31,9 +31,9 @@ TAKES_TOL_INEQ = {
 
 
 def test_defaults():
-    assert (config.TOL_SYM, config.TOL_SYMPL, config.TOL_POS, config.TOL_PSD,
+    assert (config.TOL_SYM, config.TOL_SYMPL, config.TOL_PSD,
             config.TOL_RECON, config.TOL_PAIR_REL, config.TOL_INEQ) == (
-        1e-10, 1e-10, 1e-12, 1e-9, 1e-8, 1e-8, 1e-9)
+        1e-10, 1e-10, 1e-9, 1e-8, 1e-8, 1e-9)
 
 
 def test_only_the_feasibility_functions_take_a_tolerance():

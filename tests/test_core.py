@@ -15,7 +15,7 @@ from modematch import (
 )
 import modematch.core as core
 from modematch import synthesize
-from modematch.config import TOL_PSD
+from modematch.config import TOL_PSD, TOL_RECON
 from modematch.core import (
     _sigma_average,
     _sigma_left,
@@ -117,8 +117,19 @@ class TestCovarianceMatrix:
             CovarianceMatrix(bad)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="not strictly positive"):
             CovarianceMatrix(np.diag([1.0, -1.0]))
+        with pytest.raises(InvalidInput, match="not strictly positive"):
+            CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_positivity_has_no_units(self):
+        # strict positivity is "Cholesky succeeds", with no absolute threshold
+        np.testing.assert_allclose(symplectic_eigenvalues(1e-13 * np.eye(4)).values,
+                                   [1e-13, 1e-13], rtol=1e-12)
+        vacuum = CovarianceMatrix(np.diag([1.0, 1.0, 1e-12, 1e12]))
+        np.testing.assert_allclose(symplectic_eigenvalues(vacuum).values, [1.0, 1.0],
+                                   rtol=1e-12)
+        assert vacuum.is_physical()
 
     def test_physicality_matches_the_uncertainty_bound(self):
         # reference: gamma + i sigma >= 0, read from its smallest eigenvalue
@@ -156,30 +167,30 @@ class TestCovarianceMatrix:
 
 
 class TestSingleSpectralPass:
-    """Each CovarianceMatrix runs one real eigh at construction and, at most
-    once, the complex eigh of its skew kernel; every later spectral caller
-    reuses that data."""
+    """Each CovarianceMatrix runs one Cholesky factorisation at construction
+    and, at most once, the complex eigh of its skew kernel; every later
+    spectral caller reuses that data, and Williamson inverts nothing."""
 
     def test_eigen_solver_budget(self, monkeypatch):
         gamma = random_physical(np.random.default_rng(41), 4)[0].entries.copy()
-        calls = count_solver_calls(monkeypatch, ("eigh", "eigvalsh"))
+        calls = count_solver_calls(monkeypatch, ("cholesky", "eigh", "eigvalsh", "solve", "inv"))
         cov = CovarianceMatrix(gamma)
         local_diagonal(cov)
         symplectic_eigenvalues(cov)
         williamson(cov)
         cov.is_physical()
-        assert calls == ["eigh", "eigh"]
+        assert calls == ["cholesky", "eigh"]
         # the consistency gate, the entropy report and the verify suites'
         # slacks and Williamson defect read the same memoised data
         check_matrix_consistency(cov)
         entropy_report(local_diagonal(cov).values)
         check_mixed(local_diagonal(cov).values, symplectic_eigenvalues(cov))
         williamson_defect(cov, *williamson(cov))
-        assert calls == ["eigh", "eigh"]
+        assert calls == ["cholesky", "eigh"]
 
     def test_checks_run_on_memoised_data(self, monkeypatch):
-        # the pairing check runs when the memo is built, on eigenvalues the
-        # constructor has checked for positivity; a failed check stores nothing
+        # the pairing check runs when the memo is built, on the constructor's
+        # Cholesky factor; a failed check stores nothing
         gamma = np.diag([0.5, 0.5, 2.0, 2.0])
         cov = CovarianceMatrix(gamma)
         with monkeypatch.context() as patch:
@@ -321,6 +332,15 @@ class TestWilliamson:
             assert np.max(np.abs(recon - interleaved_diagonal(d.values))) <= 1e-8
             assert np.max(np.abs(S.entries @ symplectic_form(n) @ S.entries.T
                                  - symplectic_form(n))) <= 1e-9
+
+    def test_strong_squeezing_sweep(self):
+        # squeezing up to 1e4 in six modes: every state constructs and
+        # reconstructs within TOL_RECON
+        for seed in range(100):
+            d = np.sort(np.random.default_rng(seed).uniform(1.0, 3.0, 6))
+            S = random_symplectic(6, 1e4, seed=seed).entries
+            cov = CovarianceMatrix(S @ interleaved_diagonal(d) @ S.T)
+            assert williamson_defect(cov, *williamson(cov)) <= TOL_RECON
 
 
 class TestSymplecticTrace:

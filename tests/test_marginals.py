@@ -13,7 +13,6 @@ from modematch import (
     symplectic_eigenvalues,
     temperature_to_b,
 )
-import modematch.core as core
 from modematch.core import interleaved_diagonal
 from modematch.errors import InvalidInput
 
@@ -48,12 +47,15 @@ class TestLocalDiagonal:
         local = local_diagonal(gamma)
         np.testing.assert_allclose(local.values.values, [2.0, 2.0])
 
-    def test_rejects_non_positive_block(self, monkeypatch):
+    def test_rejects_non_positive_block(self):
+        # Cholesky accepts this block (last pivot about 7.5e-9), but its
+        # determinant rounds to 0, so the block check is reachable
         gamma = np.eye(4)
-        gamma[2:4, 2:4] = [[1.0, 0.9], [0.9, 0.81]]
-        monkeypatch.setattr(core, "TOL_POS", -1.0)
-        with pytest.raises(InvalidInput, match="mode 1"):
-            local_diagonal(CovarianceMatrix(gamma))
+        gamma[2:4, 2:4] = [[1.7947683835248298, 0.8580457083487283],
+                           [0.8580457083487283, 0.41021584978543574]]
+        cov = CovarianceMatrix(gamma)
+        with pytest.raises(InvalidInput, match=r"mode 1 is not positive \(det 0\)"):
+            local_diagonal(cov)
 
 
 class TestCheckMixed:
