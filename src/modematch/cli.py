@@ -19,7 +19,7 @@ line on stderr.  A self-check raises ``NumericalFailure``: it measures its
 defect with the function next to the kernel it checks and fails unless the
 defect is at most ``TOL_RECON``, so a NaN defect fails.  ``--tol-ineq``, or
 else MODEMATCH_TOL_INEQ, sets the inequality tolerance, which must be
-finite and positive.
+finite and positive and is relative to max(1, the largest value judged).
 
 Each subcommand imports the matrix-side modules it calls, numpy and the
 matrix file code included, when it runs, so a process loads only what its
@@ -114,9 +114,11 @@ def _self_checked(check: str, defect: float) -> float:
 
 def _verdict_table(verdict) -> list[str]:
     lines = [f"{'constraint':<20} {'slack':>24} status"]
+    violated = verdict.violated
     for s in verdict.slacks:
-        status = "ok" if s.slack >= -verdict.tol_ineq else "VIOLATED"
+        status = "VIOLATED" if s in violated else "ok"
         lines.append(f"{s.label():<20} {s.slack:>24.17g} {status}")
+    lines.append(f"{'scale':<20} {verdict.scale:>24.17g}")
     lines.append("feasible" if verdict.feasible else "infeasible")
     return lines
 
@@ -162,7 +164,7 @@ def cmd_check(args) -> int:
         verdict = check_mixed(c, d, tol_ineq=args.tol_ineq)
         digest = _digest("check-mixed", c, d)
     slacks = [{"constraint": s.label(), "slack": s.slack} for s in verdict.slacks]
-    _emit(_record("check", digest, feasible=verdict.feasible, slacks=slacks,
+    _emit(_record("check", digest, feasible=verdict.feasible, slacks=slacks, scale=verdict.scale,
                   tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
           _verdict_table(verdict))
     return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
@@ -279,12 +281,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    from .circuits import (
-        circuit_from_matrix,
-        circuit_from_mixed,
-        replay_defect,
-        serialize_circuit,
-    )
+    from .circuits import circuit_from_matrix, circuit_from_mixed, replay_defect, serialize_circuit
 
     if not args.matrix:
         from . import synthesis  # noqa: F401
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and local mode data.",
     )
     parser.add_argument("--tol-ineq", type=float, default=None,
-                        help="override the inequality slack tolerance")
+                        help="inequality slack tolerance, relative to max(1, largest value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="feasibility of (c, d), a pure b vector, or a matrix file")

@@ -23,12 +23,13 @@ TOL_SYM = 1e-10
 TOL_SYMPL = 1e-10
 # slack of a symplectic or local mode value against the vacuum value 1
 TOL_PSD = 1e-9
-# allowed reconstruction defect of decompositions
+# allowed self-check defect, relative to max(1, the largest entry checked)
 TOL_RECON = 1e-8
 # relative tolerance for pairing the skew spectrum into doublets, scaled by
 # the largest symplectic eigenvalue
 TOL_PAIR_REL = 1e-8
-# default slack below which a feasibility inequality counts as violated
+# default slack below which a feasibility inequality counts as violated, as a
+# fraction of max(1, the largest value of the pair judged)
 TOL_INEQ = 1e-9
 
 

@@ -195,10 +195,8 @@ class CovarianceMatrix:
         entries, self.n, scale = _square_input(entries, "covariance matrix")
         sym_defect = _max_abs(entries - entries.T)
         if sym_defect > TOL_SYM * scale:
-            raise InvalidInput(
-                f"matrix is not symmetric: defect {sym_defect:.3g} exceeds "
-                f"{TOL_SYM:.3g} relative to max-norm {scale:.3g}"
-            )
+            raise InvalidInput(f"matrix is not symmetric: defect {sym_defect:.3g} exceeds "
+                               f"{TOL_SYM:.3g} relative to max-norm {scale:.3g}")
         sym = 0.5 * (entries + entries.T)
         try:
             L = np.linalg.cholesky(sym)
@@ -233,10 +231,8 @@ class SymplecticTransform:
         scale = scale**2
         defect = _symplectic_defect(entries)
         if defect > TOL_SYMPL * scale:
-            raise InvalidInput(
-                f"symplectic defect {defect:.3g} exceeds tolerance "
-                f"{TOL_SYMPL:.3g} at scale {scale:.3g}"
-            )
+            raise InvalidInput(f"symplectic defect {defect:.3g} exceeds tolerance "
+                               f"{TOL_SYMPL:.3g} at scale {scale:.3g}")
         self._entries, = _frozen(entries.copy())
 
     @property
@@ -460,10 +456,8 @@ def euler_decompose(S) -> EulerFactors:
                             z=np.ones(n),
                             V=SymplecticTransform(_polish_passive(_sigma_average(R))))
     if k > n:
-        raise NumericalFailure(
-            "squeeze planes of the polar factor do not pair into doublets: "
-            f"singular values {lam}"
-        )
+        raise NumericalFailure("squeeze planes of the polar factor do not pair into doublets: "
+                               f"singular values {lam}")
     # lam is descending; reversing the leading k columns sorts z ascending
     u_cols = _positive_leading_sign(U[:, k - 1 :: -1])
     z_vec = lam[k - 1 :: -1]

@@ -24,7 +24,7 @@ import numpy as np
 from .config import TOL_INEQ, real_float, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import _as_vector, at_vacuum, below_vacuum, check_pure, pure_cone_slack
+from .gate import _as_vector, _pure_verdict, at_vacuum, below_vacuum, check_pure
 from .marginals import local_diagonal
 
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
@@ -130,8 +130,8 @@ def entropy_report(c, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
 
     c is validated once, here; the per-mode entropies check c >= 1, and the
     aggregate s(sum c) and the purity test then run on the validated vector.
-    The purity test is check_pure's: the slack of the excitations b = c - 1
-    is at least -tol_ineq.
+    The purity test is check_pure's verdict on the excitations b = c - 1,
+    which need no second validation.
     """
     tol_ineq = valid_tol_ineq(tol_ineq)
     c = _as_vector(c, "c")
@@ -141,5 +141,5 @@ def entropy_report(c, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
         per_mode_entropies=np.array(per_mode),
         total_local_sum=sum(per_mode),
         global_upper_bound=entropy_s(sum(max(v, 1.0) for v in c)),
-        purity_consistent=pure_cone_slack([max(v - 1.0, 0.0) for v in c]) >= -tol_ineq,
+        purity_consistent=_pure_verdict([max(v - 1.0, 0.0) for v in c], tol_ineq).feasible,
     )

@@ -12,13 +12,14 @@ and the anti-majorization condition
     c_n - (c_1 + ... + c_{n-1}) <= d_n - (d_1 + ... + d_{n-1})
 
 hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
-cases stay testable.
+cases stay testable.  The verdict alone judges them, at its ``threshold``,
+``tol_ineq`` times ``_scale``; ``synthesis`` reads both for its own checks.
 
 It also holds the rules on per-mode values: ``_as_vector`` (the vector rule
 on every per-mode vector), ``_check_positive_sorted`` (spectra),
 ``_check_total`` (totals the slacks can double without overflow), and
 ``below_vacuum`` and ``at_vacuum``, each one comparison of a value with the
-vacuum value 1 within ``TOL_PSD``.
+vacuum value 1, a physical constant and no unit, within an absolute ``TOL_PSD``.
 
 The gate is n + 1 sums of Python floats, so this module must stay free of
 numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
@@ -74,21 +75,33 @@ class ConstraintSlack(_Record):
 
 
 class FeasibilityVerdict(_Record):
-    """Outcome of a feasibility check: ``feasible``, the per-constraint
-    ``slacks`` and the ``tol_ineq`` they were judged against."""
+    """Outcome of a feasibility check: the ``slacks``, judged at ``tol_ineq``
+    and ``scale``, and ``feasible``, whether none is below ``-threshold``."""
 
-    __slots__ = ("feasible", "slacks", "tol_ineq")
+    __slots__ = ("feasible", "slacks", "tol_ineq", "scale")
 
-    def __init__(self, feasible: bool, slacks: list[ConstraintSlack], tol_ineq: float):
-        self.feasible, self.slacks, self.tol_ineq = feasible, slacks, tol_ineq
+    def __init__(self, slacks: list[ConstraintSlack], tol_ineq: float, scale: float):
+        self.slacks, self.tol_ineq, self.scale = slacks, tol_ineq, scale
+        self.feasible = not self.violated
+
+    @property
+    def threshold(self) -> float:
+        """How far below zero a slack may fall: ``tol_ineq`` times ``scale``."""
+        return self.tol_ineq * self.scale
 
     @property
     def violated(self) -> list[ConstraintSlack]:
-        return [s for s in self.slacks if s.slack < -self.tol_ineq]
+        return [s for s in self.slacks if s.slack < -self.threshold]
 
     @property
     def min_slack(self) -> float:
         return min(s.slack for s in self.slacks)
+
+
+def _scale(*largest: float) -> float:
+    """max(1, the largest value judged), as ``core._square_input`` scales a
+    matrix: the unit of a slack, so values below 1 keep the absolute tolerance."""
+    return max(1.0, *largest)
 
 
 def _as_vector(values, what: str) -> list:
@@ -165,8 +178,7 @@ def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     anti-majorization condition.
     """
     tol_ineq = valid_tol_ineq(tol_ineq)
-    c = _as_vector(c, "c")
-    d = _as_vector(d, "d")
+    c, d = _as_vector(c, "c"), _as_vector(d, "d")
     if len(c) != len(d):
         raise InvalidInput(f"vectors have lengths {len(c)} and {len(d)}")
     _check_positive_sorted(c, "c")
@@ -179,30 +191,27 @@ def check_mixed(c, d, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     values.append((2.0 * d[-1] - sum_d[-1]) - (2.0 * c[-1] - sum_c[-1]))
     slacks = [ConstraintSlack(PARTIAL_SUM, k, s) for k, s in enumerate(values[:-1], start=1)]
     slacks.append(ConstraintSlack(LAST_CONDITION, None, values[-1]))
-    feasible = all(s >= -tol_ineq for s in values)
-    return FeasibilityVerdict(feasible=feasible, slacks=slacks, tol_ineq=tol_ineq)
-
-
-def pure_cone_slack(b: list) -> float:
-    """sum(b) - 2 max(b): the slack of the binding pure-cone condition for
-    validated excitations b >= 0."""
-    return sum(b) - 2.0 * max(b)
+    return FeasibilityVerdict(slacks, tol_ineq, _scale(c[-1], d[-1]))
 
 
 def check_pure(b, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:
     """Feasibility of local excitations b >= 0 against a pure global state.
 
-    Equivalent to check_mixed(b + 1, (1, ..., 1)); only the binding
-    constraint for the largest entry is reported, the others being implied.
+    Equivalent to check_mixed(b + 1, (1, ..., 1)), and judged at its scale
+    1 + max(b), the largest c; only the binding constraint for the largest
+    entry is reported, the others being implied.
     """
     tol_ineq = valid_tol_ineq(tol_ineq)
     b = _as_vector(b, "b")
     if min(b) < 0:
         raise InvalidInput("b entries must be non-negative")
     _check_total(sum(b), "b")
-    slack = pure_cone_slack(b)
-    return FeasibilityVerdict(
-        feasible=slack >= -tol_ineq,
-        slacks=[ConstraintSlack(LAST_CONDITION, b.index(max(b)), slack)],
-        tol_ineq=tol_ineq,
-    )
+    return _pure_verdict(b, tol_ineq)
+
+
+def _pure_verdict(b: list, tol_ineq: float) -> FeasibilityVerdict:
+    """``check_pure``'s verdict on validated excitations b >= 0: the slack
+    sum(b) - 2 max(b) at the scale 1 + max(b)."""
+    top = max(b)
+    slack = ConstraintSlack(LAST_CONDITION, b.index(top), sum(b) - 2.0 * top)
+    return FeasibilityVerdict([slack], tol_ineq, 1.0 + top)

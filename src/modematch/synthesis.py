@@ -29,14 +29,14 @@ from .core import (
     _EPS,
     CovarianceMatrix,
     SymplecticTransform,
-    _max_abs,
     _mode_input,
+    relative_defect,
     symplectic_eigenvalues,
     symplectic_inverse,
     williamson,
 )
 from .errors import Infeasible, InvalidInput, NumericalFailure
-from .gate import _as_vector, check_mixed, check_pure
+from .gate import _as_vector, _scale, check_mixed, check_pure
 from .marginals import local_diagonal
 
 
@@ -115,7 +115,9 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     d2 >= d1 > 0 (else InvalidInput) and the pair inequalities (else
     Infeasible), whose slacks are the sum gap G and the spread gap H:
 
-        G = (c1 + c2) - (d1 + d2) >= 0,    H = (d2 - d1) - (c2 - c1) >= 0.
+        G = (c1 + c2) - (d1 + d2) >= 0,    H = (d2 - d1) - (c2 - c1) >= 0,
+
+    each to within ``tol_ineq`` times ``gate._scale`` of the four inputs.
 
     The two symmetric-function equations e f = (d1^2 + d2^2 - c1^2 - c2^2) / 2
     and e^2 + f^2 = ((c1 c2)^2 + (e f)^2 - (d1 d2)^2) / (c1 c2) factor into
@@ -129,16 +131,16 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     """
     c1, c2, d1, d2 = _as_vector((c1, c2, d1, d2), "(c1, c2, d1, d2)")
     if not (0 < c1 <= c2) or not (0 < d1 <= d2):
-        raise InvalidInput(
-            f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "
-            f"c=({c1}, {c2}), d=({d1}, {d2})"
-        )
-    tol_ineq = valid_tol_ineq(tol_ineq)
+        raise InvalidInput(f"inputs must satisfy 0 < c1 <= c2 and 0 < d1 <= d2, got "
+                           f"c=({c1}, {c2}), d=({d1}, {d2})")
+    return _couplings(c1, c2, d1, d2, valid_tol_ineq(tol_ineq) * _scale(c2, d2))
+
+
+def _couplings(c1: float, c2: float, d1: float, d2: float, threshold: float):
+    """``solve_two_mode`` on valid inputs, its gaps judged at ``threshold``."""
     sum_gap, spread_gap = (c1 + c2) - (d1 + d2), (d2 - d1) - (c2 - c1)
-    if sum_gap < -tol_ineq or spread_gap < -tol_ineq:
-        raise Infeasible(
-            f"pair inequalities violated for c=({c1}, {c2}), d=({d1}, {d2})"
-        )
+    if min(sum_gap, spread_gap) < -threshold:
+        raise Infeasible(f"pair inequalities violated for c=({c1}, {c2}), d=({d1}, {d2})")
     noise = 4.0 * _EPS * ((c1 + c2) + (d1 + d2))
     sum_gap = sum_gap if sum_gap > noise else 0.0
     spread_gap = spread_gap if spread_gap > noise else 0.0
@@ -149,16 +151,16 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _gate(c1: float, c2: float, d1: float, d2: float, tol_ineq: float) -> np.ndarray:
+def _gate(c1: float, c2: float, d1: float, d2: float, room: float) -> np.ndarray:
     """Symplectic g with g diag(d1, d1, d2, d2) g^T = assemble_two_mode(c1,
-    c2, e, f), where (e, f) = solve_two_mode(c1, c2, d1, d2).
+    c2, e, f), where (e, f) = _couplings(c1, c2, d1, d2, room).
 
     The first mode of g holds the smaller thermal value and receives the
     local value c1.  The gate loop derives only feasible pairs, so an
     Infeasible pair here is a numerical failure.
     """
     try:
-        e, f = solve_two_mode(c1, c2, d1, d2, tol_ineq=tol_ineq)
+        e, f = _couplings(c1, c2, d1, d2, room)
     except Infeasible as exc:
         raise NumericalFailure(f"reduced subproblem lost feasibility: {exc}") from None
     S_w, _ = williamson(assemble_two_mode(c1, c2, e, f))
@@ -180,15 +182,14 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     needs it, as an empty interval or an Infeasible pair in ``_gate``, both
     a NumericalFailure.  ``synthesis_defect`` measures the witness.
     """
-    c = _as_vector(c, "c")
-    d = _as_vector(d, "d")
+    c, d = _as_vector(c, "c"), _as_vector(d, "d")
     verdict = check_mixed(c, d, tol_ineq=tol_ineq)
     if not verdict.feasible:
         worst = min(verdict.violated, key=lambda s: s.slack)
-        raise Infeasible(
-            f"(c, d) pair is infeasible: {worst.label()} slack {worst.slack:.3g}"
-        )
+        raise Infeasible(f"(c, d) pair is infeasible: {worst.label()} slack {worst.slack:.3g}")
     n = len(c)
+    # the verdict's threshold, widened by the rounding of its n-term sums and the steps'
+    room = verdict.threshold + 4.0 * n * _EPS * (sum(c) + sum(d))
     # slot s of the seed holds d[s].  The open slots, sorted by the value
     # the remaining subproblem sees there, realise c[lo:hi]; a slot whose
     # gate gave it its final local value is frozen at that mode.
@@ -198,33 +199,33 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     gates = []
     while hi - lo > 2 and c[lo:hi] != values:
         m = hi - lo
-        # largest k (1-based) with c1 >= d_k, equality within tolerance rounding up
-        k = bisect.bisect_right(values, c[lo] + tol_ineq)
-        if 1 <= k <= m - 2:
-            # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - c1
+        # largest k >= 1 with c1 >= d_k within room; the verdict passed c1 >= d_1
+        k = max(1, bisect.bisect_right(values, c[lo] + room))
+        if k <= m - 2:
+            # pair (c1, x) with (d_k, d_{k+1}) where x = d_k + d_{k+1} - max(c1, d_k):
+            # a c1 rounded up to d_k splits its shortfall between the pair's gaps
             i = k - 1
-            fixed, x = c[lo], values[i] + values[i + 1] - c[lo]
+            fixed, x = c[lo], values[i] + values[i + 1] - max(c[lo], values[i])
             frozen_mode = lo
             lo += 1
         else:
-            # k in {m-1, m}: pair (c_m, x) with (d_{m-1}, d_m), x anywhere in
-            # the interval below; the midpoint stays clear of boundary
-            # degeneracies
+            # k in {m-1, m}: pair (c_m, x) with (d_{m-1}, d_m), x the midpoint of
+            # the interval below, clear of boundary degeneracies; bounds each within
+            # that room leave it empty by at most twice that, which x halves
             sum_d, sum_c = sum(values[: m - 2]), sum(c[lo : hi - 2])
             lower = max(values[m - 2], values[m - 2] + values[m - 1] - c[hi - 1],
                         values[m - 2] - values[m - 1] + c[hi - 1], sum_d + c[hi - 2] - sum_c)
             upper = min(values[m - 1] - values[m - 2] + c[hi - 1], (sum_c + c[hi - 2]) - sum_d)
-            if lower > upper + tol_ineq:
-                raise NumericalFailure(
-                    f"empty interval for the auxiliary value: [{lower:.17g}, {upper:.17g}]"
-                )
+            if lower > upper + 2.0 * room:
+                raise NumericalFailure(f"empty interval for the auxiliary value: "
+                                       f"[{lower:.17g}, {upper:.17g}]")
             i = m - 2
-            fixed, x = c[hi - 1], 0.5 * (lower + max(lower, upper))
+            fixed, x = c[hi - 1], 0.5 * (lower + upper)
             hi -= 1
             frozen_mode = hi
         a, b = slots[i], slots[i + 1]
         small, large = sorted((fixed, x))
-        gates.append((a, b, _gate(small, large, values[i], values[i + 1], tol_ineq)))
+        gates.append((a, b, _gate(small, large, values[i], values[i + 1], room)))
         # the gate gives its first mode the smaller local value
         frozen, carrier = (a, b) if fixed <= x else (b, a)
         mode_of[frozen] = frozen_mode
@@ -233,7 +234,7 @@ def synthesize(c, d, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
         values.insert(at, x)
         slots.insert(at, carrier)
     if hi - lo == 2 and c[lo:hi] != values:
-        gates.append((*slots, _gate(c[lo], c[lo + 1], *values, tol_ineq)))
+        gates.append((*slots, _gate(c[lo], c[lo + 1], *values, room)))
     # one open mode, or c == d on the open modes: the seed is already final
     for slot, mode in zip(slots, range(lo, hi)):
         mode_of[slot] = mode
@@ -252,9 +253,7 @@ def synthesize_pure(b, *, tol_ineq: float = TOL_INEQ) -> SynthesisTrace:
     b = sorted(_as_vector(b, "b"))
     verdict = check_pure(b, tol_ineq=tol_ineq)
     if not verdict.feasible:
-        raise Infeasible(
-            f"b vector is outside the pure cone: slack {verdict.min_slack:.3g}"
-        )
+        raise Infeasible(f"b vector is outside the pure cone: slack {verdict.min_slack:.3g}")
     return synthesize([v + 1.0 for v in b], [1.0] * len(b), tol_ineq=tol_ineq)
 
 
@@ -275,12 +274,11 @@ def replay_trace(trace: SynthesisTrace) -> np.ndarray:
 
 
 def synthesis_defect(gamma, c, d) -> float:
-    """Larger defect of a witness against its sorted targets, both absolute:
-    its symplectic spectrum against d and its local values against c; a
+    """Defect of a witness's symplectic spectrum and local values against its
+    sorted targets d and c, by ``relative_defect`` like every self-check; a
     trace's ``final_matrix`` is its replay by construction."""
-    # np.max, unlike max, keeps a NaN defect
-    return float(np.max((_max_abs(symplectic_eigenvalues(gamma).values - d),
-                         _max_abs(local_diagonal(gamma).values.values - c))))
+    spectrum, local = symplectic_eigenvalues(gamma).values, local_diagonal(gamma).values.values
+    return relative_defect(np.concatenate((spectrum - d, local - c)), np.concatenate((c, d)))
 
 
 def sample_feasible_pair(rng: "np.random.Generator", n: int, *, physical: bool = False):

@@ -1,13 +1,15 @@
 """Sampled end-to-end property suites.
 
 Drives random instances through the full pipeline and holds each raw result
-to the bound the rest of the program uses: the slacks of the feasibility
-conditions on random states to ``-tol_ineq``, and the Williamson and Euler
-reconstruction, synthesis round-trip and circuit replay defects, pure and
-mixed targets alike, to ``tol_recon``, measured by the same defect functions
-the CLI's self-checks call.  Each suite reports ``worst``, the largest defect
-or smallest slack it saw, beside its ``bound``.  Used by the ``verify`` CLI
-subcommand; a clean build reports zero violations.
+to the rule the rest of the program uses: the feasibility conditions on
+random states to their verdict, whose smallest slack over its ``scale`` is
+reported beside ``-tol_ineq``, and the Williamson and Euler reconstruction,
+synthesis round-trip and circuit replay defects, pure and mixed targets
+alike, relative to max(1, the largest reference entry), to ``tol_recon``,
+measured by the same defect functions the CLI's self-checks call.  Each
+suite reports ``worst``, the largest defect or smallest slack it saw, beside
+its ``bound``.  Used by the ``verify`` CLI subcommand; a clean build reports
+zero violations.
 """
 
 import math
@@ -36,8 +38,8 @@ from .synthesis import sample_feasible_pair, synthesis_defect, synthesize
 
 @dataclass
 class SuiteResult:
-    """Raw values of one property, each held to ``bound``: from above for a
-    defect (``upper``), from below for a slack.
+    """Raw values of one property: defects (``upper``) held to ``bound`` from
+    above, or slacks shown beside it and judged by their verdict's ``held``.
 
     ``worst`` is the largest defect or the smallest slack seen.  A result
     that failed validation, or is not finite, counts as a violation and
@@ -51,14 +53,14 @@ class SuiteResult:
     violations: int = 0
     worst: float | None = None
 
-    def record(self, value: float | None):
+    def record(self, value: float | None, held: bool | None = None):
         self.trials += 1
         if value is None or not math.isfinite(value):
             self.violations += 1
             return
         if self.worst is None or (value > self.worst if self.upper else value < self.worst):
             self.worst = value
-        if (value > self.bound) if self.upper else (value < self.bound):
+        if not (value <= self.bound if held is None else held):
             self.violations += 1
 
 
@@ -102,7 +104,8 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
     for trial in range(trials):
         n = 2 + trial % max(1, n_max - 1) if n_max > 1 else 1
         gamma = random_physical_covariance(rng, n, squeeze_bound)
-        necessity.record(check_matrix_consistency(gamma, tol_ineq=tol_ineq).min_slack)
+        verdict = check_matrix_consistency(gamma, tol_ineq=tol_ineq)
+        necessity.record(verdict.min_slack / verdict.scale, verdict.feasible)
         S_w, d_w = williamson(gamma)
         # np.max, unlike max, keeps a NaN defect
         recon.record(float(np.max((williamson_defect(gamma, S_w, d_w),
@@ -129,8 +132,5 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
             meshed = len(circ.passive_ops) <= (1 if pure else 2) * (m * (m - 1) // 2 + m)
             circuits.record(replay_defect(circ, target.entries) if meshed else None)
 
-    summary = VerificationSummary(
-        suites=[necessity, recon, roundtrip, circuits],
-        elapsed_s=time.perf_counter() - start,
-    )
-    return summary
+    return VerificationSummary(suites=[necessity, recon, roundtrip, circuits],
+                               elapsed_s=time.perf_counter() - start)

@@ -27,6 +27,10 @@ def run_cli(capsys, *argv):
     return code, record
 
 
+BIG_C = "27423685.726860113,54752607.93759835,64934905.95098197"
+BIG_D = "11079553.538331844,23347944.6194696,33530242.632853225"
+
+
 class TestCheck:
     def test_feasible_pair(self, capsys):
         code, record = run_cli(capsys, "check", "--c", "1.5,1.5", "--d", "1,2")
@@ -41,6 +45,13 @@ class TestCheck:
         assert code == 1
         assert record["feasible"] is False
         assert record["slacks"][0]["constraint"] == "last_condition(j=2)"
+
+    def test_scale_of_a_large_pair_is_its_largest_value(self, capsys):
+        # a pair of unit size times 2^23: the tolerance is relative to its largest c
+        code, record = run_cli(capsys, "check", "--c", BIG_C, "--d", BIG_D)
+        assert code == 0 and record["feasible"]
+        assert record["scale"] == 64934905.95098197
+        assert record["tolerances"]["tol_ineq"] == 1e-9
 
     def test_unsorted_input_is_sorted_internally(self, capsys):
         code, record = run_cli(capsys, "check", "--c", "1.5,1.5", "--d", "2,1")
@@ -155,6 +166,23 @@ class TestSynth:
         for step in steps[1:]:
             assert step["step"] == "two_mode" and len(step["modes"]) == 2
             assert np.array(step["transform"], dtype=float).shape == (4, 4)
+
+    def test_large_pair_passes_its_relative_self_check(self, capsys, tmp_path):
+        code, record = run_cli(capsys, "synth", "--c", BIG_C, "--d", BIG_D,
+                               "--out", str(tmp_path / "big.mat"))
+        assert code == 0
+        assert record["verification_defect"] <= 1e-8
+
+    def test_check_and_synth_agree_near_the_threshold(self, capsys, tmp_path):
+        # partial_sum(1) is half a threshold below zero: check accepts the pair,
+        # so synth must build it and pass its self-check
+        c, d = "1.9995,3.0005,1e6", "2,3,1e6"
+        code, record = run_cli(capsys, "check", "--c", c, "--d", d)
+        assert code == 0 and record["feasible"]
+        code, record = run_cli(capsys, "synth", "--c", c, "--d", d,
+                               "--out", str(tmp_path / "near.mat"))
+        assert code == 0
+        assert record["verification_defect"] <= 1e-8
 
     def test_identity_case(self, capsys, tmp_path):
         out = tmp_path / "id.mat"
@@ -578,7 +606,7 @@ class TestInternalFailures:
         def broken(*args, **kwargs):
             raise Infeasible("injected failure")
 
-        monkeypatch.setattr(importlib.import_module("modematch.synthesis"), "solve_two_mode",
+        monkeypatch.setattr(importlib.import_module("modematch.synthesis"), "_couplings",
                             broken)
         out = tmp_path / "out"
         code, record = run_cli(capsys, "synth", "--c", "1.2,1.7,2.4", "--d", "1,1.5,2.3",
@@ -595,7 +623,7 @@ class TestRecordShape:
     command and its error, and an infeasible pair's also its verdict.
     ``TestInternalFailures`` pins the record of a ``NumericalFailure``."""
 
-    VERDICT = ["command", "digest", "feasible", "slacks", "tolerances", "elapsed_s"]
+    VERDICT = ["command", "digest", "feasible", "slacks", "scale", "tolerances", "elapsed_s"]
     ENTROPY = ["command", "digest", "per_mode_bits", "total_local_sum_bits",
                "global_upper_bound_bits", "purity_consistent", "tolerances", "elapsed_s"]
     PREPARE = ["command", "digest", "out", "source", "squeezers", "passive_elements",

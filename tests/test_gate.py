@@ -94,11 +94,11 @@ def test_records_behave_as_their_dataclass_forms_did():
     assert slack == ConstraintSlack(name=PARTIAL_SUM, index=1, slack=0.5)
     assert slack != ConstraintSlack(PARTIAL_SUM, 2, 0.5)
     assert slack.label() == "partial_sum(1)"
-    verdict = FeasibilityVerdict(False, [slack, ConstraintSlack("x", None, -1.0)], 1e-9)
+    verdict = FeasibilityVerdict([slack, ConstraintSlack("x", None, -1.0)], 1e-9, 1.0)
     assert repr(verdict) == (
         "FeasibilityVerdict(feasible=False, slacks=[ConstraintSlack(name='partial_sum', "
         "index=1, slack=0.5), ConstraintSlack(name='x', index=None, slack=-1.0)], "
-        "tol_ineq=1e-09)")
+        "tol_ineq=1e-09, scale=1.0)")
     assert verdict.violated == [ConstraintSlack("x", None, -1.0)]
     assert verdict.min_slack == -1.0
     assert check_mixed([1.5, 1.5], [1.0, 2.0]) == check_mixed((1.5, 1.5), (1.0, 2.0))

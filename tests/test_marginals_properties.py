@@ -2,9 +2,10 @@
 
 d is a sorted spectrum with clusters of equal values and entries spread
 over 1e-3 .. 1e3.  c starts at d, which sits on every boundary at once,
-and is moved 0, +-1 or +-3 tol_ineq off one partial-sum condition or off
-the last condition.  The gate must reproduce a numpy reference: the
-partial-sum slacks bitwise (both are running sums in index order), the
+and is moved 0, +-1 or +-3 thresholds off one partial-sum condition or off
+the last condition, where the threshold is tol_ineq times max(1, c_n, d_n)
+(1 + max b for a pure pair).  The gate must reproduce a numpy reference:
+the partial-sum slacks bitwise (both are running sums in index order), the
 last slack within 4 ulp of sum(c + d), since its totals may be summed in
 another order, and the verdict everywhere outside that rounding band.
 The entropy report's purity test must be the pure gate's verdict exactly.
@@ -37,10 +38,10 @@ def spectra(draw):
 
 @st.composite
 def boundary_pairs(draw):
-    """(c, d) with c a few tol_ineq from one chosen boundary of the cone."""
+    """(c, d) with c a few thresholds from one chosen boundary of the cone."""
     d = draw(spectra())
     n = d.size
-    offset = draw(st.sampled_from(OFFSETS))
+    offset = draw(st.sampled_from(OFFSETS)) * max(1.0, d[-1])
     c = d.copy()
     if draw(st.booleans()):
         # partial sum k gains the offset, and so do all later ones
@@ -72,18 +73,20 @@ def test_slacks_and_verdict_match_numpy_reference(pair, wrapped):
     assert abs(values[-1] - last) <= band
 
     reference = np.append(partial, last)
-    if np.all(np.abs(reference + TOL) > band):
-        assert verdict.feasible == bool(np.all(reference >= -TOL))
+    threshold = TOL * max(1.0, c[-1], d[-1])
+    assert verdict.scale == max(1.0, c[-1], d[-1])
+    if np.all(np.abs(reference + threshold) > band):
+        assert verdict.feasible == bool(np.all(reference >= -threshold))
     assert verdict.feasible == (not verdict.violated)
     assert verdict.min_slack == min(values)
 
 
 @st.composite
 def pure_boundary(draw, offsets=OFFSETS):
-    """Sorted b >= 0 whose largest entry sits a few tol_ineq from the sum of
-    the others."""
+    """Sorted b >= 0 whose largest entry sits a few thresholds from the sum
+    of the others."""
     rest = draw(spectra())
-    offset = draw(st.sampled_from(offsets))
+    offset = draw(st.sampled_from(offsets)) * (1.0 + float(np.sum(rest)))
     top = max(float(np.sum(rest)) - offset, float(rest[-1]))
     return np.append(rest, top)
 
@@ -95,11 +98,14 @@ def test_pure_slack_and_verdict_match_numpy_reference(b):
     slack = float(np.sum(b) - 2.0 * np.max(b))
     band = 4.0 * EPS * float(np.sum(b))
 
+    threshold = TOL * (1.0 + float(np.max(b)))
+
     (only,) = verdict.slacks
     assert only.index == int(np.argmax(b))
     assert abs(only.slack - slack) <= band
-    if abs(slack + TOL) > band:
-        assert verdict.feasible == (slack >= -TOL)
+    assert verdict.scale == 1.0 + float(np.max(b))
+    if abs(slack + threshold) > band:
+        assert verdict.feasible == (slack >= -threshold)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
