@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import real_float
+from .config import _finite, _mode_input
 from .core import (
     SymplecticTransform,
     _as_covariance,
     _complex_rows,
-    _mode_input,
     _real_rows,
     euler_decompose,
     orthosymplectic_to_unitary,
@@ -92,7 +91,7 @@ class PreparationCircuit:
     """A seed, one covariance value per mode (all ones for a pure source),
     and the elements that act on it in tuple order.  Building one by any
     route, ``dataclasses.replace`` included, checks the circuit rule: a known
-    source, and n, seed and the elements' modes under ``core._mode_input``.
+    source, and n, seed and the elements' modes under ``config._mode_input``.
     Its elements checked their own values; all are frozen, so it keeps the
     rule.  Two circuits are equal only if they are the same object."""
 
@@ -116,14 +115,6 @@ class PreparationCircuit:
         return [el for el in self.elements if not isinstance(el, Squeezer)]
 
 
-def _finite(value) -> bool:
-    """Whether an element value is a finite real number (``config.real_float``)."""
-    try:
-        return math.isfinite(real_float(value, "element value"))
-    except InvalidInput:
-        return False
-
-
 def _check_values(el: Element, valid: bool) -> None:
     """Raise unless ``valid``: an element's verdict on its values, each ``_finite`` and z > 0."""
     if not valid:
@@ -131,7 +122,7 @@ def _check_values(el: Element, valid: bool) -> None:
 
 
 def _check_modes(n, elements, seed=None):
-    """``core._mode_input`` on n, a seed, and the elements' modes and rotation pairs."""
+    """``config._mode_input`` on n, a seed, and the elements' modes and rotation pairs."""
     return _mode_input(n, seed, [el.mode for el in elements if not isinstance(el, Rotation)],
                        [el.modes for el in elements if isinstance(el, Rotation)])
 

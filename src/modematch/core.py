@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PAIR_REL, TOL_SYM, TOL_SYMPL, real_float
+from .config import (TOL_PAIR_REL, TOL_SYM, TOL_SYMPL, _as_vector, _check_positive_sorted,
+                     _generator, _mode_input, _square_input, real_float)
 from .errors import InvalidInput, NumericalFailure
-from .gate import _as_vector, _check_positive_sorted, below_vacuum
+from .gate import below_vacuum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -72,79 +73,10 @@ def _sigma_average(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - M.take(s.swap, axis=0).take(s.swap, axis=1) * (s.row_sign * s.col_sign))
 
 
-def _real_array(entries, what: str) -> np.ndarray:
-    """The matrix rule's realness step: the entries as a float64 array, by
-    dtype kind.  Bool, integer and float arrays are cast, an object array is
-    read entry by entry under ``real_float``, and any other kind, complex and
-    string arrays included, is not real.  A ragged nesting is no array."""
-    if entries.__class__ is np.ndarray and entries.dtype.char == "d":
-        return entries
-    try:
-        arr = np.asarray(entries)
-    except ValueError:  # numpy refuses a ragged nesting
-        raise InvalidInput(f"{what} must be a rectangular array") from None
-    if arr.dtype.kind in "biuf":
-        return arr.astype(float, copy=False)
-    if arr.dtype.kind == "O":
-        try:
-            return np.array([real_float(v, what) for v in arr.flat]).reshape(arr.shape)
-        except InvalidInput:  # the message below names the array, not the entry
-            pass
-    raise InvalidInput(f"{what} must have real entries")
-
-
 def _max_abs(M: np.ndarray) -> float:
     # the ufunc reduction skips ndarray.max's Python wrapper; like it, it
     # propagates NaN
     return float(np.maximum.reduce(np.abs(M), axis=None))
-
-
-def _square_input(entries, what: str):
-    """The matrix rule, the one check behind every matrix the library
-    accepts: real entries (``_real_array``), square, of positive even
-    size and finite.  Returns (array, n, scale) with scale = max(1,
-    max-norm); NaN and +/-inf propagate through the max, so one reduction
-    serves both the finiteness check and the scale.  An empty matrix has
-    no max, so size 0 is rejected with the odd sizes."""
-    entries = _real_array(entries, what)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise InvalidInput(f"{what} must be a square matrix, got shape {entries.shape}")
-    if entries.shape[0] == 0 or entries.shape[0] % 2 != 0:
-        raise InvalidInput(f"{what} must have positive even dimension, got {entries.shape[0]}")
-    scale = _max_abs(entries)
-    if not math.isfinite(scale):
-        raise InvalidInput(f"{what} has non-finite entries")
-    return entries, entries.shape[0] // 2, max(1.0, scale)
-
-
-def _int_at_least(value, low: int = 1) -> bool:
-    """Whether a value is an integer by type, Python's or numpy's but not a
-    bool, and at least ``low``: by default a positive integer."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
-
-
-def _mode_input(n, seed=None, modes=(), pairs=()):
-    """The mode rule behind every mode count, circuit and trace: n is a
-    positive integer (``_int_at_least``); a seed, unless None, is a vector
-    (``gate._as_vector``) of n positive values; each entry of ``modes`` and
-    of the ``pairs`` is an integer in 0..n-1, and a pair is a tuple of two
-    different modes.  Returns a read-only float64 copy of the seed."""
-    if not _int_at_least(n):
-        raise InvalidInput(f"mode count {n} is not a positive integer")
-    if seed is not None:
-        values = _as_vector(seed, "seed")
-        if len(values) != n:
-            raise InvalidInput(f"seed has {len(values)} values for {n} modes")
-        if min(values) <= 0:
-            raise InvalidInput(f"seed values must be finite and positive, got {values}")
-        seed, = _frozen(np.array(values))
-    bad = [p for p in pairs if not (isinstance(p, tuple) and len(p) == 2 and p[0] != p[1])]
-    if bad:
-        raise InvalidInput(f"modes {bad[0]!r} are not a tuple of two distinct modes")
-    bad = [m for group in (modes, *pairs) for m in group if not (_int_at_least(m, 0) and m < n)]
-    if bad:
-        raise InvalidInput(f"mode {bad[0]} is outside 0..{n - 1}")
-    return seed
 
 
 def interleaved_diagonal(values: np.ndarray) -> np.ndarray:
@@ -266,7 +198,7 @@ class SpectrumVector:
 class EulerFactors:
     """Passive-squeeze-passive factorisation S = O Q V.
 
-    ``z``, a vector (``gate._as_vector``), holds the n squeezing magnitudes,
+    ``z``, a vector (``config._as_vector``), holds the n squeezing magnitudes,
     all >= 1; the middle factor is diag(z1, 1/z1, ..., zn, 1/zn).
     """
 
@@ -512,18 +444,6 @@ def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
                            "symplectic and block defects "
                            + ", ".join(f"{v:.3g}" for v in defects))
     return U
-
-
-def _generator(seed) -> "np.random.Generator":
-    """The random generator of a seed: a Generator is used as it is, and
-    anything else goes to ``np.random.default_rng``; a seed it refuses, such
-    as a fraction or a negative integer, raises InvalidInput."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"seed {seed!r} is not a valid random seed: {exc}") from None
 
 
 def haar_orthogonal_symplectic(n: int, rng: "np.random.Generator") -> np.ndarray:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_INEQ, real_float, valid_tol_ineq
+from .config import TOL_INEQ, _as_vector, real_float, valid_tol_ineq
 from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import _as_vector, _pure_verdict, at_vacuum, below_vacuum, check_pure
+from .gate import _pure_verdict, at_vacuum, below_vacuum, check_pure
 from .marginals import local_diagonal
 
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)

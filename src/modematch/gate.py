@@ -15,11 +15,9 @@ hold.  Verdicts expose signed slacks, negative meaning violated, so boundary
 cases stay testable.  The verdict alone judges them, at its ``threshold``,
 ``tol_ineq`` times ``_scale``; ``synthesis`` reads both for its own checks.
 
-It also holds the rules on per-mode values: ``_as_vector`` (the vector rule
-on every per-mode vector), ``_check_positive_sorted`` (spectra),
-``_check_total`` (totals the slacks can double without overflow), and
-``below_vacuum`` and ``at_vacuum``, each one comparison of a value with the
-vacuum value 1, a physical constant and no unit, within an absolute ``TOL_PSD``.
+It also holds ``below_vacuum`` and ``at_vacuum``, each one comparison of a
+mode value with the vacuum value 1, a physical constant and no unit, within
+an absolute ``TOL_PSD``.  Its inputs pass the rules of ``config``.
 
 The gate is n + 1 sums of Python floats, so this module must stay free of
 numpy and of the matrix modules: ``modematch.check_mixed`` and ``modematch
@@ -28,10 +26,10 @@ records are plain ``__slots__`` classes, since ``dataclasses`` imports
 ``inspect``.  ``tests/test_startup.py`` enforces this in fresh interpreters.
 """
 
-import math
 from itertools import accumulate
 
-from .config import TOL_INEQ, TOL_PSD, real_float, valid_tol_ineq
+from .config import (TOL_INEQ, TOL_PSD, _as_vector, _check_positive_sorted, _check_total,
+                     valid_tol_ineq)
 from .errors import InvalidInput
 
 PARTIAL_SUM = "partial_sum"
@@ -99,65 +97,9 @@ class FeasibilityVerdict(_Record):
 
 
 def _scale(*largest: float) -> float:
-    """max(1, the largest value judged), as ``core._square_input`` scales a
+    """max(1, the largest value judged), as ``config._square_input`` scales a
     matrix: the unit of a slack, so values below 1 keep the absolute tolerance."""
     return max(1.0, *largest)
-
-
-def _as_vector(values, what: str) -> list:
-    """A non-empty 1-d vector of finite values, as a list of Python floats.
-
-    Vectors here have one entry per mode, so checks and reductions run on
-    floats: at these sizes each numpy dispatch costs more than the work.  An
-    array goes through ``tolist()``; any other iterable of reals, a
-    spectrum's Python floats included, goes through ``real_float``.
-    """
-    ndim = getattr(values, "ndim", None)
-    if ndim is None:
-        if isinstance(values, (str, bytes)):
-            raise InvalidInput(f"{what} must be a non-empty 1-d vector")
-        try:
-            out = list(values)
-        except TypeError:  # a scalar or None
-            raise InvalidInput(f"{what} must be a non-empty 1-d vector") from None
-        out = _real_entries(out, what)
-    elif ndim == 1:
-        out = values.tolist()
-        # a float64 array lists Python floats already
-        if values.dtype.char != "d":
-            out = _real_entries(out, what)
-    else:
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
-    if not out:
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector")
-    if not all(map(math.isfinite, out)):
-        raise InvalidInput(f"{what} has non-finite entries")
-    return out
-
-
-def _real_entries(items: list, what: str) -> list:
-    """The entries as Python floats (``real_float``); a nested sequence makes
-    the vector not 1-d, and any other entry that is no real number not real."""
-    try:
-        return [real_float(v, what) for v in items]
-    except InvalidInput:
-        nested = any(hasattr(v, "__iter__") and not isinstance(v, (str, bytes)) for v in items)
-        raise InvalidInput(f"{what} must be a non-empty 1-d vector" if nested
-                           else f"{what} must have real entries") from None
-
-
-def _check_positive_sorted(values: list, what: str):
-    """Require a list of floats to be strictly positive and non-decreasing."""
-    if min(values) <= 0:
-        raise InvalidInput(f"{what} must be strictly positive")
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise InvalidInput(f"{what} must be non-decreasing")
-
-
-def _check_total(total: float, what: str):
-    """Require twice a total to be finite: no slack forms more than that."""
-    if not math.isfinite(2.0 * total):
-        raise InvalidInput(f"{what} is too large: its total must stay below 8.99e+307")
 
 
 def below_vacuum(value: float) -> bool:

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_INEQ
+from .config import TOL_INEQ, _as_vector
 from .core import SpectrumVector, _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import FeasibilityVerdict, _as_vector, check_mixed
+from .gate import FeasibilityVerdict, check_mixed
 
 
 @dataclass(eq=False)
@@ -54,7 +54,7 @@ def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> Feasibilit
 
 def temperature_to_b(T) -> np.ndarray:
     """Local excitation b = 2 / (exp(1/T) - 1) per mode, for a vector of
-    temperatures (``gate._as_vector``); monotone increasing in T, and tiny
+    temperatures (``config._as_vector``); monotone increasing in T, and tiny
     temperatures underflow to b = 0."""
     T = _as_vector(T, "temperatures")
     if min(T) <= 0:
@@ -64,7 +64,7 @@ def temperature_to_b(T) -> np.ndarray:
 
 
 def b_to_temperature(b) -> np.ndarray:
-    """Invert the excitation map for a vector b >= 0 (``gate._as_vector``):
+    """Invert the excitation map for a vector b >= 0 (``config._as_vector``):
     T = 1 / log(1 + 2/b), and b = 0 maps to T = 0 exactly, which marks a
     pure local mode.  Where 2/b overflows, for a subnormal b, the log is
     taken as log 2 - log b, so every positive b has a finite positive T."""

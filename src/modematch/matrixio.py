@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _square_input
+from .config import _square_input
 from .errors import InvalidInput
 
 ORDERING = "xpxp"
@@ -39,7 +39,7 @@ class MatrixFile:
 
 
 def format_matrix(values: np.ndarray, kind: str) -> str:
-    """A matrix file's text; the values pass ``core._square_input``."""
+    """A matrix file's text; the values pass ``config._square_input``."""
     if kind not in KINDS:
         raise InvalidInput(f"kind must be one of {KINDS}, got {kind!r}")
     values, n, _ = _square_input(values, "matrix")

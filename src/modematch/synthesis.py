@@ -24,19 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL_INEQ, valid_tol_ineq
+from .config import TOL_INEQ, _as_vector, _mode_input, valid_tol_ineq
 from .core import (
     _EPS,
     CovarianceMatrix,
     SymplecticTransform,
-    _mode_input,
     relative_defect,
     symplectic_eigenvalues,
     symplectic_inverse,
     williamson,
 )
 from .errors import Infeasible, InvalidInput, NumericalFailure
-from .gate import _as_vector, _scale, check_mixed, check_pure
+from .gate import _scale, check_mixed, check_pure
 from .marginals import local_diagonal
 
 
@@ -60,7 +59,7 @@ class SynthesisTrace:
 
     ``seed`` holds one thermal value per mode, the spectrum d in mode order;
     ``steps`` are the two-mode gates, applied in order.  Building a trace
-    checks n, the seed and the steps' modes under ``core._mode_input``, then
+    checks n, the seed and the steps' modes under ``config._mode_input``, then
     sets ``final_matrix``, the witness, to its replay S diag(seed) S^T.
     """
 
@@ -96,7 +95,7 @@ def two_mode_eigenvalues_closed_form(c1: float, c2: float, e: float, f: float):
     spectrum gives an exact zero rather than rounding noise whose square
     root would split d1 from d2 by about sqrt(eps); d1 comes from
     d1^2 d2^2 = det rather than from the cancelling difference.  Requires
-    real finite inputs (``gate._as_vector``) and a strictly positive matrix.
+    real finite inputs (``config._as_vector``) and a strictly positive matrix.
     """
     c1, c2, e, f = _as_vector((c1, c2, e, f), "(c1, c2, e, f)")
     if c1 <= 0 or c2 <= 0 or c1 * c2 - e * e <= 0 or c1 * c2 - f * f <= 0:
@@ -111,7 +110,7 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
     """The couplings (e, f), a tuple of floats, for which ``assemble_two_mode(c1,
     c2, e, f)`` has spectrum (d1, d2).
 
-    Requires real finite inputs (``gate._as_vector``) with c2 >= c1 > 0 and
+    Requires real finite inputs (``config._as_vector``) with c2 >= c1 > 0 and
     d2 >= d1 > 0 (else InvalidInput) and the pair inequalities (else
     Infeasible), whose slacks are the sum gap G and the spread gap H:
 
@@ -156,14 +155,17 @@ def _gate(c1: float, c2: float, d1: float, d2: float, room: float) -> np.ndarray
     c2, e, f), where (e, f) = _couplings(c1, c2, d1, d2, room).
 
     The first mode of g holds the smaller thermal value and receives the
-    local value c1.  The gate loop derives only feasible pairs, so an
-    Infeasible pair here is a numerical failure.
+    local value c1.  The gate loop derives only feasible pairs and builds
+    their blocks itself, so an Infeasible pair, or a block or transform
+    that fails its own check, is a numerical failure.
     """
     try:
         e, f = _couplings(c1, c2, d1, d2, room)
+        S_w, _ = williamson(assemble_two_mode(c1, c2, e, f))
     except Infeasible as exc:
         raise NumericalFailure(f"reduced subproblem lost feasibility: {exc}") from None
-    S_w, _ = williamson(assemble_two_mode(c1, c2, e, f))
+    except InvalidInput as exc:
+        raise NumericalFailure(f"two-mode gate failed its check: {exc}") from None
     return symplectic_inverse(S_w.entries)
 
 
@@ -287,9 +289,9 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int, *, physical: bool =
     Samples d uniformly in [0.5, 4], or in [1, 4] when ``physical``, starts
     from the boundary point c = d, applies feasibility preserving
     perturbations (uniform increase of a suffix of c by at most 2, with the
-    last-entry-only case capped by the remaining slack), and with probability
-    0.2 tightens back toward the boundary.  The draws take no tolerance;
-    ``check_mixed`` re-checks the result at its default one.
+    last-entry-only case capped by the gate's last-condition slack), and with
+    probability 0.2 tightens back toward the boundary.  The draws take no
+    tolerance; ``check_mixed`` re-checks the result at its default one.
     """
     _mode_input(n)
     d = np.sort(rng.uniform(1.0 if physical else 0.5, 4.0, n))
@@ -297,7 +299,7 @@ def sample_feasible_pair(rng: "np.random.Generator", n: int, *, physical: bool =
     for _ in range(int(rng.integers(1, 4))):
         j0 = int(rng.integers(0, n))
         if j0 == n - 1:
-            head = (2.0 * d[-1] - np.sum(d)) - (2.0 * c[-1] - np.sum(c))
+            head = check_mixed(c, d).slacks[-1].slack
             delta = rng.uniform(0.0, max(head, 0.0))
         else:
             delta = rng.uniform(0.0, 2.0)

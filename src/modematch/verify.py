@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import circuit_from_matrix, replay_defect
-from .config import TOL_INEQ, TOL_RECON, valid_tol_ineq
+from .config import TOL_INEQ, TOL_RECON, _generator, _int_at_least, valid_tol_ineq
 from .core import (
     CovarianceMatrix,
-    _generator,
-    _int_at_least,
     euler_decompose,
     euler_defect,
     interleaved_diagonal,
@@ -85,7 +83,7 @@ def random_physical_covariance(rng: "np.random.Generator", n: int,
 def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 5.0,
                      corrupt=None, *, tol_ineq: float = TOL_INEQ) -> VerificationSummary:
     """Run every suite over ``trials`` sampled instances, drawn from the
-    generator of ``seed`` (``core._generator``).
+    generator of ``seed`` (``config._generator``).
 
     ``corrupt``, when given, maps each synthesized witness to the matrix
     ``synthesis_defect`` measures; it exists so the harness itself can be

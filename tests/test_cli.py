@@ -616,6 +616,17 @@ class TestInternalFailures:
                           "error": "reduced subproblem lost feasibility: injected failure"}
         assert not out.exists()
 
+    def test_failed_check_of_a_two_mode_gate_exits_three(self, capsys, tmp_path):
+        # a feasible pair whose 4x4 block's Williamson transform misses
+        # TOL_SYMPL: the library built the block, so the failure is its own
+        out = tmp_path / "out"
+        argv = ("--c", "1.5,1e7", "--d", "1.2,9999999.99")
+        assert run_cli(capsys, "check", *argv)[0] == 0
+        code, record = run_cli(capsys, "synth", *argv, "--out", str(out))
+        assert code == 3
+        assert record["error"].startswith("two-mode gate failed its check: symplectic defect")
+        assert not out.exists()
+
 
 class TestRecordShape:
     """Every record lays out its keys in one order: command, digest, the

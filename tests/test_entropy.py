@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import modematch.config as config_module
 import modematch.entropy as entropy_module
 import modematch.gate as gate_module
 from modematch import (
@@ -226,14 +227,15 @@ class TestEntropyReport:
 
     def test_local_values_are_validated_once(self, monkeypatch):
         calls = []
-        validate = gate_module._as_vector
+        validate = config_module._as_vector
 
         def counted(values, what):
             calls.append(what)
             return validate(values, what)
 
-        monkeypatch.setattr(entropy_module, "_as_vector", counted)
-        monkeypatch.setattr(gate_module, "_as_vector", counted)
+        # each module looks the rule up in its own namespace
+        for module in (config_module, entropy_module, gate_module):
+            monkeypatch.setattr(module, "_as_vector", counted)
         c = [1.5, 1.5, 2.0]
         report = entropy_report(c=c)
         assert calls == ["c"]

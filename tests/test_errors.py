@@ -247,6 +247,13 @@ REJECTIONS = {
     "squeezer-int-past-float": (lambda: Squeezer(0, 10**400), r"z=10*\).*z finite and positive"),
     "phase-fraction-past-float": (lambda: PhaseShift(0, Fraction(10**400)),
                                   r"alpha=Fraction\(10*, 1\).*angles must be finite"),
+    # a bool is no number, whatever holds it
+    "bool-array": (lambda: check_mixed(np.array([True, True]), [1.0, 1.0]),
+                   "c must have real entries"),
+    "bool-matrix": (lambda: CovarianceMatrix(np.eye(2, dtype=bool)),
+                    "covariance matrix must have real entries"),
+    "bool-seed": (lambda: run_verification(2, 2, seed=True),
+                  "seed True is not a valid random seed: a bool is no integer"),
 }
 
 
@@ -272,10 +279,10 @@ NUMERIC_ENTRIES = {
     "matrix-entry": lambda v: CovarianceMatrix(_object_matrix(v)),
     "circuit-value": lambda v: Squeezer(0, v),
 }
-REAL_VALUES = {"float": 2.0, "int": 2, "bool": True, "fraction": Fraction(2),
-               "float32": np.float32(2), "int64": np.int64(2)}
+REAL_VALUES = {"float": 2.0, "int": 2, "fraction": Fraction(2), "float32": np.float32(2),
+               "int64": np.int64(2)}
 NOT_REAL_VALUES = {"complex": 1j, "complex128": np.complex128(2), "str": "2", "bytes": b"2",
-                   "decimal": Decimal("2"), "none": None, "list": [2.0],
+                   "decimal": Decimal("2"), "none": None, "list": [2.0], "bool": True,
                    "numpy-bool": np.bool_(True), "0-d-array": np.array(2.0),
                    "int-past-float": 10**400}
 
@@ -291,6 +298,41 @@ def test_every_numeric_entry_accepts_a_real_number_of_any_real_type(entry, value
 def test_every_numeric_entry_rejects_what_is_no_finite_real_as_invalid_input(entry, value):
     with pytest.raises(InvalidInput):
         entry(value)
+
+
+def _object_vector(value):
+    v = np.empty(2, dtype=object)
+    v[0] = v[1] = value
+    return v
+
+
+# each container a value can arrive in, as a vector or a matrix entry
+CONTAINERS = {
+    "list-entry": lambda v: check_mixed([v, v], [1.0, 1.0]),
+    "array": lambda v: check_mixed(np.array([v, v]), [1.0, 1.0]),
+    "object-array": lambda v: check_mixed(_object_vector(v), [1.0, 1.0]),
+    "matrix-entry": lambda v: CovarianceMatrix([[v, 0.0], [0.0, v]]),
+    "object-matrix-entry": lambda v: CovarianceMatrix(_object_matrix(v)),
+}
+
+
+def _verdict(build, value) -> str:
+    try:
+        build(value)
+    except InvalidInput:
+        return "rejected"
+    return "accepted"
+
+
+@pytest.mark.parametrize("name", [*REAL_VALUES, *NOT_REAL_VALUES])
+def test_one_verdict_per_value_whatever_its_container(name):
+    value = {**REAL_VALUES, **NOT_REAL_VALUES}[name]
+    # numpy builds a float64 array from 0-d arrays, so that array holds none
+    forms = {form: build for form, build in CONTAINERS.items()
+             if not (form == "array" and isinstance(value, np.ndarray))}
+    expected = "accepted" if name in REAL_VALUES else "rejected"
+    assert {form: _verdict(build, value) for form, build in forms.items()} == \
+        dict.fromkeys(forms, expected)
 
 
 def test_outcomes_are_distinct():

@@ -1,5 +1,5 @@
-"""The numpy-free vector check of the gate against the numpy form it replaced,
-the rules on mode values it holds for the package, and its plain records."""
+"""The numpy-free vector rule the gate applies against the numpy form it
+replaced, the vacuum predicates it holds for the package, and its plain records."""
 
 import math
 import struct
@@ -10,13 +10,12 @@ import pytest
 
 from modematch import CovarianceMatrix, SpectrumVector, circuit_from_matrix, entropy_s
 from modematch.circuits import PURE_SOURCE
-from modematch.config import TOL_PSD
+from modematch.config import TOL_PSD, _as_vector
 from modematch.errors import InvalidInput
 from modematch.gate import (
     PARTIAL_SUM,
     ConstraintSlack,
     FeasibilityVerdict,
-    _as_vector,
     at_vacuum,
     below_vacuum,
     check_mixed,

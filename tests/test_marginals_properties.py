@@ -2,9 +2,12 @@
 
 d is a sorted spectrum with clusters of equal values and entries spread
 over 1e-3 .. 1e3.  c starts at d, which sits on every boundary at once,
-and is moved 0, +-1 or +-3 thresholds off one partial-sum condition or off
-the last condition, where the threshold is tol_ineq times max(1, c_n, d_n)
-(1 + max b for a pure pair).  The gate must reproduce a numpy reference:
+and is moved 0, +-1/2, +-1 or +-3 thresholds off one partial-sum condition
+or off the last condition, where the threshold is tol_ineq times
+max(1, c_n, d_n) (1 + max b for a pure pair).  Half a threshold below the
+boundary tells that threshold from an absolute tol_ineq once the scale
+exceeds 2; one and three thresholds fall on the same side of both.  The
+gate must reproduce a numpy reference:
 the partial-sum slacks bitwise (both are running sums in index order), the
 last slack within 4 ulp of sum(c + d), since its totals may be summed in
 another order, and the verdict everywhere outside that rounding band.
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from modematch import SpectrumVector, check_mixed, check_pure, entropy_report
 from modematch.config import TOL_INEQ as TOL
 
-OFFSETS = (0.0, TOL, -TOL, 3.0 * TOL, -3.0 * TOL)
+OFFSETS = (0.0, 0.5 * TOL, -0.5 * TOL, TOL, -TOL, 3.0 * TOL, -3.0 * TOL)
 EPS = np.finfo(float).eps
 
 
