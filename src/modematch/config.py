@@ -206,14 +206,22 @@ def _mode_input(n, seed=None, modes=(), pairs=()):
 
 def _generator(seed) -> "np.random.Generator":
     """The random generator of a seed: a Generator is used as it is, and
-    anything else but a bool goes to ``np.random.default_rng``; a bool, or
-    a seed it refuses, such as a fraction or a negative integer, raises
-    InvalidInput."""
+    anything else goes to ``np.random.default_rng``.  A bool, or a list,
+    tuple or array seed with an entry that is no non-negative integer
+    (``_int_at_least``), a bool or a nested sequence among them, raises
+    InvalidInput, and so does a seed numpy refuses, such as a fraction or a
+    negative integer."""
     import numpy as np
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, bool):
+    entries = seed.tolist() if isinstance(seed, np.ndarray) else seed
+    if isinstance(entries, bool):
         raise InvalidInput(f"seed {seed!r} is not a valid random seed: a bool is no integer")
+    if isinstance(entries, (list, tuple)):
+        bad = [v for v in entries if not _int_at_least(v, 0)]
+        if bad:
+            raise InvalidInput(f"seed {seed!r} is not a valid random seed: entry {bad[0]!r} "
+                               "is no non-negative integer")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:

@@ -199,7 +199,8 @@ class EulerFactors:
     """Passive-squeeze-passive factorisation S = O Q V.
 
     ``z``, a vector (``config._as_vector``), holds the n squeezing magnitudes,
-    all >= 1; the middle factor is diag(z1, 1/z1, ..., zn, 1/zn).
+    all >= 1, with z = 1 exactly on each unit plane; the middle factor is
+    diag(z1, 1/z1, ..., zn, 1/zn).
     """
 
     O: SymplecticTransform
@@ -353,16 +354,17 @@ def euler_decompose(S) -> EulerFactors:
     splitting S = P R with P = U diag(lam) U^T and R = U W^T.  The singular
     values pair into (z, 1/z); the leading columns u of U whose z lies above
     the noise floor are the anti-squeezed directions, and their exact
-    partners sigma^T u span the squeezed ones.  The other columns of U span
-    the unit subspace plus those partners; written as complex vectors
-    x - i p per mode, with the u projected out, they span the unit subspace
-    as a complex space, and the leading left singular vectors of a second,
-    complex SVD give it an orthonormal basis, each vector a column u with
-    its exact partner sigma^T u.  The passive right factor is V = O^T R,
-    read off the SVD's own orthogonal polar factor: R carries the rounding
-    of the SVD alone, whereas P^{-1} S would amplify it by ||S||.  Squeezing
-    magnitudes are normalised to z >= 1 by assigning the larger member of
-    each pair to the x quadrature, and sorted non-decreasing.
+    partners sigma^T u span the squeezed ones.  Written as complex vectors
+    x - i p per mode, the k columns u are orthonormal in C^n, and the unit
+    planes are their orthogonal complement: the trailing columns of one
+    complete QR, each vector a column with its exact partner, at z = 1
+    exactly.  The passive right factor is V = O^T R, read off the SVD's own
+    orthogonal polar factor: R carries the rounding of the SVD alone,
+    whereas P^{-1} S would amplify it by ||S||.  Squeezing magnitudes are
+    normalised to z >= 1 by assigning the larger member of each pair to the
+    x quadrature; the unit planes come first and the squeezed ones follow
+    in ascending z, so z is non-decreasing.  A passive S has no squeezed
+    plane, and O = I.
     """
     if isinstance(S, SymplecticTransform):
         St = S
@@ -382,33 +384,17 @@ def euler_decompose(S) -> EulerFactors:
     tau = max(1e-12, 100.0 * _EPS * max(1.0, 0.5 * (lam_max - 1.0 / lam_max)))
     floor = tau + math.sqrt(tau * tau + 1.0)
     k = sum(v > floor for v in singular)
-    if k == 0:
-        # P is the identity within the noise floor: S itself is passive
-        return EulerFactors(O=SymplecticTransform(_symplectic_structure(2 * n).eye),
-                            z=np.ones(n),
-                            V=SymplecticTransform(_polish_passive(_sigma_average(R))))
     if k > n:
         raise NumericalFailure("squeeze planes of the polar factor do not pair into doublets: "
                                f"singular values {lam}")
     # lam is descending; reversing the leading k columns sorts z ascending
-    u_cols = _positive_leading_sign(U[:, k - 1 :: -1])
-    z_vec = lam[k - 1 :: -1]
+    u_cols = _positive_leading_sign(U[:, :k][:, ::-1])
+    z_vec = lam[:k][::-1]
     if k < n:
-        # projecting out the complex u projects out (u, sigma^T u) alike;
-        # the residual's unit-subspace singular values are sqrt(2)
-        chosen = _complex_rows(u_cols)
-        cluster = _complex_rows(U[:, k:])
-        resid = cluster - chosen @ (chosen.conj().T @ cluster)
-        basis, spread, _ = np.linalg.svd(resid, full_matrices=False)
-        if spread[n - k - 1] < 1e-8:
-            raise NumericalFailure("failed to extend symplectic basis of the unit subspace")
-        unit_u = _real_rows(basis[:, : n - k])
-        # u^T P u from the SVD, without forming P
-        unit_z = np.maximum(1.0, lam @ (U.T @ unit_u) ** 2)
-        z_vec = np.concatenate([z_vec, unit_z])
-        order = np.argsort(z_vec, kind="stable")
-        z_vec = z_vec[order]
-        u_cols = np.column_stack([u_cols, unit_u])[:, order]
+        # every unit z lies below the floor and every squeezed z above it
+        unit_u = _real_rows(np.linalg.qr(_complex_rows(u_cols), mode="complete")[0][:, k:])
+        u_cols = np.column_stack([unit_u, u_cols])
+        z_vec = np.concatenate([np.ones(n - k), z_vec])
     # every column pair (u, sigma^T u) is exact, so O1 needs no averaging
     O1 = np.empty((2 * n, 2 * n))
     O1[:, 0::2] = u_cols

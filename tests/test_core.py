@@ -427,7 +427,7 @@ class TestEulerDecompose:
         self._assert_passive_factorisation(factors, S)
 
     def test_ramp_witness_at_n_128(self):
-        # 101 unit planes: one complex SVD completes them all, each with its
+        # 101 unit planes: one complete QR completes them all, each with its
         # exact partner, so O's column pairs need no averaging and keep their
         # structure through the polish up to rounding
         n = 128
@@ -442,24 +442,25 @@ class TestEulerDecompose:
 
     def test_solver_budget(self, monkeypatch):
         # the planes and the passive factor come from one SVD of S, and the
-        # unit planes, when there are any, from one SVD of the unit cluster;
-        # no eigensolver runs on any path
+        # unit planes, when there are any, from one complete QR of the
+        # squeezed ones; no eigensolver runs on any path
         rng = np.random.default_rng(61)
         squeezed = random_symplectic(3, 4.0, rng)
         one_plane = (haar_orthogonal_symplectic(3, rng) * [3.0, 1.0 / 3.0, 1, 1, 1, 1]
                      ) @ haar_orthogonal_symplectic(3, rng)
         passive = SymplecticTransform(haar_orthogonal_symplectic(3, rng))
-        calls = count_solver_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "eig"))
+        calls = count_solver_calls(monkeypatch, ("svd", "qr", "eigh", "eigvalsh", "eig"))
         factors = euler_decompose(squeezed)
         assert calls == ["svd"]
         assert np.all(factors.z > 1.0 + 1e-3)
         calls.clear()
         factors = euler_decompose(SymplecticTransform(one_plane))
-        assert calls == ["svd", "svd"]
+        assert calls == ["svd", "qr"]
+        np.testing.assert_array_equal(factors.z[:2], [1.0, 1.0])
         np.testing.assert_allclose(factors.z, [1.0, 1.0, 3.0], atol=1e-12)
         calls.clear()
         factors = euler_decompose(passive)
-        assert calls == ["svd"]
+        assert calls == ["svd", "qr"]
         np.testing.assert_array_equal(factors.O.entries, np.eye(6))
         np.testing.assert_array_equal(factors.z, np.ones(3))
 
@@ -497,6 +498,15 @@ class TestRandomSymplectic:
     def test_an_int_seed_draws_as_its_generator(self):
         a = random_symplectic(3, 3.0, seed=42)
         b = random_symplectic(3, 3.0, seed=np.random.default_rng(42))
+        assert np.array_equal(a.entries, b.entries)
+
+    @pytest.mark.parametrize("seed", [[42, 7], (42, 7), np.array([42, 7]),
+                                      [np.int64(42), 7], np.random.SeedSequence(42)],
+                             ids=["list", "tuple", "array", "numpy-int-entry", "seed-sequence"])
+    def test_a_sequence_seed_draws_as_its_generator(self, seed):
+        # reading a sequence seed entry by entry leaves numpy's draws as they are
+        a = random_symplectic(3, 3.0, seed=seed)
+        b = random_symplectic(3, 3.0, seed=np.random.default_rng(seed))
         assert np.array_equal(a.entries, b.entries)
 
 

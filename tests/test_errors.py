@@ -254,6 +254,10 @@ REJECTIONS = {
                     "covariance matrix must have real entries"),
     "bool-seed": (lambda: run_verification(2, 2, seed=True),
                   "seed True is not a valid random seed: a bool is no integer"),
+    "bool-sequence-seed": (lambda: random_symplectic(2, 1.0, seed=[True]),
+                           r"seed \[True\] is not a valid random seed: entry True"),
+    "verify-bool-sequence-seed": (lambda: run_verification(2, 2, seed=[True, False]),
+                                  r"seed \[True, False\] is not a valid random seed: entry True"),
 }
 
 
