@@ -1,13 +1,14 @@
 """Preparation circuits: a seed state and one ordered tuple of elements.
 
 A circuit applies squeezers, two-mode rotations and phases to its seed, one
-covariance value per mode, in tuple order.  A physical target S D S^T (D
-its Williamson spectrum d, S = O Q V by Bloch-Messiah, O and V passive) is
-V's Reck mesh, n squeezers and O's mesh on the thermal seed d; V leaves the
-vacuum seed of a pure target unchanged and is left out.  A synthesized
-target can instead follow its trace: each two-mode gate g = O Q V gives V's
-elements, its non-unit squeezers, then O's elements on the gate's modes; at
-most 8 elements per gate, so O(n) in all, where the dense form has O(n^2).
+covariance value per mode, in tuple order.  One emitter turns a symplectic
+transform T = O Q V (Bloch-Messiah, O and V passive) into elements: V's
+Reck mesh, one squeezer per squeezed plane of Q, then O's mesh; a unit
+plane needs no squeezer, and V, which leaves a vacuum seed unchanged, is
+left out on one.  A physical target S D S^T (D its Williamson spectrum d)
+is the elements of S on the thermal seed d.  A synthesized target can
+instead follow its trace: the elements of each two-mode gate on the gate's
+modes, at most 8 per gate, so O(n) in all, where the dense form has O(n^2).
 
 Passive elements live in the unitary picture: an orthogonal-symplectic
 matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
@@ -211,20 +212,27 @@ def replay_defect(circuit: PreparationCircuit, target: np.ndarray) -> float:
     return relative_defect(replay_circuit(circuit) - target, target)
 
 
+def _elements(T, modes, vacuum: bool = False) -> list[Element]:
+    """Elements of a symplectic transform T = O Q V (Euler) on ``modes``, in
+    acting order: V's mesh, left out on a vacuum seed, which it leaves as it
+    is; a squeezer per squeezed plane, z > 1, where Euler puts each unit
+    plane at z = 1 exactly; then O's mesh."""
+    factors = euler_decompose(T)
+    elements = [] if vacuum else passive_to_two_mode_rotations(factors.V, modes)[::-1]
+    elements += [Squeezer(mode=m, z=z) for m, z in zip(modes, (factors.z**2).tolist()) if z > 1]
+    return elements + passive_to_two_mode_rotations(factors.O, modes)[::-1]
+
+
 def circuit_from_matrix(gamma) -> PreparationCircuit:
-    """Circuit preparing a physical matrix as itself: the Euler factors
-    O Q V of the inverse Williamson transform give V's network, n squeezers
-    and O's network on the seed d, or on the vacuum without V's network when
-    every d is at the vacuum."""
+    """Circuit preparing a physical matrix as itself: the elements of the
+    inverse Williamson transform on the seed d, or on the vacuum when every
+    d is at the vacuum."""
     cov = _as_covariance(gamma)
     if not cov.is_physical():
         raise InvalidInput("target matrix violates the uncertainty bound")
     S_w, d = williamson(cov)
     pure = all(map(at_vacuum, d.values.tolist()))
-    factors = euler_decompose(symplectic_inverse(S_w.entries))
-    elements: list[Element] = [] if pure else passive_to_two_mode_rotations(factors.V)[::-1]
-    elements += [Squeezer(mode=k, z=float(z)) for k, z in enumerate(factors.z**2)]
-    elements += passive_to_two_mode_rotations(factors.O)[::-1]
+    elements = _elements(symplectic_inverse(S_w.entries), range(cov.n), pure)
     seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values, MIXED_SOURCE)
     return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
 
@@ -238,24 +246,11 @@ def circuit_from_pure(gamma) -> PreparationCircuit:
 
 
 def circuit_from_mixed(trace) -> PreparationCircuit:
-    """Circuit preparing the final matrix of a ``SynthesisTrace`` from its
-    thermal seed.
-
-    The seed is the trace's spectrum in mode order.  Each two-mode gate, in
-    trace order, is Euler-factored as O Q V and emitted on its own modes as
-    V's elements, Q's non-unit squeezers, then O's elements; a trace without
-    gates gives no elements.  A trace's final matrix is the replay of its
-    gates, fixed when it was built, so the gates alone are read.
-    """
-    elements: list[Element] = []
-    for step in trace.steps:
-        factors = euler_decompose(step.transform)
-        elements += passive_to_two_mode_rotations(factors.V, step.modes)[::-1]
-        elements += [Squeezer(mode=m, z=float(z)) for m, z in zip(step.modes, factors.z**2)
-                     if z - 1.0 > _ELEMENT_DROP]
-        elements += passive_to_two_mode_rotations(factors.O, step.modes)[::-1]
-    return PreparationCircuit(n=trace.n, seed=trace.seed, elements=elements,
-                              source=MIXED_SOURCE)
+    """Circuit preparing the final matrix of a ``SynthesisTrace``, the replay
+    of its gates, from its thermal seed, the spectrum in mode order: the
+    elements of each gate on its own modes, in trace order."""
+    elements = [el for step in trace.steps for el in _elements(step.transform, step.modes)]
+    return PreparationCircuit(trace.n, trace.seed, elements, MIXED_SOURCE)
 
 
 # The element line format: each record's head, element, and fields in file order with how each

@@ -7,19 +7,21 @@ record: ``command``, ``digest``, the subcommand's own fields (``entropy
 --matrix`` ends them with ``gaussian_global_entropy_bits``), ``tolerances``,
 then ``elapsed_s``, each key present only where the subcommand has it.
 
-A subcommand returns 0 on success or a feasible verdict, and 1 on an
+A subcommand reads one input source, a matrix file, a pure b vector or a
+(c, d) pair, and returns 0 on success or a feasible verdict, and 1 on an
 infeasible verdict from ``check`` or violations from ``verify``.  Every
-other outcome is an exception that ``main`` alone turns into a record and
-an exit code: ``Infeasible`` (an infeasible pair in synth or prepare) exits
-1 with a record of ``command``, ``feasible``, ``error`` and the
-``tolerances`` its verdict used; ``NumericalFailure`` exits 3 and
-``InvalidInput``, any other library error, ``ValueError`` or ``OSError``
-exit 2, each with a record of ``command`` and ``error`` and an ``error:``
-line on stderr.  A self-check raises ``NumericalFailure``: it measures its
-defect with the function next to the kernel it checks and fails unless the
-defect is at most ``TOL_RECON``, so a NaN defect fails.  ``--tol-ineq``, or
-else MODEMATCH_TOL_INEQ, sets the inequality tolerance, which must be
-finite and positive and is relative to max(1, the largest value judged).
+other outcome, flags of a second source included, is an exception that
+``main`` alone turns into a record and an exit code: ``Infeasible`` (an
+infeasible pair in synth or prepare) exits 1 with a record of ``command``,
+``feasible``, ``error`` and the ``tolerances`` its verdict used;
+``NumericalFailure`` exits 3 and ``InvalidInput``, any other library error,
+``ValueError`` or ``OSError`` exit 2, each with a record of ``command`` and
+``error`` and an ``error:`` line on stderr.  A self-check raises
+``NumericalFailure``: it measures its defect with the function next to the
+kernel it checks and fails unless the defect is at most ``TOL_RECON``, so a
+NaN defect fails.  ``--tol-ineq``, or else MODEMATCH_TOL_INEQ, sets the
+inequality tolerance, which must be finite and positive and is relative to
+max(1, the largest value judged).
 
 Each subcommand imports the matrix-side modules it calls, numpy and the
 matrix file code included, when it runs, so a process loads only what its
@@ -296,10 +298,8 @@ def cmd_prepare(args) -> int:
             raise InvalidInput("provide --matrix, or --c and --d")
         c, d, trace, _ = _synthesized(args, physical=True)
         target = trace.final_matrix.entries
-        if all(map(at_vacuum, d)):
-            circuit = circuit_from_matrix(trace.final_matrix)
-        else:
-            circuit = circuit_from_mixed(trace)
+        circuit = (circuit_from_matrix(trace.final_matrix) if all(map(at_vacuum, d))
+                   else circuit_from_mixed(trace))
         digest = _digest("prepare", c, d)
 
     defect = _self_checked("replay verification", replay_defect(circuit, target))
@@ -437,6 +437,11 @@ def main(argv=None) -> int:
         if args.tol_ineq is not None:
             tol_ineq = config.valid_tol_ineq(args.tol_ineq, "--tol-ineq")
         args.tol_ineq = tol_ineq
+        # a subcommand reads one input source: a matrix file, a pure b vector or a (c, d) pair
+        given = [", ".join(f"--{f}" for f in source if vars(args).get(f) not in (None, False))
+                 for source in (("matrix",), ("pure", "b"), ("c", "d"))]
+        if len(clash := [flags for flags in given if flags]) > 1:
+            raise InvalidInput(f"{' and '.join(clash)} are separate inputs: give one")
         return args.func(args)
     except Infeasible as exc:
         _emit(_record(args.command, feasible=False, error=str(exc), tol_ineq=args.tol_ineq))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modematch import (
     CovarianceMatrix,
@@ -34,6 +36,7 @@ from modematch.core import (
     relative_defect,
     symplectic_eigenvalues,
     symplectic_form,
+    symplectic_inverse,
     unitary_to_orthosymplectic,
     williamson,
 )
@@ -175,8 +178,7 @@ class TestPassiveBreakdown:
 class TestCircuitFromPure:
     def test_vacuum_circuit_is_empty(self):
         circuit = circuit_from_pure(np.eye(4))
-        assert [sq.z for sq in circuit.squeezers] == [1.0, 1.0]
-        assert circuit.passive_ops == []
+        assert circuit.elements == ()
         np.testing.assert_allclose(replay_circuit(circuit), np.eye(4))
 
     def test_two_mode_squeezed_parameters(self):
@@ -292,6 +294,46 @@ class TestCircuitFromMixed:
         with pytest.raises(InvalidInput, match="symplectic defect"):
             SynthesisTrace(trace.n, trace.seed,
                            (TwoModeStep(trace.steps[0].modes, gate), *trace.steps[1:]))
+
+
+@st.composite
+def squeezer_targets(draw):
+    """A target and its trace, or None for a drawn covariance: a ramp
+    witness, a pure target with some b_j = 0, the vacuum, or a random
+    physical covariance."""
+    kind = draw(st.sampled_from(["ramp", "pure", "vacuum", "random"]))
+    n = draw(st.integers(8, 40) if kind == "ramp" else st.integers(1, 6))
+    if kind == "ramp":
+        d = np.linspace(1.0, 3.0, n)
+        trace = synthesize(d + 0.5 * np.arange(n) / n, d)
+    elif kind == "pure":
+        # the largest b is repeated, so it is at most the sum of the others
+        b = draw(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=5))
+        trace = synthesize_pure([0.0] * n + b + [max(b)])
+    elif kind == "vacuum":
+        trace = synthesize([1.0] * n, [1.0] * n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_physical_covariance(rng, n, 3.0), None
+    return trace.final_matrix, trace
+
+
+def squeezed_planes(transforms):
+    return sum(int(np.sum(euler_decompose(T).z > 1.0)) for T in transforms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(target=squeezer_targets())
+def test_one_squeezer_per_squeezed_plane(target):
+    """On both routes every squeezer has z > 1, and there is one for each
+    squeezed plane of the Euler factors the route emits: none for a unit plane."""
+    gamma, trace = target
+    routes = [(circuit_from_matrix(gamma), [symplectic_inverse(williamson(gamma)[0].entries)])]
+    if trace is not None:
+        routes.append((circuit_from_mixed(trace), [step.transform for step in trace.steps]))
+    for circuit, transforms in routes:
+        assert all(sq.z > 1.0 for sq in circuit.squeezers)
+        assert len(circuit.squeezers) == squeezed_planes(transforms)
 
 
 class TestFrozenRecords:

@@ -728,6 +728,47 @@ class TestRecordShape:
         assert not list(tmp_path.iterdir())
 
 
+class TestOneInputSource:
+    """check, entropy and prepare read one input source; flags of a second
+    are an input error that names both, and nothing is written."""
+
+    @pytest.mark.parametrize("argv, clash", [
+        (["check", "--c", "0.1,0.2", "--d", "5,6"], "--matrix and --c, --d"),
+        (["check", "--c", "1.5,1.5"], "--matrix and --c"),
+        (["check", "--d", "1,2"], "--matrix and --d"),
+        (["check", "--pure", "--b", "1,1,2"], "--matrix and --pure, --b"),
+        (["check", "--pure"], "--matrix and --pure"),
+        (["check", "--b", "1,1,2"], "--matrix and --b"),
+        (["entropy", "--c", "1.5,2"], "--matrix and --c"),
+        (["prepare", "--c", "9,9", "--d", "1,1", "--out", "c.txt"], "--matrix and --c, --d"),
+        (["prepare", "--c", "1.5,2.5", "--out", "c.txt"], "--matrix and --c"),
+        (["prepare", "--d", "1,3", "--out", "c.txt"], "--matrix and --d"),
+    ], ids=["check-c-d", "check-c", "check-d", "check-pure-b", "check-pure", "check-b",
+            "entropy-c", "prepare-c-d", "prepare-c", "prepare-d"])
+    def test_matrix_with_another_source(self, capsys, tmp_path, monkeypatch, argv, clash):
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "g.mat", np.diag([2.0, 2.0, 1.5, 1.5]), "covariance")
+        self.assert_rejected(capsys, tmp_path, [*argv, "--matrix", "g.mat"], clash)
+
+    @pytest.mark.parametrize("argv, clash", [
+        (["--pure", "--b", "1,1,2", "--c", "1.5,1.5"], "--pure, --b and --c"),
+        (["--pure", "--b", "1,1,2", "--d", "1,2"], "--pure, --b and --d"),
+        (["--b", "1,1,2", "--c", "1.5,1.5", "--d", "1,2"], "--b and --c, --d"),
+    ], ids=["pure-c", "pure-d", "b-c-d"])
+    def test_pure_vector_with_a_pair(self, capsys, tmp_path, monkeypatch, argv, clash):
+        monkeypatch.chdir(tmp_path)
+        self.assert_rejected(capsys, tmp_path, ["check", *argv], clash)
+
+    @staticmethod
+    def assert_rejected(capsys, tmp_path, argv, clash):
+        before = sorted(tmp_path.iterdir())
+        code = main(argv)
+        error = f"{clash} are separate inputs: give one"
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {"command": argv[0], "error": error}
+        assert sorted(tmp_path.iterdir()) == before
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
