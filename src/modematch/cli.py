@@ -8,20 +8,21 @@ record: ``command``, ``digest``, the subcommand's own fields (``entropy
 then ``elapsed_s``, each key present only where the subcommand has it.
 
 A subcommand reads one input source, a matrix file, a pure b vector or a
-(c, d) pair, and returns 0 on success or a feasible verdict, and 1 on an
-infeasible verdict from ``check`` or violations from ``verify``.  Every
-other outcome, flags of a second source included, is an exception that
-``main`` alone turns into a record and an exit code: ``Infeasible`` (an
-infeasible pair in synth or prepare) exits 1 with a record of ``command``,
-``feasible``, ``error`` and the ``tolerances`` its verdict used;
-``NumericalFailure`` exits 3 and ``InvalidInput``, any other library error,
-``ValueError`` or ``OSError`` exit 2, each with a record of ``command`` and
-``error`` and an ``error:`` line on stderr.  A self-check raises
-``NumericalFailure``: it measures its defect with the function next to the
-kernel it checks and fails unless the defect is at most ``TOL_RECON``, so a
-NaN defect fails.  ``--tol-ineq``, or else MODEMATCH_TOL_INEQ, sets the
-inequality tolerance, which must be finite and positive and is relative to
-max(1, the largest value judged).
+(c, d) pair, and returns its exit code, record and stderr table: 0 on
+success or a feasible verdict, 1 on an infeasible verdict from ``check`` or
+violations from ``verify``.  ``main`` alone prints them, and turns every
+other outcome, flags of a second source included, from an exception into a
+record and an exit code: ``Infeasible`` (an infeasible pair in synth or
+prepare) exits 1 with a record of ``command``, ``feasible``, ``error`` and
+the ``tolerances`` its verdict used; ``InvalidInput``, any other library
+error, ``ValueError`` or ``OSError`` exit 2, ``NumericalFailure`` and any
+other exception, a bug named by its type, exit 3, each with a record of
+``command`` and ``error`` and an ``error:`` line on stderr.  A self-check
+raises ``NumericalFailure`` unless its defect, measured by the function
+next to the kernel it checks, is at most ``TOL_RECON``, so a NaN defect
+fails.  ``--tol-ineq``, before the subcommand, or else MODEMATCH_TOL_INEQ,
+sets the inequality tolerance, which must be finite and positive and is
+relative to max(1, the largest value judged).
 
 Each subcommand imports the matrix-side modules it calls, numpy and the
 matrix file code included, when it runs, so a process loads only what its
@@ -50,12 +51,9 @@ EXIT_INTERNAL = 3
 
 def _parse_vector(raw: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in raw.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"could not parse vector {raw!r}: {exc}") from None
-    if not values:
-        raise InvalidInput(f"empty vector {raw!r}")
-    return values
 
 
 def _sha256():
@@ -82,12 +80,6 @@ def _digest(*parts) -> str:
             h.update(part.astype(float, copy=False).tobytes())
         h.update(b"|")
     return h.hexdigest()[:16]
-
-
-def _emit(record: dict, table_lines=None):
-    print(json.dumps(record))
-    if table_lines:
-        print("\n".join(table_lines), file=sys.stderr)
 
 
 def _record(command: str, digest=None, *, tol_ineq=None, elapsed=None, **fields) -> dict:
@@ -140,7 +132,7 @@ def _load(path, kind):
         raise InvalidInput(f"{path}: {exc}") from None
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict, list[str]]:
     if args.matrix:
         # the matrix side, numpy included, loads before the clock starts, as
         # in the other subcommands; _load reads the file through matrixio
@@ -166,10 +158,10 @@ def cmd_check(args) -> int:
         verdict = check_mixed(c, d, tol_ineq=args.tol_ineq)
         digest = _digest("check-mixed", c, d)
     slacks = [{"constraint": s.label(), "slack": s.slack} for s in verdict.slacks]
-    _emit(_record("check", digest, feasible=verdict.feasible, slacks=slacks, scale=verdict.scale,
-                  tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
-          _verdict_table(verdict))
-    return EXIT_OK if verdict.feasible else EXIT_INFEASIBLE
+    return (EXIT_OK if verdict.feasible else EXIT_INFEASIBLE,
+            _record("check", digest, feasible=verdict.feasible, slacks=slacks, scale=verdict.scale,
+                    tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
+            _verdict_table(verdict))
 
 
 def _synthesized(args, physical: bool = False):
@@ -189,7 +181,7 @@ def _synthesized(args, physical: bool = False):
     return c, d, trace, defect
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[int, dict, list[str]]:
     # the synthesis side, numpy included, loads before the clock starts
     from . import synthesis  # noqa: F401
     from .matrixio import write_matrix
@@ -205,14 +197,14 @@ def cmd_synth(args) -> int:
                 fh.write(json.dumps({"step": "two_mode", "modes": list(step.modes),
                                      "transform": [[f"{v:.17g}" for v in row]
                                                    for row in step.transform]}) + "\n")
-    _emit(_record("synth", _digest("synth", c, d), feasible=True, out=args.out, n=len(c),
-                  verification_defect=defect, tol_ineq=args.tol_ineq,
-                  elapsed=time.perf_counter() - start),
-          [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
-    return EXIT_OK
+    return (EXIT_OK,
+            _record("synth", _digest("synth", c, d), feasible=True, out=args.out, n=len(c),
+                    verification_defect=defect, tol_ineq=args.tol_ineq,
+                    elapsed=time.perf_counter() - start),
+            [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
 
 
-def cmd_williamson(args) -> int:
+def cmd_williamson(args) -> tuple[int, dict, list[str]]:
     from .core import interleaved_diagonal, williamson, williamson_defect
     from .matrixio import write_matrix
 
@@ -222,15 +214,15 @@ def cmd_williamson(args) -> int:
     defect = _self_checked("reconstruction check", williamson_defect(cov, S, d))
     write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.D.mat", interleaved_diagonal(d.values), "covariance")
-    _emit(_record("williamson", _digest("williamson", cov.entries), d=list(d.values),
-                  reconstruction_defect=defect,
-                  files=[f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
-                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
-          [f"d = {d.values}", f"defect {defect:.3g}"])
-    return EXIT_OK
+    return (EXIT_OK,
+            _record("williamson", _digest("williamson", cov.entries), d=list(d.values),
+                    reconstruction_defect=defect,
+                    files=[f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
+                    tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+            [f"d = {d.values}", f"defect {defect:.3g}"])
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args) -> tuple[int, dict, list[str]]:
     from .core import euler_decompose, euler_defect
     from .matrixio import write_matrix
 
@@ -241,15 +233,15 @@ def cmd_euler(args) -> int:
     write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
     write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
     write_matrix(f"{args.out_prefix}.V.mat", factors.V.entries, "symplectic")
-    _emit(_record("euler", _digest("euler", S.entries), z=list(factors.z),
-                  reconstruction_defect=defect,
-                  files=[f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
-                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
-          [f"z = {factors.z}", f"defect {defect:.3g}"])
-    return EXIT_OK
+    return (EXIT_OK,
+            _record("euler", _digest("euler", S.entries), z=list(factors.z),
+                    reconstruction_defect=defect,
+                    files=[f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
+                    tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+            [f"z = {factors.z}", f"defect {defect:.3g}"])
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> tuple[int, dict, list[str]]:
     from .core import symplectic_eigenvalues
     from .entropy import entropy_report, entropy_s
     from .marginals import local_diagonal
@@ -278,11 +270,10 @@ def cmd_entropy(args) -> int:
              f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
              f"{report.global_upper_bound:.12g}"]
     table += [f"Gaussian global entropy (bits): {v:.12g}" for v in gaussian.values()]
-    _emit(record, table)
-    return EXIT_OK
+    return EXIT_OK, record, table
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(args) -> tuple[int, dict, list[str]]:
     from .circuits import circuit_from_matrix, circuit_from_mixed, replay_defect, serialize_circuit
 
     if not args.matrix:
@@ -305,16 +296,16 @@ def cmd_prepare(args) -> int:
     defect = _self_checked("replay verification", replay_defect(circuit, target))
     with open(args.out, "w") as fh:
         fh.write(serialize_circuit(circuit))
-    _emit(_record("prepare", digest, out=args.out, source=circuit.source,
-                  squeezers=[sq.z for sq in circuit.squeezers],
-                  passive_elements=len(circuit.passive_ops), replay_defect=defect,
-                  tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
-          [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
-           f"replay defect {defect:.3g})"])
-    return EXIT_OK
+    return (EXIT_OK,
+            _record("prepare", digest, out=args.out, source=circuit.source,
+                    squeezers=[sq.z for sq in circuit.squeezers],
+                    passive_elements=len(circuit.passive_ops), replay_defect=defect,
+                    tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
+            [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
+             f"replay defect {defect:.3g})"])
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple[int, dict, list[str]]:
     from .circuits import parse_circuit, replay_circuit
     from .matrixio import write_matrix
 
@@ -323,9 +314,9 @@ def cmd_replay(args) -> int:
         circuit = parse_circuit(fh.read())
     result = replay_circuit(circuit)
     write_matrix(args.out, result, "covariance")
-    _emit(_record("replay", out=args.out, n=circuit.n, elapsed=time.perf_counter() - start),
-          [f"wrote {args.out}"])
-    return EXIT_OK
+    return (EXIT_OK,
+            _record("replay", out=args.out, n=circuit.n, elapsed=time.perf_counter() - start),
+            [f"wrote {args.out}"])
 
 
 def _flip_sign_corruption(matrix):
@@ -342,7 +333,7 @@ def _flip_sign_corruption(matrix):
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, list[str]]:
     from .verify import run_verification
 
     corrupt = _flip_sign_corruption if args.self_check_corrupt else None
@@ -360,8 +351,7 @@ def cmd_verify(args) -> int:
         table.append(f"{s.name:<34} {s.trials:>7} {s.violations:>11} {worst:>10} "
                      f"{s.bound:>10.3g}")
     table.append(f"total violations: {summary.total_violations}")
-    _emit(record, table)
-    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE
+    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE, record, table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  An exception it
-    raises becomes a record and an exit code here, and nowhere else."""
+    """Run one subcommand and return its exit code, printing the record and
+    table of every outcome, an exception's included."""
     args = build_parser().parse_args(argv)
     try:
         tol_ineq = config.from_environment()
@@ -442,13 +432,22 @@ def main(argv=None) -> int:
                  for source in (("matrix",), ("pure", "b"), ("c", "d"))]
         if len(clash := [flags for flags in given if flags]) > 1:
             raise InvalidInput(f"{' and '.join(clash)} are separate inputs: give one")
-        return args.func(args)
+        code, record, table = args.func(args)
     except Infeasible as exc:
-        _emit(_record(args.command, feasible=False, error=str(exc), tol_ineq=args.tol_ineq))
-        return EXIT_INFEASIBLE
+        code, table = EXIT_INFEASIBLE, []
+        record = _record(args.command, feasible=False, error=str(exc), tol_ineq=args.tol_ineq)
     except (ModeMatchError, ValueError, OSError) as exc:
-        _emit(_record(args.command, error=str(exc)), [f"error: {exc}"])
-        return EXIT_INTERNAL if isinstance(exc, NumericalFailure) else EXIT_INPUT
+        code = EXIT_INTERNAL if isinstance(exc, NumericalFailure) else EXIT_INPUT
+        record, table = _record(args.command, error=str(exc)), [f"error: {exc}"]
+    except Exception as exc:  # a bug: its traceback goes to stderr above its error line
+        import traceback
+        error = f"{type(exc).__name__}: {exc}"
+        code, record = EXIT_INTERNAL, _record(args.command, error=error)
+        table = [traceback.format_exc().rstrip(), f"error: {error}"]
+    print(json.dumps(record))
+    if table:
+        print("\n".join(table), file=sys.stderr)
+    return code
 
 
 def run() -> None:
@@ -456,8 +455,8 @@ def run() -> None:
 
     Every output file is closed before ``main`` returns, so once stdout and
     stderr are flushed nothing is left to write, and ``os._exit`` skips the
-    interpreter teardown.  Exceptions, argparse's exits included, propagate
-    and end the process the ordinary way.
+    interpreter teardown.  Only argparse's exits and ``KeyboardInterrupt``
+    escape ``main``, and end the process the ordinary way.
     """
     code = main()
     sys.stdout.flush()

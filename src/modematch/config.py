@@ -1,6 +1,6 @@
 """Numerical tolerances and the input rules.
 
-Five tolerances are fixed constants.  One, the feasibility slack
+Six tolerances are fixed constants.  One, the feasibility slack
 ``tol_ineq``, is settable: the functions that evaluate the feasibility
 inequalities take it as a keyword, defaulting to ``TOL_INEQ``, and the CLI
 reads it from ``--tol-ineq`` or the ``MODEMATCH_TOL_INEQ`` environment
@@ -36,6 +36,9 @@ TOL_RECON = 1e-8
 # relative tolerance for pairing the skew spectrum into doublets, scaled by
 # the largest symplectic eigenvalue
 TOL_PAIR_REL = 1e-8
+# max-norm of Q Q^T - I, absolute since Q's entries are at most 1, for the
+# skew kernel's basis, and each of a passive transform's three defects
+TOL_ORTH = 1e-8
 # default slack below which a feasibility inequality counts as violated, as a
 # fraction of max(1, the largest value of the pair judged)
 TOL_INEQ = 1e-9

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (TOL_PAIR_REL, TOL_SYM, TOL_SYMPL, _as_vector, _check_positive_sorted,
-                     _generator, _mode_input, _square_input, real_float)
+from .config import (TOL_ORTH, TOL_PAIR_REL, TOL_SYM, TOL_SYMPL, _as_vector,
+                     _check_positive_sorted, _generator, _mode_input, _square_input, real_float)
 from .errors import InvalidInput, NumericalFailure
 from .gate import below_vacuum
 
@@ -257,7 +257,7 @@ def _skew_spectral_data(cov: CovarianceMatrix):
         # the columns (Im v, Re v) of each vector, read off its float view
         W = V.view(float).take(_symplectic_structure(2 * n).swap, axis=1)
         orth_defect = _max_abs(W.T @ W - _symplectic_structure(2 * n).eye)
-        if orth_defect > 1e-8:
+        if orth_defect > TOL_ORTH:
             raise NumericalFailure("canonical basis of the skew kernel is not orthogonal: "
                                    f"defect {orth_defect:.3g}")
         cov._skew = _frozen(lam[n:].copy(), W)
@@ -425,7 +425,7 @@ def orthosymplectic_to_unitary(O: np.ndarray) -> np.ndarray:
     eye = _symplectic_structure(O.shape[0]).eye
     defects = (_max_abs(O @ O.T - eye), _symplectic_defect(O),
                _max_abs(O - unitary_to_orthosymplectic(U)))
-    if max(defects) > 1e-8:
+    if max(defects) > TOL_ORTH:
         raise InvalidInput("matrix is not orthogonal-symplectic in 2x2 blocks: orthogonality, "
                            "symplectic and block defects "
                            + ", ".join(f"{v:.3g}" for v in defects))

@@ -2,14 +2,14 @@
 
 Drives random instances through the full pipeline and holds each raw result
 to the rule the rest of the program uses: the feasibility conditions on
-random states to their verdict, whose smallest slack over its ``scale`` is
-reported beside ``-tol_ineq``, and the Williamson and Euler reconstruction,
-synthesis round-trip and circuit replay defects, pure and mixed targets
-alike, relative to max(1, the largest reference entry), to ``tol_recon``,
-measured by the same defect functions the CLI's self-checks call.  Each
-suite reports ``worst``, the largest defect or smallest slack it saw, beside
-its ``bound``.  Used by the ``verify`` CLI subcommand; a clean build reports
-zero violations.
+random states to their verdict, whose shortfall, minus its smallest slack
+over its ``scale``, is reported beside ``tol_ineq``, and the Williamson and
+Euler reconstruction, synthesis round-trip and circuit replay defects, pure
+and mixed targets alike, relative to max(1, the largest reference entry), to
+``tol_recon``, measured by the same defect functions the CLI's self-checks
+call.  Each suite reports ``worst``, the largest defect it saw, beside its
+positive ``bound``.  Used by the ``verify`` CLI subcommand; a clean build
+reports zero violations.
 """
 
 import math
@@ -36,17 +36,15 @@ from .synthesis import sample_feasible_pair, synthesis_defect, synthesize
 
 @dataclass
 class SuiteResult:
-    """Raw values of one property: defects (``upper``) held to ``bound`` from
-    above, or slacks shown beside it and judged by their verdict's ``held``.
+    """Raw defects of one property, held to ``bound`` from above, or shown
+    beside it and judged by their verdict's ``held``.
 
-    ``worst`` is the largest defect or the smallest slack seen.  A result
-    that failed validation, or is not finite, counts as a violation and
-    leaves ``worst`` as it was.
+    ``worst`` is the largest defect seen.  A result that failed validation,
+    or is not finite, counts as a violation and leaves ``worst`` as it was.
     """
 
     name: str
     bound: float
-    upper: bool = True
     trials: int = 0
     violations: int = 0
     worst: float | None = None
@@ -56,8 +54,7 @@ class SuiteResult:
         if value is None or not math.isfinite(value):
             self.violations += 1
             return
-        if self.worst is None or (value > self.worst if self.upper else value < self.worst):
-            self.worst = value
+        self.worst = value if self.worst is None else max(self.worst, value)
         if not (value <= self.bound if held is None else held):
             self.violations += 1
 
@@ -94,7 +91,7 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
     tol_ineq = valid_tol_ineq(tol_ineq)
     rng = _generator(seed)
     start = time.perf_counter()
-    necessity = SuiteResult("necessity", -tol_ineq, upper=False)
+    necessity = SuiteResult("necessity", tol_ineq)
     recon = SuiteResult("williamson_euler_reconstruction", TOL_RECON)
     roundtrip = SuiteResult("synthesis_roundtrip", TOL_RECON)
     circuits = SuiteResult("circuit_replay", TOL_RECON)
@@ -103,7 +100,7 @@ def run_verification(trials: int, n_max: int, seed=None, squeeze_bound: float = 
         n = 2 + trial % max(1, n_max - 1) if n_max > 1 else 1
         gamma = random_physical_covariance(rng, n, squeeze_bound)
         verdict = check_matrix_consistency(gamma, tol_ineq=tol_ineq)
-        necessity.record(verdict.min_slack / verdict.scale, verdict.feasible)
+        necessity.record(-verdict.min_slack / verdict.scale, verdict.feasible)
         S_w, d_w = williamson(gamma)
         # np.max, unlike max, keeps a NaN defect
         recon.record(float(np.max((williamson_defect(gamma, S_w, d_w),

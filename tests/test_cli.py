@@ -504,8 +504,9 @@ class TestVerify:
                      "circuit_replay"):
             assert suites[name]["bound"] == 1e-8
             assert 0.0 <= suites[name]["worst"] <= 1e-12
-        assert suites["necessity"]["bound"] == -1e-9
-        assert suites["necessity"]["worst"] >= 0.0
+        # the shortfall of the smallest slack, over the verdict's scale
+        assert suites["necessity"]["bound"] == 1e-9
+        assert suites["necessity"]["worst"] <= 0.0
 
     def test_slack_bound_follows_the_tolerance_flag(self, capsys):
         code, record = run_cli(capsys, "--tol-ineq", "1e-3", "verify", "--trials", "5",
@@ -513,7 +514,7 @@ class TestVerify:
         assert code == 0
         bounds = {s["suite"]: s["bound"] for s in record["suites"]}
         assert bounds.keys() == SUITES
-        assert bounds["necessity"] == -1e-3
+        assert bounds["necessity"] == 1e-3
 
     def test_rejects_bad_parameters(self, capsys):
         code, _ = run_cli(capsys, "verify", "--trials", "0")
@@ -568,7 +569,8 @@ class TestToleranceOverride:
 
 
 class TestInternalFailures:
-    """A numerical breakdown inside the library exits 3, never 2."""
+    """A numerical breakdown inside the library exits 3, never 2, and so
+    does any exception from outside the library's classes, a bug, never 1."""
 
     CASES = [
         (["check", "--matrix", "{cov}"], "marginals", "check_matrix_consistency"),
@@ -582,8 +584,12 @@ class TestInternalFailures:
         (["verify", "--trials", "1"], "verify", "run_verification"),
     ]
 
-    @pytest.mark.parametrize("argv, module, name", CASES, ids=[case[0][0] for case in CASES])
-    def test_exit_code_three(self, capsys, tmp_path, monkeypatch, argv, module, name):
+    IDS = [case[0][0] for case in CASES]
+
+    @staticmethod
+    def run_broken(capsys, tmp_path, monkeypatch, argv, module, name, exc):
+        """Exit code, record and stderr of a CLI call whose library call
+        ``module.name`` raises ``exc``; the call must write no output file."""
         files = {"cov": tmp_path / "g.mat", "sym": tmp_path / "s.mat",
                  "circ": tmp_path / "c.txt", "out": tmp_path / "out"}
         write_matrix(files["cov"], 2.0 * np.eye(4), "covariance")
@@ -591,13 +597,39 @@ class TestInternalFailures:
         files["circ"].write_text("n 1\n")
 
         def broken(*args, **kwargs):
-            raise NumericalFailure("injected failure")
+            raise exc
 
         monkeypatch.setattr(importlib.import_module(f"modematch.{module}"), name, broken)
-        code, record = run_cli(capsys, *(arg.format(**files) for arg in argv))
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
+        return code, json.loads(captured.out, parse_constant=_reject_constant), captured.err
+
+    @pytest.mark.parametrize("argv, module, name", CASES, ids=IDS)
+    def test_exit_code_three(self, capsys, tmp_path, monkeypatch, argv, module, name):
+        code, record, err = self.run_broken(capsys, tmp_path, monkeypatch, argv, module, name,
+                                            NumericalFailure("injected failure"))
         assert code == 3
         assert record == {"command": argv[0], "error": "injected failure"}
-        assert not files["out"].exists()
+        assert err == "error: injected failure\n"
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, TypeError])
+    @pytest.mark.parametrize("argv, module, name", CASES, ids=IDS)
+    def test_a_bug_exits_three_with_a_record(self, capsys, tmp_path, monkeypatch, argv, module,
+                                             name, exc_type):
+        code, record, err = self.run_broken(capsys, tmp_path, monkeypatch, argv, module, name,
+                                            exc_type("injected failure"))
+        error = f"{exc_type.__name__}: injected failure"
+        assert code == 3
+        assert record == {"command": argv[0], "error": error}
+        # the traceback, then the error line
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(f"\n{error}\nerror: {error}\n")
+
+    def test_keyboard_interrupt_propagates(self, capsys, tmp_path, monkeypatch):
+        with pytest.raises(KeyboardInterrupt):
+            self.run_broken(capsys, tmp_path, monkeypatch, *self.CASES[1], KeyboardInterrupt())
+        assert capsys.readouterr().out == ""
 
     def test_infeasible_gate_of_a_feasible_pair_exits_three(self, capsys, tmp_path,
                                                              monkeypatch):
@@ -713,11 +745,17 @@ class TestRecordShape:
         assert captured.err == f"error: {record['error']}\n"
 
     @pytest.mark.parametrize("argv, error", [
-        (["check", "--c", ",", "--d", "1"], "empty vector ','"),
+        (["check", "--c", ",", "--d", "1"],
+         "could not parse vector ',': could not convert string to float: ''"),
+        (["check", "--c", "1.5,,1.5", "--d", "1,2"],
+         "could not parse vector '1.5,,1.5': could not convert string to float: ''"),
+        (["synth", "--c", "1.5,1.5", "--d", ",1,2", "--out", "g.mat"],
+         "could not parse vector ',1,2': could not convert string to float: ''"),
         (["check", "--pure"], "--pure requires --b"),
         (["entropy"], "provide --c or --matrix"),
         (["prepare", "--out", "c.txt"], "provide --matrix, or --c and --d"),
-    ], ids=["empty-vector", "pure-without-b", "entropy-without-input", "prepare-without-target"])
+    ], ids=["empty-vector", "empty-inner-entry", "empty-leading-entry", "pure-without-b",
+            "entropy-without-input", "prepare-without-target"])
     def test_missing_input_is_an_input_error(self, capsys, tmp_path, monkeypatch, argv, error):
         monkeypatch.chdir(tmp_path)
         code = main(argv)
