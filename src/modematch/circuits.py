@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _finite, _mode_input
+from .config import _finite, _mode_input, number
 from .core import (
     SymplecticTransform,
     _as_covariance,
@@ -255,9 +255,10 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
 
 # The element line format: each record's head, element, and fields in file order with how each
 # is read and written.  A value is written as its float: a Fraction formats only from 3.12.
-_MODE = (int, str)
-_MODES = (lambda raw: tuple(map(int, raw.split(","))), lambda modes: f"{modes[0]},{modes[1]}")
-_VALUE = (float, lambda value: f"{float(value):.17g}")
+_MODE = (lambda raw: number(raw, int), str)
+_MODES = (lambda raw: tuple(number(m, int) for m in raw.split(",")),
+          lambda modes: f"{modes[0]},{modes[1]}")
+_VALUE = (number, lambda value: f"{float(value):.17g}")
 _RECORDS = {"squeezer": (Squeezer, {"mode": _MODE, "z": _VALUE}),
             "phase": (PhaseShift, {"mode": _MODE, "alpha": _VALUE}),
             "rotation": (Rotation, {"modes": _MODES, "theta": _VALUE, "phi": _VALUE})}
@@ -314,7 +315,7 @@ def parse_circuit(text: str) -> PreparationCircuit:
             if head in ("n", "source") and rest[1:]:
                 raise InvalidInput(f"{head} record takes one value, got {' '.join(rest)}")
             if head == "n":
-                _mode_input(n := int(rest[0]))
+                _mode_input(n := number(rest[0], int))
             elif head == "source":
                 _check_source(source := rest[0])
             elif head != "seed" and head not in _RECORDS:
@@ -322,7 +323,7 @@ def parse_circuit(text: str) -> PreparationCircuit:
             elif n is None:
                 raise InvalidInput(f"{head} record before the n record")
             elif head == "seed":
-                seed = _mode_input(n, [float(v) for v in rest])
+                seed = _mode_input(n, [number(v) for v in rest])
             else:
                 _check_modes(n, [el := _parse_element(head, rest)])
                 elements.append(el)

@@ -8,21 +8,21 @@ record: ``command``, ``digest``, the subcommand's own fields (``entropy
 then ``elapsed_s``, each key present only where the subcommand has it.
 
 A subcommand reads one input source, a matrix file, a pure b vector or a
-(c, d) pair, and returns its exit code, record and stderr table: 0 on
-success or a feasible verdict, 1 on an infeasible verdict from ``check`` or
-violations from ``verify``.  ``main`` alone prints them, and turns every
-other outcome, flags of a second source included, from an exception into a
-record and an exit code: ``Infeasible`` (an infeasible pair in synth or
-prepare) exits 1 with a record of ``command``, ``feasible``, ``error`` and
-the ``tolerances`` its verdict used; ``InvalidInput``, any other library
-error, ``ValueError`` or ``OSError`` exit 2, ``NumericalFailure`` and any
-other exception, a bug named by its type, exit 3, each with a record of
-``command`` and ``error`` and an ``error:`` line on stderr.  A self-check
-raises ``NumericalFailure`` unless its defect, measured by the function
-next to the kernel it checks, is at most ``TOL_RECON``, so a NaN defect
-fails.  ``--tol-ineq``, before the subcommand, or else MODEMATCH_TOL_INEQ,
-sets the inequality tolerance, which must be finite and positive and is
-relative to max(1, the largest value judged).
+(c, d) pair, and returns its exit code, record, stderr table and files by
+path: 0 on success or a feasible verdict, 1 on an infeasible verdict from
+``check`` or violations from ``verify``.  ``main`` alone writes the files,
+all or none, and prints, and turns every other outcome, a second source's
+flags included, from an exception into a record and an exit code:
+``Infeasible`` (an infeasible pair in synth or prepare) exits 1 with a record
+of ``command``, ``feasible``, ``error`` and the ``tolerances`` its verdict
+used; ``InvalidInput``, any other library error, ``ValueError`` or
+``OSError`` exit 2, ``NumericalFailure`` and any other exception, a bug named
+by its type, exit 3, each with a record of ``command`` and ``error`` and an
+``error:`` line on stderr.  A self-check raises ``NumericalFailure`` unless
+its defect, measured by the function next to the kernel it checks, is at most
+``TOL_RECON``, so a NaN defect fails.  ``--tol-ineq``, before the subcommand,
+or else MODEMATCH_TOL_INEQ, sets the inequality tolerance, which must be
+finite and positive and is relative to max(1, the largest value judged).
 
 Each subcommand imports the matrix-side modules it calls, numpy and the
 matrix file code included, when it runs, so a process loads only what its
@@ -32,6 +32,7 @@ output is flushed.
 """
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -51,9 +52,14 @@ EXIT_INTERNAL = 3
 
 def _parse_vector(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",")]
+        return [config.number(tok) for tok in raw.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"could not parse vector {raw!r}: {exc}") from None
+
+
+def integer(raw: str) -> int:
+    """An integer option's value, under the text rule (``config.number``)."""
+    return config.number(raw, int)
 
 
 def _sha256():
@@ -132,7 +138,7 @@ def _load(path, kind):
         raise InvalidInput(f"{path}: {exc}") from None
 
 
-def cmd_check(args) -> tuple[int, dict, list[str]]:
+def cmd_check(args) -> tuple[int, dict, list[str], dict]:
     if args.matrix:
         # the matrix side, numpy included, loads before the clock starts, as
         # in the other subcommands; _load reads the file through matrixio
@@ -161,7 +167,7 @@ def cmd_check(args) -> tuple[int, dict, list[str]]:
     return (EXIT_OK if verdict.feasible else EXIT_INFEASIBLE,
             _record("check", digest, feasible=verdict.feasible, slacks=slacks, scale=verdict.scale,
                     tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
-            _verdict_table(verdict))
+            _verdict_table(verdict), {})
 
 
 def _synthesized(args, physical: bool = False):
@@ -181,67 +187,63 @@ def _synthesized(args, physical: bool = False):
     return c, d, trace, defect
 
 
-def cmd_synth(args) -> tuple[int, dict, list[str]]:
+def cmd_synth(args) -> tuple[int, dict, list[str], dict]:
     # the synthesis side, numpy included, loads before the clock starts
     from . import synthesis  # noqa: F401
-    from .matrixio import write_matrix
+    from .matrixio import format_matrix
 
     start = time.perf_counter()
     c, d, trace, defect = _synthesized(args)
-    write_matrix(args.out, trace.final_matrix.entries, "covariance")
+    files = {args.out: format_matrix(trace.final_matrix.entries, "covariance")}
     if args.emit_trace:
-        with open(args.emit_trace, "w") as fh:
-            fh.write(json.dumps({"step": "direct_sum", "modes": list(range(trace.n)),
-                                 "values": [f"{v:.17g}" for v in trace.seed]}) + "\n")
-            for step in trace.steps:
-                fh.write(json.dumps({"step": "two_mode", "modes": list(step.modes),
-                                     "transform": [[f"{v:.17g}" for v in row]
-                                                   for row in step.transform]}) + "\n")
+        steps = [{"step": "direct_sum", "modes": list(range(trace.n)),
+                  "values": [f"{v:.17g}" for v in trace.seed]}]
+        steps += [{"step": "two_mode", "modes": list(step.modes),
+                   "transform": [[f"{v:.17g}" for v in row] for row in step.transform]}
+                  for step in trace.steps]
+        files[args.emit_trace] = "".join(json.dumps(step) + "\n" for step in steps)
     return (EXIT_OK,
             _record("synth", _digest("synth", c, d), feasible=True, out=args.out, n=len(c),
                     verification_defect=defect, tol_ineq=args.tol_ineq,
                     elapsed=time.perf_counter() - start),
-            [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"])
+            [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"], files)
 
 
-def cmd_williamson(args) -> tuple[int, dict, list[str]]:
+def cmd_williamson(args) -> tuple[int, dict, list[str], dict]:
     from .core import interleaved_diagonal, williamson, williamson_defect
-    from .matrixio import write_matrix
+    from .matrixio import format_matrix
 
     start = time.perf_counter()
     cov = _load(args.matrix, "covariance")
     S, d = williamson(cov)
     defect = _self_checked("reconstruction check", williamson_defect(cov, S, d))
-    write_matrix(f"{args.out_prefix}.S.mat", S.entries, "symplectic")
-    write_matrix(f"{args.out_prefix}.D.mat", interleaved_diagonal(d.values), "covariance")
+    files = {f"{args.out_prefix}.{part}.mat": format_matrix(values, kind) for part, values, kind in
+             (("S", S.entries, "symplectic"), ("D", interleaved_diagonal(d.values), "covariance"))}
     return (EXIT_OK,
             _record("williamson", _digest("williamson", cov.entries), d=list(d.values),
-                    reconstruction_defect=defect,
-                    files=[f"{args.out_prefix}.S.mat", f"{args.out_prefix}.D.mat"],
+                    reconstruction_defect=defect, files=list(files),
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
-            [f"d = {d.values}", f"defect {defect:.3g}"])
+            [f"d = {d.values}", f"defect {defect:.3g}"], files)
 
 
-def cmd_euler(args) -> tuple[int, dict, list[str]]:
+def cmd_euler(args) -> tuple[int, dict, list[str], dict]:
     from .core import euler_decompose, euler_defect
-    from .matrixio import write_matrix
+    from .matrixio import format_matrix
 
     start = time.perf_counter()
     S = _load(args.matrix, "symplectic")
     factors = euler_decompose(S)
     defect = _self_checked("reconstruction check", euler_defect(S, factors))
-    write_matrix(f"{args.out_prefix}.O.mat", factors.O.entries, "symplectic")
-    write_matrix(f"{args.out_prefix}.Q.mat", factors.q_matrix(), "symplectic")
-    write_matrix(f"{args.out_prefix}.V.mat", factors.V.entries, "symplectic")
+    files = {f"{args.out_prefix}.{part}.mat": format_matrix(values, "symplectic") for part, values
+             in (("O", factors.O.entries), ("Q", factors.q_matrix()), ("V", factors.V.entries))}
     return (EXIT_OK,
             _record("euler", _digest("euler", S.entries), z=list(factors.z),
-                    reconstruction_defect=defect,
-                    files=[f"{args.out_prefix}.{part}.mat" for part in ("O", "Q", "V")],
+                    reconstruction_defect=defect, files=list(files),
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
-            [f"z = {factors.z}", f"defect {defect:.3g}"])
+            [f"z = {factors.z}", f"defect {defect:.3g}"], files)
 
 
-def cmd_entropy(args) -> tuple[int, dict, list[str]]:
+def cmd_entropy(args) -> tuple[int, dict, list[str], dict]:
     from .core import symplectic_eigenvalues
     from .entropy import entropy_report, entropy_s
     from .marginals import local_diagonal
@@ -270,10 +272,10 @@ def cmd_entropy(args) -> tuple[int, dict, list[str]]:
              f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
              f"{report.global_upper_bound:.12g}"]
     table += [f"Gaussian global entropy (bits): {v:.12g}" for v in gaussian.values()]
-    return EXIT_OK, record, table
+    return EXIT_OK, record, table, {}
 
 
-def cmd_prepare(args) -> tuple[int, dict, list[str]]:
+def cmd_prepare(args) -> tuple[int, dict, list[str], dict]:
     from .circuits import circuit_from_matrix, circuit_from_mixed, replay_defect, serialize_circuit
 
     if not args.matrix:
@@ -294,29 +296,26 @@ def cmd_prepare(args) -> tuple[int, dict, list[str]]:
         digest = _digest("prepare", c, d)
 
     defect = _self_checked("replay verification", replay_defect(circuit, target))
-    with open(args.out, "w") as fh:
-        fh.write(serialize_circuit(circuit))
     return (EXIT_OK,
             _record("prepare", digest, out=args.out, source=circuit.source,
                     squeezers=[sq.z for sq in circuit.squeezers],
                     passive_elements=len(circuit.passive_ops), replay_defect=defect,
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
             [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
-             f"replay defect {defect:.3g})"])
+             f"replay defect {defect:.3g})"], {args.out: serialize_circuit(circuit)})
 
 
-def cmd_replay(args) -> tuple[int, dict, list[str]]:
+def cmd_replay(args) -> tuple[int, dict, list[str], dict]:
     from .circuits import parse_circuit, replay_circuit
-    from .matrixio import write_matrix
+    from .matrixio import format_matrix
 
     start = time.perf_counter()
     with open(args.circuit) as fh:
         circuit = parse_circuit(fh.read())
-    result = replay_circuit(circuit)
-    write_matrix(args.out, result, "covariance")
+    files = {args.out: format_matrix(replay_circuit(circuit), "covariance")}
     return (EXIT_OK,
             _record("replay", out=args.out, n=circuit.n, elapsed=time.perf_counter() - start),
-            [f"wrote {args.out}"])
+            [f"wrote {args.out}"], files)
 
 
 def _flip_sign_corruption(matrix):
@@ -333,7 +332,7 @@ def _flip_sign_corruption(matrix):
     return out
 
 
-def cmd_verify(args) -> tuple[int, dict, list[str]]:
+def cmd_verify(args) -> tuple[int, dict, list[str], dict]:
     from .verify import run_verification
 
     corrupt = _flip_sign_corruption if args.self_check_corrupt else None
@@ -351,7 +350,7 @@ def cmd_verify(args) -> tuple[int, dict, list[str]]:
         table.append(f"{s.name:<34} {s.trials:>7} {s.violations:>11} {worst:>10} "
                      f"{s.bound:>10.3g}")
     table.append(f"total violations: {summary.total_violations}")
-    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE, record, table
+    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE, record, table, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "covariance matrices with prescribed symplectic spectra "
                     "and local mode data.",
     )
-    parser.add_argument("--tol-ineq", type=float, default=None,
+    parser.add_argument("--tol-ineq", type=config.number, default=None,
                         help="inequality slack tolerance, relative to max(1, largest value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -408,19 +407,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("verify", help="run the sampled property suites")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--squeeze-bound", type=float, default=5.0)
+    p.add_argument("--trials", type=integer, default=200)
+    p.add_argument("--n-max", type=integer, default=6)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--squeeze-bound", type=config.number, default=5.0)
     p.add_argument("--self-check-corrupt", action="store_true",
                    help="inject a known corruption; the run must then exit 1")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+def _write_all(files: dict) -> None:
+    """Write each path's text, all the files or none: each goes to a temporary file beside
+    its path, renamed into place once all are written, and an error removes all written."""
+    written = []  # per file, the name that holds its text
+    try:
+        for path, text in files.items():
+            with open(temp := f"{path}.{os.getpid()}.tmp", "x") as fh:
+                written.append(temp)
+                fh.write(text)
+        for i, path in enumerate(files):
+            os.replace(written[i], path)
+            written[i] = path
+    except BaseException:
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise
+
+
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code, printing the record and
-    table of every outcome, an exception's included."""
+    """Run one subcommand, write its files and return its exit code,
+    printing the record and table of every outcome, an exception's included."""
     args = build_parser().parse_args(argv)
     try:
         tol_ineq = config.from_environment()
@@ -432,7 +450,8 @@ def main(argv=None) -> int:
                  for source in (("matrix",), ("pure", "b"), ("c", "d"))]
         if len(clash := [flags for flags in given if flags]) > 1:
             raise InvalidInput(f"{' and '.join(clash)} are separate inputs: give one")
-        code, record, table = args.func(args)
+        code, record, table, files = args.func(args)
+        _write_all(files)
     except Infeasible as exc:
         code, table = EXIT_INFEASIBLE, []
         record = _record(args.command, feasible=False, error=str(exc), tol_ineq=args.tol_ineq)

@@ -9,7 +9,8 @@ it to be finite and positive.
 
 The input rules state once what the library accepts, and the modules that
 take input apply them: ``real_float`` for real numbers, of which a bool,
-Python's or numpy's, scalar, entry or dtype, is none; ``_as_vector`` for
+Python's or numpy's, scalar, entry or dtype, is none; ``number`` for
+numbers read from text, ASCII decimals without ``_``; ``_as_vector`` for
 per-mode vectors, ``_square_input`` for matrices, ``_mode_input`` for mode
 counts, circuits and traces, ``_generator`` for random seeds and ``_finite``
 for circuit element values.  ``check --c --d`` loads this module, so numpy
@@ -68,13 +69,25 @@ def valid_tol_ineq(value, what: str = "tol_ineq") -> float:
     return value
 
 
+def number(text: str, kind=float):
+    """The number a text spells, read by ``kind``, ``float`` or ``int``: the
+    text rule.  Python's readers also take ``_`` between digits (``1_5`` as
+    15) and non-ASCII digits, so a text holding either raises InvalidInput;
+    ``kind=str`` applies the rule alone, to a whole text.  Any other text
+    ``kind`` refuses raises its ``ValueError``; nan and inf are read, for
+    the caller's finiteness check."""
+    if "_" in text or not text.isascii():
+        raise InvalidInput(f"{text!r} is not an ASCII decimal without '_'")
+    return kind(text)
+
+
 def from_environment() -> float:
     """The feasibility slack tolerance, from the environment if it is set."""
     raw = os.environ.get(ENV_TOL_INEQ)
     if raw is None:
         return TOL_INEQ
     try:
-        value = float(raw)
+        value = number(raw)
     except ValueError:
         raise InvalidInput(f"{ENV_TOL_INEQ} must be a decimal value, got {raw!r}") from None
     return valid_tol_ineq(value, ENV_TOL_INEQ)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _square_input
+from .config import _square_input, number
 from .errors import InvalidInput
 
 ORDERING = "xpxp"
@@ -50,10 +50,6 @@ def format_matrix(values: np.ndarray, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(path, values: np.ndarray, kind: str) -> None:
-    Path(path).write_text(format_matrix(values, kind))
-
-
 def parse_matrix(text: str) -> MatrixFile:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -69,7 +65,7 @@ def parse_matrix(text: str) -> MatrixFile:
         if key not in header:
             raise MatrixParseError(f"header is missing {key!r}")
     try:
-        n = int(header["n"])
+        n = number(header["n"], int)
     except ValueError:
         raise MatrixParseError(f"header n is not an integer: {header['n']!r}") from None
     if n < 1:
@@ -81,18 +77,23 @@ def parse_matrix(text: str) -> MatrixFile:
     body = lines[3:]
     if len(body) != 2 * n:
         raise MatrixParseError(f"expected {2 * n} body rows, found {len(body)}")
+    try:  # the text rule, once for the whole body; only a failure reads each token under it
+        number(" ".join(body), str)
+        read = float
+    except InvalidInput:
+        read = number
     rows = []
     for i, ln in enumerate(body, start=1):
         parts = ln.split()
         if len(parts) != 2 * n:
             raise MatrixParseError(f"expected {2 * n} values, found {len(parts)}", row=i)
         try:
-            rows.append(list(map(float, parts)))
+            rows.append(list(map(read, parts)))
         except ValueError:
             # walk the row again only to name the failing column
             for j, token in enumerate(parts, start=1):
                 try:
-                    float(token)
+                    number(token)
                 except ValueError:
                     raise MatrixParseError(f"could not parse value {token!r}",
                                            row=i, column=j) from None

@@ -557,6 +557,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="circuit line 2: .*z=-1.0.*z finite and positive"):
             parse_circuit("n 2\nsqueezer mode=0 z=-1\n")
 
+    @pytest.mark.parametrize("text, bad_line", [
+        ("n 1_0\nseed 1\n", 1),
+        ("n 2\nseed 1 1_0\n", 2),
+        ("n 2\nseed 1 1\nsqueezer mode=0 z=1_5\n", 3),
+        ("n 2\nseed 1 1\nphase mode=0_0 alpha=0.3\n", 3),
+        ("n 2\nseed 1 1\nrotation modes=0,1_0 theta=0.1 phi=0\n", 3),
+        ("n 2\nseed 1 1\nrotation modes=0,1 theta=\u0661 phi=0\n", 3),
+    ], ids=["n", "seed", "value", "mode", "modes", "non-ascii-value"])
+    def test_parse_reads_numbers_under_the_text_rule(self, text, bad_line):
+        # int() and float() read each bad token; the format holds ASCII decimals without '_'
+        message = f"circuit line {bad_line}: .* is not an ASCII decimal without '_'"
+        with pytest.raises(InvalidInput, match=message):
+            parse_circuit(text)
+
     def test_element_before_mode_count_is_rejected(self):
         with pytest.raises(ValueError, match="circuit line 1:"):
             parse_circuit("squeezer mode=0 z=2\nn 1\nseed 1\n")

@@ -11,7 +11,11 @@ from modematch import random_symplectic, sample_feasible_pair
 from modematch.cli import main
 from modematch.core import interleaved_diagonal
 from modematch.errors import Infeasible, NumericalFailure
-from modematch.matrixio import read_matrix, write_matrix
+from modematch.matrixio import format_matrix, read_matrix
+
+
+def write_matrix(path, values, kind):
+    Path(path).write_text(format_matrix(values, kind))
 
 
 def _reject_constant(constant):
@@ -805,6 +809,108 @@ class TestOneInputSource:
         assert code == 2
         assert json.loads(capsys.readouterr().out) == {"command": argv[0], "error": error}
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestAllFilesOrNone:
+    """main writes a subcommand's files only after it succeeds, through
+    temporary files renamed once all are written: a failed write leaves none
+    of them, and a success leaves exactly its files."""
+
+    def test_synth_with_an_unwritable_trace_writes_no_matrix(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", "g.mat", "--emit-trace", "nodir/t.trace")
+        assert code == 2
+        assert "No such file or directory" in record["error"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, src, blocked", [
+        ("williamson", "g.mat", "x.D.mat"),
+        ("euler", "s.mat", "x.V.mat"),
+    ])
+    def test_a_blocked_last_file_leaves_none(self, capsys, tmp_path, monkeypatch,
+                                             command, src, blocked):
+        # the destination of the last file is a directory, so only its rename fails
+        monkeypatch.chdir(tmp_path)
+        write_matrix("g.mat", np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
+        write_matrix("s.mat", np.diag([2.0, 0.5, 1.0, 1.0]), "symplectic")
+        (tmp_path / blocked).mkdir()
+        before = sorted(tmp_path.iterdir())
+        code, record = run_cli(capsys, command, "--matrix", src, "--out-prefix", "x")
+        assert code == 2
+        assert "Is a directory" in record["error"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "--c", "1.5,1.5", "--d", "1,2", "--out", "g.mat", "--emit-trace", "g.trace"],
+         ["g.mat", "g.trace"]),
+        (["euler", "--matrix", "s.mat", "--out-prefix", "e"], None),
+        (["prepare", "--c", "1.5,2.5", "--d", "1,3", "--out", "c.txt"], None),
+    ], ids=["synth", "euler", "prepare"])
+    def test_a_success_leaves_exactly_its_files(self, capsys, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        write_matrix("s.mat", np.diag([2.0, 0.5, 1.0, 1.0]), "symplectic")
+        code, record = run_cli(capsys, *argv)
+        assert code == 0
+        # a record names its files, or its one output; synth's trace is its --emit-trace path
+        named = named or record.get("files") or [record["out"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.mat", *named])
+
+    def test_an_existing_file_is_replaced(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.mat").write_text("old")
+        code, _ = run_cli(capsys, "synth", "--c", "2,2", "--d", "1,1", "--out", "g.mat")
+        assert code == 0
+        assert read_matrix("g.mat").n == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["g.mat"]
+
+
+class TestNumberText:
+    """Every number the CLI reads from text is an ASCII decimal without '_':
+    Python's float and int would read 1_5 as 15."""
+
+    @pytest.mark.parametrize("token", ["1_5", "1_5.0", "\u0661.5"],
+                             ids=["underscore", "underscore-float", "arabic-digit"])
+    def test_vector_entry(self, capsys, token):
+        code, record = run_cli(capsys, "check", "--c", f"{token},1.5", "--d", "1,2")
+        assert code == 2
+        assert record["error"] == (f"could not parse vector '{token},1.5': "
+                                   f"'{token}' is not an ASCII decimal without '_'")
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol-ineq", "1_0", "check", "--c", "1.5,1.5", "--d", "1,2"],
+        ["verify", "--seed", "1_0"],
+        ["verify", "--trials", "1_0"],
+        ["verify", "--n-max", "\u0663"],
+        ["verify", "--squeeze-bound", "5_0"],
+    ], ids=["tol-ineq", "seed", "trials", "n-max", "squeeze-bound"])
+    def test_option_value(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_environment_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setenv("MODEMATCH_TOL_INEQ", "1_0e-9")
+        code, record = run_cli(capsys, "check", "--c", "1.5,1.5", "--d", "1,2")
+        assert code == 2
+        assert record["error"] == "MODEMATCH_TOL_INEQ must be a decimal value, got '1_0e-9'"
+
+    def test_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "g.mat"
+        path.write_text("n 1\nordering xpxp\nkind covariance\n2 0\n0 1_5\n")
+        code, record = run_cli(capsys, "check", "--matrix", str(path))
+        assert code == 2
+        assert record["error"] == "could not parse value '1_5' (row 2, column 2)"
+
+    def test_circuit_file(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("n 1\nseed 1\nsqueezer mode=0 z=1_5\n")
+        code, record = run_cli(capsys, "replay", "--circuit", str(path),
+                               "--out", str(tmp_path / "g.mat"))
+        assert code == 2
+        assert record["error"] == "circuit line 3: '1_5' is not an ASCII decimal without '_'"
+        assert not (tmp_path / "g.mat").exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -76,3 +76,31 @@ def test_environment_default_and_override(monkeypatch):
     assert config.from_environment() == config.TOL_INEQ
     monkeypatch.setenv(config.ENV_TOL_INEQ, "1e-3")
     assert config.from_environment() == 1e-3
+
+
+@pytest.mark.parametrize("text", ["1_5", "1_5.0", "1e1_0", "\u0661", "\uff11.5"])
+@pytest.mark.parametrize("kind", [float, int])
+def test_number_text_is_an_ascii_decimal_without_underscores(text, kind):
+    # Python's float and int read each of these: 1_5 as 15, the non-ASCII digits as digits
+    with pytest.raises(InvalidInput, match="is not an ASCII decimal without '_'"):
+        config.number(text, kind)
+
+
+def test_number_reads_what_float_and_int_read():
+    assert config.number("1.5") == 1.5 and config.number("-2e3") == -2000.0
+    assert config.number(" 7 ", int) == 7
+    assert math.isnan(config.number("nan")) and config.number("-inf") == -math.inf
+    # kind=str applies the rule alone, to a whole text
+    assert config.number("1 2.5\n3", str) == "1 2.5\n3"
+    with pytest.raises(InvalidInput):
+        config.number("1 2\n1_5", str)
+    with pytest.raises(ValueError, match="could not convert string to float: ''"):
+        config.number("")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        config.number("1.5", int)
+
+
+def test_environment_value_is_read_under_the_text_rule(monkeypatch):
+    monkeypatch.setenv(config.ENV_TOL_INEQ, "1_0e-9")
+    with pytest.raises(InvalidInput, match=f"{config.ENV_TOL_INEQ} must be a decimal value"):
+        config.from_environment()

@@ -7,7 +7,6 @@ from modematch.matrixio import (
     format_matrix,
     parse_matrix,
     read_matrix,
-    write_matrix,
 )
 
 
@@ -29,7 +28,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         values = np.diag([1.0, 1.0, 2.5, 2.5])
         path = tmp_path / "g.mat"
-        write_matrix(path, values, "covariance")
+        path.write_text(format_matrix(values, "covariance"))
         assert np.array_equal(read_matrix(path).values, values)
 
 
@@ -66,6 +65,22 @@ class TestValidation:
             parse_matrix(text)
         assert isinstance(err.value, MatrixParseError)
         assert (err.value.row, err.value.column) == (2, 2)
+
+    @pytest.mark.parametrize("token", ["1_5", "\u0661", "2.5_0"])
+    def test_rejects_a_value_outside_the_text_rule(self, token):
+        # float() reads each of these; the file format holds ASCII decimals without '_'
+        text = f"n 1\nordering xpxp\nkind covariance\n1 0\n0 {token}\n"
+        with pytest.raises(MatrixParseError, match=f"could not parse value '{token}'") as err:
+            parse_matrix(text)
+        assert (err.value.row, err.value.column) == (2, 2)
+
+    def test_rejects_a_mode_count_outside_the_text_rule(self):
+        with pytest.raises(MatrixParseError, match="header n is not an integer: '1_0'"):
+            parse_matrix("n 1_0\nordering xpxp\nkind covariance\n1 0\n0 1\n")
+
+    def test_comment_lines_stay_outside_the_text_rule(self):
+        text = "# \u03b3 for mode_0\nn 1\nordering xpxp\nkind covariance\n2 0\n0 2\n"
+        assert np.array_equal(parse_matrix(text).values, 2.0 * np.eye(2))
 
     def test_rejects_missing_header(self):
         with pytest.raises(MatrixParseError):
