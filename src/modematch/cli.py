@@ -418,21 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_all(files: dict) -> None:
-    """Write each path's text, all the files or none: each goes to a temporary file beside
-    its path, renamed into place once all are written, and an error removes all written."""
-    written = []  # per file, the name that holds its text
+    """Write each path's text, all the files or none: every path is opened, without
+    truncating it, before any is written, and an error removes the files this run made."""
+    made = [path for path in files if not os.path.lexists(path)]
     try:
-        for path, text in files.items():
-            with open(temp := f"{path}.{os.getpid()}.tmp", "x") as fh:
-                written.append(temp)
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "a")) for path in files]
+            for fh, text in zip(handles, files.values()):
+                if os.path.isfile(fh.name):  # a device or a pipe is written as it is
+                    fh.truncate(0)
                 fh.write(text)
-        for i, path in enumerate(files):
-            os.replace(written[i], path)
-            written[i] = path
     except BaseException:
-        for name in written:
+        for path in made:
             with contextlib.suppress(OSError):
-                os.remove(name)
+                os.remove(path)
         raise
 
 

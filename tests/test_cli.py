@@ -1,7 +1,9 @@
 import importlib
 import json
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -812,9 +814,9 @@ class TestOneInputSource:
 
 
 class TestAllFilesOrNone:
-    """main writes a subcommand's files only after it succeeds, through
-    temporary files renamed once all are written: a failed write leaves none
-    of them, and a success leaves exactly its files."""
+    """main writes a subcommand's files only after it succeeds, and opens
+    every destination before it writes any: a failed open leaves none of the
+    run's files, and a success leaves exactly its files."""
 
     def test_synth_with_an_unwritable_trace_writes_no_matrix(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -830,7 +832,7 @@ class TestAllFilesOrNone:
     ])
     def test_a_blocked_last_file_leaves_none(self, capsys, tmp_path, monkeypatch,
                                              command, src, blocked):
-        # the destination of the last file is a directory, so only its rename fails
+        # the destination of the last file is a directory, so only its open fails
         monkeypatch.chdir(tmp_path)
         write_matrix("g.mat", np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
         write_matrix("s.mat", np.diag([2.0, 0.5, 1.0, 1.0]), "symplectic")
@@ -862,6 +864,35 @@ class TestAllFilesOrNone:
         code, _ = run_cli(capsys, "synth", "--c", "2,2", "--d", "1,1", "--out", "g.mat")
         assert code == 0
         assert read_matrix("g.mat").n == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["g.mat"]
+
+    def test_a_blocked_file_keeps_an_earlier_runs_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_matrix("g.mat", np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
+        (tmp_path / "x.S.mat").write_text("earlier run")
+        (tmp_path / "x.D.mat").mkdir()
+        code, record = run_cli(capsys, "williamson", "--matrix", "g.mat", "--out-prefix", "x")
+        assert code == 2
+        assert record["error"] == "[Errno 21] Is a directory: 'x.D.mat'"
+        assert (tmp_path / "x.S.mat").read_text() == "earlier run"
+
+    def test_a_symlinked_file_is_written_through_with_its_mode(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "target.mat").write_text("old text, longer than the new matrix " * 20)
+        (tmp_path / "target.mat").chmod(0o600)
+        (tmp_path / "g.mat").symlink_to("target.mat")
+        code, _ = run_cli(capsys, "synth", "--c", "2,2", "--d", "1,1", "--out", "g.mat")
+        assert code == 0
+        assert (tmp_path / "g.mat").is_symlink()
+        assert (tmp_path / "target.mat").stat().st_mode & 0o777 == 0o600
+        assert read_matrix("target.mat").n == 2
+
+    def test_a_device_is_written_as_it_is(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", "g.mat", "--emit-trace", os.devnull)
+        assert code == 0, record
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["g.mat"]
 
 
