@@ -29,7 +29,7 @@ _EXPORTS = {
     "circuit_from_matrix": "circuits",
     "circuit_from_mixed": "circuits",
     "circuit_from_pure": "circuits",
-    "entanglement_profile": "entropy",
+    "entanglement_profile": "marginals",
     "entropy_report": "entropy",
     "entropy_s": "entropy",
     "entropy_s_inverse": "entropy",

@@ -8,8 +8,8 @@ record: ``command``, ``digest``, the subcommand's own fields (``entropy
 then ``elapsed_s``, each key present only where the subcommand has it.
 
 A subcommand reads one input source, a matrix file, a pure b vector or a
-(c, d) pair, and returns its exit code, record, stderr table and files by
-path: 0 on success or a feasible verdict, 1 on an infeasible verdict from
+(c, d) pair, and returns its exit code, record, stderr table and (path, text)
+files: 0 on success or a feasible verdict, 1 on an infeasible verdict from
 ``check`` or violations from ``verify``.  ``main`` alone writes the files,
 all or none, and prints, and turns every other outcome, a second source's
 flags included, from an exception into a record and an exit code:
@@ -138,7 +138,7 @@ def _load(path, kind):
         raise InvalidInput(f"{path}: {exc}") from None
 
 
-def cmd_check(args) -> tuple[int, dict, list[str], dict]:
+def cmd_check(args) -> tuple[int, dict, list[str], list]:
     if args.matrix:
         # the matrix side, numpy included, loads before the clock starts, as
         # in the other subcommands; _load reads the file through matrixio
@@ -167,7 +167,7 @@ def cmd_check(args) -> tuple[int, dict, list[str], dict]:
     return (EXIT_OK if verdict.feasible else EXIT_INFEASIBLE,
             _record("check", digest, feasible=verdict.feasible, slacks=slacks, scale=verdict.scale,
                     tol_ineq=verdict.tol_ineq, elapsed=time.perf_counter() - start),
-            _verdict_table(verdict), {})
+            _verdict_table(verdict), [])
 
 
 def _synthesized(args, physical: bool = False):
@@ -187,21 +187,21 @@ def _synthesized(args, physical: bool = False):
     return c, d, trace, defect
 
 
-def cmd_synth(args) -> tuple[int, dict, list[str], dict]:
+def cmd_synth(args) -> tuple[int, dict, list[str], list]:
     # the synthesis side, numpy included, loads before the clock starts
     from . import synthesis  # noqa: F401
     from .matrixio import format_matrix
 
     start = time.perf_counter()
     c, d, trace, defect = _synthesized(args)
-    files = {args.out: format_matrix(trace.final_matrix.entries, "covariance")}
+    files = [(args.out, format_matrix(trace.final_matrix.entries, "covariance"))]
     if args.emit_trace:
         steps = [{"step": "direct_sum", "modes": list(range(trace.n)),
                   "values": [f"{v:.17g}" for v in trace.seed]}]
         steps += [{"step": "two_mode", "modes": list(step.modes),
                    "transform": [[f"{v:.17g}" for v in row] for row in step.transform]}
                   for step in trace.steps]
-        files[args.emit_trace] = "".join(json.dumps(step) + "\n" for step in steps)
+        files.append((args.emit_trace, "".join(json.dumps(step) + "\n" for step in steps)))
     return (EXIT_OK,
             _record("synth", _digest("synth", c, d), feasible=True, out=args.out, n=len(c),
                     verification_defect=defect, tol_ineq=args.tol_ineq,
@@ -209,7 +209,7 @@ def cmd_synth(args) -> tuple[int, dict, list[str], dict]:
             [f"wrote {args.out} (n={len(c)}, defect {defect:.3g})"], files)
 
 
-def cmd_williamson(args) -> tuple[int, dict, list[str], dict]:
+def cmd_williamson(args) -> tuple[int, dict, list[str], list]:
     from .core import interleaved_diagonal, williamson, williamson_defect
     from .matrixio import format_matrix
 
@@ -217,16 +217,17 @@ def cmd_williamson(args) -> tuple[int, dict, list[str], dict]:
     cov = _load(args.matrix, "covariance")
     S, d = williamson(cov)
     defect = _self_checked("reconstruction check", williamson_defect(cov, S, d))
-    files = {f"{args.out_prefix}.{part}.mat": format_matrix(values, kind) for part, values, kind in
-             (("S", S.entries, "symplectic"), ("D", interleaved_diagonal(d.values), "covariance"))}
+    files = [(f"{args.out_prefix}.{part}.mat", format_matrix(values, kind))
+             for part, values, kind in (("S", S.entries, "symplectic"),
+                                        ("D", interleaved_diagonal(d.values), "covariance"))]
     return (EXIT_OK,
             _record("williamson", _digest("williamson", cov.entries), d=list(d.values),
-                    reconstruction_defect=defect, files=list(files),
+                    reconstruction_defect=defect, files=[path for path, _ in files],
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
             [f"d = {d.values}", f"defect {defect:.3g}"], files)
 
 
-def cmd_euler(args) -> tuple[int, dict, list[str], dict]:
+def cmd_euler(args) -> tuple[int, dict, list[str], list]:
     from .core import euler_decompose, euler_defect
     from .matrixio import format_matrix
 
@@ -234,19 +235,20 @@ def cmd_euler(args) -> tuple[int, dict, list[str], dict]:
     S = _load(args.matrix, "symplectic")
     factors = euler_decompose(S)
     defect = _self_checked("reconstruction check", euler_defect(S, factors))
-    files = {f"{args.out_prefix}.{part}.mat": format_matrix(values, "symplectic") for part, values
-             in (("O", factors.O.entries), ("Q", factors.q_matrix()), ("V", factors.V.entries))}
+    files = [(f"{args.out_prefix}.{part}.mat", format_matrix(values, "symplectic")) for part, values
+             in (("O", factors.O.entries), ("Q", factors.q_matrix()), ("V", factors.V.entries))]
     return (EXIT_OK,
             _record("euler", _digest("euler", S.entries), z=list(factors.z),
-                    reconstruction_defect=defect, files=list(files),
+                    reconstruction_defect=defect, files=[path for path, _ in files],
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
             [f"z = {factors.z}", f"defect {defect:.3g}"], files)
 
 
-def cmd_entropy(args) -> tuple[int, dict, list[str], dict]:
-    from .core import symplectic_eigenvalues
+def cmd_entropy(args) -> tuple[int, dict, list[str], list]:
     from .entropy import entropy_report, entropy_s
-    from .marginals import local_diagonal
+    if args.matrix:
+        from .core import symplectic_eigenvalues
+        from .marginals import local_diagonal
 
     start = time.perf_counter()
     gaussian = {}
@@ -268,14 +270,15 @@ def cmd_entropy(args) -> tuple[int, dict, list[str], dict]:
                      global_upper_bound_bits=report.global_upper_bound,
                      purity_consistent=report.purity_consistent, **gaussian,
                      tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start)
-    table = [f"per-mode entropies (bits): {report.per_mode_entropies}",
+    per_mode = ", ".join(f"{v:.12g}" for v in report.per_mode_entropies)
+    table = [f"per-mode entropies (bits): {per_mode}",
              f"paper's aggregate s(sum c), not a bound for mixed states (bits): "
              f"{report.global_upper_bound:.12g}"]
     table += [f"Gaussian global entropy (bits): {v:.12g}" for v in gaussian.values()]
-    return EXIT_OK, record, table, {}
+    return EXIT_OK, record, table, []
 
 
-def cmd_prepare(args) -> tuple[int, dict, list[str], dict]:
+def cmd_prepare(args) -> tuple[int, dict, list[str], list]:
     from .circuits import circuit_from_matrix, circuit_from_mixed, replay_defect, serialize_circuit
 
     if not args.matrix:
@@ -302,17 +305,17 @@ def cmd_prepare(args) -> tuple[int, dict, list[str], dict]:
                     passive_elements=len(circuit.passive_ops), replay_defect=defect,
                     tol_ineq=args.tol_ineq, elapsed=time.perf_counter() - start),
             [f"wrote {args.out} ({len(circuit.passive_ops)} passive elements, "
-             f"replay defect {defect:.3g})"], {args.out: serialize_circuit(circuit)})
+             f"replay defect {defect:.3g})"], [(args.out, serialize_circuit(circuit))])
 
 
-def cmd_replay(args) -> tuple[int, dict, list[str], dict]:
+def cmd_replay(args) -> tuple[int, dict, list[str], list]:
     from .circuits import parse_circuit, replay_circuit
     from .matrixio import format_matrix
 
     start = time.perf_counter()
     with open(args.circuit) as fh:
         circuit = parse_circuit(fh.read())
-    files = {args.out: format_matrix(replay_circuit(circuit), "covariance")}
+    files = [(args.out, format_matrix(replay_circuit(circuit), "covariance"))]
     return (EXIT_OK,
             _record("replay", out=args.out, n=circuit.n, elapsed=time.perf_counter() - start),
             [f"wrote {args.out}"], files)
@@ -332,7 +335,7 @@ def _flip_sign_corruption(matrix):
     return out
 
 
-def cmd_verify(args) -> tuple[int, dict, list[str], dict]:
+def cmd_verify(args) -> tuple[int, dict, list[str], list]:
     from .verify import run_verification
 
     corrupt = _flip_sign_corruption if args.self_check_corrupt else None
@@ -350,7 +353,7 @@ def cmd_verify(args) -> tuple[int, dict, list[str], dict]:
         table.append(f"{s.name:<34} {s.trials:>7} {s.violations:>11} {worst:>10} "
                      f"{s.bound:>10.3g}")
     table.append(f"total violations: {summary.total_violations}")
-    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE, record, table, {}
+    return EXIT_OK if summary.total_violations == 0 else EXIT_INFEASIBLE, record, table, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,14 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_all(files: dict) -> None:
-    """Write each path's text, all the files or none: every path is opened, without
+def _write_all(files: list) -> None:
+    """Write each (path, text), all the files or none: two paths that resolve to one file,
+    unless it is a device or a pipe, are an input error, every path is opened, without
     truncating it, before any is written, and an error removes the files this run made."""
-    made = [path for path in files if not os.path.lexists(path)]
+    real = [os.path.realpath(p) for p, _ in files if not os.path.exists(p) or os.path.isfile(p)]
+    if len(set(real)) < len(real):
+        raise InvalidInput(f"two outputs name one file: {max(real, key=real.count)}")
+    made = [path for path, _ in files if not os.path.lexists(path)]
     try:
         with contextlib.ExitStack() as stack:
-            handles = [stack.enter_context(open(path, "a")) for path in files]
-            for fh, text in zip(handles, files.values()):
+            handles = [stack.enter_context(open(path, "a")) for path, _ in files]
+            for fh, (_, text) in zip(handles, files):
                 if os.path.isfile(fh.name):  # a device or a pipe is written as it is
                     fh.truncate(0)
                 fh.write(text)

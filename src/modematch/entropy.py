@@ -7,7 +7,8 @@ The per-mode entropy of a thermal mode with local symplectic value c is
 a monotone increasing concave function on [1, inf) with s(1) = 0, measured
 in bits.  For a globally pure state the entanglement of mode j with the rest
 is s(c_j), and the attainable entanglement profiles form the image of the
-cone c_j - 1 <= sum_{k != j} (c_k - 1).
+cone c_j - 1 <= sum_{k != j} (c_k - 1).  Every function here takes mode
+values as Python floats; ``marginals.entanglement_profile`` reads a matrix.
 
 The aggregate s(sum c_k) is the paper's expression for a global entropy
 bound from local values.  It is not a bound for mixed states: a product of
@@ -19,13 +20,9 @@ than s(4) = 2.427 bits.  It is kept under its historical name,
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import TOL_INEQ, _as_vector, real_float, valid_tol_ineq
-from .core import _as_covariance, symplectic_eigenvalues
 from .errors import InvalidInput
-from .gate import _pure_verdict, at_vacuum, below_vacuum, check_pure
-from .marginals import local_diagonal
+from .gate import _pure_verdict, below_vacuum, check_pure
 
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
 
@@ -34,15 +31,16 @@ _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
 class EntropyReport:
     """Per-mode entropies, their sum, and the paper's aggregate expression.
 
-    ``total_local_sum`` = sum_j s(c_j) is the quantity that bounds the global
-    entropy of any state with local values c: at fixed second moments a
-    Gaussian state has the largest entropy, so mode j alone has entropy at
-    most s(c_j), and subadditivity adds these up.  ``global_upper_bound``
-    holds the paper's aggregate s(sum c), which is not a bound for mixed
-    states despite its name.
+    ``per_mode_entropies`` holds s(c_j) for c in ascending order, as a tuple
+    of Python floats.  ``total_local_sum`` = sum_j s(c_j) is the quantity
+    that bounds the global entropy of any state with local values c: at
+    fixed second moments a Gaussian state has the largest entropy, so mode j
+    alone has entropy at most s(c_j), and subadditivity adds these up.
+    ``global_upper_bound`` holds the paper's aggregate s(sum c), which is
+    not a bound for mixed states despite its name.
     """
 
-    per_mode_entropies: np.ndarray
+    per_mode_entropies: tuple[float, ...]
     total_local_sum: float
     global_upper_bound: float
     purity_consistent: bool
@@ -98,20 +96,6 @@ def entropy_s_inverse(value: float) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
-def entanglement_profile(gamma) -> np.ndarray:
-    """Entropies (s(c_1), ..., s(c_n)) of the single-mode reductions.
-
-    Requires a physical pure-state covariance; for such states the per-mode
-    entropy equals the entanglement of that mode with the rest.
-    """
-    cov = _as_covariance(gamma)
-    d = symplectic_eigenvalues(cov).values
-    if not all(map(at_vacuum, d.tolist())):
-        raise InvalidInput(f"matrix is not pure: symplectic spectrum {d}")
-    c = local_diagonal(cov).values.values.tolist()
-    return np.array([entropy_s(v) for v in c])
-
-
 def sharing_feasible(E, *, tol_ineq: float = TOL_INEQ):
     """Can entanglement entropies E arise from one pure global state?
 
@@ -138,7 +122,7 @@ def entropy_report(c, *, tol_ineq: float = TOL_INEQ) -> EntropyReport:
     c.sort()
     per_mode = [entropy_s(v) for v in c]
     return EntropyReport(
-        per_mode_entropies=np.array(per_mode),
+        per_mode_entropies=tuple(per_mode),
         total_local_sum=sum(per_mode),
         global_upper_bound=entropy_s(sum(max(v, 1.0) for v in c)),
         purity_consistent=_pure_verdict([max(v - 1.0, 0.0) for v in c], tol_ineq).feasible,

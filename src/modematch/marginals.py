@@ -1,8 +1,9 @@
 """Local mode data of a covariance matrix.
 
-The local symplectic values c_j of a matrix, the feasibility gate run on a
-matrix's own (c, d), and the maps between local excitations and
-temperatures.  The gate itself is in ``gate``, which needs no numpy.
+The local symplectic values c_j of a matrix and a pure one's entanglement
+profile, the feasibility gate run on a matrix's own (c, d), and the maps
+between local excitations and temperatures; ``gate`` and ``entropy`` need
+no numpy.
 """
 
 import math
@@ -12,8 +13,9 @@ import numpy as np
 
 from .config import TOL_INEQ, _as_vector
 from .core import SpectrumVector, _as_covariance, symplectic_eigenvalues
+from .entropy import entropy_s
 from .errors import InvalidInput
-from .gate import FeasibilityVerdict, check_mixed
+from .gate import FeasibilityVerdict, at_vacuum, check_mixed
 
 
 @dataclass(eq=False)
@@ -38,6 +40,20 @@ def local_diagonal(gamma) -> LocalDiagonal:
             raise InvalidInput(f"diagonal block of mode {j} is not positive (det {det:.3g})")
         values.append(math.sqrt(det))
     return LocalDiagonal(SpectrumVector(sorted(values)))
+
+
+def entanglement_profile(gamma) -> np.ndarray:
+    """Entropies (s(c_1), ..., s(c_n)) of the single-mode reductions.
+
+    Requires a physical pure-state covariance; for such states the per-mode
+    entropy equals the entanglement of that mode with the rest.
+    """
+    cov = _as_covariance(gamma)
+    d = symplectic_eigenvalues(cov).values
+    if not all(map(at_vacuum, d.tolist())):
+        raise InvalidInput(f"matrix is not pure: symplectic spectrum {d}")
+    c = local_diagonal(cov).values.values.tolist()
+    return np.array([entropy_s(v) for v in c])
 
 
 def check_matrix_consistency(gamma, *, tol_ineq: float = TOL_INEQ) -> FeasibilityVerdict:

@@ -344,6 +344,11 @@ class TestEntropy:
         assert code == 2
         assert "not finite" in record["error"]
 
+    def test_table_lists_per_mode_entropies_as_numbers(self, capsys):
+        assert main(["entropy", "--c", "1,2"]) == 0
+        table = capsys.readouterr().err.splitlines()
+        assert table[0] == f"per-mode entropies (bits): 0, {entropy_of_two():.12g}"
+
 
 def entropy_of_two():
     return 1.5 * np.log2(1.5) + 0.5
@@ -886,6 +891,33 @@ class TestAllFilesOrNone:
         assert (tmp_path / "g.mat").is_symlink()
         assert (tmp_path / "target.mat").stat().st_mode & 0o777 == 0o600
         assert read_matrix("target.mat").n == 2
+
+    @pytest.mark.parametrize("trace", ["x.out", "./x.out"])
+    def test_two_outputs_that_name_one_file_write_none(self, capsys, tmp_path, monkeypatch, trace):
+        monkeypatch.chdir(tmp_path)
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", "x.out", "--emit-trace", trace)
+        assert code == 2
+        assert record["error"] == f"two outputs name one file: {tmp_path.resolve() / 'x.out'}"
+        assert not list(tmp_path.iterdir())
+
+    def test_a_symlink_to_another_output_is_one_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_matrix("g.mat", np.diag([2.0, 2.0, 3.0, 3.0]), "covariance")
+        (tmp_path / "x.D.mat").symlink_to("x.S.mat")
+        before = sorted(tmp_path.iterdir())
+        code, record = run_cli(capsys, "williamson", "--matrix", "g.mat", "--out-prefix", "x")
+        assert code == 2
+        assert "one file" in record["error"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_one_device_for_two_outputs_is_written_as_it_is(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", os.devnull, "--emit-trace", os.devnull)
+        assert code == 0, record
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert not list(tmp_path.iterdir())
 
     def test_a_device_is_written_as_it_is(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -203,6 +203,12 @@ class TestEntropyReport:
         assert report.total_local_sum == pytest.approx(
             float(np.sum(report.per_mode_entropies)))
 
+    def test_per_mode_entropies_are_a_tuple_of_floats(self):
+        report = entropy_report(c=np.array([2.0, 1.5]))
+        assert type(report.per_mode_entropies) is tuple
+        assert [type(v) for v in report.per_mode_entropies] == [float, float]
+        assert report.per_mode_entropies == (entropy_s(1.5), entropy_s(2.0))
+
     def test_unsorted_values_report_in_sorted_order(self):
         c = np.array([2.0, 1.5, 3.0, 1.0])
         report = entropy_report(c=c)

@@ -17,8 +17,9 @@ from modematch.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy.random", "modematch.synthesis", "modematch.circuits", "modematch.entropy",
          "modematch.verify")
-# the gate runs on Python floats: none of these may load for check_mixed,
-# check_pure, ``check --c --d`` or ``check --pure --b``
+# the gate and the entropy functions run on Python floats: none of these may
+# load for check_mixed, check_pure, ``check --c --d``, ``check --pure --b``,
+# entropy_report, sharing_feasible or ``entropy --c``
 MATRIX_SIDE = ("numpy", "modematch.core", "modematch.marginals", "modematch.matrixio", "_hashlib")
 # nor these: the gate's records are plain classes, since dataclasses imports inspect
 INTROSPECTION = ("dataclasses", "inspect")
@@ -74,6 +75,27 @@ class TestLazyImports:
         assert "modematch.gate" in imported
         assert not set(HEAVY + MATRIX_SIDE + INTROSPECTION) & imported
         assert _last_record(proc)["feasible"] is True
+
+    def test_cli_entropy_on_local_values_loads_no_matrix_side(self):
+        proc = _python("-X", "importtime", "-m", "modematch.cli", "entropy", "--c", "1.5,1.5,2")
+        assert proc.returncode == 0, proc.stderr
+        imported = _imported(proc.stderr)
+        assert "modematch.entropy" in imported
+        assert not set(MATRIX_SIDE) & imported
+        assert _last_record(proc)["purity_consistent"] is True
+
+    def test_entropy_functions_after_bare_import(self):
+        code = ("import json, sys, modematch; "
+                "r = modematch.entropy_report([1.5, 1.5, 2.0]); "
+                "s = modematch.entropy_s(2.0); "
+                "v = modematch.sharing_feasible([1.0, 1.0]); "
+                "print(json.dumps([r.per_mode_entropies, s, v.feasible, sorted(sys.modules)]))")
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        per_mode, s, feasible, modules = json.loads(proc.stdout)
+        assert len(per_mode) == 3 and s > 0 and feasible is True
+        assert "modematch.entropy" in modules
+        assert not set(MATRIX_SIDE) & set(modules)
 
     def test_check_matrix_digests_without_openssl(self, tmp_path):
         path = tmp_path / "g.mat"
