@@ -16,8 +16,8 @@ matrix in interleaved ordering is an n x n unitary U through the 2x2 blocks
 a matrix it acts as U itself, so the Reck sweep and the replay apply every
 passive element as one update of the rows of its modes.
 
-Each element checks its own values when built, and a ``PreparationCircuit``
-its source, seed and modes against n; replay and writer see no other circuit.
+Each element checks its own values when built, and a ``PreparationCircuit`` its
+modes and physical seed, which gives its source; replay and writer see no other circuit.
 """
 
 import cmath
@@ -39,7 +39,7 @@ from .core import (
     williamson,
 )
 from .errors import InvalidInput
-from .gate import at_vacuum
+from .gate import at_vacuum, below_vacuum
 
 PURE_SOURCE = "pure_OPO"
 MIXED_SOURCE = "mixed_OQV"
@@ -89,23 +89,26 @@ Element = Squeezer | Rotation | PhaseShift
 
 @dataclass(frozen=True, eq=False)
 class PreparationCircuit:
-    """A seed, one covariance value per mode (all ones for a pure source),
-    and the elements that act on it in tuple order.  Building one by any
-    route, ``dataclasses.replace`` included, checks the circuit rule: a known
-    source, and n, seed and the elements' modes under ``config._mode_input``.
-    Its elements checked their own values; all are frozen, so it keeps the
-    rule.  Two circuits are equal only if they are the same object."""
+    """A seed, one covariance value per mode, and the elements that act on it
+    in tuple order; its ``source`` is ``pure_OPO`` on a vacuum seed, else
+    ``mixed_OQV``.  Building one by any route, ``dataclasses.replace`` included,
+    checks the circuit rule, ``_check_modes``: the mode rule on n, seed and the
+    elements' modes, and the uncertainty bound on the seed.  Its elements checked
+    their own values; all are frozen, so it keeps the rule.  Two circuits are
+    equal only if they are the same object."""
 
     n: int
     seed: np.ndarray
     elements: tuple[Element, ...] = ()
-    source: str = PURE_SOURCE
 
     def __post_init__(self):
-        _check_source(self.source)
         elements = tuple(self.elements)
         object.__setattr__(self, "seed", _check_modes(self.n, elements, self.seed))
         object.__setattr__(self, "elements", elements)
+
+    @property
+    def source(self) -> str:
+        return PURE_SOURCE if all(map(at_vacuum, self.seed.tolist())) else MIXED_SOURCE
 
     @property
     def squeezers(self) -> list[Squeezer]:
@@ -123,14 +126,13 @@ def _check_values(el: Element, valid: bool) -> None:
 
 
 def _check_modes(n, elements, seed=None):
-    """``config._mode_input`` on n, a seed, and the elements' modes and rotation pairs."""
-    return _mode_input(n, seed, [el.mode for el in elements if not isinstance(el, Rotation)],
+    """``config._mode_input`` on n, a seed, and the elements' modes and rotation pairs;
+    then the uncertainty bound on the seed: no value ``below_vacuum``."""
+    seed = _mode_input(n, seed, [el.mode for el in elements if not isinstance(el, Rotation)],
                        [el.modes for el in elements if isinstance(el, Rotation)])
-
-
-def _check_source(source: str) -> None:
-    if source not in (PURE_SOURCE, MIXED_SOURCE):
-        raise InvalidInput(f"unknown source {source!r}")
+    if seed is not None and any(map(below_vacuum, values := seed.tolist())):
+        raise InvalidInput(f"seed {values} violates the uncertainty bound: a value is below 1")
+    return seed
 
 
 def _apply_passive(Z: np.ndarray, modes, theta: float, phi: float) -> None:
@@ -226,15 +228,12 @@ def _elements(T, modes, vacuum: bool = False) -> list[Element]:
 def circuit_from_matrix(gamma) -> PreparationCircuit:
     """Circuit preparing a physical matrix as itself: the elements of the
     inverse Williamson transform on the seed d, or on the vacuum when every
-    d is at the vacuum."""
+    d is at the vacuum.  The circuit rule refuses a d below the vacuum."""
     cov = _as_covariance(gamma)
-    if not cov.is_physical():
-        raise InvalidInput("target matrix violates the uncertainty bound")
     S_w, d = williamson(cov)
     pure = all(map(at_vacuum, d.values.tolist()))
     elements = _elements(symplectic_inverse(S_w.entries), range(cov.n), pure)
-    seed, source = (np.ones(cov.n), PURE_SOURCE) if pure else (d.values, MIXED_SOURCE)
-    return PreparationCircuit(n=cov.n, seed=seed, elements=elements, source=source)
+    return PreparationCircuit(cov.n, np.ones(cov.n) if pure else d.values, elements)
 
 
 def circuit_from_pure(gamma) -> PreparationCircuit:
@@ -250,7 +249,7 @@ def circuit_from_mixed(trace) -> PreparationCircuit:
     of its gates, from its thermal seed, the spectrum in mode order: the
     elements of each gate on its own modes, in trace order."""
     elements = [el for step in trace.steps for el in _elements(step.transform, step.modes)]
-    return PreparationCircuit(trace.n, trace.seed, elements, MIXED_SOURCE)
+    return PreparationCircuit(trace.n, trace.seed, elements)
 
 
 # The element line format: each record's head, element, and fields in file order with how each
@@ -298,8 +297,9 @@ def parse_circuit(text: str) -> PreparationCircuit:
     source and seed appear at most once, n and source with one value; each
     field is key=value and appears once; any other field, as in the older
     three-block format, is rejected.  Lines are checked as they are read,
-    elements by themselves and against n; InvalidInput names the failing line."""
-    n, source, seed = None, PURE_SOURCE, None
+    elements by themselves and against n, the seed under the circuit rule; InvalidInput
+    names the failing line.  A source record, which may be left out, must match the seed."""
+    n, source, seed = None, None, None
     headers: set[str] = set()
     elements: list[Element] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -317,13 +317,14 @@ def parse_circuit(text: str) -> PreparationCircuit:
             if head == "n":
                 _mode_input(n := number(rest[0], int))
             elif head == "source":
-                _check_source(source := rest[0])
+                if (source := rest[0]) not in (PURE_SOURCE, MIXED_SOURCE):
+                    raise InvalidInput(f"unknown source {source!r}")
             elif head != "seed" and head not in _RECORDS:
                 raise InvalidInput(f"unknown record {head!r}")
             elif n is None:
                 raise InvalidInput(f"{head} record before the n record")
             elif head == "seed":
-                seed = _mode_input(n, [number(v) for v in rest])
+                seed = _check_modes(n, [], [number(v) for v in rest])
             else:
                 _check_modes(n, [el := _parse_element(head, rest)])
                 elements.append(el)
@@ -331,4 +332,7 @@ def parse_circuit(text: str) -> PreparationCircuit:
             raise InvalidInput(f"circuit line {lineno}: {exc}") from exc
     if n is None or seed is None:
         raise InvalidInput("circuit file is missing the n or seed record")
-    return PreparationCircuit(n=n, seed=seed, elements=elements, source=source)
+    circuit = PreparationCircuit(n=n, seed=seed, elements=elements)
+    if source not in (None, circuit.source):
+        raise InvalidInput(f"source {source} does not match the seed, a {circuit.source} seed")
+    return circuit

@@ -42,7 +42,7 @@ from array import array
 
 from . import config
 from .errors import Infeasible, InvalidInput, ModeMatchError, NumericalFailure
-from .gate import at_vacuum, below_vacuum, check_mixed, check_pure
+from .gate import at_vacuum, check_mixed, check_pure
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -170,18 +170,14 @@ def cmd_check(args) -> tuple[int, dict, list[str], list]:
             _verdict_table(verdict), [])
 
 
-def _synthesized(args, physical: bool = False):
+def _synthesized(args):
     """Sort --c and --d, synthesize their witness and self-check it before
     anything is written: returns (c, d, trace, defect).  An infeasible pair
-    raises ``Infeasible``; with ``physical``, a spectrum below one is an
-    input error."""
+    raises ``Infeasible``; ``prepare``'s circuit rule refuses a spectrum below one."""
     from .synthesis import synthesis_defect, synthesize
 
     c = sorted(_parse_vector(args.c))
     d = sorted(_parse_vector(args.d))
-    if physical and below_vacuum(d[0]):
-        raise InvalidInput(f"target violates the uncertainty bound: smallest "
-                           f"symplectic eigenvalue {d[0]:.17g} is below 1")
     trace = synthesize(c, d, tol_ineq=args.tol_ineq)
     defect = _self_checked("self-verification", synthesis_defect(trace.final_matrix, c, d))
     return c, d, trace, defect
@@ -292,7 +288,7 @@ def cmd_prepare(args) -> tuple[int, dict, list[str], list]:
     else:
         if args.c is None or args.d is None:
             raise InvalidInput("provide --matrix, or --c and --d")
-        c, d, trace, _ = _synthesized(args, physical=True)
+        c, d, trace, _ = _synthesized(args)
         target = trace.final_matrix.entries
         circuit = (circuit_from_matrix(trace.final_matrix) if all(map(at_vacuum, d))
                    else circuit_from_mixed(trace))
@@ -421,12 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_all(files: list) -> None:
-    """Write each (path, text), all the files or none: two paths that resolve to one file,
-    unless it is a device or a pipe, are an input error, every path is opened, without
-    truncating it, before any is written, and an error removes the files this run made."""
-    real = [os.path.realpath(p) for p, _ in files if not os.path.exists(p) or os.path.isfile(p)]
-    if len(set(real)) < len(real):
-        raise InvalidInput(f"two outputs name one file: {max(real, key=real.count)}")
+    """Write each (path, text), all the files or none: two paths that name one file, unless
+    it is a device or a pipe, are an input error, every path is opened, without truncating
+    it, before any is written, and an error removes the files this run made.  A file that
+    exists is named by its device and inode, so a hard link is the file it links, and a
+    path still to be made by its real path."""
+    keys = [((st := os.stat(p)).st_dev, st.st_ino) if os.path.isfile(p)
+            else None if os.path.exists(p) else os.path.realpath(p) for p, _ in files]
+    clash = [p for (p, _), key in zip(files, keys) if key is not None and keys.count(key) > 1]
+    if clash:
+        raise InvalidInput(f"two outputs name one file: {os.path.realpath(clash[0])}")
     made = [path for path, _ in files if not os.path.lexists(path)]
     try:
         with contextlib.ExitStack() as stack:

@@ -296,6 +296,46 @@ class TestCircuitFromMixed:
                            (TwoModeStep(trace.steps[0].modes, gate), *trace.steps[1:]))
 
 
+class TestSeedDecides:
+    """A circuit's seed obeys the uncertainty bound and gives its source."""
+
+    def test_the_source_is_read_off_the_seed(self):
+        assert [f.name for f in dataclasses.fields(PreparationCircuit)] == ["n", "seed", "elements"]
+        assert PreparationCircuit(n=2, seed=[1.0, 1.0]).source == "pure_OPO"
+        assert PreparationCircuit(n=2, seed=[1.0, 1.5]).source == "mixed_OQV"
+        with pytest.raises(TypeError):
+            PreparationCircuit(n=1, seed=[2.0], source="mixed_OQV")
+
+    def test_a_seed_below_the_vacuum_is_refused(self):
+        with pytest.raises(InvalidInput, match=r"circuit line 2: seed \[0.5\] .*uncertainty bound"):
+            parse_circuit("n 1\nseed 0.5\n")
+        with pytest.raises(InvalidInput, match=r"seed \[0.5\] .*uncertainty bound"):
+            PreparationCircuit(n=1, seed=[0.5])
+
+    @pytest.mark.parametrize("text, gives", [
+        ("n 1\nsource pure_OPO\nseed 2\n", "mixed_OQV"),
+        ("n 2\nsource mixed_OQV\nseed 1 1\n", "pure_OPO"),
+    ], ids=["pure-on-thermal", "mixed-on-vacuum"])
+    def test_a_source_line_must_name_the_seeds_source(self, text, gives):
+        named = text.split()[3]
+        with pytest.raises(InvalidInput, match=f"source {named} does not match .* {gives} seed"):
+            parse_circuit(text)
+
+    def test_without_a_source_line_the_seed_gives_it(self):
+        for seed, source in (("1 1", "pure_OPO"), ("1 2", "mixed_OQV")):
+            circuit = parse_circuit(f"n 2\nseed {seed}\n")
+            assert circuit.source == source
+            assert serialize_circuit(circuit).splitlines()[1] == f"source {source}"
+
+    def test_a_vacuum_seeded_trace_gives_a_pure_circuit(self):
+        circuit = circuit_from_mixed(synthesize_pure([1.0, 1.0]))
+        assert circuit.source == "pure_OPO"
+        text = serialize_circuit(circuit)
+        parsed = parse_circuit(text)
+        assert parsed.source == "pure_OPO"
+        assert serialize_circuit(parsed) == text
+
+
 @st.composite
 def squeezer_targets(draw):
     """A target and its trace, or None for a drawn covariance: a ramp
@@ -372,7 +412,7 @@ class TestFrozenRecords:
 
     def test_a_seed_is_copied_when_built(self):
         seed = np.array([1.5, 2.5])
-        circuit = PreparationCircuit(n=2, seed=seed, source="mixed_OQV")
+        circuit = PreparationCircuit(n=2, seed=seed)
         seed[0] = -1.0
         assert circuit.seed.tolist() == [1.5, 2.5]
 
@@ -413,7 +453,7 @@ class TestActingOrder:
     def test_elements_act_in_list_order(self):
         # a squeezer listed before a rotation acts first: R Q diag(seed) Q^T R^T
         z, theta, phi = 3.0, 0.4, 0.7
-        circuit = PreparationCircuit(n=2, seed=[1.5, 2.5], source="mixed_OQV", elements=[
+        circuit = PreparationCircuit(n=2, seed=[1.5, 2.5], elements=[
             Squeezer(0, z), Rotation((0, 1), theta, phi)])
         ct, st, ph = np.cos(theta), np.sin(theta), np.exp(1j * phi)
         R = unitary_to_orthosymplectic(np.array([[ct, -ph * st], [st / ph, ct]]))
@@ -524,7 +564,7 @@ class TestSerialization:
             # the last line of element is a bad n or source record
             text, bad_line = f"{element}\nseed 1 1\n", element.count("\n") + 1
         else:
-            text = f"n 2\nsource mixed_OQV\nseed {seed}\n{element}\n"
+            text = f"n 2\nsource pure_OPO\nseed {seed}\n{element}\n"
             bad_line = 4 if seed == "1 1" else 3
         with pytest.raises(ValueError, match=f"circuit line {bad_line}:"):
             parse_circuit(text)
@@ -535,7 +575,7 @@ class TestSerialization:
         ("squeezer mode=0 z", "squeezer field 'z' is not of the form key=value"),
     ])
     def test_parse_names_a_repeated_or_bare_field(self, element, message):
-        text = f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n"
+        text = f"n 2\nsource pure_OPO\nseed 1 1\n{element}\n"
         with pytest.raises(ValueError, match=f"circuit line 4: {message}"):
             parse_circuit(text)
 
@@ -546,7 +586,7 @@ class TestSerialization:
         "phase stage=pre mode=0 alpha=0.3",
     ])
     def test_parse_rejects_the_old_staged_format(self, element):
-        text = f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n"
+        text = f"n 2\nsource pure_OPO\nseed 1 1\n{element}\n"
         with pytest.raises(ValueError, match="circuit line 4: .*re-run prepare"):
             parse_circuit(text)
 
@@ -615,7 +655,7 @@ class TestSerialization:
         monkeypatch.setattr(PreparationCircuit, "__post_init__",
                             lambda circuit: built.append(check(circuit)))
         lines = [f"phase mode={k % 2} alpha=0.{k}" for k in range(999)]
-        text = "\n".join(["n 2", "source mixed_OQV", "seed 1 1", *lines, bad]) + "\n"
+        text = "\n".join(["n 2", "source pure_OPO", "seed 1 1", *lines, bad]) + "\n"
         with pytest.raises(InvalidInput, match=f"circuit line 1003: .*{message}"):
             parse_circuit(text)
         assert built == []

@@ -424,6 +424,23 @@ class TestPrepare:
         assert "uncertainty bound" in record["error"]
         assert not out.exists()
 
+    def test_an_infeasible_pair_below_the_vacuum_is_infeasible(self, capsys, tmp_path):
+        # the gate judges the pair first; the uncertainty bound is the circuit's
+        out = tmp_path / "circ.txt"
+        code, record = run_cli(capsys, "prepare", "--c", "1,5", "--d", "0.5,1",
+                               "--out", str(out))
+        assert code == 1
+        assert record["feasible"] is False
+        assert not out.exists()
+
+    def test_a_seed_below_the_vacuum_is_replayed_as_an_input_error(self, capsys, tmp_path):
+        circ, out = tmp_path / "low.txt", tmp_path / "low.mat"
+        circ.write_text("n 1\nseed 0.5\n")
+        code, record = run_cli(capsys, "replay", "--circuit", str(circ), "--out", str(out))
+        assert code == 2
+        assert record["error"].startswith("circuit line 2: seed [0.5] violates the uncertainty")
+        assert not out.exists()
+
     def test_witness_missing_its_locals_exits_three(self, capsys, tmp_path, monkeypatch):
         import modematch.synthesis as synthesis
 
@@ -451,7 +468,7 @@ class TestPrepare:
     ])
     def test_invalid_circuit_file_is_an_input_error(self, capsys, tmp_path, element):
         circ = tmp_path / "c.txt"
-        circ.write_text(f"n 2\nsource mixed_OQV\nseed 1 1\n{element}\n")
+        circ.write_text(f"n 2\nsource pure_OPO\nseed 1 1\n{element}\n")
         out = tmp_path / "r.mat"
         code, record = run_cli(capsys, "replay", "--circuit", str(circ), "--out", str(out))
         assert code == 2
@@ -910,6 +927,16 @@ class TestAllFilesOrNone:
         assert code == 2
         assert "one file" in record["error"]
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_hard_link_to_another_output_is_one_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.out").write_text("earlier run")
+        os.link("x.out", "y.out")
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", "x.out", "--emit-trace", "y.out")
+        assert code == 2
+        assert record["error"] == f"two outputs name one file: {tmp_path.resolve() / 'x.out'}"
+        assert (tmp_path / "x.out").read_text() == "earlier run"
 
     def test_one_device_for_two_outputs_is_written_as_it_is(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -49,8 +49,8 @@ OBJECT_COMPLEX = np.array([[2.0, np.complex128(0.5)], [np.complex128(0.5), 2.0]]
 OBJECT_NONE = np.array([[2.0, None], [None, 2.0]], dtype=object)
 
 
-def circuit(*elements, n=2, seed=(1.0, 1.0), source="mixed_OQV"):
-    return PreparationCircuit(n=n, seed=np.array(seed), elements=list(elements), source=source)
+def circuit(*elements, n=2, seed=(1.0, 1.0)):
+    return PreparationCircuit(n=n, seed=np.array(seed), elements=list(elements))
 
 
 def trace(modes, gate=SQUEEZE_GATE):
@@ -181,7 +181,8 @@ REJECTIONS = {
     "circuit-negative-seed": (lambda: circuit(seed=(1.0, -1.0)),
                               "seed values must be finite and positive"),
     "circuit-seed-length": (lambda: circuit(seed=(1.0, 1.0, 1.0)), "seed has 3 values for 2"),
-    "circuit-unknown-source": (lambda: circuit(source="bogus"), "unknown source"),
+    "circuit-unknown-source": (lambda: parse_circuit("n 2\nsource bogus\nseed 1 1\n"),
+                               "unknown source"),
     "circuit-no-modes": (lambda: circuit(n=0, seed=()), "mode count 0 is not a positive integer"),
     "trace-negative-mode": (lambda: trace((0, -1)), "mode -1 is outside 0..1"),
     "trace-repeated-modes": (lambda: trace((1, 1)), "two distinct modes"),
@@ -209,7 +210,7 @@ REJECTIONS = {
     "rotation-complex-angle": (lambda: Rotation((0, 1), 1j, 0), "theta=1j.*angles must be finite"),
     "symplectic-form-bool-n": (lambda: symplectic_form(True),
                                "mode count True is not a positive integer"),
-    "circuit-bool-n": (lambda: PreparationCircuit(n=True, seed=[1.5], source="mixed_OQV"),
+    "circuit-bool-n": (lambda: PreparationCircuit(n=True, seed=[1.5]),
                        "mode count True is not a positive integer"),
     "circuit-bool-mode": (lambda: circuit(Squeezer(True, 2.0)), "mode True is outside 0..1"),
     "trace-bool-mode": (lambda: trace((False, 1)), "mode False is outside 0..1"),
