@@ -417,28 +417,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_all(files: list) -> None:
-    """Write each (path, text), all the files or none: two paths that name one file, unless
-    it is a device or a pipe, are an input error, every path is opened, without truncating
-    it, before any is written, and an error removes the files this run made.  A file that
-    exists is named by its device and inode, so a hard link is the file it links, and a
-    path still to be made by its real path."""
+    """Write each (path, text), all the files or none.  Each path is resolved once, to its
+    key: an existing file's device and inode, so a hard link is the file it links, None for
+    a device or a pipe, else its real path, a dangling symlink's target.  Two paths with one
+    key but None are an input error; every path is opened before any is written, a file is
+    truncated only then, and an error removes the real paths this run made."""
     keys = [((st := os.stat(p)).st_dev, st.st_ino) if os.path.isfile(p)
             else None if os.path.exists(p) else os.path.realpath(p) for p, _ in files]
     clash = [p for (p, _), key in zip(files, keys) if key is not None and keys.count(key) > 1]
     if clash:
         raise InvalidInput(f"two outputs name one file: {os.path.realpath(clash[0])}")
-    made = [path for path, _ in files if not os.path.lexists(path)]
     try:
         with contextlib.ExitStack() as stack:
             handles = [stack.enter_context(open(path, "a")) for path, _ in files]
-            for fh, (_, text) in zip(handles, files):
-                if os.path.isfile(fh.name):  # a device or a pipe is written as it is
+            for fh, key, (_, text) in zip(handles, keys, files):
+                if key is not None:  # a device or a pipe is written as it is
                     fh.truncate(0)
                 fh.write(text)
     except BaseException:
-        for path in made:
+        for made in [key for key in keys if isinstance(key, str)]:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(made)
         raise
 
 

@@ -18,16 +18,14 @@ than s(4) = 2.427 bits.  It is kept under its historical name,
 """
 
 import math
-from dataclasses import dataclass
 
 from .config import TOL_INEQ, _as_vector, real_float, valid_tol_ineq
 from .errors import InvalidInput
-from .gate import _pure_verdict, below_vacuum, check_pure
+from .gate import _pure_verdict, _Record, below_vacuum, check_pure
 
 _LN2, _FLOAT_MAX = math.log(2.0), math.nextafter(math.inf, 0.0)
 
 
-@dataclass(eq=False)
 class EntropyReport:
     """Per-mode entropies, their sum, and the paper's aggregate expression.
 
@@ -37,13 +35,18 @@ class EntropyReport:
     fixed second moments a Gaussian state has the largest entropy, so mode j
     alone has entropy at most s(c_j), and subadditivity adds these up.
     ``global_upper_bound`` holds the paper's aggregate s(sum c), which is
-    not a bound for mixed states despite its name.
+    not a bound for mixed states despite its name.  Like the gate's records
+    it is a plain class, so ``entropy --c`` loads no ``dataclasses``.
     """
 
-    per_mode_entropies: tuple[float, ...]
-    total_local_sum: float
-    global_upper_bound: float
-    purity_consistent: bool
+    __slots__ = ("per_mode_entropies", "total_local_sum", "global_upper_bound",
+                 "purity_consistent")
+    __repr__ = _Record.__repr__
+
+    def __init__(self, per_mode_entropies: tuple[float, ...], total_local_sum: float,
+                 global_upper_bound: float, purity_consistent: bool):
+        self.per_mode_entropies, self.total_local_sum = per_mode_entropies, total_local_sum
+        self.global_upper_bound, self.purity_consistent = global_upper_bound, purity_consistent
 
 
 def entropy_s(c: float) -> float:

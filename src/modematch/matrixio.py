@@ -77,26 +77,22 @@ def parse_matrix(text: str) -> MatrixFile:
     body = lines[3:]
     if len(body) != 2 * n:
         raise MatrixParseError(f"expected {2 * n} body rows, found {len(body)}")
-    try:  # the text rule, once for the whole body; only a failure reads each token under it
-        number(" ".join(body), str)
-        read = float
-    except InvalidInput:
-        read = number
     rows = []
     for i, ln in enumerate(body, start=1):
         parts = ln.split()
         if len(parts) != 2 * n:
             raise MatrixParseError(f"expected {2 * n} values, found {len(parts)}", row=i)
-        try:
-            rows.append(list(map(read, parts)))
-        except ValueError:
-            # walk the row again only to name the failing column
+        try:  # the text rule on the whole row, then float on each token
+            number(ln, str)
+            rows.append(list(map(float, parts)))
+        except ValueError:  # name the failing value; if none fails, non-ASCII space parted them
             for j, token in enumerate(parts, start=1):
                 try:
                     number(token)
                 except ValueError:
                     raise MatrixParseError(f"could not parse value {token!r}",
                                            row=i, column=j) from None
+            rows.append(list(map(float, parts)))
     values = np.array(rows)
     finite = np.isfinite(values)
     if not finite.all():

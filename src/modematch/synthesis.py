@@ -136,18 +136,22 @@ def solve_two_mode(c1: float, c2: float, d1: float, d2: float, *,
 
 
 def _couplings(c1: float, c2: float, d1: float, d2: float, threshold: float):
-    """``solve_two_mode`` on valid inputs, its gaps judged at ``threshold``."""
-    sum_gap, spread_gap = (c1 + c2) - (d1 + d2), (d2 - d1) - (c2 - c1)
-    if min(sum_gap, spread_gap) < -threshold:
+    """``solve_two_mode`` on valid inputs, its gaps judged at ``threshold``, in units of
+    the power of two at or below max(c2, d2), so that u (u + k), a product of four inputs,
+    stays in the float range; scaling by it is exact, so it changes no bit elsewhere."""
+    unit = math.ldexp(0.5, math.frexp(max(c2, d2))[1])
+    a1, a2, b1, b2 = c1 / unit, c2 / unit, d1 / unit, d2 / unit
+    sum_gap, spread_gap = (a1 + a2) - (b1 + b2), (b2 - b1) - (a2 - a1)
+    if min(sum_gap, spread_gap) < -threshold / unit:
         raise Infeasible(f"pair inequalities violated for c=({c1}, {c2}), d=({d1}, {d2})")
-    noise = 4.0 * _EPS * ((c1 + c2) + (d1 + d2))
+    noise = 4.0 * _EPS * ((a1 + a2) + (b1 + b2))
     sum_gap = sum_gap if sum_gap > noise else 0.0
     spread_gap = spread_gap if spread_gap > noise else 0.0
-    u = 0.5 * spread_gap * (spread_gap + 2.0 * (c2 - c1))
-    v = 0.5 * sum_gap * (sum_gap + 2.0 * (d1 + d2))
-    k, cc = 2.0 * d1 * d2, c1 * c2
+    u = 0.5 * spread_gap * (spread_gap + 2.0 * (a2 - a1))
+    v = 0.5 * sum_gap * (sum_gap + 2.0 * (b1 + b2))
+    k, cc = 2.0 * b1 * b2, a1 * a2
     plus, minus = math.sqrt(u * (u + k) / cc), math.sqrt(v * (v + k) / cc)
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+    return 0.5 * (plus + minus) * unit, 0.5 * (plus - minus) * unit
 
 
 def _gate(c1: float, c2: float, d1: float, d2: float, room: float) -> np.ndarray:

@@ -190,6 +190,18 @@ class TestSynth:
         assert code == 0
         assert record["verification_defect"] <= 1e-8
 
+    def test_check_and_synth_agree_at_a_large_uniform_scale(self, capsys, tmp_path):
+        # the two-mode couplings multiply four inputs, past the float range here
+        c, d = "1.5e78,1.5e78", "1e78,2e78"
+        code, record = run_cli(capsys, "check", "--c", c, "--d", d)
+        assert code == 0 and record["feasible"]
+        out = tmp_path / "big.mat"
+        code, record = run_cli(capsys, "synth", "--c", c, "--d", d, "--out", str(out))
+        assert code == 0, record
+        assert record["verification_defect"] <= 1e-8
+        local = np.diag(read_matrix(out).values)
+        np.testing.assert_allclose(local, [1.5e78] * 4, rtol=1e-12)
+
     def test_identity_case(self, capsys, tmp_path):
         out = tmp_path / "id.mat"
         code, _ = run_cli(capsys, "synth", "--c", "1,1", "--d", "1,1", "--out", str(out))
@@ -907,6 +919,26 @@ class TestAllFilesOrNone:
         assert code == 0
         assert (tmp_path / "g.mat").is_symlink()
         assert (tmp_path / "target.mat").stat().st_mode & 0o777 == 0o600
+        assert read_matrix("target.mat").n == 2
+
+    def test_a_failed_run_removes_the_file_it_made_at_a_dangling_symlinks_target(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.mat").symlink_to("target.mat")
+        code, record = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2",
+                               "--out", "d.mat", "--emit-trace", "nodir/t.trace")
+        assert code == 2
+        assert "No such file or directory" in record["error"]
+        assert (tmp_path / "d.mat").is_symlink()
+        assert not (tmp_path / "target.mat").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["d.mat"]
+
+    def test_a_dangling_symlink_is_written_through(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.mat").symlink_to("target.mat")
+        code, _ = run_cli(capsys, "synth", "--c", "1.5,1.5", "--d", "1,2", "--out", "d.mat")
+        assert code == 0
+        assert (tmp_path / "d.mat").is_symlink()
         assert read_matrix("target.mat").n == 2
 
     @pytest.mark.parametrize("trace", ["x.out", "./x.out"])

@@ -82,6 +82,12 @@ class TestValidation:
         text = "# \u03b3 for mode_0\nn 1\nordering xpxp\nkind covariance\n2 0\n0 2\n"
         assert np.array_equal(parse_matrix(text).values, 2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("gap", ["\u00a0", "\u2003", "\u3000"])
+    def test_values_parted_by_non_ascii_whitespace_are_read(self, gap):
+        # the text rule holds each value; the whitespace between values is not one
+        text = f"n 1\nordering xpxp\nkind covariance\n2{gap}0\n0{gap}2.5\n"
+        assert parse_matrix(text).values.tolist() == [[2.0, 0.0], [0.0, 2.5]]
+
     def test_rejects_missing_header(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("1 0\n0 1\n")

@@ -9,6 +9,8 @@ self-check defect of (4^k c, 4^k d) are those of (c, d), scaled bitwise.
 An exact oracle in fractions holds the gate to the scaled criterion
 everywhere outside a rounding band of its threshold, and ``synthesize``
 accepts exactly the pairs the gate accepts, however near its threshold.
+Below 1 the defect is absolute, so there the witness is measured against
+its targets directly.
 """
 
 from fractions import Fraction
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modematch import check_mixed, sample_feasible_pair, synthesize
+from modematch import (check_mixed, local_diagonal, sample_feasible_pair, symplectic_eigenvalues,
+                       synthesize)
 from modematch.config import TOL_INEQ, TOL_RECON
 from modematch.errors import Infeasible
 from modematch.synthesis import synthesis_defect
 
 EPS = np.finfo(float).eps
-POWERS = (0, 5, 10, 20, 23)
+POWERS = (0, 5, 10, 20, 23, 140, 200)
 
 # a pair of unit size, and the same pair times 2^23: at 2^23 an absolute
 # tolerance failed its self-check with defect 5.96e-08
@@ -61,6 +64,19 @@ def test_named_pair_times_two_to_the_23_passes_its_self_check():
     assert verdict.feasible
     assert verdict.scale == scale * NAMED_C[-1]
     assert defect <= TOL_RECON
+
+
+def test_pairs_times_four_to_the_minus_150_get_witnesses_that_meet_them():
+    # the two-mode couplings form products of four inputs, about 1e-360 here,
+    # which once underflowed to witnesses that met d but not c
+    for seed in range(300):
+        c, d = sample_feasible_pair(np.random.default_rng(seed), 2 + seed % 7, physical=True)
+        c, d = 4.0 ** -150 * c, 4.0 ** -150 * d
+        witness = synthesize(c, d).final_matrix
+        spectrum = symplectic_eigenvalues(witness).values
+        local = local_diagonal(witness).values.values
+        assert np.max(np.abs(spectrum - d) / d) <= 1e-12, seed
+        assert np.max(np.abs(local - c) / c) <= 1e-12, seed
 
 
 def exact_slacks(c, d):

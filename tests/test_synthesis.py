@@ -92,6 +92,13 @@ class TestSolveTwoMode:
         ref = symplectic_eigenvalues(assemble_two_mode(1.5, 1.5, e, f)).values
         np.testing.assert_allclose(ref, [1.0, 2.0], atol=1e-10)
 
+    @pytest.mark.parametrize("k", [-1060, -300, -150, 0, 150, 300, 1020])
+    def test_worked_example_scales_across_the_float_range(self, k):
+        # the couplings multiply four inputs, so they are formed in units of
+        # a power of two near the largest input, which scales exactly
+        s = 2.0**k
+        assert solve_two_mode(1.5 * s, 1.5 * s, s, 2.0 * s) == (0.5 * s, 0.5 * s)
+
     def test_round_trip_against_closed_form(self):
         rng = np.random.default_rng(25)
         for _ in range(300):
